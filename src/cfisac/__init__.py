@@ -14,8 +14,9 @@ from .geometry import (ApGeometry, TargetTruth, angle_from_position,
                        array_response_derivative, geometry_for_ap)
 from .crb import (CrbBlock, RankDeficientError, SensingLinkGain, WaveformSpec,
                   all_ones_waveform, assemble_measurement_covariance,
-                  build_waveform_vector, crb_angle, crb_delay_doppler,
-                  qpsk_waveform, sensing_gain, transform_to_range_velocity)
+                  build_waveform_vector, crb_angle, crb_block,
+                  crb_delay_doppler, qpsk_waveform, sensing_gain,
+                  transform_to_range_velocity)
 from .selection import ApSelection
 from .tracking import (MeasurementSet, MotionModel, StateEstimate,
                        angle_estimate_and_variance, measurement_jacobian,

@@ -3,13 +3,16 @@
 Builds the delayed and Doppler-shifted sounding waveform, computes the
 Fisher-information bounds on (delay, Doppler) and angle for a single
 bistatic Tx-target-Rx hop, transforms them to (range, radial velocity),
-and assembles per-AP measurement covariance blocks.
+and assembles per-AP measurement covariance blocks. `crb_block` is the
+closed form of that chain at zero delay and Doppler, which the simulator
+uses; the FFT-based functions are the general reference it is tested
+against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,15 +30,40 @@ class WaveformSpec:
     """Frequency-domain symbol grid, shape (num_subcarriers, num_symbols).
 
     Average symbol power must be one so that waveform energy equals the
-    number of time samples.
+    number of time samples. With weights w = |gamma|^2 over the subcarrier
+    index a and symbol index b, construction caches the moments the
+    zero-delay, zero-Doppler bounds need: the energy sum(w), the raw second
+    moments (sum w a^2, sum w b^2) and the centered sums
+    (sum w da^2, sum w db^2, sum w da db), da and db taken about the
+    weighted means.
     """
 
     symbols: np.ndarray
+    energy: float = field(init=False, repr=False, compare=False)
+    index_raw: tuple[float, float] = field(init=False, repr=False,
+                                           compare=False)
+    index_cov: tuple[float, float, float] = field(init=False, repr=False,
+                                                  compare=False)
 
     def __post_init__(self) -> None:
         sym = np.array(self.symbols, dtype=complex)
+        if sym.ndim != 2:
+            raise ValueError(f"waveform grid must be 2-D, got shape {sym.shape}")
         sym.setflags(write=False)
         object.__setattr__(self, "symbols", sym)
+        w = np.abs(sym) ** 2
+        energy = float(np.sum(w))
+        w_a, w_b = w.sum(axis=1), w.sum(axis=0)
+        a = np.arange(sym.shape[0], dtype=float)
+        b = np.arange(sym.shape[1], dtype=float)
+        da = a - (w_a @ a / energy if energy > 0 else 0.0)
+        db = b - (w_b @ b / energy if energy > 0 else 0.0)
+        object.__setattr__(self, "energy", energy)
+        object.__setattr__(self, "index_raw",
+                           (float(w_a @ a ** 2), float(w_b @ b ** 2)))
+        object.__setattr__(self, "index_cov",
+                           (float(w_a @ da ** 2), float(w_b @ db ** 2),
+                            float(da @ w @ db)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -87,7 +115,7 @@ def _check_waveform(spec: WaveformSpec, cfg: SystemConfig) -> None:
         raise ValueError(
             f"waveform shape {spec.shape} does not match the configured "
             f"grid ({n_c}, {n_s})")
-    mean_power = np.sum(np.abs(spec.symbols) ** 2) / (n_c * n_s)
+    mean_power = spec.energy / (n_c * n_s)
     if abs(mean_power - 1.0) > 1e-9:
         raise ValueError(f"waveform average power {mean_power!r} is not 1")
 
@@ -212,6 +240,65 @@ def crb_angle(spec: WaveformSpec, cfg: SystemConfig, gain: SensingLinkGain,
     if info <= 0:
         raise RankDeficientError("angle Fisher information is not positive")
     return 1.0 / info
+
+
+def crb_block(spec: WaveformSpec, cfg: SystemConfig, gain: SensingLinkGain,
+              azimuth: float, ap_index: int = 0) -> CrbBlock:
+    """Per-AP (range, radial velocity, angle) bound at zero delay and Doppler.
+
+    Closed form of transform_to_range_velocity(crb_delay_doppler(...),
+    crb_angle(...)) with delay = Doppler = 0, for any grid. There the
+    sampled waveform is a unitary transform of the symbol grid, so the
+    projected core Re{D^H (I - s s^H / ||s||^2) D} is the |gamma|^2-weighted
+    covariance of the index grid, entry (a, b) scaled by
+    (2 pi df a, -2 pi T_sym b), and the ULA angle core is
+    (2 pi d cos(az) / lambda)^2 N (N^2 - 1) / 12. The checks and their
+    messages are those of the FFT path.
+    """
+    if not gain.magnitude_sq > 0:
+        raise ValueError("sensing gain must have positive power")
+    _check_waveform(spec, cfg)
+    if not math.isfinite(azimuth):
+        raise ValueError("azimuth must be finite")
+    (raw_aa, raw_bb), (cov_aa, cov_bb, cov_ab) = spec.index_raw, spec.index_cov
+    weak = [name for name, core, raw in (("delay", cov_aa, raw_aa),
+                                         ("doppler", cov_bb, raw_bb))
+            if core <= 1e-12 * raw]
+    if weak:
+        raise RankDeficientError(
+            f"Fisher information is singular: {' and '.join(weak)} "
+            "unidentifiable for this waveform grid")
+    n = cfg.antennas_per_ap
+    snr = 2.0 * gain.magnitude_sq / cfg.noise_power
+    w_tau = 2.0 * math.pi * cfg.subcarrier_spacing
+    w_nu = 2.0 * math.pi * cfg.symbol_duration
+    f00 = snr * n * w_tau * w_tau * cov_aa
+    f11 = snr * n * w_nu * w_nu * cov_bb
+    f01 = -snr * n * w_tau * w_nu * cov_ab
+    det = f00 * f11 - f01 * f01
+    if det <= 1e-24 * f00 * f11:
+        raise RankDeficientError(
+            "Fisher information for (delay, doppler) is not positive definite")
+
+    if n < 2:
+        raise RankDeficientError(
+            "angle unidentifiable with a single antenna per AP")
+    if abs(azimuth) >= math.pi / 2:
+        raise ValueError("angle bound is singular at azimuth = +/- pi/2")
+    kappa = (2.0 * math.pi * cfg.antenna_spacing * math.cos(azimuth)
+             / cfg.wavelength)
+    info = snr * spec.energy * kappa * kappa * n * (n * n - 1) / 12.0
+    if info <= 0:
+        raise RankDeficientError("angle Fisher information is not positive")
+
+    range_scale = SPEED_OF_LIGHT
+    velocity_scale = SPEED_OF_LIGHT / (2.0 * cfg.carrier_frequency)
+    rr = range_scale * range_scale * f11 / det
+    vv = velocity_scale * velocity_scale * f00 / det
+    rv = -range_scale * velocity_scale * f01 / det
+    angle_var = 1.0 / info
+    full = np.array([[rr, rv, 0.0], [rv, vv, 0.0], [0.0, 0.0, angle_var]])
+    return CrbBlock(full[:2, :2].copy(), angle_var, full, ap_index)
 
 
 def transform_to_range_velocity(crb_dd: np.ndarray, crb_angle_var: float,

@@ -18,9 +18,8 @@ import numpy as np
 from .comms import (LinkResult, build_channel, conventional_baseline,
                     evaluate_link, perfect_angle_bound, predictive_precoder)
 from .config import SystemConfig
-from .crb import (CrbBlock, WaveformSpec, all_ones_waveform, crb_angle,
-                  crb_delay_doppler, qpsk_waveform, sensing_gain,
-                  transform_to_range_velocity)
+from .crb import (CrbBlock, WaveformSpec, all_ones_waveform, crb_block,
+                  qpsk_waveform, sensing_gain)
 from .geometry import TargetTruth, array_response, geometry_for_ap
 from .selection import ApSelection
 from .sensing import (Action, SensingPolicy, decide_action, select_rx_aps)
@@ -70,6 +69,20 @@ class TrafficModel:
         return any(start <= epoch < end for start, end in self.intervals)
 
 
+def _check_initial_estimate(est: StateEstimate) -> None:
+    """Finite mean, finite symmetric PSD covariance; checked once per scenario
+    rather than in StateEstimate, which the filter rebuilds every epoch."""
+    cov = est.covariance
+    if not (np.isfinite(est.mean).all() and np.isfinite(cov).all()):
+        raise ValueError("initial_estimate: mean and covariance must be finite")
+    scale = float(np.abs(cov).max())
+    if np.abs(cov - cov.T).max() > 1e-12 * scale:
+        raise ValueError("initial_estimate: covariance must be symmetric")
+    if np.linalg.eigvalsh(cov).min() < -1e-12 * scale:
+        raise ValueError(
+            "initial_estimate: covariance must be positive semidefinite")
+
+
 @dataclass(frozen=True)
 class Scenario:
     system: SystemConfig
@@ -95,6 +108,15 @@ class Scenario:
                                  if a in self.comparison_arms))
         if self.symbol_alphabet not in ("qpsk", "ones"):
             raise ValueError("symbol_alphabet must be 'qpsk' or 'ones'")
+        # The sensing grid is unit-modulus, so its bound is singular exactly
+        # when one of these index ranges has a single entry.
+        if self.system.num_symbols < 2:
+            raise ValueError("system.num_symbols: sensing needs >= 2 symbols "
+                             "(doppler unidentifiable with one)")
+        if self.system.antennas_per_ap < 2:
+            raise ValueError("system.antennas_per_ap: sensing needs >= 2 "
+                             "antennas (angle unidentifiable with one)")
+        _check_initial_estimate(self.initial_estimate)
         for start, end in self.traffic.intervals:
             if not 0 <= start < end <= self.num_epochs:
                 raise ValueError(
@@ -164,9 +186,12 @@ def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
     """Per-AP (range, velocity, angle) bound blocks at a reference state.
 
     The sensing transmitter steers at its own azimuth of the reference
-    position. Bounds are evaluated at zero delay/Doppler: the underlying
-    Fisher information depends on the waveform grid only through the symbol
-    magnitudes, so the evaluation point does not change the result.
+    position. Each block is the closed-form bound `crb_block` at zero
+    delay/Doppler, one call per AP: the Fisher information depends on the
+    waveform grid only through its power-weighted index moments, cached on
+    the WaveformSpec, so the evaluation point does not change the result.
+    The FFT-based crb_delay_doppler and crb_angle are the general-grid
+    reference it is tested against.
     """
     state = TargetTruth(position_x, velocity_x)
     tx_geom = geometry_for_ap(cfg, state, cfg.tx_ap)
@@ -175,9 +200,7 @@ def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
     for ap in (range(cfg.num_aps) if aps is None else aps):
         rx_geom = geometry_for_ap(cfg, state, ap)
         gain = sensing_gain(cfg, tx_geom, rx_geom, float(rcs[ap]), precoder)
-        dd = crb_delay_doppler(waveform, cfg, gain, rx_geom.azimuth, 0.0, 0.0)
-        ang = crb_angle(waveform, cfg, gain, rx_geom.azimuth, 0.0, 0.0)
-        blocks.append(transform_to_range_velocity(dd, ang, cfg, ap_index=ap))
+        blocks.append(crb_block(waveform, cfg, gain, rx_geom.azimuth, ap))
     return blocks
 
 

@@ -213,6 +213,27 @@ class TestMainEntry:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["mean_rates"]) == {"proposed", "perfect"}
 
+    @pytest.mark.parametrize("text, field", [
+        ("system:\n  num_symbols: 1\n", "num_symbols"),
+        ("system:\n  antennas_per_ap: 1\n", "antennas_per_ap"),
+        ("initial_estimate:\n  covariance_diag: [-1, 1]\n", "semidefinite"),
+        ("initial_estimate:\n  covariance: [[1, 5], [0, 1]]\n", "symmetric"),
+        ("initial_estimate:\n  mean: [.nan, 25]\n", "finite"),
+    ], ids=["one_symbol", "one_antenna", "negative_variance", "asymmetric",
+            "nan_mean"])
+    def test_run_time_failures_rejected_by_validate(self, tmp_path, capsys,
+                                                    text, field):
+        # sensing with these would fail mid-run, or run on a meaningless
+        # prior, so both commands must stop at load with a config error
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("num_epochs: 3\n" + text)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error") == 2 and field in err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_arms_flag_is_config_error(self, tmp_path):
         assert main(["run", "--out", str(tmp_path / "o"),
                      "--arms", "proposed,telepathy"]) == 2

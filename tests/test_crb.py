@@ -8,7 +8,7 @@ from cfisac.config import SPEED_OF_LIGHT, SystemConfig
 from cfisac.crb import (CrbBlock, RankDeficientError, SensingLinkGain,
                         WaveformSpec, all_ones_waveform,
                         assemble_measurement_covariance, build_waveform_vector,
-                        crb_angle, crb_delay_doppler, qpsk_waveform,
+                        crb_angle, crb_block, crb_delay_doppler, qpsk_waveform,
                         sensing_gain, transform_to_range_velocity)
 from cfisac.geometry import ApGeometry, array_response
 from cfisac.selection import ApSelection
@@ -270,6 +270,93 @@ class TestRangeVelocityTransform:
             assert eigs.min() > 0
             assert_allclose(block.full[:2, 2], 0.0, atol=0)
             assert block.full[2, 2] == block.angle_var
+
+
+def fft_block(spec, cfg, gain, azimuth, ap_index=0):
+    """The general-grid FFT chain the closed form must reproduce."""
+    return transform_to_range_velocity(
+        crb_delay_doppler(spec, cfg, gain, azimuth, 0.0, 0.0),
+        crb_angle(spec, cfg, gain, azimuth, 0.0, 0.0), cfg, ap_index)
+
+
+def assert_blocks_match(got, want, rtol):
+    # Range and velocity variances differ by orders of magnitude, so compare
+    # in correlation units: diagonals relative to themselves, off-diagonals
+    # relative to the geometric mean of their diagonals.
+    scale = np.sqrt(np.diag(want.full))
+    assert_allclose(got.full / np.outer(scale, scale),
+                    want.full / np.outer(scale, scale), rtol=0, atol=rtol)
+    assert_allclose(got.range_velocity, got.full[:2, :2], rtol=0, atol=0)
+    assert got.angle_var == got.full[2, 2]
+    assert got.ap_index == want.ap_index
+
+
+class TestClosedFormBlock:
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("grid", ["ones", "qpsk", "random"])
+    def test_matches_fft_oracle(self, n, grid):
+        cfg = small_cfg(n=n)
+        rng = np.random.default_rng(40 + n)
+        spec = {"ones": lambda: all_ones_waveform(cfg),
+                "qpsk": lambda: qpsk_waveform(cfg, rng),
+                "random": lambda: unit_power_symbols(cfg, rng)}[grid]()
+        if grid == "random":
+            # not unit-modulus: the delay-Doppler coupling must be exercised
+            cov_aa, cov_bb, cov_ab = spec.index_cov
+            assert abs(cov_ab) > 1e-3 * math.sqrt(cov_aa * cov_bb)
+        for azimuth in rng.uniform(-1.4, 1.4, size=20):
+            assert_blocks_match(crb_block(spec, cfg, GAIN, azimuth, 2),
+                                fft_block(spec, cfg, GAIN, azimuth, 2),
+                                rtol=1e-12)
+
+    def test_default_grid_matches_fft_oracle(self):
+        cfg = SystemConfig()
+        spec = qpsk_waveform(cfg, np.random.default_rng(8))
+        for azimuth in (-1.2, -0.3, 0.0, 0.9):
+            assert_blocks_match(crb_block(spec, cfg, GAIN, azimuth),
+                                fft_block(spec, cfg, GAIN, azimuth), rtol=1e-12)
+
+    def test_unit_modulus_block_is_diagonal(self):
+        cfg = small_cfg()
+        block = crb_block(all_ones_waveform(cfg), cfg, GAIN, 0.3)
+        assert block.full[0, 1] == 0.0 and block.full[1, 0] == 0.0
+        assert block.full[0, 0] == pytest.approx(
+            SPEED_OF_LIGHT ** 2 * closed_form_delay_var(cfg, GAIN), rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["one_symbol", "one_subcarrier",
+                                      "first_subcarrier"])
+    def test_singular_grids_rejected_like_the_oracle(self, case):
+        if case == "one_symbol":
+            cfg = small_cfg(n_s=1)
+            spec, weak = all_ones_waveform(cfg), "doppler"
+        else:
+            cfg = small_cfg()
+            sym = np.zeros((cfg.num_subcarriers, cfg.num_symbols), complex)
+            row = 5 if case == "one_subcarrier" else 0
+            sym[row] = math.sqrt(cfg.num_subcarriers)
+            spec, weak = WaveformSpec(sym), "delay"
+        with pytest.raises(RankDeficientError, match=weak) as oracle:
+            fft_block(spec, cfg, GAIN, 0.2)
+        with pytest.raises(RankDeficientError, match=weak) as closed:
+            crb_block(spec, cfg, GAIN, 0.2)
+        assert str(closed.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("cfg_kw, spec_fn, gain, azimuth", [
+        ({"n": 1}, all_ones_waveform, GAIN, 0.0),
+        ({}, all_ones_waveform, GAIN, math.pi / 2),
+        ({}, all_ones_waveform, SensingLinkGain.from_amplitude(0.0), 0.0),
+        ({}, lambda cfg: WaveformSpec(np.ones((8, 4))), GAIN, 0.0),
+        ({}, lambda cfg: WaveformSpec(2.0 * np.ones((16, 4))), GAIN, 0.0),
+    ], ids=["single_antenna", "endfire", "zero_gain", "shape", "power"])
+    def test_same_errors_as_oracle(self, cfg_kw, spec_fn, gain, azimuth):
+        cfg = small_cfg(**cfg_kw)
+        spec = spec_fn(cfg)
+        with pytest.raises(ValueError) as oracle:
+            fft_block(spec, cfg, gain, azimuth)
+        with pytest.raises(ValueError) as closed:
+            crb_block(spec, cfg, gain, azimuth)
+        assert type(closed.value) is type(oracle.value)
+        assert str(closed.value) == str(oracle.value)
 
 
 class TestSensingLinkGainInvariant:
