@@ -10,6 +10,7 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -47,14 +48,12 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # scenario loading
 
-_TOP_KEYS = {"seed", "num_epochs", "phase_mode", "angle_mode",
-             "symbol_alphabet", "arms", "system", "policy", "target",
-             "initial_estimate", "traffic"}
+_TOP_KEYS = {"seed", "num_epochs", "phase_mode", "angle_mode", "arms",
+             "system", "policy", "target", "initial_estimate", "traffic"}
 _TARGET_KEYS = {"position_x", "velocity_x"}
 _ESTIMATE_KEYS = {"mean", "covariance", "offset", "covariance_diag"}
 _TRAFFIC_KEYS = {"mode", "on_probability", "intervals"}
-_POLICY_KEYS = {"variance_threshold", "outage_probability",
-                "subset_cardinality", "exclude_tx_ap"}
+_POLICY_KEYS = {"variance_threshold", "subset_cardinality", "exclude_tx_ap"}
 _SYSTEM_KEYS = {f.name for f in dataclasses.fields(SystemConfig)}
 _SYSTEM_INTS = {"num_aps", "antennas_per_ap", "num_subcarriers",
                 "num_symbols", "cp_length", "tx_ap"}
@@ -66,13 +65,13 @@ def _coerce_system_values(section: dict) -> dict:
     for key, value in section.items():
         if value is None or key == "ap_positions":
             out[key] = value
-        elif key in _SYSTEM_INTS:
-            out[key] = int(value)
-        else:
-            try:
-                out[key] = float(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"system.{key}: not a number: {value!r}") from exc
+            continue
+        convert, kind = ((int, "an integer") if key in _SYSTEM_INTS
+                         else (float, "a number"))
+        try:
+            out[key] = convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"system.{key}: not {kind}: {value!r}") from exc
     return out
 
 
@@ -134,8 +133,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
         policy = SensingPolicy(
             variance_threshold=float(policy_raw.get("variance_threshold",
                                                     system.variance_threshold)),
-            outage_probability=float(policy_raw.get("outage_probability",
-                                                    system.outage_probability)),
             subset_cardinality=int(policy_raw.get("subset_cardinality", 2)),
             exclude_tx_ap=bool(policy_raw.get("exclude_tx_ap", False)))
     except ValueError as exc:
@@ -163,8 +160,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
             traffic=traffic, seed=int(raw.get("seed", 7)),
             comparison_arms=tuple(a for a in arms if a != "proposed"),
             phase_mode=raw.get("phase_mode", "compensated"),
-            angle_mode=raw.get("angle_mode", "per_ap"),
-            symbol_alphabet=raw.get("symbol_alphabet", "qpsk"))
+            angle_mode=raw.get("angle_mode", "per_ap"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -197,12 +193,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "num_epochs": scenario.num_epochs,
         "phase_mode": scenario.phase_mode,
         "angle_mode": scenario.angle_mode,
-        "symbol_alphabet": scenario.symbol_alphabet,
         "arms": list(scenario.comparison_arms),
         "system": system,
         "policy": {
             "variance_threshold": scenario.policy.variance_threshold,
-            "outage_probability": scenario.policy.outage_probability,
             "subset_cardinality": scenario.policy.subset_cardinality,
             "exclude_tx_ap": scenario.policy.exclude_tx_ap,
         },
@@ -447,26 +441,17 @@ def _rate_svg(records: list[EpochRecord]) -> str:
                      f'text-anchor="end" font-size="11">{v:.1f}</text>')
 
     for idx, tag in enumerate(tags):
-        segment: list[tuple[float, float]] = []
-        drew = False
-        for rec in records:
-            if tag in rec.rates:
-                segment.append((to_x(rec.epoch), to_y(rec.rates[tag].rate)))
+        # One polyline per run of rated epochs; a lone point gets a dot.
+        for rated, run in groupby(records, key=lambda r: tag in r.rates):
+            if not rated:
+                continue
+            segment = [(to_x(r.epoch), to_y(r.rates[tag].rate)) for r in run]
+            if len(segment) > 1:
+                elems.append(_polyline(segment, colors[tag]))
             else:
-                if len(segment) > 1:
-                    elems.append(_polyline(segment, colors[tag]))
-                elif len(segment) == 1:
-                    x, y = segment[0]
-                    elems.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" '
-                                 f'fill="{colors[tag]}"/>')
-                drew = drew or bool(segment)
-                segment = []
-        if len(segment) > 1:
-            elems.append(_polyline(segment, colors[tag]))
-        elif len(segment) == 1:
-            x, y = segment[0]
-            elems.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" '
-                         f'fill="{colors[tag]}"/>')
+                x, y = segment[0]
+                elems.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" '
+                             f'fill="{colors[tag]}"/>')
         elems.append(f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 14 + 14 * idx}" '
                      f'font-size="12" fill="{colors[tag]}">{tag}</text>')
     return _svg(elems)
@@ -520,10 +505,7 @@ def main(argv: list[str] | None = None) -> int:
                 arms = tuple(a.strip() for a in args.arms.split(",")
                              if a.strip() and a.strip() != "proposed")
                 scenario = dataclasses.replace(scenario, comparison_arms=arms)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

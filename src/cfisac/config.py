@@ -20,13 +20,13 @@ class SystemConfig:
 
     Defaults reproduce the reference evaluation scenario: four 4-antenna APs
     along a road at y = 0, a 30 GHz carrier, and a vehicle corridor 40 m away.
-    `wavelength` and `antenna_spacing` derive from the carrier when left None.
+    `antenna_spacing` derives from the carrier when left None. Every float
+    field and AP coordinate must be finite.
     """
 
     num_aps: int = 4                      # L_T
     antennas_per_ap: int = 4              # N, ULA elements per AP
     carrier_frequency: float = 30e9       # Hz
-    wavelength: float | None = None       # m, defaults to c / carrier_frequency
     antenna_spacing: float | None = None  # m, defaults to wavelength / 2
     subcarrier_spacing: float = 120e3     # Hz
     num_subcarriers: int = 256            # N_c
@@ -40,25 +40,26 @@ class SystemConfig:
     epoch_duration: float = 0.01          # s between filter epochs
     process_noise_std: float = 0.1        # m/s^2, acceleration uncertainty
     variance_threshold: float = math.radians(3.0) ** 2  # rad^2, sensing trigger
-    outage_probability: float = 0.05      # epsilon for beamwidth-derived threshold
     tx_ap: int = 0                        # index of the sensing transmitter AP
 
     def __post_init__(self) -> None:
-        if self.wavelength is None:
-            object.__setattr__(self, "wavelength",
-                               SPEED_OF_LIGHT / self.carrier_frequency)
+        if self.ap_positions is not None:
+            object.__setattr__(self, "ap_positions",
+                               tuple((float(x), float(y))
+                                     for x, y in self.ap_positions))
+        # Validate before deriving defaults: both divide by validated fields.
+        self._validate()
         if self.antenna_spacing is None:
             object.__setattr__(self, "antenna_spacing", self.wavelength / 2.0)
         if self.ap_positions is None:
             object.__setattr__(self, "ap_positions",
                                default_ap_positions(self.num_aps))
-        else:
-            object.__setattr__(self, "ap_positions",
-                               tuple((float(x), float(y))
-                                     for x, y in self.ap_positions))
-        self._validate()
 
     def _validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name}: must be finite, got {value!r}")
         if self.num_aps < 2:
             raise ValueError("num_aps: need at least 2 APs")
         if self.antennas_per_ap < 1:
@@ -72,21 +73,23 @@ class SystemConfig:
         for name in ("carrier_frequency", "subcarrier_spacing", "tx_power",
                      "noise_power", "antenna_spacing", "corridor_offset",
                      "mean_rcs", "epoch_duration", "variance_threshold"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if value is not None and not value > 0:
                 raise ValueError(f"{name}: must be strictly positive")
         if self.process_noise_std < 0:
             raise ValueError("process_noise_std: must be >= 0")
-        expected = SPEED_OF_LIGHT / self.carrier_frequency
-        if abs(self.wavelength - expected) > 1e-12 * expected:
-            raise ValueError(
-                "wavelength: must equal speed of light / carrier_frequency "
-                f"(expected {expected!r}, got {self.wavelength!r})")
-        if not 0.0 < self.outage_probability < 1.0:
-            raise ValueError("outage_probability: must lie in (0, 1)")
-        if len(self.ap_positions) != self.num_aps:
-            raise ValueError("ap_positions: length must equal num_aps")
+        if self.ap_positions is not None:
+            if len(self.ap_positions) != self.num_aps:
+                raise ValueError("ap_positions: length must equal num_aps")
+            if not all(math.isfinite(c) for p in self.ap_positions for c in p):
+                raise ValueError("ap_positions: coordinates must be finite")
         if not 0 <= self.tx_ap < self.num_aps:
             raise ValueError("tx_ap: index out of range")
+
+    @property
+    def wavelength(self) -> float:
+        """Carrier wavelength c / carrier_frequency, meters."""
+        return SPEED_OF_LIGHT / self.carrier_frequency
 
     @property
     def symbol_duration(self) -> float:

@@ -105,7 +105,6 @@ class CrbBlock:
 
     range_velocity: np.ndarray  # 2x2, m^2 / m^2/s^2 on the diagonal
     angle_var: float            # rad^2
-    full: np.ndarray            # 3x3 block-diagonal over (range, velocity, angle)
     ap_index: int = 0
 
 
@@ -296,17 +295,15 @@ def crb_block(spec: WaveformSpec, cfg: SystemConfig, gain: SensingLinkGain,
     rr = range_scale * range_scale * f11 / det
     vv = velocity_scale * velocity_scale * f00 / det
     rv = -range_scale * velocity_scale * f01 / det
-    angle_var = 1.0 / info
-    full = np.array([[rr, rv, 0.0], [rv, vv, 0.0], [0.0, 0.0, angle_var]])
-    return CrbBlock(full[:2, :2].copy(), angle_var, full, ap_index)
+    return CrbBlock(np.array([[rr, rv], [rv, vv]]), 1.0 / info, ap_index)
 
 
 def transform_to_range_velocity(crb_dd: np.ndarray, crb_angle_var: float,
                                 cfg: SystemConfig, ap_index: int = 0) -> CrbBlock:
     """Map the (delay, Doppler) bound to (range, radial velocity) units.
 
-    Applies the diagonal scaling (c, c / (2 f_c), 1) on both sides and
-    stacks the untouched angle variance as the third coordinate.
+    Applies the diagonal scaling (c, c / (2 f_c)) on both sides; the angle
+    variance passes through unchanged.
     """
     crb_dd = np.asarray(crb_dd, dtype=float)
     if crb_dd.shape != (2, 2):
@@ -314,11 +311,8 @@ def transform_to_range_velocity(crb_dd: np.ndarray, crb_angle_var: float,
     if not np.allclose(crb_dd, crb_dd.T, rtol=0, atol=1e-9 * abs(crb_dd).max()):
         raise ValueError("delay-Doppler bound must be symmetric")
     scale = np.array([SPEED_OF_LIGHT, SPEED_OF_LIGHT / (2.0 * cfg.carrier_frequency)])
-    range_velocity = crb_dd * np.outer(scale, scale)
-    full = np.zeros((3, 3))
-    full[:2, :2] = range_velocity
-    full[2, 2] = crb_angle_var
-    return CrbBlock(range_velocity, float(crb_angle_var), full, ap_index)
+    return CrbBlock(crb_dd * np.outer(scale, scale), float(crb_angle_var),
+                    ap_index)
 
 
 def sensing_gain(cfg: SystemConfig, tx_geometry: ApGeometry,
@@ -346,12 +340,10 @@ def sensing_gain(cfg: SystemConfig, tx_geometry: ApGeometry,
 
 
 def assemble_measurement_covariance(blocks: list[CrbBlock],
-                                    selection: ApSelection,
-                                    include_angle: bool = False) -> np.ndarray:
+                                    selection: ApSelection) -> np.ndarray:
     """Block-diagonal covariance over the selected APs, ascending AP index.
 
-    Each AP contributes its 2x2 (range, radial velocity) block; with
-    include_angle the full 3x3 block is used instead.
+    Each AP contributes its 2x2 (range, radial velocity) block.
     """
     if selection.cardinality == 0:
         raise ValueError("no sensing receivers selected")
@@ -359,11 +351,8 @@ def assemble_measurement_covariance(blocks: list[CrbBlock],
     missing = [i for i in selection.indices if i not in by_index]
     if missing:
         raise ValueError(f"missing covariance block for AP(s) {missing}")
-    size = 3 if include_angle else 2
-    total = size * selection.cardinality
-    out = np.zeros((total, total))
+    out = np.zeros((2 * selection.cardinality, 2 * selection.cardinality))
     for pos, ap in enumerate(selection.indices):
-        block = by_index[ap]
-        part = block.full if include_angle else block.range_velocity
-        out[pos * size:(pos + 1) * size, pos * size:(pos + 1) * size] = part
+        block = by_index[ap].range_velocity
+        out[2 * pos:2 * pos + 2, 2 * pos:2 * pos + 2] = block
     return out

@@ -33,23 +33,21 @@ class SensingPolicy:
     """Trigger threshold and receive-subset constraints."""
 
     variance_threshold: float       # rad^2
-    outage_probability: float = 0.05
     subset_cardinality: int = 2     # 0 means unconstrained
     exclude_tx_ap: bool = False
 
     def __post_init__(self) -> None:
         if not self.variance_threshold > 0:
             raise ValueError("variance_threshold: must be strictly positive")
-        if not 0.0 < self.outage_probability < 1.0:
-            raise ValueError("outage_probability: must lie in (0, 1)")
         if self.subset_cardinality < 0:
             raise ValueError("subset_cardinality: must be >= 0")
 
     @classmethod
     def from_config(cls, cfg: SystemConfig, subset_cardinality: int = 2,
                     exclude_tx_ap: bool = False) -> "SensingPolicy":
-        return cls(cfg.variance_threshold, cfg.outage_probability,
-                   subset_cardinality, exclude_tx_ap)
+        return cls(variance_threshold=cfg.variance_threshold,
+                   subset_cardinality=subset_cardinality,
+                   exclude_tx_ap=exclude_tx_ap)
 
 
 def hpbw(cfg: SystemConfig) -> float:

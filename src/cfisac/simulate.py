@@ -18,8 +18,8 @@ import numpy as np
 from .comms import (LinkResult, build_channel, conventional_baseline,
                     evaluate_link, perfect_angle_bound, predictive_precoder)
 from .config import SystemConfig
-from .crb import (CrbBlock, WaveformSpec, all_ones_waveform, crb_block,
-                  qpsk_waveform, sensing_gain)
+from .crb import (CrbBlock, WaveformSpec, all_ones_waveform,
+                  assemble_measurement_covariance, crb_block, sensing_gain)
 from .geometry import TargetTruth, array_response, geometry_for_ap
 from .selection import ApSelection
 from .sensing import (Action, SensingPolicy, decide_action, select_rx_aps)
@@ -29,8 +29,9 @@ from .tracking import (MeasurementSet, MotionModel, StateEstimate,
 
 COMPARISON_ARMS = ("conventional", "random", "perfect")
 
-_STREAM_CODES = {"rcs": 1, "measurement": 2, "symbols": 3, "traffic": 4,
-                 "selection": 5}
+# A code is part of every draw's key, so codes are never renumbered; 3 is
+# retired.
+_STREAM_CODES = {"rcs": 1, "measurement": 2, "traffic": 4, "selection": 5}
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,6 @@ class Scenario:
     comparison_arms: tuple[str, ...] = COMPARISON_ARMS
     phase_mode: str = "compensated"
     angle_mode: str = "per_ap"
-    symbol_alphabet: str = "qpsk"   # or "ones"
 
     def __post_init__(self) -> None:
         if self.num_epochs < 1:
@@ -106,8 +106,6 @@ class Scenario:
         object.__setattr__(self, "comparison_arms",
                            tuple(a for a in COMPARISON_ARMS
                                  if a in self.comparison_arms))
-        if self.symbol_alphabet not in ("qpsk", "ones"):
-            raise ValueError("symbol_alphabet must be 'qpsk' or 'ones'")
         # The sensing grid is unit-modulus, so its bound is singular exactly
         # when one of these index ranges has a single entry.
         if self.system.num_symbols < 2:
@@ -116,6 +114,11 @@ class Scenario:
         if self.system.antennas_per_ap < 2:
             raise ValueError("system.antennas_per_ap: sensing needs >= 2 "
                              "antennas (angle unidentifiable with one)")
+        truth = self.initial_truth
+        if not (math.isfinite(truth.position_x)
+                and math.isfinite(truth.velocity_x)):
+            raise ValueError("initial_truth: target position and velocity "
+                             "must be finite")
         _check_initial_estimate(self.initial_estimate)
         for start, end in self.traffic.intervals:
             if not 0 <= start < end <= self.num_epochs:
@@ -237,16 +240,14 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
         values[2 * pos:2 * pos + 2] += noise_scale * (
             chol @ normals[2 * ap:2 * ap + 2])
 
-    if filter_mean is None:
-        filter_blocks = [by_index[ap] for ap in selection.indices]
-    else:
+    filter_blocks = truth_blocks
+    if filter_mean is not None:
         filter_blocks = crb_blocks_for_state(
             cfg, waveform, float(filter_mean[0]), float(filter_mean[1]), rcs,
             power_fraction, aps=selection.indices)
-    cov = np.zeros((2 * selection.cardinality, 2 * selection.cardinality))
-    for pos, block in enumerate(filter_blocks):
-        cov[2 * pos:2 * pos + 2, 2 * pos:2 * pos + 2] = block.range_velocity
-    return MeasurementSet(values, cov, selection)
+    return MeasurementSet(
+        values, assemble_measurement_covariance(filter_blocks, selection),
+        selection)
 
 
 def _random_selection(cfg: SystemConfig, policy: SensingPolicy,
@@ -364,17 +365,13 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
 
 
 def initial_sim_state(scenario: Scenario) -> SimState:
-    waveform = (all_ones_waveform(scenario.system)
-                if scenario.symbol_alphabet == "ones"
-                else qpsk_waveform(scenario.system,
-                                   RngStream(scenario.seed,
-                                             "symbols").generator()))
     estimates = {"proposed": scenario.initial_estimate}
     for arm in scenario.comparison_arms:
         if arm != "perfect":
             estimates[arm] = scenario.initial_estimate
     return SimState(epoch=0, truth=scenario.initial_truth,
-                    estimates=estimates, waveform=waveform,
+                    estimates=estimates,
+                    waveform=all_ones_waveform(scenario.system),
                     model=MotionModel.from_config(scenario.system))
 
 

@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 import yaml
 
 from cfisac.cli import (ConfigError, config_digest, default_scenario,
-                        emit_plots, load_scenario, main, scenario_to_dict,
-                        summarize_records, write_records)
+                        emit_plots, load_scenario, main, scenario_from_dict,
+                        scenario_to_dict, summarize_records, write_records)
 from cfisac.selection import ApSelection
 from cfisac.sensing import Action
 from cfisac.simulate import TrafficModel, run_scenario
@@ -71,6 +73,14 @@ class TestLoadScenario:
             "  intervals: [[0, 5], [10, 12]]\n")
         scenario = load_scenario(path)
         assert scenario.traffic.intervals == ((0, 5), (10, 12))
+
+    def test_readme_example_loads(self):
+        # the documented schema must stay what the loader accepts
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(r"```yaml\n(.*?)```", readme, re.DOTALL).group(1)
+        scenario = scenario_from_dict(yaml.safe_load(example))
+        assert scenario.system.num_aps == 4
+        assert scenario.policy.subset_cardinality == 2
 
 
 class TestWriteRecords:
@@ -219,8 +229,24 @@ class TestMainEntry:
         ("initial_estimate:\n  covariance_diag: [-1, 1]\n", "semidefinite"),
         ("initial_estimate:\n  covariance: [[1, 5], [0, 1]]\n", "symmetric"),
         ("initial_estimate:\n  mean: [.nan, 25]\n", "finite"),
+        ("system:\n  process_noise_std: .nan\n", "process_noise_std"),
+        ("system:\n  tx_power: .inf\n", "tx_power"),
+        ("system:\n  mean_rcs: .inf\n", "mean_rcs"),
+        ("system:\n  epoch_duration: .inf\n", "epoch_duration"),
+        ("system:\n  ap_positions: [[125, 0], [.nan, 0], [375, 0], [500, 0]]\n",
+         "ap_positions"),
+        ("target:\n  position_x: .nan\n"
+         "initial_estimate:\n  mean: [0, 25]\n", "target"),
+        ("target:\n  velocity_x: .inf\n"
+         "initial_estimate:\n  mean: [0, 25]\n", "target"),
+        ("system:\n  num_aps: .inf\n", "num_aps"),
+        ("system:\n  num_aps: 0\n", "num_aps"),
+        ("system:\n  carrier_frequency: 0\n", "carrier_frequency"),
     ], ids=["one_symbol", "one_antenna", "negative_variance", "asymmetric",
-            "nan_mean"])
+            "nan_mean", "nan_process_noise", "inf_tx_power", "inf_mean_rcs",
+            "inf_epoch_duration", "nan_ap_position", "nan_target_position",
+            "inf_target_velocity", "inf_num_aps", "zero_num_aps",
+            "zero_carrier"])
     def test_run_time_failures_rejected_by_validate(self, tmp_path, capsys,
                                                     text, field):
         # sensing with these would fail mid-run, or run on a meaningless
@@ -232,6 +258,23 @@ class TestMainEntry:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("config error") == 2 and field in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ("symbol_alphabet: ones\n", "symbol_alphabet"),
+        ("system:\n  wavelength: 0.01\n", "wavelength"),
+        ("system:\n  outage_probability: 0.05\n", "outage_probability"),
+        ("policy:\n  outage_probability: 0.05\n", "outage_probability"),
+    ], ids=["symbol_alphabet", "system_wavelength", "system_outage",
+            "policy_outage"])
+    def test_removed_keys_rejected(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "old.yaml"
+        cfg.write_text("num_epochs: 3\n" + text)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("unknown key") == 2 and key in err
         assert not (tmp_path / "o").exists()
 
     def test_bad_arms_flag_is_config_error(self, tmp_path):

@@ -230,7 +230,9 @@ class TestRangeVelocityTransform:
         cfg = small_cfg(carrier_frequency=30e9)
         block = transform_to_range_velocity(np.eye(2), 1.0, cfg)
         c = SPEED_OF_LIGHT
-        assert_allclose(np.diag(block.full), [c ** 2, c ** 2 / (4 * 30e9 ** 2), 1.0])
+        assert_allclose(np.diag(block.range_velocity),
+                        [c ** 2, c ** 2 / (4 * 30e9 ** 2)])
+        assert block.angle_var == 1.0
 
     def test_velocity_scale_value(self):
         cfg = small_cfg(carrier_frequency=30e9)
@@ -246,8 +248,7 @@ class TestRangeVelocityTransform:
         c = SPEED_OF_LIGHT
         assert block.range_velocity[0, 1] == pytest.approx(
             q * c * c / (2 * 30e9), rel=1e-12)
-        assert block.full[2, 2] == 0.5
-        assert block.full[0, 2] == 0.0 and block.full[2, 1] == 0.0
+        assert block.angle_var == 0.5
 
     def test_rejects_asymmetric_input(self):
         cfg = small_cfg()
@@ -257,19 +258,17 @@ class TestRangeVelocityTransform:
 
     def test_full_chain_block_structure(self):
         # blocks produced by the real bound chain stay symmetric positive
-        # definite with the angle coordinate decoupled
+        # definite, with a positive angle variance
         cfg = small_cfg()
         spec = qpsk_waveform(cfg, np.random.default_rng(31))
         for azimuth in (-0.8, 0.0, 0.6):
             dd = crb_delay_doppler(spec, cfg, GAIN, azimuth, 0.0, 0.0)
             ang = crb_angle(spec, cfg, GAIN, azimuth, 0.0, 0.0)
             block = transform_to_range_velocity(dd, ang, cfg, ap_index=1)
-            assert_allclose(block.full, block.full.T, rtol=0, atol=0)
-            eigs = np.linalg.eigvalsh(block.full)
-            assert eigs.min() >= -1e-12 * eigs.max()
-            assert eigs.min() > 0
-            assert_allclose(block.full[:2, 2], 0.0, atol=0)
-            assert block.full[2, 2] == block.angle_var
+            rv = block.range_velocity
+            assert_allclose(rv, rv.T, rtol=0, atol=0)
+            assert np.linalg.eigvalsh(rv).min() > 0
+            assert block.angle_var > 0
 
 
 def fft_block(spec, cfg, gain, azimuth, ap_index=0):
@@ -283,11 +282,11 @@ def assert_blocks_match(got, want, rtol):
     # Range and velocity variances differ by orders of magnitude, so compare
     # in correlation units: diagonals relative to themselves, off-diagonals
     # relative to the geometric mean of their diagonals.
-    scale = np.sqrt(np.diag(want.full))
-    assert_allclose(got.full / np.outer(scale, scale),
-                    want.full / np.outer(scale, scale), rtol=0, atol=rtol)
-    assert_allclose(got.range_velocity, got.full[:2, :2], rtol=0, atol=0)
-    assert got.angle_var == got.full[2, 2]
+    sd = np.sqrt(np.diag(want.range_velocity))
+    scale = np.outer(sd, sd)
+    assert_allclose(got.range_velocity / scale, want.range_velocity / scale,
+                    rtol=0, atol=rtol)
+    assert_allclose(got.angle_var, want.angle_var, rtol=rtol, atol=0)
     assert got.ap_index == want.ap_index
 
 
@@ -319,8 +318,9 @@ class TestClosedFormBlock:
     def test_unit_modulus_block_is_diagonal(self):
         cfg = small_cfg()
         block = crb_block(all_ones_waveform(cfg), cfg, GAIN, 0.3)
-        assert block.full[0, 1] == 0.0 and block.full[1, 0] == 0.0
-        assert block.full[0, 0] == pytest.approx(
+        rv = block.range_velocity
+        assert rv[0, 1] == 0.0 and rv[1, 0] == 0.0
+        assert rv[0, 0] == pytest.approx(
             SPEED_OF_LIGHT ** 2 * closed_form_delay_var(cfg, GAIN), rel=1e-12)
 
     @pytest.mark.parametrize("case", ["one_symbol", "one_subcarrier",
@@ -425,8 +425,8 @@ class TestSensingGain:
 
 
 def block_with(ap_index, diag3):
-    full = np.diag(np.asarray(diag3, dtype=float))
-    return CrbBlock(full[:2, :2], float(diag3[2]), full, ap_index)
+    return CrbBlock(np.diag(np.asarray(diag3[:2], dtype=float)),
+                    float(diag3[2]), ap_index)
 
 
 class TestAssembleCovariance:
@@ -442,12 +442,6 @@ class TestAssembleCovariance:
         sel = ApSelection.from_indices(4, [2])
         assert_allclose(assemble_measurement_covariance(blocks, sel),
                         np.diag([1.0, 2.0]))
-
-    def test_include_angle_keeps_3x3(self):
-        blocks = [block_with(1, (1, 2, 3))]
-        sel = ApSelection.from_indices(4, [1])
-        out = assemble_measurement_covariance(blocks, sel, include_angle=True)
-        assert_allclose(out, np.diag([1.0, 2.0, 3.0]))
 
     def test_permutation_invariant(self):
         blocks = [block_with(0, (1, 2, 3)), block_with(2, (7, 8, 9))]

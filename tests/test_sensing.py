@@ -16,8 +16,8 @@ GAMMA_3DEG = math.radians(3.0) ** 2
 
 
 def diag_block(ap_index, range_var, vel_var, angle_var=1e-6):
-    full = np.diag([range_var, vel_var, angle_var]).astype(float)
-    return CrbBlock(full[:2, :2], angle_var, full, ap_index)
+    return CrbBlock(np.diag([range_var, vel_var]).astype(float), angle_var,
+                    ap_index)
 
 
 def oracle_variance(cfg, est, model, indices, blocks):
