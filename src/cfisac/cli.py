@@ -48,31 +48,32 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # scenario loading
 
-_TOP_KEYS = {"seed", "num_epochs", "phase_mode", "angle_mode", "arms",
-             "system", "policy", "target", "initial_estimate", "traffic"}
-_TARGET_KEYS = {"position_x", "velocity_x"}
+# Top-level keys read into Scenario's built fields, not its scalars.
+_SECTIONS = {"system", "policy", "target", "initial_estimate", "traffic",
+             "arms"}
 _ESTIMATE_KEYS = {"mean", "covariance", "offset", "covariance_diag"}
-_TRAFFIC_KEYS = {"mode", "on_probability", "intervals"}
-_POLICY_KEYS = {"variance_threshold", "subset_cardinality", "exclude_tx_ap"}
-_SYSTEM_KEYS = {f.name for f in dataclasses.fields(SystemConfig)}
-_SYSTEM_INTS = {"num_aps", "antennas_per_ap", "num_subcarriers",
-                "num_symbols", "cp_length", "tx_ap"}
 
 
-def _coerce_system_values(section: dict) -> dict:
-    """Normalize YAML's loose scalar typing (e.g. '60.0e9' parses as str)."""
-    out = {}
-    for key, value in section.items():
-        if value is None or key == "ap_positions":
-            out[key] = value
-            continue
-        convert, kind = ((int, "an integer") if key in _SYSTEM_INTS
-                         else (float, "a number"))
-        try:
-            out[key] = convert(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"system.{key}: not {kind}: {value!r}") from exc
-    return out
+def _whole_number(value) -> int:
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError("not a whole number")
+    return value if isinstance(value, int) else int(float(value))
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("not a YAML boolean")
+    return value
+
+
+# Declared scalar field type -> (conversion of a YAML value, what it expects).
+# float() also takes strings: YAML reads e.g. 60.0e9 as one.
+_SCALARS = {
+    "int": (_whole_number, "an integer"),
+    "float": (float, "a number"),
+    "float | None": (lambda v: None if v is None else float(v), "a number"),
+    "bool": (_boolean, "a boolean"),
+}
 
 
 def _require_mapping(value, name: str) -> dict:
@@ -83,86 +84,78 @@ def _require_mapping(value, name: str) -> dict:
     return value
 
 
-def _reject_unknown(section: dict, allowed: set[str], name: str) -> None:
-    unknown = set(section) - allowed
+def _build(cls, raw, name: str, **defaults):
+    """Build dataclass `cls` from config section `raw`.
+
+    Keys must name fields of `cls`; `defaults` fill absent ones, and a
+    default that is not a number or a boolean (a section the caller built)
+    cannot be set. Numeric and boolean values are converted by the field's
+    declared type; the rest go to `cls`, which normalizes and validates them.
+    """
+    raw = _require_mapping(raw, name)
+    types = {f.name: f.type for f in dataclasses.fields(cls)
+             if f.type in _SCALARS or f.name not in defaults}
+    unknown = set(raw) - set(types)
     if unknown:
         raise ConfigError(f"{name}: unknown key(s) {sorted(unknown)}")
+    values = dict(defaults)
+    for key, value in raw.items():
+        convert, kind = _SCALARS.get(types[key], (lambda v: v, None))
+        try:
+            values[key] = convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{name}.{key}: not {kind}: {value!r}") from exc
+    try:
+        return cls(**values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _initial_estimate(raw, truth: TargetTruth) -> StateEstimate:
+    """Mean and covariance, or an offset from the truth and a diagonal."""
+    raw = _require_mapping(raw, "initial_estimate")
+    unknown = set(raw) - _ESTIMATE_KEYS
+    if unknown:
+        raise ConfigError(f"initial_estimate: unknown key(s) {sorted(unknown)}")
+    try:
+        if "mean" in raw:
+            mean = np.asarray(raw["mean"], dtype=float)
+        else:
+            offset = np.asarray(raw.get("offset", (0.0, 0.0)), dtype=float)
+            mean = np.array([truth.position_x, truth.velocity_x]) + offset
+        if "covariance" in raw:
+            cov = np.asarray(raw["covariance"], dtype=float)
+        else:
+            cov = np.diag(np.asarray(raw.get("covariance_diag", (100.0, 1.0)),
+                                     dtype=float))
+        return StateEstimate(mean, cov)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"initial_estimate: {exc}") from exc
+
+
+def _parse_arms(value) -> tuple[str, ...]:
+    """Comparison arms from a list or a comma list; 'proposed' always runs."""
+    names = value.split(",") if isinstance(value, str) else value
+    if (not isinstance(names, (list, tuple))
+            or not all(isinstance(a, str) for a in names)):
+        raise ConfigError(f"arms: expected a list of arm names, got {value!r}")
+    return tuple(a for a in map(str.strip, names) if a not in ("", "proposed"))
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build a Scenario from a plain nested dict; unset fields take defaults."""
     raw = _require_mapping(raw, "config")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-
-    system_raw = _require_mapping(raw.get("system"), "system")
-    _reject_unknown(system_raw, _SYSTEM_KEYS, "system")
-    system_raw = _coerce_system_values(system_raw)
-    if system_raw.get("ap_positions") is not None:
-        system_raw["ap_positions"] = tuple(
-            tuple(float(x) for x in p) for p in system_raw["ap_positions"])
-    try:
-        system = SystemConfig(**system_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"system: {exc}") from exc
-
-    target_raw = _require_mapping(raw.get("target"), "target")
-    _reject_unknown(target_raw, _TARGET_KEYS, "target")
-    truth = TargetTruth(float(target_raw.get("position_x", 0.0)),
-                        float(target_raw.get("velocity_x", 25.0)))
-
-    est_raw = _require_mapping(raw.get("initial_estimate"), "initial_estimate")
-    _reject_unknown(est_raw, _ESTIMATE_KEYS, "initial_estimate")
-    if "mean" in est_raw:
-        mean = np.asarray(est_raw["mean"], dtype=float)
-    else:
-        offset = np.asarray(est_raw.get("offset", (0.0, 0.0)), dtype=float)
-        mean = np.array([truth.position_x, truth.velocity_x]) + offset
-    if "covariance" in est_raw:
-        cov = np.asarray(est_raw["covariance"], dtype=float)
-    else:
-        cov = np.diag(np.asarray(est_raw.get("covariance_diag", (100.0, 1.0)),
-                                 dtype=float))
-    try:
-        estimate = StateEstimate(mean, cov)
-    except ValueError as exc:
-        raise ConfigError(f"initial_estimate: {exc}") from exc
-
-    policy_raw = _require_mapping(raw.get("policy"), "policy")
-    _reject_unknown(policy_raw, _POLICY_KEYS, "policy")
-    try:
-        policy = SensingPolicy(
-            variance_threshold=float(policy_raw.get("variance_threshold",
-                                                    system.variance_threshold)),
-            subset_cardinality=int(policy_raw.get("subset_cardinality", 2)),
-            exclude_tx_ap=bool(policy_raw.get("exclude_tx_ap", False)))
-    except ValueError as exc:
-        raise ConfigError(f"policy: {exc}") from exc
-
-    traffic_raw = _require_mapping(raw.get("traffic"), "traffic")
-    _reject_unknown(traffic_raw, _TRAFFIC_KEYS, "traffic")
-    try:
-        traffic = TrafficModel(
-            mode=traffic_raw.get("mode", "bernoulli"),
-            on_probability=float(traffic_raw.get("on_probability", 0.3)),
-            intervals=tuple(tuple(iv) for iv
-                            in traffic_raw.get("intervals", ())))
-    except ValueError as exc:
-        raise ConfigError(f"traffic: {exc}") from exc
-
-    arms = raw.get("arms", list(COMPARISON_ARMS))
-    if isinstance(arms, str):
-        arms = [a for a in arms.split(",") if a]
-    try:
-        return Scenario(
-            system=system, policy=policy, initial_truth=truth,
-            initial_estimate=estimate,
-            num_epochs=int(raw.get("num_epochs", 200)),
-            traffic=traffic, seed=int(raw.get("seed", 7)),
-            comparison_arms=tuple(a for a in arms if a != "proposed"),
-            phase_mode=raw.get("phase_mode", "compensated"),
-            angle_mode=raw.get("angle_mode", "per_ap"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    system = _build(SystemConfig, raw.get("system"), "system")
+    truth = _build(TargetTruth, raw.get("target"), "target",
+                   position_x=0.0, velocity_x=25.0)
+    return _build(
+        Scenario, {k: v for k, v in raw.items() if k not in _SECTIONS},
+        "config", system=system, initial_truth=truth,
+        initial_estimate=_initial_estimate(raw.get("initial_estimate"), truth),
+        policy=_build(SensingPolicy, raw.get("policy"), "policy",
+                      variance_threshold=system.variance_threshold),
+        traffic=_build(TrafficModel, raw.get("traffic"), "traffic"),
+        comparison_arms=_parse_arms(raw.get("arms", COMPARISON_ARMS)))
 
 
 def load_scenario(path: str | Path | None) -> Scenario:
@@ -183,37 +176,28 @@ def default_scenario() -> Scenario:
     return scenario_from_dict({})
 
 
+def _plain(obj) -> dict:
+    """A dataclass's fields as JSON types (tuples become lists)."""
+    return json.loads(json.dumps(dataclasses.asdict(obj)))
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical plain-type representation (digests, round trips)."""
-    cfg = scenario.system
-    system = cfg.to_dict()
-    system["ap_positions"] = [list(p) for p in cfg.ap_positions]
     return {
         "seed": scenario.seed,
         "num_epochs": scenario.num_epochs,
         "phase_mode": scenario.phase_mode,
         "angle_mode": scenario.angle_mode,
         "arms": list(scenario.comparison_arms),
-        "system": system,
-        "policy": {
-            "variance_threshold": scenario.policy.variance_threshold,
-            "subset_cardinality": scenario.policy.subset_cardinality,
-            "exclude_tx_ap": scenario.policy.exclude_tx_ap,
-        },
-        "target": {
-            "position_x": scenario.initial_truth.position_x,
-            "velocity_x": scenario.initial_truth.velocity_x,
-        },
+        "system": _plain(scenario.system),
+        "policy": _plain(scenario.policy),
+        "target": _plain(scenario.initial_truth),
         "initial_estimate": {
             "mean": [float(x) for x in scenario.initial_estimate.mean],
             "covariance": [[float(x) for x in row]
                            for row in scenario.initial_estimate.covariance],
         },
-        "traffic": {
-            "mode": scenario.traffic.mode,
-            "on_probability": scenario.traffic.on_probability,
-            "intervals": [list(iv) for iv in scenario.traffic.intervals],
-        },
+        "traffic": _plain(scenario.traffic),
     }
 
 
@@ -285,32 +269,24 @@ def summarize_records(records: list[EpochRecord],
 
 
 def write_records(records: list[EpochRecord], out_dir: str | Path,
-                  scenario: Scenario,
-                  formats: frozenset[str] = frozenset({"csv", "json"})
-                  ) -> RunManifest:
+                  scenario: Scenario) -> RunManifest:
     """Write epochs.csv and summary.json, then the run manifest (last)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
-    outputs: list[str] = []
 
-    if "csv" in formats:
-        lines = [",".join(CSV_COLUMNS)]
-        lines.extend(_csv_row(rec) for rec in records)
-        path = out_dir / "epochs.csv"
-        path.write_text("\n".join(lines) + "\n", newline="")
-        outputs.append(path.name)
-    if "json" in formats:
-        path = out_dir / "summary.json"
-        path.write_text(json.dumps(summarize_records(records, scenario),
-                                   indent=2, sort_keys=True) + "\n")
-        outputs.append(path.name)
+    lines = [",".join(CSV_COLUMNS)]
+    lines.extend(_csv_row(rec) for rec in records)
+    (out_dir / "epochs.csv").write_text("\n".join(lines) + "\n", newline="")
+    (out_dir / "summary.json").write_text(
+        json.dumps(summarize_records(records, scenario), indent=2,
+                   sort_keys=True) + "\n")
 
     manifest = RunManifest(
         config_digest=config_digest(scenario), seed=scenario.seed,
         tool_version=__version__, started_at=started,
         finished_at=datetime.now(timezone.utc).isoformat(),
-        outputs=tuple(outputs))
+        outputs=("epochs.csv", "summary.json"))
     manifest_path = out_dir / "manifest.json"
     payload = dataclasses.asdict(manifest)
     payload["outputs"] = list(manifest.outputs)
@@ -502,9 +478,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.seed is not None:
                 scenario = dataclasses.replace(scenario, seed=args.seed)
             if args.arms:
-                arms = tuple(a.strip() for a in args.arms.split(",")
-                             if a.strip() and a.strip() != "proposed")
-                scenario = dataclasses.replace(scenario, comparison_arms=arms)
+                scenario = dataclasses.replace(
+                    scenario, comparison_arms=_parse_arms(args.arms))
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2

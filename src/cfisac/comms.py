@@ -30,7 +30,6 @@ class Precoder:
 class LinkResult:
     snr: float
     rate: float  # bits per symbol use, log2(1 + snr)
-    method_tag: str
 
 
 def _check_phase_mode(phase_mode: str) -> None:
@@ -87,8 +86,8 @@ def predictive_precoder(cfg: SystemConfig, est: StateEstimate,
                                   angle_mode)
 
 
-def evaluate_link(cfg: SystemConfig, channel: np.ndarray, precoder: Precoder,
-                  method_tag: str = "proposed") -> LinkResult:
+def evaluate_link(cfg: SystemConfig, channel: np.ndarray,
+                  precoder: Precoder) -> LinkResult:
     """Coherent downlink SNR |h^H w|^2 / sigma_n^2 and its rate."""
     stacked = precoder.stacked
     if channel.shape != stacked.shape:
@@ -96,7 +95,7 @@ def evaluate_link(cfg: SystemConfig, channel: np.ndarray, precoder: Precoder,
             f"channel length {channel.shape} does not match precoder "
             f"length {stacked.shape}")
     snr = abs(np.vdot(channel, stacked)) ** 2 / cfg.noise_power
-    return LinkResult(float(snr), math.log2(1.0 + snr), method_tag)
+    return LinkResult(float(snr), math.log2(1.0 + snr))
 
 
 def conventional_baseline(cfg: SystemConfig, est: StateEstimate,
@@ -106,8 +105,7 @@ def conventional_baseline(cfg: SystemConfig, est: StateEstimate,
     channel = build_channel(cfg, truth, phase_mode)
     precoder = predictive_precoder(cfg, est, power_fraction=0.5,
                                    angle_mode=angle_mode)
-    result = evaluate_link(cfg, channel, precoder, method_tag="conventional")
-    return result
+    return evaluate_link(cfg, channel, precoder)
 
 
 def perfect_angle_bound(cfg: SystemConfig, truth: TargetTruth,
@@ -115,4 +113,4 @@ def perfect_angle_bound(cfg: SystemConfig, truth: TargetTruth,
     """Full-power precoding from the true per-AP angles."""
     channel = build_channel(cfg, truth, phase_mode)
     precoder = _precoder_for_position(cfg, truth.position_x, 1.0, "per_ap")
-    return evaluate_link(cfg, channel, precoder, method_tag="perfect")
+    return evaluate_link(cfg, channel, precoder)

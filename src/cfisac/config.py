@@ -103,6 +103,3 @@ class SystemConfig:
 
     def ap_x(self, ap_index: int) -> float:
         return self.ap_positions[ap_index][0]
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -17,7 +17,7 @@ from .tracking import (MotionModel, StateEstimate, measurement_jacobian,
 __all__ = [
     "Action", "ApSelection", "SensingPolicy", "hpbw",
     "variance_threshold_from_hpbw", "decide_action",
-    "predict_variance_for_selection", "select_rx_aps",
+    "predict_variance_for_selection", "available_rx_aps", "select_rx_aps",
 ]
 
 _MAX_EXHAUSTIVE_APS = 20
@@ -98,6 +98,22 @@ def predict_variance_for_selection(cfg: SystemConfig, est: StateEstimate,
     return float(cov[0, 0]) * slope ** 2
 
 
+def available_rx_aps(cfg: SystemConfig, policy: SensingPolicy) -> list[int]:
+    """AP indices that may receive the echo; ValueError when the subset
+    search is infeasible (too many APs, or too few for the cardinality)."""
+    if cfg.num_aps > _MAX_EXHAUSTIVE_APS:
+        raise ValueError(f"system.num_aps: exhaustive subset search capped "
+                         f"at {_MAX_EXHAUSTIVE_APS} APs")
+    available = [l for l in range(cfg.num_aps)
+                 if not (policy.exclude_tx_ap and l == cfg.tx_ap)]
+    if policy.subset_cardinality > len(available):
+        raise ValueError(
+            f"policy.subset_cardinality: no feasible subset: cardinality "
+            f"{policy.subset_cardinality} exceeds the {len(available)} "
+            f"available APs")
+    return available
+
+
 def select_rx_aps(cfg: SystemConfig, est: StateEstimate, model: MotionModel,
                   policy: SensingPolicy, crbs: list[CrbBlock]) -> ApSelection:
     """Exhaustive receive-AP subset minimizing the predicted angle variance.
@@ -106,17 +122,9 @@ def select_rx_aps(cfg: SystemConfig, est: StateEstimate, model: MotionModel,
     subsets when unconstrained). Ties break toward fewer APs, then the
     lowest bitmask.
     """
-    if cfg.num_aps > _MAX_EXHAUSTIVE_APS:
-        raise ValueError(
-            f"exhaustive subset search capped at {_MAX_EXHAUSTIVE_APS} APs")
-    available = [l for l in range(cfg.num_aps)
-                 if not (policy.exclude_tx_ap and l == cfg.tx_ap)]
+    available = available_rx_aps(cfg, policy)
     k = policy.subset_cardinality
     if k > 0:
-        if k > len(available):
-            raise ValueError(
-                f"no feasible subset: cardinality {k} exceeds the "
-                f"{len(available)} available APs")
         candidates = combinations(available, k)
     else:
         candidates = chain.from_iterable(

@@ -15,14 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comms import (LinkResult, build_channel, conventional_baseline,
-                    evaluate_link, perfect_angle_bound, predictive_precoder)
+from .comms import (ANGLE_MODES, PHASE_MODES, LinkResult, build_channel,
+                    conventional_baseline, evaluate_link, perfect_angle_bound,
+                    predictive_precoder)
 from .config import SystemConfig
 from .crb import (CrbBlock, WaveformSpec, all_ones_waveform,
                   assemble_measurement_covariance, crb_block, sensing_gain)
 from .geometry import TargetTruth, array_response, geometry_for_ap
 from .selection import ApSelection
-from .sensing import (Action, SensingPolicy, decide_action, select_rx_aps)
+from .sensing import (Action, SensingPolicy, available_rx_aps, decide_action,
+                      select_rx_aps)
 from .tracking import (MeasurementSet, MotionModel, StateEstimate,
                        angle_estimate_and_variance, measurement_model, predict,
                        update)
@@ -106,6 +108,10 @@ class Scenario:
         object.__setattr__(self, "comparison_arms",
                            tuple(a for a in COMPARISON_ARMS
                                  if a in self.comparison_arms))
+        for name, allowed in (("phase_mode", PHASE_MODES),
+                              ("angle_mode", ANGLE_MODES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name}: must be one of {allowed}")
         # The sensing grid is unit-modulus, so its bound is singular exactly
         # when one of these index ranges has a single entry.
         if self.system.num_symbols < 2:
@@ -120,6 +126,7 @@ class Scenario:
             raise ValueError("initial_truth: target position and velocity "
                              "must be finite")
         _check_initial_estimate(self.initial_estimate)
+        available_rx_aps(self.system, self.policy)  # searched when sensing
         for start, end in self.traffic.intervals:
             if not 0 <= start < end <= self.num_epochs:
                 raise ValueError(
@@ -252,12 +259,9 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
 
 def _random_selection(cfg: SystemConfig, policy: SensingPolicy,
                       rng: np.random.Generator) -> ApSelection:
-    available = [l for l in range(cfg.num_aps)
-                 if not (policy.exclude_tx_ap and l == cfg.tx_ap)]
+    available = available_rx_aps(cfg, policy)
     k = policy.subset_cardinality
     if k > 0:
-        if k > len(available):
-            raise ValueError("no feasible subset for the random arm")
         picked = rng.choice(len(available), size=k, replace=False)
         return ApSelection.from_indices(cfg.num_aps,
                                         [available[i] for i in picked])
@@ -344,7 +348,7 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
         channel = build_channel(cfg, truth_now, scenario.phase_mode)
         precoder = predictive_precoder(cfg, proposed.estimate,
                                        angle_mode=scenario.angle_mode)
-        rates["proposed"] = evaluate_link(cfg, channel, precoder, "proposed")
+        rates["proposed"] = evaluate_link(cfg, channel, precoder)
         if "conventional" in scenario.comparison_arms:
             rates["conventional"] = conventional_baseline(
                 cfg, state.estimates["conventional"], truth_now,

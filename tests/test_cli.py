@@ -13,6 +13,9 @@ from cfisac.selection import ApSelection
 from cfisac.sensing import Action
 from cfisac.simulate import TrafficModel, run_scenario
 
+REPO = Path(__file__).resolve().parents[1]
+WORKLOADS = json.loads((REPO / "bench" / "workloads.json").read_text())
+
 
 @pytest.fixture(scope="module")
 def short_run():
@@ -52,6 +55,17 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="antennae"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("raw", [{"initial_truth": {"position_x": 1.0}},
+                                     {"comparison_arms": ["random"]}])
+    def test_built_fields_are_not_keys(self, raw):
+        # the loader builds these from `target` and `arms`
+        with pytest.raises(ConfigError, match="unknown key"):
+            scenario_from_dict(raw)
+
+    def test_arms_normalized_like_the_flag(self):
+        scenario = scenario_from_dict({"arms": "proposed, perfect"})
+        assert scenario.comparison_arms == ("perfect",)
+
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("system: [unclosed\n")
@@ -74,9 +88,23 @@ class TestLoadScenario:
         scenario = load_scenario(path)
         assert scenario.traffic.intervals == ((0, 5), (10, 12))
 
+    def test_default_digest_is_pinned(self):
+        # the canonical form of the defaults; a schema change must move it
+        assert config_digest(default_scenario()) == (
+            "4600fb7f71a56df05b5c364ce1f3b8d256eb974234698bcc54df9330319434e1")
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_workload_round_trip_through_yaml(self, tmp_path, workload):
+        base = scenario_from_dict(WORKLOADS[workload]["overrides"])
+        path = tmp_path / "rt.yaml"
+        path.write_text(yaml.safe_dump(scenario_to_dict(base)))
+        again = load_scenario(path)
+        assert scenario_to_dict(again) == scenario_to_dict(base)
+        assert config_digest(again) == config_digest(base)
+
     def test_readme_example_loads(self):
         # the documented schema must stay what the loader accepts
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (REPO / "README.md").read_text()
         example = re.search(r"```yaml\n(.*?)```", readme, re.DOTALL).group(1)
         scenario = scenario_from_dict(yaml.safe_load(example))
         assert scenario.system.num_aps == 4
@@ -209,11 +237,11 @@ class TestMainEntry:
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "s.yaml"
-        # valid policy, but the subset search cannot satisfy cardinality 9
-        cfg.write_text("num_epochs: 5\npolicy:\n  subset_cardinality: 9\n"
-                       "traffic:\n  mode: intervals\n  intervals: []\n")
-        assert main(["run", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 1
+        cfg.write_text("num_epochs: 5\n")
+        # a valid scenario, but the output directory cannot be created
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert "runtime error" in capsys.readouterr().err
 
     def test_arms_flag(self, tmp_path):
@@ -242,17 +270,39 @@ class TestMainEntry:
         ("system:\n  num_aps: .inf\n", "num_aps"),
         ("system:\n  num_aps: 0\n", "num_aps"),
         ("system:\n  carrier_frequency: 0\n", "carrier_frequency"),
+        ("num_epochs: [3]\n", "num_epochs"),
+        ("policy:\n  subset_cardinality: [2]\n", "subset_cardinality"),
+        ("target:\n  position_x: [1]\n", "position_x"),
+        ("traffic:\n  on_probability: [1]\n", "on_probability"),
+        ("traffic:\n  intervals: 5\n", "traffic"),
+        ("system:\n  ap_positions: 5\n", "system"),
+        ("arms: 5\n", "arms"),
+        ("system:\n  num_aps: 4.7\n", "num_aps"),
+        ("num_epochs: 2.9\n", "num_epochs"),
+        ("seed: 2.5\n", "seed"),
+        ("policy:\n  exclude_tx_ap: \"false\"\n", "exclude_tx_ap"),
+        ("phase_mode: bogus\n", "phase_mode"),
+        ("angle_mode: bogus\n", "angle_mode"),
+        ("policy:\n  subset_cardinality: 9\n", "subset_cardinality"),
+        ("system:\n  num_aps: 21\n", "num_aps"),
     ], ids=["one_symbol", "one_antenna", "negative_variance", "asymmetric",
             "nan_mean", "nan_process_noise", "inf_tx_power", "inf_mean_rcs",
             "inf_epoch_duration", "nan_ap_position", "nan_target_position",
             "inf_target_velocity", "inf_num_aps", "zero_num_aps",
-            "zero_carrier"])
+            "zero_carrier", "list_num_epochs", "list_cardinality",
+            "list_target_position", "list_on_probability", "scalar_intervals",
+            "scalar_ap_positions", "scalar_arms", "fractional_num_aps",
+            "fractional_num_epochs", "fractional_seed", "string_bool",
+            "unknown_phase_mode", "unknown_angle_mode",
+            "infeasible_cardinality", "too_many_aps"])
     def test_run_time_failures_rejected_by_validate(self, tmp_path, capsys,
                                                     text, field):
-        # sensing with these would fail mid-run, or run on a meaningless
-        # prior, so both commands must stop at load with a config error
+        # sensing with these would fail mid-run, run on a meaningless prior
+        # or a truncated value, or crash the loader, so both commands must
+        # stop at load with a config error
         cfg = tmp_path / "bad.yaml"
-        cfg.write_text("num_epochs: 3\n" + text)
+        cfg.write_text(yaml.safe_dump({"num_epochs": 3,
+                                       **yaml.safe_load(text)}))
         assert main(["validate", "--config", str(cfg)]) == 2
         assert main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2

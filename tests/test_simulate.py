@@ -284,11 +284,11 @@ class TestRunScenario:
             assert set(rec.rates) == {"proposed", "perfect"}
 
     def test_infeasible_policy_propagates(self):
-        scenario = make_scenario(
-            policy=SensingPolicy.from_config(CFG, subset_cardinality=9),
-            traffic=TrafficModel(mode="intervals", intervals=()))
+        # rejected when the scenario is built, before any epoch runs
         with pytest.raises(ValueError, match="no feasible subset"):
-            run_scenario(scenario)
+            make_scenario(
+                policy=SensingPolicy.from_config(CFG, subset_cardinality=9),
+                traffic=TrafficModel(mode="intervals", intervals=()))
 
     def test_seed_changes_the_run(self):
         a = run_scenario(make_scenario(num_epochs=15, seed=1))
