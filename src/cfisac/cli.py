@@ -60,6 +60,12 @@ def _whole_number(value) -> int:
     return value if isinstance(value, int) else int(float(value))
 
 
+def _number(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError("not a number")
+    return float(value)
+
+
 def _boolean(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError("not a YAML boolean")
@@ -70,8 +76,8 @@ def _boolean(value) -> bool:
 # float() also takes strings: YAML reads e.g. 60.0e9 as one.
 _SCALARS = {
     "int": (_whole_number, "an integer"),
-    "float": (float, "a number"),
-    "float | None": (lambda v: None if v is None else float(v), "a number"),
+    "float": (_number, "a number"),
+    "float | None": (lambda v: None if v is None else _number(v), "a number"),
     "bool": (_boolean, "a boolean"),
 }
 

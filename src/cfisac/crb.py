@@ -12,6 +12,7 @@ against.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -339,6 +340,16 @@ def sensing_gain(cfg: SystemConfig, tx_geometry: ApGeometry,
     return SensingLinkGain.from_amplitude(amplitude * inner)
 
 
+def range_velocity_blocks(blocks: list[CrbBlock],
+                          indices: Sequence[int]) -> np.ndarray:
+    """The 2x2 (range, radial velocity) blocks of the given APs, stacked."""
+    by_index = {b.ap_index: b.range_velocity for b in blocks}
+    missing = [i for i in indices if i not in by_index]
+    if missing:
+        raise ValueError(f"missing covariance block for AP(s) {missing}")
+    return np.array([by_index[i] for i in indices])
+
+
 def assemble_measurement_covariance(blocks: list[CrbBlock],
                                     selection: ApSelection) -> np.ndarray:
     """Block-diagonal covariance over the selected APs, ascending AP index.
@@ -347,12 +358,8 @@ def assemble_measurement_covariance(blocks: list[CrbBlock],
     """
     if selection.cardinality == 0:
         raise ValueError("no sensing receivers selected")
-    by_index = {b.ap_index: b for b in blocks}
-    missing = [i for i in selection.indices if i not in by_index]
-    if missing:
-        raise ValueError(f"missing covariance block for AP(s) {missing}")
     out = np.zeros((2 * selection.cardinality, 2 * selection.cardinality))
-    for pos, ap in enumerate(selection.indices):
-        block = by_index[ap].range_velocity
+    for pos, block in enumerate(range_velocity_blocks(blocks,
+                                                      selection.indices)):
         out[2 * pos:2 * pos + 2, 2 * pos:2 * pos + 2] = block
     return out

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import enum
-from itertools import chain, combinations
+from itertools import combinations
 from statistics import NormalDist
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import SystemConfig
-from .crb import CrbBlock, assemble_measurement_covariance
+from .crb import (CrbBlock, assemble_measurement_covariance,
+                  range_velocity_blocks)
 from .geometry import angle_slope_from_position
 from .selection import ApSelection
 from .tracking import (MotionModel, StateEstimate, measurement_jacobian,
@@ -116,28 +119,27 @@ def available_rx_aps(cfg: SystemConfig, policy: SensingPolicy) -> list[int]:
 
 def select_rx_aps(cfg: SystemConfig, est: StateEstimate, model: MotionModel,
                   policy: SensingPolicy, crbs: list[CrbBlock]) -> ApSelection:
-    """Exhaustive receive-AP subset minimizing the predicted angle variance.
+    """Receive-AP subset minimizing the predicted angle variance.
 
-    Candidates are all subsets of the configured cardinality (all nonempty
-    subsets when unconstrained). Ties break toward fewer APs, then the
-    lowest bitmask.
+    Scored in information form, I_l = J_l^T R_l^-1 J_l per AP: subset S leaves
+    P00 of (I + P sum_S I_l)^-1 P, needing no P^-1. Ties break toward fewer
+    APs, then the lowest bitmask, so unconstrained it selects every AP that
+    adds information (information never raises the variance).
     """
     available = available_rx_aps(cfg, policy)
-    k = policy.subset_cardinality
-    if k > 0:
-        candidates = combinations(available, k)
-    else:
-        candidates = chain.from_iterable(
-            combinations(available, r) for r in range(1, len(available) + 1))
-
-    best: tuple[float, int, int] | None = None
-    best_subset: tuple[int, ...] | None = None
-    for subset in candidates:
-        sel = ApSelection.from_indices(cfg.num_aps, subset)
-        variance = predict_variance_for_selection(cfg, est, model, sel, crbs)
-        key = (variance, sel.cardinality, sel.bitmask)
-        if best is None or key < best:
-            best, best_subset = key, subset
-    if best_subset is None:
-        raise ValueError("no feasible subset to select from")
-    return ApSelection.from_indices(cfg.num_aps, best_subset)
+    predicted = predict(est, model)
+    jac = measurement_jacobian(cfg, predicted.mean, ApSelection.from_indices(
+        cfg.num_aps, available)).reshape(-1, 2, 2)
+    noise = range_velocity_blocks(crbs, available)
+    info = jac.transpose(0, 2, 1) @ np.linalg.solve(noise, jac)
+    if policy.subset_cardinality == 0:  # if no AP informs, all subsets tie
+        chosen = [ap for ap, i_l in zip(available, info) if i_l.any()]
+        return ApSelection.from_indices(cfg.num_aps, chosen or available[:1])
+    positions = np.array(list(combinations(range(len(available)),
+                                           policy.subset_cardinality)))
+    total_info = sum(info[column] for column in positions.T)
+    cov = predicted.covariance
+    variance = np.linalg.solve(np.eye(2) + cov @ total_info, cov)[:, 0, 0]
+    subsets = np.asarray(available)[positions]
+    best = np.lexsort(((1 << subsets).sum(axis=1), variance))[0]
+    return ApSelection.from_indices(cfg.num_aps, subsets[best])

@@ -63,8 +63,10 @@ class TrafficModel:
             raise ValueError("traffic mode must be 'bernoulli' or 'intervals'")
         if self.mode == "bernoulli" and not 0.0 <= self.on_probability <= 1.0:
             raise ValueError("on_probability must lie in [0, 1]")
-        object.__setattr__(self, "intervals",
-                           tuple((int(s), int(e)) for s, e in self.intervals))
+        intervals = tuple((int(s), int(e)) for s, e in self.intervals)
+        if intervals != tuple(tuple(bounds) for bounds in self.intervals):
+            raise ValueError("intervals: bounds must be whole numbers")
+        object.__setattr__(self, "intervals", intervals)
 
     def is_on(self, epoch: int, rng: np.random.Generator) -> bool:
         if self.mode == "bernoulli":

@@ -285,6 +285,11 @@ class TestMainEntry:
         ("angle_mode: bogus\n", "angle_mode"),
         ("policy:\n  subset_cardinality: 9\n", "subset_cardinality"),
         ("system:\n  num_aps: 21\n", "num_aps"),
+        ("traffic:\n  mode: intervals\n  intervals: [[0, 5.5]]\n",
+         "intervals"),
+        ("system:\n  tx_power: true\n", "tx_power"),
+        ("target:\n  position_x: false\n", "position_x"),
+        ("traffic:\n  on_probability: true\n", "on_probability"),
     ], ids=["one_symbol", "one_antenna", "negative_variance", "asymmetric",
             "nan_mean", "nan_process_noise", "inf_tx_power", "inf_mean_rcs",
             "inf_epoch_duration", "nan_ap_position", "nan_target_position",
@@ -294,7 +299,8 @@ class TestMainEntry:
             "scalar_ap_positions", "scalar_arms", "fractional_num_aps",
             "fractional_num_epochs", "fractional_seed", "string_bool",
             "unknown_phase_mode", "unknown_angle_mode",
-            "infeasible_cardinality", "too_many_aps"])
+            "infeasible_cardinality", "too_many_aps", "fractional_interval",
+            "bool_tx_power", "bool_target_position", "bool_on_probability"])
     def test_run_time_failures_rejected_by_validate(self, tmp_path, capsys,
                                                     text, field):
         # sensing with these would fail mid-run, run on a meaningless prior
