@@ -138,7 +138,7 @@ def select_rx_aps(cfg: SystemConfig, est: StateEstimate, model: MotionModel,
     positions = np.array(list(combinations(range(len(available)),
                                            policy.subset_cardinality)))
     total_info = sum(info[column] for column in positions.T)
-    cov = predicted.covariance
+    cov = predicted.covariance[None]  # 3-D: numpy 1.x solves it as a stack
     variance = np.linalg.solve(np.eye(2) + cov @ total_info, cov)[:, 0, 0]
     subsets = np.asarray(available)[positions]
     best = np.lexsort(((1 << subsets).sum(axis=1), variance))[0]

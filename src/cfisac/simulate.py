@@ -20,7 +20,8 @@ from .comms import (ANGLE_MODES, PHASE_MODES, LinkResult, build_channel,
                     predictive_precoder)
 from .config import SystemConfig
 from .crb import (CrbBlock, WaveformSpec, all_ones_waveform,
-                  assemble_measurement_covariance, crb_block, sensing_gain)
+                  assemble_measurement_covariance, crb_block,
+                  range_velocity_blocks, sensing_gain)
 from .geometry import TargetTruth, array_response, geometry_for_ap
 from .selection import ApSelection
 from .sensing import (Action, SensingPolicy, available_rx_aps, decide_action,
@@ -239,13 +240,13 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
         truth_blocks = crb_blocks_for_state(
             cfg, waveform, truth.position_x, truth.velocity_x, rcs,
             power_fraction, aps=selection.indices)
-    by_index = {b.ap_index: b for b in truth_blocks}
+    noise = range_velocity_blocks(truth_blocks, selection.indices)
     normals = rng.standard_normal(2 * cfg.num_aps)
 
     values = measurement_model(cfg, (truth.position_x, truth.velocity_x),
                                selection)
     for pos, ap in enumerate(selection.indices):
-        chol = np.linalg.cholesky(by_index[ap].range_velocity)
+        chol = np.linalg.cholesky(noise[pos])
         values[2 * pos:2 * pos + 2] += noise_scale * (
             chol @ normals[2 * ap:2 * ap + 2])
 
