@@ -25,7 +25,8 @@ from .sensing import (Action, SensingPolicy, decide_action, hpbw,
                       predict_variance_for_selection, select_rx_aps,
                       variance_threshold_from_hpbw)
 from .comms import (LinkResult, Precoder, build_channel, conventional_baseline,
-                    evaluate_link, perfect_angle_bound, predictive_precoder)
+                    evaluate_link, perfect_angle_bound, predictive_precoder,
+                    steered_link)
 from .simulate import (ArmEpoch, EpochRecord, RngStream, Scenario, SimState,
                        TrafficModel, crb_blocks_for_state, draw_rcs,
                        propagate_truth, run_epoch, run_scenario,

@@ -72,7 +72,18 @@ def _boolean(value) -> bool:
     return value
 
 
-# Declared scalar field type -> (conversion of a YAML value, what it expects).
+def _no_booleans(value):
+    """A value as given, unless it is a list that holds a YAML boolean."""
+    if isinstance(value, list):
+        for item in value:
+            if isinstance(item, bool):
+                raise TypeError("a boolean is not a number")
+            _no_booleans(item)
+    return value
+
+
+# Declared scalar field type -> (conversion of a YAML value, what it expects);
+# list fields hold numbers, so they take no booleans either.
 # float() also takes strings: YAML reads e.g. 60.0e9 as one.
 _SCALARS = {
     "int": (_whole_number, "an integer"),
@@ -106,7 +117,8 @@ def _build(cls, raw, name: str, **defaults):
         raise ConfigError(f"{name}: unknown key(s) {sorted(unknown)}")
     values = dict(defaults)
     for key, value in raw.items():
-        convert, kind = _SCALARS.get(types[key], (lambda v: v, None))
+        convert, kind = _SCALARS.get(types[key],
+                                     (_no_booleans, "a list of numbers"))
         try:
             values[key] = convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -123,6 +135,12 @@ def _initial_estimate(raw, truth: TargetTruth) -> StateEstimate:
     unknown = set(raw) - _ESTIMATE_KEYS
     if unknown:
         raise ConfigError(f"initial_estimate: unknown key(s) {sorted(unknown)}")
+    try:
+        for key, value in raw.items():
+            _no_booleans(value)
+    except TypeError as exc:
+        raise ConfigError(f"initial_estimate.{key}: not a list of numbers: "
+                          f"{value!r}") from exc
     try:
         if "mean" in raw:
             mean = np.asarray(raw["mean"], dtype=float)

@@ -1,7 +1,13 @@
-"""Downlink evaluation: predictive precoding, SNR and instantaneous rate."""
+"""Downlink evaluation: predictive precoding, SNR and instantaneous rate.
+
+The simulator evaluates every link with `steered_link`, a closed form of the
+coherent gain. `build_channel`, `predictive_precoder` and `evaluate_link`
+build the stacked vectors and are the reference it is tested against.
+"""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -55,22 +61,25 @@ def build_channel(cfg: SystemConfig, truth: TargetTruth,
     return np.concatenate(blocks)
 
 
-def _precoder_for_position(cfg: SystemConfig, position_x: float,
-                           power_fraction: float, angle_mode: str) -> Precoder:
+def _steering(cfg: SystemConfig, position_x: float, power_fraction: float,
+              angle_mode: str) -> tuple[float, list[float]]:
+    """Per-AP amplitude sqrt(power_fraction * tx_power / N) and steered angles."""
     if not 0.0 < power_fraction <= 1.0:
         raise ValueError("power_fraction must lie in (0, 1]")
     if angle_mode not in ANGLE_MODES:
         raise ValueError(f"angle_mode must be one of {ANGLE_MODES}")
     amplitude = math.sqrt(power_fraction * cfg.tx_power / cfg.antennas_per_ap)
-    global_angle = angle_from_position(cfg, position_x)
-    vectors = []
-    for ap in range(cfg.num_aps):
-        if angle_mode == "per_ap":
-            angle = math.atan2(position_x - cfg.ap_x(ap), cfg.corridor_offset)
-        else:
-            angle = global_angle
-        vectors.append(amplitude * array_response(cfg, angle))
-    return Precoder(tuple(vectors))
+    if angle_mode == "global":
+        return amplitude, [angle_from_position(cfg, position_x)] * cfg.num_aps
+    return amplitude, [math.atan2(position_x - cfg.ap_x(ap), cfg.corridor_offset)
+                       for ap in range(cfg.num_aps)]
+
+
+def _precoder_for_position(cfg: SystemConfig, position_x: float,
+                           power_fraction: float, angle_mode: str) -> Precoder:
+    amplitude, angles = _steering(cfg, position_x, power_fraction, angle_mode)
+    return Precoder(tuple(amplitude * array_response(cfg, angle)
+                          for angle in angles))
 
 
 def predictive_precoder(cfg: SystemConfig, est: StateEstimate,
@@ -98,19 +107,50 @@ def evaluate_link(cfg: SystemConfig, channel: np.ndarray,
     return LinkResult(float(snr), math.log2(1.0 + snr))
 
 
+def steered_link(cfg: SystemConfig, truth: TargetTruth, position_x: float,
+                 power_fraction: float = 1.0, phase_mode: str = "compensated",
+                 angle_mode: str = "per_ap") -> LinkResult:
+    """SNR and rate of the maximum-ratio precoder steered at `position_x`.
+
+    Equal to `evaluate_link` of `build_channel(cfg, truth, phase_mode)` and
+    the precoder `predictive_precoder` builds for that position, without
+    building either vector. Per AP, h_l^H w_l = sqrt(beta_l) A e^{-j phi_l}
+    D_N(dpsi_l), where A = sqrt(power_fraction * tx_power / N), phi_l is the
+    LOS phase (geometric mode only), dpsi_l the steered minus the true
+    phase step of the ULA, and D_N(x) = sum_n e^{j n x}
+    = e^{j (N-1) x / 2} sin(N x / 2) / sin(x / 2), exactly N where
+    sin(x / 2) = 0.
+    """
+    _check_phase_mode(phase_mode)
+    amplitude, angles = _steering(cfg, position_x, power_fraction, angle_mode)
+    n = cfg.antennas_per_ap
+    step_scale = (2.0 * math.pi / cfg.wavelength) * cfg.antenna_spacing
+    gain = 0j
+    for ap, angle in enumerate(angles):
+        if not math.isfinite(angle):
+            raise ValueError("azimuth must be finite")
+        geo = geometry_for_ap(cfg, truth, ap)
+        half = 0.5 * (step_scale * math.sin(angle)
+                      - step_scale * math.sin(geo.azimuth))
+        denom = math.sin(half)
+        kernel = n if denom == 0.0 else math.sin(n * half) / denom
+        phase = (n - 1) * half
+        if phase_mode == "geometric":
+            phase -= geo.phase
+        gain += math.sqrt(geo.path_gain) * kernel * cmath.exp(1j * phase)
+    snr = abs(amplitude * gain) ** 2 / cfg.noise_power
+    return LinkResult(snr, math.log2(1.0 + snr))
+
+
 def conventional_baseline(cfg: SystemConfig, est: StateEstimate,
                           truth: TargetTruth, phase_mode: str = "compensated",
                           angle_mode: str = "per_ap") -> LinkResult:
     """Power-split baseline: half the AP power is reserved for sensing."""
-    channel = build_channel(cfg, truth, phase_mode)
-    precoder = predictive_precoder(cfg, est, power_fraction=0.5,
-                                   angle_mode=angle_mode)
-    return evaluate_link(cfg, channel, precoder)
+    return steered_link(cfg, truth, float(est.mean[0]), 0.5, phase_mode,
+                        angle_mode)
 
 
 def perfect_angle_bound(cfg: SystemConfig, truth: TargetTruth,
                         phase_mode: str = "compensated") -> LinkResult:
     """Full-power precoding from the true per-AP angles."""
-    channel = build_channel(cfg, truth, phase_mode)
-    precoder = _precoder_for_position(cfg, truth.position_x, 1.0, "per_ap")
-    return evaluate_link(cfg, channel, precoder)
+    return steered_link(cfg, truth, truth.position_x, 1.0, phase_mode)

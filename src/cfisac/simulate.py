@@ -11,13 +11,13 @@ subsets) run on the same per-epoch random streams so arms stay comparable.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comms import (ANGLE_MODES, PHASE_MODES, LinkResult, build_channel,
-                    conventional_baseline, evaluate_link, perfect_angle_bound,
-                    predictive_precoder)
+from .comms import (ANGLE_MODES, PHASE_MODES, LinkResult,
+                    conventional_baseline, perfect_angle_bound, steered_link)
 from .config import SystemConfig
 from .crb import (CrbBlock, WaveformSpec, all_ones_waveform,
                   assemble_measurement_covariance, crb_block,
@@ -69,9 +69,10 @@ class TrafficModel:
             raise ValueError("intervals: bounds must be whole numbers")
         object.__setattr__(self, "intervals", intervals)
 
-    def is_on(self, epoch: int, rng: np.random.Generator) -> bool:
+    def is_on(self, epoch: int, stream: RngStream) -> bool:
+        """Whether traffic is ON; only Bernoulli mode builds the generator."""
         if self.mode == "bernoulli":
-            return bool(rng.random() < self.on_probability)
+            return bool(stream.generator(epoch).random() < self.on_probability)
         return any(start <= epoch < end for start, end in self.intervals)
 
 
@@ -157,7 +158,6 @@ class EpochRecord:
     predicted_angle_variance: float
     estimate: StateEstimate
     rates: dict[str, LinkResult]
-    rcs_draws: tuple[float, ...]
     arms: dict[str, ArmEpoch] = field(default_factory=dict)
 
 
@@ -275,10 +275,15 @@ def _random_selection(cfg: SystemConfig, policy: SensingPolicy,
 
 
 def _advance_tracked_arm(scenario: Scenario, state: SimState, arm: str,
-                         truth_now: TargetTruth, rcs: np.ndarray,
-                         traffic_on: bool, measurement_rng_factory,
-                         selection_rng) -> ArmEpoch:
-    """One epoch of the threshold-gated tracker (proposed or random arm)."""
+                         truth_now: TargetTruth, rcs: Callable[[], np.ndarray],
+                         traffic_on: bool,
+                         rng: Callable[[str], np.random.Generator]) -> ArmEpoch:
+    """One epoch of the threshold-gated tracker (proposed or random arm).
+
+    `rcs()` returns the epoch's cross sections and `rng(stream)` a fresh
+    generator of that stream for the epoch; both are called only when the
+    arm senses.
+    """
     cfg, policy = scenario.system, scenario.policy
     prior = state.estimates[arm]
     predicted = predict(prior, state.model)
@@ -290,7 +295,7 @@ def _advance_tracked_arm(scenario: Scenario, state: SimState, arm: str,
     estimate = predicted
     if action is Action.SENSING:
         if arm == "random":
-            selection = _random_selection(cfg, policy, selection_rng)
+            selection = _random_selection(cfg, policy, rng("selection"))
         else:
             mean_rcs = np.full(cfg.num_aps, cfg.mean_rcs)
             planning = crb_blocks_for_state(cfg, state.waveform,
@@ -299,23 +304,24 @@ def _advance_tracked_arm(scenario: Scenario, state: SimState, arm: str,
                                             mean_rcs)
             selection = select_rx_aps(cfg, prior, state.model, policy, planning)
         meas = synthesize_measurement(
-            cfg, truth_now, selection, rcs, measurement_rng_factory(),
+            cfg, truth_now, selection, rcs(), rng("measurement"),
             waveform=state.waveform, filter_mean=predicted.mean)
         estimate = update(predicted, meas, cfg)
     state.estimates[arm] = estimate
     return ArmEpoch(action, selection, variance, estimate)
 
 
-def _advance_conventional_arm(scenario: Scenario, state: SimState,
-                              truth_now: TargetTruth, rcs: np.ndarray,
-                              measurement_rng_factory) -> ArmEpoch:
+def _advance_conventional_arm(
+        scenario: Scenario, state: SimState, truth_now: TargetTruth,
+        rcs: Callable[[], np.ndarray],
+        rng: Callable[[str], np.random.Generator]) -> ArmEpoch:
     """Conventional frame: sensing every epoch at half power with all APs."""
     cfg = scenario.system
     predicted = predict(state.estimates["conventional"], state.model)
     _, variance = angle_estimate_and_variance(cfg, predicted)
     selection = ApSelection.full(cfg.num_aps)
     meas = synthesize_measurement(
-        cfg, truth_now, selection, rcs, measurement_rng_factory(),
+        cfg, truth_now, selection, rcs(), rng("measurement"),
         waveform=state.waveform, power_fraction=0.5,
         filter_mean=predicted.mean)
     estimate = update(predicted, meas, cfg)
@@ -324,34 +330,45 @@ def _advance_conventional_arm(scenario: Scenario, state: SimState,
 
 
 def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
-    """Advance one epoch and record every arm's outcome."""
+    """Advance one epoch and record every arm's outcome.
+
+    Generators are built on demand: the cross sections are drawn once, by
+    the first arm that senses, and traffic draws only in Bernoulli mode.
+    Each draw is keyed by (seed, stream, epoch), so a skipped stream never
+    shifts another, and every arm that senses gets a fresh measurement
+    generator, so all arms draw the same normals.
+    """
     cfg = scenario.system
     k = state.epoch
-    streams = {name: RngStream(scenario.seed, name)
-               for name in _STREAM_CODES}
-    truth_now = propagate_truth(state.truth, cfg)
-    rcs = draw_rcs(streams["rcs"].generator(k), cfg, cfg.num_aps)
-    traffic_on = scenario.traffic.is_on(k, streams["traffic"].generator(k))
-    meas_rng = streams["measurement"].generator  # fresh, identical per arm
 
-    proposed = _advance_tracked_arm(
-        scenario, state, "proposed", truth_now, rcs, traffic_on,
-        lambda: meas_rng(k), None)
+    def rng(stream: str) -> np.random.Generator:
+        return RngStream(scenario.seed, stream).generator(k)
+
+    drawn: list[np.ndarray] = []
+
+    def rcs() -> np.ndarray:
+        if not drawn:
+            drawn.append(draw_rcs(rng("rcs"), cfg, cfg.num_aps))
+        return drawn[0]
+
+    truth_now = propagate_truth(state.truth, cfg)
+    traffic_on = scenario.traffic.is_on(k, RngStream(scenario.seed, "traffic"))
+
+    proposed = _advance_tracked_arm(scenario, state, "proposed", truth_now,
+                                    rcs, traffic_on, rng)
     arms: dict[str, ArmEpoch] = {}
     if "random" in scenario.comparison_arms:
-        arms["random"] = _advance_tracked_arm(
-            scenario, state, "random", truth_now, rcs, traffic_on,
-            lambda: meas_rng(k), streams["selection"].generator(k))
+        arms["random"] = _advance_tracked_arm(scenario, state, "random",
+                                              truth_now, rcs, traffic_on, rng)
     if "conventional" in scenario.comparison_arms:
         arms["conventional"] = _advance_conventional_arm(
-            scenario, state, truth_now, rcs, lambda: meas_rng(k))
+            scenario, state, truth_now, rcs, rng)
 
     rates: dict[str, LinkResult] = {}
     if traffic_on:
-        channel = build_channel(cfg, truth_now, scenario.phase_mode)
-        precoder = predictive_precoder(cfg, proposed.estimate,
-                                       angle_mode=scenario.angle_mode)
-        rates["proposed"] = evaluate_link(cfg, channel, precoder)
+        rates["proposed"] = steered_link(
+            cfg, truth_now, float(proposed.estimate.mean[0]),
+            phase_mode=scenario.phase_mode, angle_mode=scenario.angle_mode)
         if "conventional" in scenario.comparison_arms:
             rates["conventional"] = conventional_baseline(
                 cfg, state.estimates["conventional"], truth_now,
@@ -367,8 +384,7 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
         traffic_state="ON" if traffic_on else "OFF",
         selection=proposed.selection,
         predicted_angle_variance=proposed.predicted_angle_variance,
-        estimate=proposed.estimate, rates=rates,
-        rcs_draws=tuple(float(x) for x in rcs), arms=arms)
+        estimate=proposed.estimate, rates=rates, arms=arms)
 
 
 def initial_sim_state(scenario: Scenario) -> SimState:

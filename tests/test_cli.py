@@ -290,6 +290,12 @@ class TestMainEntry:
         ("system:\n  tx_power: true\n", "tx_power"),
         ("target:\n  position_x: false\n", "position_x"),
         ("traffic:\n  on_probability: true\n", "on_probability"),
+        ("traffic:\n  mode: intervals\n  intervals: [[true, 3]]\n",
+         "intervals"),
+        ("system:\n  ap_positions: [[true, 0], [250, 0], [375, 0], [500, 0]]\n",
+         "ap_positions"),
+        ("initial_estimate:\n  covariance_diag: [true, 1]\n",
+         "covariance_diag"),
     ], ids=["one_symbol", "one_antenna", "negative_variance", "asymmetric",
             "nan_mean", "nan_process_noise", "inf_tx_power", "inf_mean_rcs",
             "inf_epoch_duration", "nan_ap_position", "nan_target_position",
@@ -300,7 +306,8 @@ class TestMainEntry:
             "fractional_num_epochs", "fractional_seed", "string_bool",
             "unknown_phase_mode", "unknown_angle_mode",
             "infeasible_cardinality", "too_many_aps", "fractional_interval",
-            "bool_tx_power", "bool_target_position", "bool_on_probability"])
+            "bool_tx_power", "bool_target_position", "bool_on_probability",
+            "bool_interval", "bool_ap_position", "bool_covariance_diag"])
     def test_run_time_failures_rejected_by_validate(self, tmp_path, capsys,
                                                     text, field):
         # sensing with these would fail mid-run, run on a meaningless prior

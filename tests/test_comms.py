@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from cfisac.comms import (Precoder, build_channel,
                           conventional_baseline, evaluate_link,
-                          perfect_angle_bound, predictive_precoder)
+                          perfect_angle_bound, predictive_precoder,
+                          steered_link)
 from cfisac.config import SystemConfig
 from cfisac.geometry import TargetTruth, array_response, geometry_for_ap
 from cfisac.tracking import StateEstimate
@@ -222,3 +223,82 @@ class TestPerfectAngleBound:
             key=lambda r: r.snr)
         rates = [r.rate for r in results]
         assert rates == sorted(rates)
+
+
+def vector_link(cfg, truth, position_x, power_fraction=1.0,
+                phase_mode="compensated", angle_mode="per_ap"):
+    return evaluate_link(cfg, build_channel(cfg, truth, phase_mode),
+                         predictive_precoder(cfg, est_at(position_x),
+                                             power_fraction, angle_mode))
+
+
+class TestSteeredLink:
+    """The closed form against the stacked channel and precoder vectors."""
+
+    @pytest.mark.parametrize("phase_mode", ["compensated", "geometric"])
+    @pytest.mark.parametrize("angle_mode", ["per_ap", "global"])
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    @pytest.mark.parametrize("num_aps", [2, 5, 8])
+    @pytest.mark.parametrize("power_fraction", [0.5, 1.0])
+    def test_matches_the_vector_path(self, phase_mode, angle_mode, n,
+                                     num_aps, power_fraction):
+        cfg = SystemConfig(num_aps=num_aps, antennas_per_ap=n)
+        for truth_x, est_x in ((-30.0, -20.0), (80.0, 83.5), (140.0, 140.0),
+                               (260.0, 230.0), (480.0, 510.0)):
+            truth = TargetTruth(truth_x, 25.0)
+            got = steered_link(cfg, truth, est_x, power_fraction, phase_mode,
+                               angle_mode)
+            want = vector_link(cfg, truth, est_x, power_fraction, phase_mode,
+                               angle_mode)
+            assert got.snr == pytest.approx(want.snr, rel=1e-12)
+            assert got.rate == pytest.approx(want.rate, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_exact_estimate_gives_the_full_kernel(self, n):
+        # per-AP steering at the truth: every phase step error is exactly 0,
+        # so each AP adds sqrt(beta_l) A N in phase
+        cfg = SystemConfig(num_aps=3, antennas_per_ap=n)
+        truth = TargetTruth(140.0, 25.0)
+        amp = sum(math.sqrt(geometry_for_ap(cfg, truth, ap).path_gain)
+                  for ap in range(cfg.num_aps))
+        want = amp ** 2 * cfg.tx_power * n / cfg.noise_power
+        got = steered_link(cfg, truth, truth.position_x)
+        assert got.snr == pytest.approx(want, rel=1e-14)
+        assert got.snr == pytest.approx(
+            vector_link(cfg, truth, truth.position_x).snr, rel=1e-12)
+
+    def test_dirichlet_null(self):
+        # one AP far off, so the other's kernel sets the link; steer AP 0 so
+        # that its phase step is off by exactly 2 pi / N, the kernel's null
+        n = 4
+        cfg = SystemConfig(num_aps=2, antennas_per_ap=n,
+                           ap_positions=((0.0, 0.0), (1e7, 0.0)))
+        truth = TargetTruth(0.0, 0.0)
+        scale = 2.0 * math.pi / cfg.wavelength * cfg.antenna_spacing
+        est_x = cfg.corridor_offset * math.tan(math.asin(2 * math.pi / n
+                                                        / scale))
+        peak = steered_link(cfg, truth, truth.position_x).snr
+        got = steered_link(cfg, truth, est_x).snr
+        want = vector_link(cfg, truth, est_x).snr
+        assert want < 1e-6 * peak
+        assert got == pytest.approx(want, abs=1e-12 * peak)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(phase_mode="psychic"), dict(angle_mode="sideways"),
+        dict(power_fraction=0.0), dict(power_fraction=1.1)])
+    def test_bad_arguments_rejected_like_the_vector_path(self, kwargs):
+        truth = TargetTruth(50.0, 25.0)
+        with pytest.raises(ValueError):
+            vector_link(CFG, truth, 50.0, **kwargs)
+        with pytest.raises(ValueError):
+            steered_link(CFG, truth, 50.0, **kwargs)
+
+    @pytest.mark.parametrize("truth, est_x", [
+        (TargetTruth(float("nan"), 25.0), 50.0),
+        (TargetTruth(50.0, float("inf")), 50.0),
+        (TargetTruth(50.0, 25.0), float("nan"))])
+    def test_non_finite_truth_or_steering_rejected(self, truth, est_x):
+        with pytest.raises(ValueError, match="finite"):
+            vector_link(CFG, truth, est_x)
+        with pytest.raises(ValueError, match="finite"):
+            steered_link(CFG, truth, est_x)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cfisac.comms import evaluate_link, build_channel, predictive_precoder
+from cfisac.cli import write_records
+from cfisac.comms import (build_channel, evaluate_link, predictive_precoder,
+                          steered_link)
 from cfisac.config import SystemConfig
 from cfisac.crb import qpsk_waveform
 from cfisac.geometry import TargetTruth
@@ -17,6 +19,11 @@ from cfisac.tracking import (MotionModel, StateEstimate,
                              predict)
 
 CFG = SystemConfig()
+
+
+def epochs_csv(records, scenario, out_dir):
+    write_records(records, out_dir, scenario)
+    return (out_dir / "epochs.csv").read_bytes()
 
 
 def make_scenario(**overrides):
@@ -76,15 +83,15 @@ class TestDrawRcs:
 class TestTrafficModel:
     def test_interval_membership(self):
         tm = TrafficModel(mode="intervals", intervals=((2, 5), (9, 10)))
-        rng = RngStream(1, "traffic").generator()
-        states = [tm.is_on(k, rng) for k in range(12)]
+        stream = RngStream(1, "traffic")
+        states = [tm.is_on(k, stream) for k in range(12)]
         assert states == [False, False, True, True, True, False, False,
                           False, False, True, False, False]
 
     def test_bernoulli_determinism(self):
         tm = TrafficModel(on_probability=0.5)
-        a = [tm.is_on(k, RngStream(2, "traffic").generator(k)) for k in range(20)]
-        b = [tm.is_on(k, RngStream(2, "traffic").generator(k)) for k in range(20)]
+        a = [tm.is_on(k, RngStream(2, "traffic")) for k in range(20)]
+        b = [tm.is_on(k, RngStream(2, "traffic")) for k in range(20)]
         assert a == b
 
     def test_bad_mode_rejected(self):
@@ -200,15 +207,16 @@ class TestRunEpoch:
 
 
 class TestRunScenario:
-    def test_deterministic_records(self):
+    def test_deterministic_records(self, tmp_path):
         scenario = make_scenario(num_epochs=25)
         a = run_scenario(scenario)
         b = run_scenario(scenario)
         for ra, rb in zip(a, b):
             assert_allclose(ra.estimate.mean, rb.estimate.mean, rtol=0, atol=0)
             assert ra.predicted_angle_variance == rb.predicted_angle_variance
-            assert ra.rcs_draws == rb.rcs_draws
             assert ra.action is rb.action
+        assert (epochs_csv(a, scenario, tmp_path / "a")
+                == epochs_csv(b, scenario, tmp_path / "b"))
 
     def test_no_sensing_during_traffic(self):
         records = run_scenario(make_scenario(num_epochs=60, seed=11))
@@ -252,13 +260,19 @@ class TestRunScenario:
         on = [r for r in records if r.traffic_state == "ON"]
         assert on, "expected at least one traffic epoch"
         for rec in on[:10]:
+            replay = steered_link(scenario.system, rec.truth,
+                                  float(rec.estimate.mean[0]),
+                                  phase_mode=scenario.phase_mode,
+                                  angle_mode=scenario.angle_mode)
+            assert replay.snr == rec.rates["proposed"].snr
+            assert replay.rate == rec.rates["proposed"].rate
             channel = build_channel(scenario.system, rec.truth,
                                     scenario.phase_mode)
             precoder = predictive_precoder(scenario.system, rec.estimate,
                                            angle_mode=scenario.angle_mode)
-            replay = evaluate_link(scenario.system, channel, precoder)
-            assert replay.snr == rec.rates["proposed"].snr
-            assert replay.rate == rec.rates["proposed"].rate
+            vector = evaluate_link(scenario.system, channel, precoder)
+            assert vector.snr == pytest.approx(replay.snr, rel=1e-12)
+            assert vector.rate == pytest.approx(replay.rate, rel=1e-12)
 
     def test_replay_reproduces_predicted_variance(self):
         scenario = make_scenario(num_epochs=20, seed=5)
@@ -290,8 +304,30 @@ class TestRunScenario:
                 policy=SensingPolicy.from_config(CFG, subset_cardinality=9),
                 traffic=TrafficModel(mode="intervals", intervals=()))
 
-    def test_seed_changes_the_run(self):
-        a = run_scenario(make_scenario(num_epochs=15, seed=1))
-        b = run_scenario(make_scenario(num_epochs=15, seed=2))
-        assert any(ra.rcs_draws != rb.rcs_draws for ra, rb in zip(a, b))
+    def test_seed_changes_the_run(self, tmp_path):
+        one, two = (make_scenario(num_epochs=15, seed=s) for s in (1, 2))
+        assert (epochs_csv(run_scenario(one), one, tmp_path / "1")
+                != epochs_csv(run_scenario(two), two, tmp_path / "2"))
+
+    @pytest.mark.parametrize("arms", [("perfect",), ("random", "perfect")])
+    def test_streams_are_built_only_when_read(self, monkeypatch, arms):
+        built = []
+        generator = RngStream.generator
+
+        def counting(stream, epoch=0):
+            built.append((stream.stream_id, epoch))
+            return generator(stream, epoch)
+
+        monkeypatch.setattr(RngStream, "generator", counting)
+        # at seed 4 both tracked arms sense at epoch 0, and only the random
+        # arm at epoch 1
+        records = run_scenario(make_scenario(
+            num_epochs=40, seed=4, comparison_arms=arms,
+            traffic=TrafficModel(mode="intervals", intervals=((20, 30),))))
+        sensed = [r.epoch for r in records
+                  if Action.SENSING in (r.action, *(a.action for a
+                                                    in r.arms.values()))]
+        assert sensed and len(sensed) < len(records)
+        assert not [b for b in built if b[0] == "traffic"]
+        assert [epoch for name, epoch in built if name == "rcs"] == sensed
 
