@@ -26,8 +26,8 @@ from .sensing import (Action, SensingPolicy, decide_action, hpbw,
                       variance_threshold_from_hpbw)
 from .comms import (LinkResult, Precoder, build_channel, conventional_baseline,
                     evaluate_link, perfect_angle_bound, predictive_precoder,
-                    steered_link)
+                    steered_link, steered_links)
 from .simulate import (ArmEpoch, EpochRecord, RngStream, Scenario, SimState,
                        TrafficModel, crb_blocks_for_state, draw_rcs,
-                       propagate_truth, run_epoch, run_scenario,
+                       fill_rates, propagate_truth, run_epoch, run_scenario,
                        synthesize_measurement)

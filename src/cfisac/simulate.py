@@ -1,11 +1,16 @@
 """Epoch loop: truth propagation, traffic, sensing, tracking and rates.
 
-Each epoch advances the filter, decides whether to sense, selects the
-receive APs, synthesizes estimator outputs as Gaussian draws with the
-estimation-bound covariance, and evaluates the downlink for the tracked,
-power-split and perfect-knowledge methods. Comparison arms (conventional:
-sensing every epoch at half power with all APs; random: random receive
-subsets) run on the same per-epoch random streams so arms stay comparable.
+A run has a sequential part and an open-loop part. The sequential part is
+the epoch loop of the filter arms: each epoch advances the filter, decides
+whether to sense, selects the receive APs and synthesizes estimator
+outputs as Gaussian draws with the estimation-bound covariance.
+Comparison arms (conventional: sensing every epoch at half power with all
+APs; random: random receive subsets) run on the same per-epoch random
+streams so arms stay comparable. The open-loop part is the downlink: the
+rate of an epoch depends only on the true and the tracked positions and
+never feeds back into a filter, so `run_scenario` evaluates it after the
+loop, with one `steered_links` call per method (tracked, power-split and
+perfect knowledge) over all traffic epochs.
 """
 
 from __future__ import annotations
@@ -16,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comms import (ANGLE_MODES, PHASE_MODES, LinkResult,
-                    conventional_baseline, perfect_angle_bound, steered_link)
+from .comms import ANGLE_MODES, PHASE_MODES, LinkResult, steered_links
 from .config import SystemConfig
 from .crb import (CrbBlock, WaveformSpec, all_ones_waveform,
                   assemble_measurement_covariance, crb_block,
@@ -35,20 +39,40 @@ COMPARISON_ARMS = ("conventional", "random", "perfect")
 # A code is part of every draw's key, so codes are never renumbered; 3 is
 # retired.
 _STREAM_CODES = {"rcs": 1, "measurement": 2, "traffic": 4, "selection": 5}
+_ZEROS = np.zeros(4, dtype=np.uint64)  # Philox counter and buffer at rest
+_ZEROS.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-style stream: (seed, stream, epoch) pins the draws exactly."""
+    """Counter-style stream: (seed, stream, epoch) pins the draws exactly.
+
+    The first `generator` call builds one Philox generator; every later
+    call resets its key and counter to those of the epoch and returns the
+    same generator, so it draws exactly what a new
+    `Generator(Philox(key=...))` would. A generator from this stream is
+    therefore reset by the next call on the same stream.
+    """
 
     seed: int
     stream_id: str
+    _generator: np.random.Generator | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def generator(self, epoch: int = 0) -> np.random.Generator:
         code = _STREAM_CODES[self.stream_id]
         key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF,
                         (code << 32) + epoch], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        if self._generator is None:
+            object.__setattr__(self, "_generator",
+                               np.random.Generator(np.random.Philox(key=key)))
+        else:
+            self._generator.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": _ZEROS, "key": key},
+                "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0,
+                "uinteger": 0}
+        return self._generator
 
 
 @dataclass(frozen=True)
@@ -170,6 +194,8 @@ class SimState:
     estimates: dict[str, StateEstimate]
     waveform: WaveformSpec
     model: MotionModel
+    streams: dict[str, RngStream]  # one per stream name, for the whole run
+    idle_selection: ApSelection    # the empty receive set of every idle arm
 
 
 def propagate_truth(truth: TargetTruth, cfg: SystemConfig) -> TargetTruth:
@@ -280,8 +306,8 @@ def _advance_tracked_arm(scenario: Scenario, state: SimState, arm: str,
                          rng: Callable[[str], np.random.Generator]) -> ArmEpoch:
     """One epoch of the threshold-gated tracker (proposed or random arm).
 
-    `rcs()` returns the epoch's cross sections and `rng(stream)` a fresh
-    generator of that stream for the epoch; both are called only when the
+    `rcs()` returns the epoch's cross sections and `rng(stream)` the
+    stream's generator reset to the epoch; both are called only when the
     arm senses.
     """
     cfg, policy = scenario.system, scenario.policy
@@ -291,7 +317,7 @@ def _advance_tracked_arm(scenario: Scenario, state: SimState, arm: str,
     action = decide_action(variance, policy)
     if traffic_on:
         action = Action.NO_SENSING  # data frames carry no sensing signal
-    selection = ApSelection.empty(cfg.num_aps)
+    selection = state.idle_selection
     estimate = predicted
     if action is Action.SENSING:
         if arm == "random":
@@ -329,20 +355,23 @@ def _advance_conventional_arm(
     return ArmEpoch(Action.SENSING, selection, variance, estimate)
 
 
-def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
+def run_epoch(state: SimState, scenario: Scenario, *,
+              rates: bool = True) -> EpochRecord:
     """Advance one epoch and record every arm's outcome.
 
-    Generators are built on demand: the cross sections are drawn once, by
+    Generators are read on demand: the cross sections are drawn once, by
     the first arm that senses, and traffic draws only in Bernoulli mode.
     Each draw is keyed by (seed, stream, epoch), so a skipped stream never
-    shifts another, and every arm that senses gets a fresh measurement
-    generator, so all arms draw the same normals.
+    shifts another, and every arm that senses resets the measurement
+    stream to the epoch, so all arms draw the same normals. With
+    `rates=False` the record's `rates` stay empty, for `fill_rates` to
+    evaluate over many epochs at once.
     """
     cfg = scenario.system
     k = state.epoch
 
     def rng(stream: str) -> np.random.Generator:
-        return RngStream(scenario.seed, stream).generator(k)
+        return state.streams[stream].generator(k)
 
     drawn: list[np.ndarray] = []
 
@@ -352,7 +381,7 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
         return drawn[0]
 
     truth_now = propagate_truth(state.truth, cfg)
-    traffic_on = scenario.traffic.is_on(k, RngStream(scenario.seed, "traffic"))
+    traffic_on = scenario.traffic.is_on(k, state.streams["traffic"])
 
     proposed = _advance_tracked_arm(scenario, state, "proposed", truth_now,
                                     rcs, traffic_on, rng)
@@ -364,27 +393,42 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
         arms["conventional"] = _advance_conventional_arm(
             scenario, state, truth_now, rcs, rng)
 
-    rates: dict[str, LinkResult] = {}
-    if traffic_on:
-        rates["proposed"] = steered_link(
-            cfg, truth_now, float(proposed.estimate.mean[0]),
-            phase_mode=scenario.phase_mode, angle_mode=scenario.angle_mode)
-        if "conventional" in scenario.comparison_arms:
-            rates["conventional"] = conventional_baseline(
-                cfg, state.estimates["conventional"], truth_now,
-                scenario.phase_mode, scenario.angle_mode)
-        if "perfect" in scenario.comparison_arms:
-            rates["perfect"] = perfect_angle_bound(cfg, truth_now,
-                                                   scenario.phase_mode)
-
     state.truth = truth_now
     state.epoch = k + 1
-    return EpochRecord(
+    record = EpochRecord(
         epoch=k, truth=truth_now, action=proposed.action,
         traffic_state="ON" if traffic_on else "OFF",
         selection=proposed.selection,
         predicted_angle_variance=proposed.predicted_angle_variance,
-        estimate=proposed.estimate, rates=rates, arms=arms)
+        estimate=proposed.estimate, rates={}, arms=arms)
+    if rates:
+        fill_rates(scenario, [record])
+    return record
+
+
+def fill_rates(scenario: Scenario, records: list[EpochRecord]) -> None:
+    """Fill `rates` of every traffic-ON record, one `steered_links` per method.
+
+    The tracked arm steers full power at its estimate, the conventional arm
+    half power at its own, and the perfect bound full power at the truth
+    with per-AP angles.
+    """
+    on = [r for r in records if r.traffic_state == "ON"]
+    truth_x = [r.truth.position_x for r in on]
+    methods = {"proposed": ([r.estimate.mean[0] for r in on], 1.0,
+                            scenario.angle_mode)}
+    if "conventional" in scenario.comparison_arms:
+        methods["conventional"] = (
+            [r.arms["conventional"].estimate.mean[0] for r in on], 0.5,
+            scenario.angle_mode)
+    if "perfect" in scenario.comparison_arms:
+        methods["perfect"] = (truth_x, 1.0, "per_ap")
+    for tag, (position_x, power_fraction, angle_mode) in methods.items():
+        snr, rate = steered_links(scenario.system, truth_x, position_x,
+                                  power_fraction, scenario.phase_mode,
+                                  angle_mode)
+        for rec, s, r in zip(on, snr.tolist(), rate.tolist()):
+            rec.rates[tag] = LinkResult(s, r)
 
 
 def initial_sim_state(scenario: Scenario) -> SimState:
@@ -395,10 +439,16 @@ def initial_sim_state(scenario: Scenario) -> SimState:
     return SimState(epoch=0, truth=scenario.initial_truth,
                     estimates=estimates,
                     waveform=all_ones_waveform(scenario.system),
-                    model=MotionModel.from_config(scenario.system))
+                    model=MotionModel.from_config(scenario.system),
+                    streams={name: RngStream(scenario.seed, name)
+                             for name in _STREAM_CODES},
+                    idle_selection=ApSelection.empty(scenario.system.num_aps))
 
 
 def run_scenario(scenario: Scenario) -> list[EpochRecord]:
-    """Run the full epoch loop; deterministic given the scenario seed."""
+    """Run the epoch loop, then every rate; deterministic given the seed."""
     state = initial_sim_state(scenario)
-    return [run_epoch(state, scenario) for _ in range(scenario.num_epochs)]
+    records = [run_epoch(state, scenario, rates=False)
+               for _ in range(scenario.num_epochs)]
+    fill_rates(scenario, records)
+    return records

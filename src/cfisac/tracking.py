@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,16 @@ class StateEstimate:
                            np.array(self.covariance, dtype=float).reshape(2, 2))
         if self.epoch < self.last_sensed_epoch:
             raise ValueError("epoch must not precede last_sensed_epoch")
+
+    @classmethod
+    def _built(cls, mean: np.ndarray, covariance: np.ndarray, epoch: int,
+               last_sensed_epoch: int) -> "StateEstimate":
+        """An estimate from arrays the filter just built, taken as they are:
+        skips __post_init__, whose copies and checks are for caller input."""
+        est = object.__new__(cls)
+        est.__dict__.update(mean=mean, covariance=covariance, epoch=epoch,
+                            last_sensed_epoch=last_sensed_epoch)
+        return est
 
 
 @dataclass(frozen=True)
@@ -75,7 +85,8 @@ def predict(est: StateEstimate, model: MotionModel) -> StateEstimate:
     mean = f @ est.mean
     cov = f @ est.covariance @ f.T + model.process_noise
     cov = (cov + cov.T) / 2.0
-    return replace(est, mean=mean, covariance=cov, epoch=est.epoch + 1)
+    return StateEstimate._built(mean, cov, est.epoch + 1,
+                                est.last_sensed_epoch)
 
 
 def measurement_model(cfg: SystemConfig, state_mean: np.ndarray,
@@ -136,8 +147,7 @@ def update(est: StateEstimate, meas: MeasurementSet,
     mean = est.mean + gain @ innovation
     cov = (np.eye(2) - gain @ jac) @ est.covariance
     cov = (cov + cov.T) / 2.0
-    return replace(est, mean=mean, covariance=cov,
-                   last_sensed_epoch=est.epoch)
+    return StateEstimate._built(mean, cov, est.epoch, est.epoch)
 
 
 def angle_estimate_and_variance(cfg: SystemConfig,

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cfisac.comms import (Precoder, build_channel,
+from cfisac.comms import (LinkResult, Precoder, build_channel,
                           conventional_baseline, evaluate_link,
                           perfect_angle_bound, predictive_precoder,
-                          steered_link)
+                          steered_link, steered_links)
 from cfisac.config import SystemConfig
 from cfisac.geometry import TargetTruth, array_response, geometry_for_ap
+from cfisac.sensing import SensingPolicy
+from cfisac.simulate import Scenario, TrafficModel, run_scenario
 from cfisac.tracking import StateEstimate
 
 CFG = SystemConfig()
@@ -302,3 +304,94 @@ class TestSteeredLink:
             vector_link(CFG, truth, est_x)
         with pytest.raises(ValueError, match="finite"):
             steered_link(CFG, truth, est_x)
+
+
+MODES = [(phase_mode, angle_mode)
+         for phase_mode in ("compensated", "geometric")
+         for angle_mode in ("per_ap", "global")]
+
+
+def null_steering(cfg, n):
+    """Estimate that puts AP 0 (at x = 0) off by 2 pi / N in phase step,
+    the first null of its Dirichlet kernel, for a target at x = 0."""
+    scale = 2.0 * math.pi / cfg.wavelength * cfg.antenna_spacing
+    return cfg.corridor_offset * math.tan(math.asin(2 * math.pi / n / scale))
+
+
+class TestSteeredLinks:
+    """The batched kernel: per-entry accuracy, batch independence, checks."""
+
+    @pytest.mark.parametrize("phase_mode, angle_mode", MODES)
+    @pytest.mark.parametrize("power_fraction", [0.5, 1.0])
+    def test_mixed_batch_matches_the_vector_path(self, phase_mode, angle_mode,
+                                                 power_fraction):
+        n = 4
+        cfg = SystemConfig(num_aps=3, antennas_per_ap=n,
+                           ap_positions=((0.0, 0.0), (60.0, 0.0),
+                                         (130.0, 0.0)))
+        pairs = [
+            # exact estimates: sin(x / 2) is exactly 0 for AP 0 here in both
+            # angle modes, and for every AP with per-AP angles
+            (0.0, 0.0), (140.0, 140.0),
+            (0.0, null_steering(cfg, n)),  # AP 0 at its Dirichlet null
+            (-30.0, -20.0), (80.0, 83.5), (260.0, 230.0), (480.0, 510.0)]
+        truth_x, position_x = zip(*pairs)
+        snr, rate = steered_links(cfg, truth_x, position_x, power_fraction,
+                                  phase_mode, angle_mode)
+        assert snr.shape == rate.shape == (len(pairs),)
+        for i, (t_x, p_x) in enumerate(pairs):
+            want = vector_link(cfg, TargetTruth(t_x, 25.0), p_x,
+                               power_fraction, phase_mode, angle_mode)
+            assert snr[i] == pytest.approx(want.snr, rel=1e-12)
+            assert rate[i] == pytest.approx(want.rate, rel=1e-12)
+
+    @pytest.mark.parametrize("phase_mode, angle_mode", MODES)
+    def test_an_epoch_does_not_depend_on_its_batch(self, phase_mode,
+                                                   angle_mode):
+        cfg = SystemConfig(num_aps=10, antennas_per_ap=8)
+        rng = np.random.default_rng(21)
+        truth_x = rng.uniform(-100.0, 600.0, size=2000)
+        position_x = truth_x + rng.normal(0.0, 5.0, size=2000)
+        position_x[::50] = truth_x[::50]
+        snr, rate = steered_links(cfg, truth_x, position_x, 1.0, phase_mode,
+                                  angle_mode)
+        back_snr, back_rate = steered_links(cfg, truth_x[::-1],
+                                            position_x[::-1], 1.0,
+                                            phase_mode, angle_mode)
+        assert np.array_equal(back_snr[::-1], snr)
+        assert np.array_equal(back_rate[::-1], rate)
+        for i in [0, 1, 50, 777, 1998, 1999]:
+            one_snr, one_rate = steered_links(cfg, truth_x[i:i + 1],
+                                              position_x[i:i + 1], 1.0,
+                                              phase_mode, angle_mode)
+            assert one_snr[0] == snr[i] and one_rate[0] == rate[i]
+            link = steered_link(cfg, TargetTruth(float(truth_x[i]), 25.0),
+                                float(position_x[i]), 1.0, phase_mode,
+                                angle_mode)
+            assert link == (LinkResult(float(snr[i]), float(rate[i])))
+
+    @pytest.mark.parametrize("which", ["truth", "position"])
+    @pytest.mark.parametrize("index", [0, 3, 6])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_entry_rejected(self, which, index, bad):
+        truth_x = np.linspace(0.0, 300.0, 7)
+        position_x = truth_x + 1.0
+        (truth_x if which == "truth" else position_x)[index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            steered_links(CFG, truth_x, position_x)
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            steered_links(CFG, [1.0, 2.0], [1.0])
+
+    def test_run_without_traffic_has_no_rates(self):
+        scenario = Scenario(
+            system=CFG, policy=SensingPolicy.from_config(CFG),
+            initial_truth=TargetTruth(0.0, 25.0),
+            initial_estimate=StateEstimate(np.array([0.0, 25.0]),
+                                           np.diag([100.0, 1.0])),
+            num_epochs=30, traffic=TrafficModel(mode="intervals"))
+        records = run_scenario(scenario)
+        assert len(records) == 30
+        assert all(rec.rates == {} for rec in records)

@@ -10,6 +10,7 @@ from cfisac.crb import qpsk_waveform
 from cfisac.geometry import TargetTruth
 from cfisac.selection import ApSelection
 from cfisac.sensing import Action, SensingPolicy
+from cfisac import simulate
 from cfisac.simulate import (RngStream, Scenario, TrafficModel,
                              crb_blocks_for_state, draw_rcs, initial_sim_state,
                              propagate_truth, run_epoch, run_scenario,
@@ -331,3 +332,104 @@ class TestRunScenario:
         assert not [b for b in built if b[0] == "traffic"]
         assert [epoch for name, epoch in built if name == "rcs"] == sensed
 
+
+# The key of every draw is (seed, code << 32 + epoch); codes are part of the
+# stored outputs, so they are pinned here.
+STREAM_CODES = {"rcs": 1, "measurement": 2, "traffic": 4, "selection": 5}
+
+
+def fresh_generator(seed, code, epoch):
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (code << 32) + epoch],
+                   dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def draws(gen):
+    """A mix of the draws the simulator makes, as bytes."""
+    return b"".join(a.tobytes() for a in (
+        gen.random(3), gen.standard_normal(9), gen.exponential(5.0, size=4),
+        gen.integers(0, 1000, size=5), gen.choice(7, size=3, replace=False)))
+
+
+class TestStreamReuse:
+    @pytest.mark.parametrize("stream_id, code", sorted(STREAM_CODES.items()))
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 63, 2 ** 64 - 1])
+    def test_reused_generator_draws_like_a_new_one(self, stream_id, code,
+                                                   seed):
+        stream = RngStream(seed, stream_id)
+        for epoch in (0, 1, 4999, 1, 0):
+            assert (draws(stream.generator(epoch))
+                    == draws(fresh_generator(seed, code, epoch)))
+
+    def test_same_epoch_restarts_the_counter(self):
+        stream = RngStream(3, "measurement")
+        first = stream.generator(12)
+        head = first.standard_normal(8)
+        first.random(1001)  # leave a partly used buffer behind
+        again = stream.generator(12)
+        got = again.bit_generator.state
+        want = fresh_generator(3, 2, 12).bit_generator.state
+        for name in ("counter", "key"):
+            assert np.array_equal(got["state"][name], want["state"][name])
+        for name in ("buffer_pos", "has_uint32", "uinteger"):
+            assert got[name] == want[name]
+        assert np.array_equal(again.standard_normal(8), head)
+
+    def test_a_run_builds_one_stream_per_name(self, monkeypatch):
+        used = set()
+        generator = RngStream.generator
+
+        def recording(stream, epoch=0):
+            used.add(id(stream))
+            return generator(stream, epoch)
+
+        monkeypatch.setattr(RngStream, "generator", recording)
+        run_scenario(make_scenario(num_epochs=30, seed=4))
+        assert 0 < len(used) <= len(STREAM_CODES)
+
+    def test_arms_that_sense_together_draw_the_same_normals(self,
+                                                            monkeypatch):
+        seen = {}
+        original = simulate.synthesize_measurement
+
+        def peeking(cfg, truth, selection, rcs, rng, **kwargs):
+            saved = rng.bit_generator.state
+            epoch = int(saved["state"]["key"][1]) - (2 << 32)
+            seen.setdefault(epoch, []).append(
+                rng.standard_normal(2 * cfg.num_aps))
+            rng.bit_generator.state = saved
+            return original(cfg, truth, selection, rcs, rng, **kwargs)
+
+        monkeypatch.setattr(simulate, "synthesize_measurement", peeking)
+        # at seed 4 all three sensing arms sense at epoch 0
+        records = run_scenario(make_scenario(
+            num_epochs=5, seed=4,
+            traffic=TrafficModel(mode="intervals", intervals=())))
+        assert records[0].action is Action.SENSING
+        assert records[0].arms["random"].action is Action.SENSING
+        assert len(seen[0]) == 3
+        for epoch, normals in seen.items():
+            want = fresh_generator(4, 2, epoch).standard_normal(
+                2 * CFG.num_aps)
+            for got in normals:
+                assert got.tobytes() == want.tobytes()
+
+
+class TestOpenLoopRates:
+    def test_batched_rates_equal_epoch_by_epoch_rates(self):
+        scenario = make_scenario(num_epochs=60, seed=11)
+        batched = run_scenario(scenario)
+        state = initial_sim_state(scenario)
+        stepped = [run_epoch(state, scenario) for _ in range(60)]
+        assert any(rec.rates for rec in batched)
+        for a, b in zip(batched, stepped):
+            assert a.rates == b.rates
+
+    def test_idle_epochs_share_one_empty_selection(self):
+        scenario = make_scenario(num_epochs=60, seed=11)
+        state = initial_sim_state(scenario)
+        records = [run_epoch(state, scenario) for _ in range(60)]
+        idle = [r for r in records if r.action is Action.NO_SENSING]
+        assert idle
+        assert all(r.selection is state.idle_selection for r in idle)
+        assert state.idle_selection.bitmask == 0

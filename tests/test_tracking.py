@@ -53,6 +53,25 @@ class TestPredict:
         assert_allclose(out.covariance, np.zeros((2, 2)), atol=0)
 
 
+    def test_matches_the_validated_constructor_bit_for_bit(self):
+        model = MotionModel.from_config(SystemConfig(process_noise_std=3.0))
+        est = estimate([10.0, -4.0], [[9.0, 0.3], [0.3, 2.0]], 5, 2)
+        for _ in range(100):
+            out = predict(est, model)
+            f = model.transition
+            cov = f @ est.covariance @ f.T + model.process_noise
+            want = StateEstimate(f @ est.mean, (cov + cov.T) / 2.0,
+                                 est.epoch + 1, est.last_sensed_epoch)
+            assert type(out) is StateEstimate
+            assert out.mean.shape == (2,) and out.covariance.shape == (2, 2)
+            assert out.mean.tobytes() == want.mean.tobytes()
+            assert out.covariance.tobytes() == want.covariance.tobytes()
+            assert (out.epoch, out.last_sensed_epoch) == (want.epoch, 2)
+            assert out.mean is not est.mean
+            assert out.covariance is not est.covariance
+            est = out
+
+
 class TestMeasurementModel:
     def test_directly_over_ap(self):
         sel = ApSelection.from_indices(CFG.num_aps, [0])
