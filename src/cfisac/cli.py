@@ -501,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             if args.seed is not None:
                 scenario = dataclasses.replace(scenario, seed=args.seed)
-            if args.arms:
+            if args.arms is not None:
                 scenario = dataclasses.replace(
                     scenario, comparison_arms=_parse_arms(args.arms))
     except ValueError as exc:  # ConfigError is a ValueError

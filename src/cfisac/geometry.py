@@ -24,14 +24,13 @@ class ApGeometry:
 
     range: float            # m
     azimuth: float          # rad, measured from broadside (the +y axis)
-    radial_velocity: float  # m/s, positive when receding
     path_gain: float        # (wavelength / (4 pi range))^2
     phase: float            # rad in [0, 2pi), LOS phase at the first antenna
 
 
 def geometry_for_ap(cfg: SystemConfig, truth: TargetTruth,
                     ap_index: int) -> ApGeometry:
-    """Range, azimuth, radial velocity, path gain and LOS phase for one AP."""
+    """Range, azimuth, path gain and LOS phase for one AP."""
     if not (math.isfinite(truth.position_x) and math.isfinite(truth.velocity_x)):
         raise ValueError("target truth must be finite")
     if not 0 <= ap_index < cfg.num_aps:
@@ -39,10 +38,9 @@ def geometry_for_ap(cfg: SystemConfig, truth: TargetTruth,
     dx = truth.position_x - cfg.ap_x(ap_index)
     dist = math.hypot(dx, cfg.corridor_offset)
     azimuth = math.atan2(dx, cfg.corridor_offset)
-    radial_velocity = dx * truth.velocity_x / dist
     path_gain = (cfg.wavelength / (4.0 * math.pi * dist)) ** 2
     phase = (-2.0 * math.pi * dist / cfg.wavelength) % (2.0 * math.pi)
-    return ApGeometry(dist, azimuth, radial_velocity, path_gain, phase)
+    return ApGeometry(dist, azimuth, path_gain, phase)
 
 
 def array_response(cfg: SystemConfig, azimuth: float) -> np.ndarray:

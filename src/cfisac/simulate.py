@@ -3,14 +3,14 @@
 A run has a sequential part and an open-loop part. The sequential part is
 the epoch loop of the filter arms: each epoch advances the filter, decides
 whether to sense, selects the receive APs and synthesizes estimator
-outputs as Gaussian draws with the estimation-bound covariance.
-Comparison arms (conventional: sensing every epoch at half power with all
-APs; random: random receive subsets) run on the same per-epoch random
-streams so arms stay comparable. The open-loop part is the downlink: the
-rate of an epoch depends only on the true and the tracked positions and
-never feeds back into a filter, so `run_scenario` evaluates it after the
-loop, with one `steered_links` call per method (tracked, power-split and
-perfect knowledge) over all traffic epochs.
+outputs as Gaussian draws with the estimation-bound covariance. Every
+filter arm runs this one cycle; its row of `_ARMS` says when it senses,
+which APs listen and at what power. The arms run on the same per-epoch
+random streams so they stay comparable. The open-loop part is the
+downlink: the rate of an epoch depends only on the true and the tracked
+positions and never feeds back into a filter, so `run_scenario` evaluates
+it after the loop, with one `steered_links` call per method (tracked,
+power-split and perfect knowledge) over all traffic epochs.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ArmEpoch:
-    """Per-epoch snapshot of a comparison arm's tracker."""
+    """Per-epoch snapshot of one filter arm's tracker."""
 
     action: Action
     selection: ApSelection
@@ -196,6 +196,21 @@ class SimState:
     model: MotionModel
     streams: dict[str, RngStream]  # one per stream name, for the whole run
     idle_selection: ApSelection    # the empty receive set of every idle arm
+
+
+@dataclass(frozen=True)
+class _Arm:
+    """What sets a filter arm apart; every arm runs the same `_step_arm`."""
+
+    gated: bool            # senses only when idle and above the threshold
+    receivers: str         # "optimal", "random" or "all" APs listen
+    power_fraction: float  # of the transmit power, for sensing and downlink
+
+
+# Filter arms in stepping order; "perfect" tracks nothing and has no row.
+_ARMS = {"proposed": _Arm(True, "optimal", 1.0),
+         "random": _Arm(True, "random", 1.0),
+         "conventional": _Arm(False, "all", 0.5)}
 
 
 def propagate_truth(truth: TargetTruth, cfg: SystemConfig) -> TargetTruth:
@@ -300,27 +315,32 @@ def _random_selection(cfg: SystemConfig, policy: SensingPolicy,
                       if mask >> i & 1])
 
 
-def _advance_tracked_arm(scenario: Scenario, state: SimState, arm: str,
-                         truth_now: TargetTruth, rcs: Callable[[], np.ndarray],
-                         traffic_on: bool,
-                         rng: Callable[[str], np.random.Generator]) -> ArmEpoch:
-    """One epoch of the threshold-gated tracker (proposed or random arm).
+def _step_arm(scenario: Scenario, state: SimState, name: str,
+              truth_now: TargetTruth, rcs: Callable[[], np.ndarray],
+              traffic_on: bool,
+              rng: Callable[[str], np.random.Generator]) -> ArmEpoch:
+    """One EKF cycle of a filter arm: predict, then select, synthesize and
+    update if the arm senses this epoch.
 
     `rcs()` returns the epoch's cross sections and `rng(stream)` the
     stream's generator reset to the epoch; both are called only when the
     arm senses.
     """
-    cfg, policy = scenario.system, scenario.policy
-    prior = state.estimates[arm]
+    cfg, policy, arm = scenario.system, scenario.policy, _ARMS[name]
+    prior = state.estimates[name]
     predicted = predict(prior, state.model)
     _, variance = angle_estimate_and_variance(cfg, predicted)
-    action = decide_action(variance, policy)
-    if traffic_on:
-        action = Action.NO_SENSING  # data frames carry no sensing signal
+    action = Action.SENSING
+    if arm.gated:
+        action = decide_action(variance, policy)
+        if traffic_on:
+            action = Action.NO_SENSING  # data frames carry no sensing signal
     selection = state.idle_selection
     estimate = predicted
     if action is Action.SENSING:
-        if arm == "random":
+        if arm.receivers == "all":
+            selection = ApSelection.full(cfg.num_aps)
+        elif arm.receivers == "random":
             selection = _random_selection(cfg, policy, rng("selection"))
         else:
             mean_rcs = np.full(cfg.num_aps, cfg.mean_rcs)
@@ -331,41 +351,23 @@ def _advance_tracked_arm(scenario: Scenario, state: SimState, arm: str,
             selection = select_rx_aps(cfg, prior, state.model, policy, planning)
         meas = synthesize_measurement(
             cfg, truth_now, selection, rcs(), rng("measurement"),
-            waveform=state.waveform, filter_mean=predicted.mean)
+            waveform=state.waveform, power_fraction=arm.power_fraction,
+            filter_mean=predicted.mean)
         estimate = update(predicted, meas, cfg)
-    state.estimates[arm] = estimate
+    state.estimates[name] = estimate
     return ArmEpoch(action, selection, variance, estimate)
 
 
-def _advance_conventional_arm(
-        scenario: Scenario, state: SimState, truth_now: TargetTruth,
-        rcs: Callable[[], np.ndarray],
-        rng: Callable[[str], np.random.Generator]) -> ArmEpoch:
-    """Conventional frame: sensing every epoch at half power with all APs."""
-    cfg = scenario.system
-    predicted = predict(state.estimates["conventional"], state.model)
-    _, variance = angle_estimate_and_variance(cfg, predicted)
-    selection = ApSelection.full(cfg.num_aps)
-    meas = synthesize_measurement(
-        cfg, truth_now, selection, rcs(), rng("measurement"),
-        waveform=state.waveform, power_fraction=0.5,
-        filter_mean=predicted.mean)
-    estimate = update(predicted, meas, cfg)
-    state.estimates["conventional"] = estimate
-    return ArmEpoch(Action.SENSING, selection, variance, estimate)
-
-
-def run_epoch(state: SimState, scenario: Scenario, *,
-              rates: bool = True) -> EpochRecord:
-    """Advance one epoch and record every arm's outcome.
+def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
+    """Advance every filter arm one epoch and record the outcome.
 
     Generators are read on demand: the cross sections are drawn once, by
     the first arm that senses, and traffic draws only in Bernoulli mode.
     Each draw is keyed by (seed, stream, epoch), so a skipped stream never
     shifts another, and every arm that senses resets the measurement
-    stream to the epoch, so all arms draw the same normals. With
-    `rates=False` the record's `rates` stay empty, for `fill_rates` to
-    evaluate over many epochs at once.
+    stream to the epoch, so all arms draw the same normals. The record's
+    `rates` stay empty; `fill_rates` evaluates them over many epochs at
+    once.
     """
     cfg = scenario.system
     k = state.epoch
@@ -383,27 +385,21 @@ def run_epoch(state: SimState, scenario: Scenario, *,
     truth_now = propagate_truth(state.truth, cfg)
     traffic_on = scenario.traffic.is_on(k, state.streams["traffic"])
 
-    proposed = _advance_tracked_arm(scenario, state, "proposed", truth_now,
-                                    rcs, traffic_on, rng)
     arms: dict[str, ArmEpoch] = {}
-    if "random" in scenario.comparison_arms:
-        arms["random"] = _advance_tracked_arm(scenario, state, "random",
-                                              truth_now, rcs, traffic_on, rng)
-    if "conventional" in scenario.comparison_arms:
-        arms["conventional"] = _advance_conventional_arm(
-            scenario, state, truth_now, rcs, rng)
+    for name in state.estimates:
+        arms[name] = _step_arm(scenario, state, name, truth_now, rcs,
+                               traffic_on, rng)
+    proposed = arms["proposed"]
+    del arms["proposed"]  # the record's own fields hold the proposed arm
 
     state.truth = truth_now
     state.epoch = k + 1
-    record = EpochRecord(
+    return EpochRecord(
         epoch=k, truth=truth_now, action=proposed.action,
         traffic_state="ON" if traffic_on else "OFF",
         selection=proposed.selection,
         predicted_angle_variance=proposed.predicted_angle_variance,
         estimate=proposed.estimate, rates={}, arms=arms)
-    if rates:
-        fill_rates(scenario, [record])
-    return record
 
 
 def fill_rates(scenario: Scenario, records: list[EpochRecord]) -> None:
@@ -415,12 +411,13 @@ def fill_rates(scenario: Scenario, records: list[EpochRecord]) -> None:
     """
     on = [r for r in records if r.traffic_state == "ON"]
     truth_x = [r.truth.position_x for r in on]
-    methods = {"proposed": ([r.estimate.mean[0] for r in on], 1.0,
+    methods = {"proposed": ([r.estimate.mean[0] for r in on],
+                            _ARMS["proposed"].power_fraction,
                             scenario.angle_mode)}
     if "conventional" in scenario.comparison_arms:
         methods["conventional"] = (
-            [r.arms["conventional"].estimate.mean[0] for r in on], 0.5,
-            scenario.angle_mode)
+            [r.arms["conventional"].estimate.mean[0] for r in on],
+            _ARMS["conventional"].power_fraction, scenario.angle_mode)
     if "perfect" in scenario.comparison_arms:
         methods["perfect"] = (truth_x, 1.0, "per_ap")
     for tag, (position_x, power_fraction, angle_mode) in methods.items():
@@ -432,12 +429,10 @@ def fill_rates(scenario: Scenario, records: list[EpochRecord]) -> None:
 
 
 def initial_sim_state(scenario: Scenario) -> SimState:
-    estimates = {"proposed": scenario.initial_estimate}
-    for arm in scenario.comparison_arms:
-        if arm != "perfect":
-            estimates[arm] = scenario.initial_estimate
     return SimState(epoch=0, truth=scenario.initial_truth,
-                    estimates=estimates,
+                    estimates={name: scenario.initial_estimate
+                               for name in _ARMS if name == "proposed"
+                               or name in scenario.comparison_arms},
                     waveform=all_ones_waveform(scenario.system),
                     model=MotionModel.from_config(scenario.system),
                     streams={name: RngStream(scenario.seed, name)
@@ -448,7 +443,7 @@ def initial_sim_state(scenario: Scenario) -> SimState:
 def run_scenario(scenario: Scenario) -> list[EpochRecord]:
     """Run the epoch loop, then every rate; deterministic given the seed."""
     state = initial_sim_state(scenario)
-    records = [run_epoch(state, scenario, rates=False)
+    records = [run_epoch(state, scenario)
                for _ in range(scenario.num_epochs)]
     fill_rates(scenario, records)
     return records

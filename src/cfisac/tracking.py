@@ -14,29 +14,25 @@ from .selection import ApSelection
 
 @dataclass(frozen=True)
 class StateEstimate:
-    """Filter mean [p_x, v_x], covariance, and epoch bookkeeping."""
+    """Filter mean [p_x, v_x], covariance, and the epoch it refers to."""
 
     mean: np.ndarray        # shape (2,)
     covariance: np.ndarray  # shape (2, 2)
     epoch: int = 0
-    last_sensed_epoch: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mean",
                            np.array(self.mean, dtype=float).reshape(2))
         object.__setattr__(self, "covariance",
                            np.array(self.covariance, dtype=float).reshape(2, 2))
-        if self.epoch < self.last_sensed_epoch:
-            raise ValueError("epoch must not precede last_sensed_epoch")
 
     @classmethod
-    def _built(cls, mean: np.ndarray, covariance: np.ndarray, epoch: int,
-               last_sensed_epoch: int) -> "StateEstimate":
+    def _built(cls, mean: np.ndarray, covariance: np.ndarray,
+               epoch: int) -> "StateEstimate":
         """An estimate from arrays the filter just built, taken as they are:
-        skips __post_init__, whose copies and checks are for caller input."""
+        skips __post_init__, whose copies are for caller input."""
         est = object.__new__(cls)
-        est.__dict__.update(mean=mean, covariance=covariance, epoch=epoch,
-                            last_sensed_epoch=last_sensed_epoch)
+        est.__dict__.update(mean=mean, covariance=covariance, epoch=epoch)
         return est
 
 
@@ -85,8 +81,7 @@ def predict(est: StateEstimate, model: MotionModel) -> StateEstimate:
     mean = f @ est.mean
     cov = f @ est.covariance @ f.T + model.process_noise
     cov = (cov + cov.T) / 2.0
-    return StateEstimate._built(mean, cov, est.epoch + 1,
-                                est.last_sensed_epoch)
+    return StateEstimate._built(mean, cov, est.epoch + 1)
 
 
 def measurement_model(cfg: SystemConfig, state_mean: np.ndarray,
@@ -133,7 +128,7 @@ def posterior_covariance(prior_cov: np.ndarray, jacobian: np.ndarray,
 
 def update(est: StateEstimate, meas: MeasurementSet,
            cfg: SystemConfig) -> StateEstimate:
-    """Measurement update; records the epoch as the last sensed one."""
+    """Measurement update at the estimate's epoch."""
     jac = measurement_jacobian(cfg, est.mean, meas.selection)
     innovation = meas.values - measurement_model(cfg, est.mean, meas.selection)
     innovation_cov = jac @ est.covariance @ jac.T + meas.covariance
@@ -147,7 +142,7 @@ def update(est: StateEstimate, meas: MeasurementSet,
     mean = est.mean + gain @ innovation
     cov = (np.eye(2) - gain @ jac) @ est.covariance
     cov = (cov + cov.T) / 2.0
-    return StateEstimate._built(mean, cov, est.epoch, est.epoch)
+    return StateEstimate._built(mean, cov, est.epoch)
 
 
 def angle_estimate_and_variance(cfg: SystemConfig,

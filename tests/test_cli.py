@@ -251,6 +251,19 @@ class TestMainEntry:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["mean_rates"]) == {"proposed", "perfect"}
 
+    @pytest.mark.parametrize("flag", ["", "proposed"])
+    def test_arms_flag_without_comparison_arms(self, tmp_path, flag):
+        # read the same way as `arms: ""` in the scenario file
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text("num_epochs: 3\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--arms", flag]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["canonical_config"]["arms"] == []
+        cfg.write_text('num_epochs: 3\narms: ""\n')
+        assert load_scenario(cfg).comparison_arms == ()
+
     @pytest.mark.parametrize("text, field", [
         ("system:\n  num_symbols: 1\n", "num_symbols"),
         ("system:\n  antennas_per_ap: 1\n", "antennas_per_ap"),

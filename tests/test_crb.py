@@ -370,8 +370,8 @@ class TestSensingLinkGainInvariant:
 
 
 def geometry_with_gain(path_gain, azimuth=0.0):
-    return ApGeometry(range=100.0, azimuth=azimuth, radial_velocity=0.0,
-                      path_gain=path_gain, phase=0.0)
+    return ApGeometry(range=100.0, azimuth=azimuth, path_gain=path_gain,
+                      phase=0.0)
 
 
 class TestSensingGain:

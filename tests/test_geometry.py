@@ -55,14 +55,12 @@ class TestGeometryForAp:
         geo = geometry_for_ap(cfg, TargetTruth(250.0, 25.0), 0)
         assert geo.range == pytest.approx(40.0)
         assert geo.azimuth == pytest.approx(0.0)
-        assert geo.radial_velocity == pytest.approx(0.0)
 
     def test_diagonal_geometry_matches_calculator(self):
-        # sqrt(40^2 + 40^2) and 40 * 25 / range, worked out independently
+        # sqrt(40^2 + 40^2), worked out independently
         cfg = make_cfg(ap_positions=((125.0, 0.0), (500.0, 0.0)), num_aps=2)
         geo = geometry_for_ap(cfg, TargetTruth(165.0, 25.0), 0)
         assert geo.range == pytest.approx(56.568542494923804, rel=1e-12)
-        assert geo.radial_velocity == pytest.approx(17.67766952966369, rel=1e-12)
 
     def test_path_gain_at_100m(self):
         cfg = make_cfg(ap_positions=((0.0, 0.0), (500.0, 0.0)), num_aps=2)
@@ -89,17 +87,6 @@ class TestGeometryForAp:
         gains = [geometry_for_ap(cfg, TargetTruth(x, 25.0), 3).path_gain
                  for x in (490.0, 400.0, 300.0, 100.0)]
         assert all(a > b for a, b in zip(gains, gains[1:]))
-
-    def test_radial_velocity_times_range_identity(self):
-        cfg = make_cfg()
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            px, vx = rng.uniform(-100, 600), rng.uniform(-50, 50)
-            for ap in range(cfg.num_aps):
-                geo = geometry_for_ap(cfg, TargetTruth(px, vx), ap)
-                dx = px - cfg.ap_x(ap)
-                assert geo.radial_velocity * geo.range == pytest.approx(
-                    dx * vx, rel=1e-12, abs=1e-12)
 
     def test_phase_is_geometric(self):
         cfg = make_cfg()

@@ -6,18 +6,19 @@ from cfisac.cli import write_records
 from cfisac.comms import (build_channel, evaluate_link, predictive_precoder,
                           steered_link)
 from cfisac.config import SystemConfig
-from cfisac.crb import qpsk_waveform
+from cfisac.crb import all_ones_waveform, qpsk_waveform
 from cfisac.geometry import TargetTruth
 from cfisac.selection import ApSelection
-from cfisac.sensing import Action, SensingPolicy
+from cfisac.sensing import (Action, SensingPolicy, available_rx_aps,
+                            decide_action, select_rx_aps)
 from cfisac import simulate
 from cfisac.simulate import (RngStream, Scenario, TrafficModel,
-                             crb_blocks_for_state, draw_rcs, initial_sim_state,
-                             propagate_truth, run_epoch, run_scenario,
-                             synthesize_measurement)
+                             crb_blocks_for_state, draw_rcs, fill_rates,
+                             initial_sim_state, propagate_truth, run_epoch,
+                             run_scenario, synthesize_measurement)
 from cfisac.tracking import (MotionModel, StateEstimate,
                              angle_estimate_and_variance, measurement_model,
-                             predict)
+                             predict, update)
 
 CFG = SystemConfig()
 
@@ -185,7 +186,6 @@ class TestRunEpoch:
         assert record.action is Action.NO_SENSING
         assert record.selection.cardinality == 0
         assert record.estimate.covariance[0, 0] > 0.01  # grew by propagation
-        assert record.estimate.last_sensed_epoch == 0
         assert record.rates == {}
 
     def test_high_uncertainty_triggers_sensing_when_idle(self):
@@ -195,13 +195,13 @@ class TestRunEpoch:
         record = run_epoch(state, scenario)
         assert record.action is Action.SENSING
         assert record.selection.cardinality == 2
-        assert record.estimate.last_sensed_epoch == record.epoch + 1
 
     def test_traffic_blocks_sensing_and_fills_rates(self):
         scenario = make_scenario(
             traffic=TrafficModel(mode="intervals", intervals=((0, 40),)))
         state = initial_sim_state(scenario)
         record = run_epoch(state, scenario)
+        fill_rates(scenario, [record])
         assert record.traffic_state == "ON"
         assert record.action is Action.NO_SENSING
         assert set(record.rates) == {"proposed", "conventional", "perfect"}
@@ -250,7 +250,7 @@ class TestRunScenario:
         gamma = make_scenario().policy.variance_threshold
         for rec in records:
             conv = rec.arms["conventional"]
-            assert conv.estimate.last_sensed_epoch == rec.epoch + 1
+            assert conv.action is Action.SENSING
             assert conv.selection.cardinality == CFG.num_aps
             assert (conv.predicted_angle_variance
                     <= rec.predicted_angle_variance + gamma)
@@ -331,6 +331,71 @@ class TestRunScenario:
         assert sensed and len(sensed) < len(records)
         assert not [b for b in built if b[0] == "traffic"]
         assert [epoch for name, epoch in built if name == "rcs"] == sensed
+
+
+class TestArmReplay:
+    # arm -> (senses only when idle and above the threshold, power fraction)
+    ARMS = {"proposed": (True, 1.0), "random": (True, 1.0),
+            "conventional": (False, 0.5)}
+
+    def receivers(self, arm, scenario, prior, predicted, epoch):
+        cfg, policy = scenario.system, scenario.policy
+        if arm == "conventional":
+            return ApSelection.full(cfg.num_aps)
+        if arm == "random":
+            available = available_rx_aps(cfg, policy)
+            picked = RngStream(scenario.seed, "selection").generator(
+                epoch).choice(len(available), size=policy.subset_cardinality,
+                              replace=False)
+            return ApSelection.from_indices(cfg.num_aps,
+                                            [available[i] for i in picked])
+        planning = crb_blocks_for_state(
+            cfg, all_ones_waveform(cfg), float(predicted.mean[0]),
+            float(predicted.mean[1]), np.full(cfg.num_aps, cfg.mean_rcs))
+        return select_rx_aps(cfg, prior, MotionModel.from_config(cfg), policy,
+                             planning)
+
+    @pytest.mark.parametrize("seed", [0, 4, 7])
+    @pytest.mark.parametrize("arm", sorted(ARMS))
+    def test_every_arm_replays_bit_for_bit(self, arm, seed):
+        scenario = make_scenario(num_epochs=40, seed=seed)
+        cfg, policy = scenario.system, scenario.policy
+        gated, power_fraction = self.ARMS[arm]
+        model = MotionModel.from_config(cfg)
+        est, truth = scenario.initial_estimate, scenario.initial_truth
+        sensed = 0
+        for rec in run_scenario(scenario):
+            got = rec if arm == "proposed" else rec.arms[arm]
+            k = rec.epoch
+            truth = propagate_truth(truth, cfg)
+            traffic_on = scenario.traffic.is_on(k, RngStream(seed, "traffic"))
+            assert rec.traffic_state == ("ON" if traffic_on else "OFF")
+            predicted = predict(est, model)
+            _, variance = angle_estimate_and_variance(cfg, predicted)
+            action = Action.SENSING
+            if gated and (traffic_on or decide_action(variance, policy)
+                          is Action.NO_SENSING):
+                action = Action.NO_SENSING
+            selection, posterior = ApSelection.empty(cfg.num_aps), predicted
+            if action is Action.SENSING:
+                sensed += 1
+                selection = self.receivers(arm, scenario, est, predicted, k)
+                rcs = draw_rcs(RngStream(seed, "rcs").generator(k), cfg,
+                               cfg.num_aps)
+                meas = synthesize_measurement(
+                    cfg, truth, selection, rcs,
+                    RngStream(seed, "measurement").generator(k),
+                    waveform=all_ones_waveform(cfg),
+                    power_fraction=power_fraction, filter_mean=predicted.mean)
+                posterior = update(predicted, meas, cfg)
+            assert got.action is action
+            assert got.selection.bitmask == selection.bitmask
+            assert got.predicted_angle_variance == variance
+            assert got.estimate.mean.tobytes() == posterior.mean.tobytes()
+            assert (got.estimate.covariance.tobytes()
+                    == posterior.covariance.tobytes())
+            est = posterior
+        assert sensed
 
 
 # The key of every draw is (seed, code << 32 + epoch); codes are part of the
@@ -421,6 +486,8 @@ class TestOpenLoopRates:
         batched = run_scenario(scenario)
         state = initial_sim_state(scenario)
         stepped = [run_epoch(state, scenario) for _ in range(60)]
+        for record in stepped:
+            fill_rates(scenario, [record])
         assert any(rec.rates for rec in batched)
         for a, b in zip(batched, stepped):
             assert a.rates == b.rates

@@ -11,9 +11,9 @@ from cfisac.tracking import (MeasurementSet, MotionModel, StateEstimate,
 CFG = SystemConfig()
 
 
-def estimate(mean, cov, epoch=0, last=0):
+def estimate(mean, cov, epoch=0):
     return StateEstimate(np.asarray(mean, float), np.asarray(cov, float),
-                         epoch, last)
+                         epoch)
 
 
 class TestMotionModel:
@@ -33,7 +33,6 @@ class TestPredict:
         out = predict(estimate([0.0, 25.0], np.eye(2)), model)
         assert_allclose(out.mean, [0.25, 25.0])
         assert out.epoch == 1
-        assert out.last_sensed_epoch == 0
 
     def test_covariance_propagation_matches_matrix_arithmetic(self):
         cfg = SystemConfig(epoch_duration=0.01, process_noise_std=0.1)
@@ -55,18 +54,18 @@ class TestPredict:
 
     def test_matches_the_validated_constructor_bit_for_bit(self):
         model = MotionModel.from_config(SystemConfig(process_noise_std=3.0))
-        est = estimate([10.0, -4.0], [[9.0, 0.3], [0.3, 2.0]], 5, 2)
+        est = estimate([10.0, -4.0], [[9.0, 0.3], [0.3, 2.0]], 5)
         for _ in range(100):
             out = predict(est, model)
             f = model.transition
             cov = f @ est.covariance @ f.T + model.process_noise
             want = StateEstimate(f @ est.mean, (cov + cov.T) / 2.0,
-                                 est.epoch + 1, est.last_sensed_epoch)
+                                 est.epoch + 1)
             assert type(out) is StateEstimate
             assert out.mean.shape == (2,) and out.covariance.shape == (2, 2)
             assert out.mean.tobytes() == want.mean.tobytes()
             assert out.covariance.tobytes() == want.covariance.tobytes()
-            assert (out.epoch, out.last_sensed_epoch) == (want.epoch, 2)
+            assert out.epoch == want.epoch
             assert out.mean is not est.mean
             assert out.covariance is not est.covariance
             est = out
@@ -83,6 +82,17 @@ class TestMeasurementModel:
         vals = measurement_model(CFG, np.array([CFG.ap_x(0) + 40.0, 25.0]), sel)
         assert vals[0] == pytest.approx(56.568542494923804)
         assert vals[1] == pytest.approx(17.67766952966369)
+
+    def test_radial_velocity_times_range_identity(self):
+        sel = ApSelection.full(CFG.num_aps)
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            px, vx = rng.uniform(-100, 600), rng.uniform(-50, 50)
+            vals = measurement_model(CFG, np.array([px, vx]), sel)
+            for ap in range(CFG.num_aps):
+                dist, radial_velocity = vals[2 * ap:2 * ap + 2]
+                assert radial_velocity * dist == pytest.approx(
+                    (px - CFG.ap_x(ap)) * vx, rel=1e-12, abs=1e-12)
 
     def test_two_aps_stack_in_index_order(self):
         sel = ApSelection.from_indices(CFG.num_aps, [2, 0])
@@ -140,7 +150,7 @@ class TestUpdate:
         assert_allclose(post.mean, prior.mean, rtol=1e-6)
         assert_allclose(post.covariance, prior.covariance, rtol=1e-6,
                         atol=1e-6 * np.trace(prior.covariance))
-        assert post.last_sensed_epoch == 3
+        assert post.epoch == 3
 
     def test_perfect_prior_ignores_measurement(self):
         sel = ApSelection.from_indices(CFG.num_aps, [0])
