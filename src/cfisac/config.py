@@ -83,6 +83,9 @@ class SystemConfig:
                 raise ValueError("ap_positions: length must equal num_aps")
             if not all(math.isfinite(c) for p in self.ap_positions for c in p):
                 raise ValueError("ap_positions: coordinates must be finite")
+            if any(y != 0.0 for _, y in self.ap_positions):
+                raise ValueError("ap_positions: APs sit on the road line "
+                                 "y = 0 (corridor_offset places the target)")
         if not 0 <= self.tx_ap < self.num_aps:
             raise ValueError("tx_ap: index out of range")
 

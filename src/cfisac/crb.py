@@ -83,21 +83,13 @@ def all_ones_waveform(cfg: SystemConfig) -> WaveformSpec:
 
 @dataclass(frozen=True)
 class SensingLinkGain:
-    """Complex amplitude of one sensing hop and its squared magnitude."""
+    """Squared magnitude |alpha|^2 of one sensing hop's complex gain."""
 
-    alpha_bar: complex
     magnitude_sq: float
-
-    def __post_init__(self) -> None:
-        expected = abs(self.alpha_bar) ** 2
-        if abs(self.magnitude_sq - expected) > 1e-12 * max(expected, 1e-300):
-            raise ValueError(
-                f"magnitude_sq {self.magnitude_sq!r} does not match "
-                f"|alpha_bar|^2 = {expected!r}")
 
     @classmethod
     def from_amplitude(cls, alpha_bar: complex) -> "SensingLinkGain":
-        return cls(complex(alpha_bar), abs(alpha_bar) ** 2)
+        return cls(abs(alpha_bar) ** 2)
 
 
 @dataclass(frozen=True)
@@ -319,11 +311,13 @@ def transform_to_range_velocity(crb_dd: np.ndarray, crb_angle_var: float,
 def sensing_gain(cfg: SystemConfig, tx_geometry: ApGeometry,
                  rx_geometry: ApGeometry, rcs: float,
                  tx_precoder: np.ndarray) -> SensingLinkGain:
-    """Complex gain of the Tx -> target -> Rx hop.
+    """Gain of the Tx -> target -> Rx hop for any transmit precoder w.
 
     alpha = sqrt(beta_rx * beta_tx * 2 pi / lambda^2) * rcs * a^H(az_tx) w.
     The precoder carries the transmit power (||w||^2 <= tx_power); the
-    cross section enters as an amplitude.
+    cross section enters as an amplitude. The simulator uses the closed
+    form of the matched precoder (`simulate.crb_blocks_for_state`); this is
+    its general reference.
     """
     if rcs < 0:
         raise ValueError("rcs must be nonnegative")

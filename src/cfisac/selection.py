@@ -1,43 +1,41 @@
-"""Inclusion vectors describing which APs receive the sensing echo."""
+"""The set of APs that receive the sensing echo."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 
 @dataclass(frozen=True)
 class ApSelection:
-    """Boolean inclusion over the AP indices; immutable and hashable."""
+    """Distinct AP indices out of num_aps, ascending; immutable, hashable."""
 
-    included: tuple[bool, ...]
+    num_aps: int
+    indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "included", tuple(bool(b) for b in self.included))
+        chosen = tuple(sorted({operator.index(i) for i in self.indices}))
+        if chosen and not (chosen[0] >= 0 and chosen[-1] < self.num_aps):
+            raise ValueError(f"AP index out of range [0, {self.num_aps})")
+        object.__setattr__(self, "num_aps", operator.index(self.num_aps))
+        object.__setattr__(self, "indices", chosen)
 
     @classmethod
     def from_indices(cls, num_aps: int, indices: Iterable[int]) -> "ApSelection":
-        chosen = set(indices)
-        if not all(0 <= i < num_aps for i in chosen):
-            raise ValueError(f"AP index out of range [0, {num_aps})")
-        return cls(tuple(i in chosen for i in range(num_aps)))
+        return cls(num_aps, tuple(indices))
 
     @classmethod
     def empty(cls, num_aps: int) -> "ApSelection":
-        return cls((False,) * num_aps)
+        return cls(num_aps, ())
 
     @classmethod
     def full(cls, num_aps: int) -> "ApSelection":
-        return cls((True,) * num_aps)
+        return cls(num_aps, tuple(range(num_aps)))
 
     @property
     def cardinality(self) -> int:
-        return sum(self.included)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        """Selected AP indices in ascending order."""
-        return tuple(i for i, on in enumerate(self.included) if on)
+        return len(self.indices)
 
     @property
     def bitmask(self) -> int:

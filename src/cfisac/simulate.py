@@ -23,10 +23,10 @@ import numpy as np
 
 from .comms import ANGLE_MODES, PHASE_MODES, LinkResult, steered_links
 from .config import SystemConfig
-from .crb import (CrbBlock, WaveformSpec, all_ones_waveform,
+from .crb import (CrbBlock, SensingLinkGain, WaveformSpec, all_ones_waveform,
                   assemble_measurement_covariance, crb_block,
-                  range_velocity_blocks, sensing_gain)
-from .geometry import TargetTruth, array_response, geometry_for_ap
+                  range_velocity_blocks)
+from .geometry import TargetTruth, geometry_for_ap
 from .selection import ApSelection
 from .sensing import (Action, SensingPolicy, available_rx_aps, decide_action,
                       select_rx_aps)
@@ -227,33 +227,36 @@ def draw_rcs(rng: np.random.Generator, cfg: SystemConfig,
     return rng.exponential(cfg.mean_rcs, size=num_aps)
 
 
-def _sensing_tx_precoder(cfg: SystemConfig, tx_azimuth: float,
-                         power_fraction: float) -> np.ndarray:
-    amp = math.sqrt(power_fraction * cfg.tx_power / cfg.antennas_per_ap)
-    return amp * array_response(cfg, tx_azimuth)
-
-
 def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
                          position_x: float, velocity_x: float,
                          rcs: np.ndarray, power_fraction: float = 1.0,
                          aps: tuple[int, ...] | None = None) -> list[CrbBlock]:
     """Per-AP (range, velocity, angle) bound blocks at a reference state.
 
-    The sensing transmitter steers at its own azimuth of the reference
-    position. Each block is the closed-form bound `crb_block` at zero
-    delay/Doppler, one call per AP: the Fisher information depends on the
+    The sensing transmitter steers power_fraction of its power at the
+    reference position, so each hop gain is `sensing_gain` of that matched
+    beam in closed form: |alpha|^2 = beta_tx beta_rx (2 pi / lambda^2) rcs^2
+    power_fraction tx_power N. Each block is the closed-form bound
+    `crb_block` at zero delay/Doppler: the Fisher information depends on the
     waveform grid only through its power-weighted index moments, cached on
     the WaveformSpec, so the evaluation point does not change the result.
     The FFT-based crb_delay_doppler and crb_angle are the general-grid
     reference it is tested against.
     """
+    if not 0.0 < power_fraction <= 1.0:
+        raise ValueError("power_fraction must lie in (0, 1]")
     state = TargetTruth(position_x, velocity_x)
-    tx_geom = geometry_for_ap(cfg, state, cfg.tx_ap)
-    precoder = _sensing_tx_precoder(cfg, tx_geom.azimuth, power_fraction)
+    tx_path_gain = geometry_for_ap(cfg, state, cfg.tx_ap).path_gain
+    scale = (tx_path_gain * 2.0 * math.pi / cfg.wavelength ** 2
+             * power_fraction * cfg.tx_power * cfg.antennas_per_ap)
     blocks = []
     for ap in (range(cfg.num_aps) if aps is None else aps):
         rx_geom = geometry_for_ap(cfg, state, ap)
-        gain = sensing_gain(cfg, tx_geom, rx_geom, float(rcs[ap]), precoder)
+        cross_section = float(rcs[ap])
+        if cross_section < 0:
+            raise ValueError("rcs must be nonnegative")
+        gain = SensingLinkGain(scale * rx_geom.path_gain
+                               * cross_section * cross_section)
         blocks.append(crb_block(waveform, cfg, gain, rx_geom.azimuth, ap))
     return blocks
 
@@ -263,7 +266,6 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
                            rng: np.random.Generator, *,
                            waveform: WaveformSpec,
                            power_fraction: float = 1.0,
-                           noise_scale: float = 1.0,
                            filter_mean: np.ndarray | None = None,
                            truth_blocks: list[CrbBlock] | None = None
                            ) -> MeasurementSet:
@@ -288,8 +290,7 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
                                selection)
     for pos, ap in enumerate(selection.indices):
         chol = np.linalg.cholesky(noise[pos])
-        values[2 * pos:2 * pos + 2] += noise_scale * (
-            chol @ normals[2 * ap:2 * ap + 2])
+        values[2 * pos:2 * pos + 2] += chol @ normals[2 * ap:2 * ap + 2]
 
     filter_blocks = truth_blocks
     if filter_mean is not None:

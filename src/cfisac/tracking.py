@@ -117,13 +117,19 @@ def measurement_jacobian(cfg: SystemConfig, state_mean: np.ndarray,
     return jac
 
 
-def posterior_covariance(prior_cov: np.ndarray, jacobian: np.ndarray,
-                         meas_cov: np.ndarray) -> np.ndarray:
-    """Covariance part of the measurement update; independent of the values."""
+def _gain_and_posterior(prior_cov: np.ndarray, jacobian: np.ndarray,
+                        meas_cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kalman gain and symmetrized posterior covariance of an update."""
     innovation_cov = jacobian @ prior_cov @ jacobian.T + meas_cov
     gain = np.linalg.solve(innovation_cov.T, (prior_cov @ jacobian.T).T).T
     post = (np.eye(prior_cov.shape[0]) - gain @ jacobian) @ prior_cov
-    return (post + post.T) / 2.0
+    return gain, (post + post.T) / 2.0
+
+
+def posterior_covariance(prior_cov: np.ndarray, jacobian: np.ndarray,
+                         meas_cov: np.ndarray) -> np.ndarray:
+    """Covariance part of the measurement update; independent of the values."""
+    return _gain_and_posterior(prior_cov, jacobian, meas_cov)[1]
 
 
 def update(est: StateEstimate, meas: MeasurementSet,
@@ -131,18 +137,13 @@ def update(est: StateEstimate, meas: MeasurementSet,
     """Measurement update at the estimate's epoch."""
     jac = measurement_jacobian(cfg, est.mean, meas.selection)
     innovation = meas.values - measurement_model(cfg, est.mean, meas.selection)
-    innovation_cov = jac @ est.covariance @ jac.T + meas.covariance
     try:
-        gain = np.linalg.solve(innovation_cov.T,
-                               (est.covariance @ jac.T).T).T
+        gain, cov = _gain_and_posterior(est.covariance, jac, meas.covariance)
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             f"singular innovation covariance at epoch {est.epoch} for "
             f"APs {meas.selection.indices}") from exc
-    mean = est.mean + gain @ innovation
-    cov = (np.eye(2) - gain @ jac) @ est.covariance
-    cov = (cov + cov.T) / 2.0
-    return StateEstimate._built(mean, cov, est.epoch)
+    return StateEstimate._built(est.mean + gain @ innovation, cov, est.epoch)
 
 
 def angle_estimate_and_variance(cfg: SystemConfig,

@@ -309,6 +309,8 @@ class TestMainEntry:
          "ap_positions"),
         ("initial_estimate:\n  covariance_diag: [true, 1]\n",
          "covariance_diag"),
+        ("system:\n  ap_positions: [[125, 35], [250, -80], [375, 1000], "
+         "[500, 7]]\n", "ap_positions"),
     ], ids=["one_symbol", "one_antenna", "negative_variance", "asymmetric",
             "nan_mean", "nan_process_noise", "inf_tx_power", "inf_mean_rcs",
             "inf_epoch_duration", "nan_ap_position", "nan_target_position",
@@ -320,7 +322,8 @@ class TestMainEntry:
             "unknown_phase_mode", "unknown_angle_mode",
             "infeasible_cardinality", "too_many_aps", "fractional_interval",
             "bool_tx_power", "bool_target_position", "bool_on_probability",
-            "bool_interval", "bool_ap_position", "bool_covariance_diag"])
+            "bool_interval", "bool_ap_position", "bool_covariance_diag",
+            "off_road_ap_position"])
     def test_run_time_failures_rejected_by_validate(self, tmp_path, capsys,
                                                     text, field):
         # sensing with these would fail mid-run, run on a meaningless prior

@@ -282,3 +282,35 @@ class TestApSelection:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             ApSelection.from_indices(4, [4])
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            ApSelection.from_indices(4, [1, -1])
+
+    def test_numpy_integers_become_python_ints(self):
+        sel = ApSelection.from_indices(np.int64(5), np.array([3, 0]))
+        assert sel.indices == (0, 3)
+        assert all(type(i) is int for i in sel.indices)
+        assert type(sel.num_aps) is int
+        assert sel == ApSelection.from_indices(5, [0, 3])
+
+    def test_duplicates_collapse(self):
+        sel = ApSelection.from_indices(4, [2, 2, 0, 2])
+        assert sel.indices == (0, 2)
+        assert sel.cardinality == 2
+
+    def test_unsorted_input_is_sorted(self):
+        assert ApSelection.from_indices(8, [7, 3, 5, 1]).indices == (1, 3, 5,
+                                                                     7)
+
+    def test_equal_whatever_the_input_order(self):
+        a = ApSelection.from_indices(6, [4, 1, 2])
+        b = ApSelection.from_indices(6, (2, 4, 1, 4))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, ApSelection.from_indices(6, [1, 2])}) == 2
+
+    def test_bitmask_is_a_python_int(self):
+        for sel in (ApSelection.empty(4), ApSelection.full(4),
+                    ApSelection.from_indices(4, np.array([1, 3]))):
+            assert type(sel.bitmask) is int
+        assert ApSelection.from_indices(4, np.array([1, 3])).bitmask == 10

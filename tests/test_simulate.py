@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,8 +8,10 @@ from cfisac.cli import write_records
 from cfisac.comms import (build_channel, evaluate_link, predictive_precoder,
                           steered_link)
 from cfisac.config import SystemConfig
-from cfisac.crb import all_ones_waveform, qpsk_waveform
-from cfisac.geometry import TargetTruth
+from cfisac import comms, crb, geometry
+from cfisac.crb import (all_ones_waveform, crb_block, qpsk_waveform,
+                        range_velocity_blocks, sensing_gain)
+from cfisac.geometry import TargetTruth, array_response, geometry_for_ap
 from cfisac.selection import ApSelection
 from cfisac.sensing import (Action, SensingPolicy, available_rx_aps,
                             decide_action, select_rx_aps)
@@ -114,14 +118,24 @@ class TestSynthesizeMeasurement:
         self.rcs = np.full(CFG.num_aps, CFG.mean_rcs)
         self.sel = ApSelection.from_indices(CFG.num_aps, [0, 1])
 
-    def test_zero_noise_scale_recovers_exact_geometry(self):
+    def test_draw_is_cholesky_noise_around_true_geometry(self):
+        # values = measurement_model(truth) + cholesky(truth block) @ the
+        # AP's own pair of normals, rebuilt here and compared bit for bit
+        sel = ApSelection.from_indices(CFG.num_aps, [3, 1])
         meas = synthesize_measurement(
-            CFG, self.truth, self.sel, self.rcs,
-            RngStream(3, "measurement").generator(0),
-            waveform=self.waveform, noise_scale=0.0)
+            CFG, self.truth, sel, self.rcs,
+            RngStream(3, "measurement").generator(0), waveform=self.waveform)
+        blocks = crb_blocks_for_state(CFG, self.waveform, self.truth.position_x,
+                                      self.truth.velocity_x, self.rcs)
+        noise = range_velocity_blocks(blocks, sel.indices)
+        normals = RngStream(3, "measurement").generator(0).standard_normal(
+            2 * CFG.num_aps)
         expected = measurement_model(
-            CFG, (self.truth.position_x, self.truth.velocity_x), self.sel)
-        assert_allclose(meas.values, expected, rtol=0, atol=0)
+            CFG, (self.truth.position_x, self.truth.velocity_x), sel)
+        for pos, ap in enumerate(sel.indices):
+            expected[2 * pos:2 * pos + 2] += (np.linalg.cholesky(noise[pos])
+                                              @ normals[2 * ap:2 * ap + 2])
+        assert meas.values.tobytes() == expected.tobytes()
 
     def test_vector_covers_only_selected_aps(self):
         meas = synthesize_measurement(
@@ -173,6 +187,65 @@ class TestSynthesizeMeasurement:
             filter_mean=np.array([90.0, 25.0]))
         assert_allclose(truth_r.values, shifted.values, rtol=0, atol=0)
         assert not np.allclose(truth_r.covariance, shifted.covariance)
+
+
+class TestCrbBlocksForState:
+    @pytest.mark.parametrize("tx_ap", [0, 2])
+    @pytest.mark.parametrize("power_fraction", [0.5, 1.0])
+    def test_matches_matched_precoder_reference(self, tx_ap, power_fraction):
+        # the closed-form hop gain against sensing_gain with the matched
+        # transmit beam, on both sides of and past every AP (125 m apart)
+        cfg = SystemConfig(tx_ap=tx_ap)
+        waveform = all_ones_waveform(cfg)
+        rcs = np.array([0.5, 5.0, 2.0, 11.0])
+        for position_x in (-300.0, 0.0, 124.0, 126.0, 249.0, 251.0, 374.0,
+                           376.0, 499.0, 501.0, 900.0):
+            state = TargetTruth(position_x, 25.0)
+            tx_geom = geometry_for_ap(cfg, state, tx_ap)
+            precoder = math.sqrt(
+                power_fraction * cfg.tx_power / cfg.antennas_per_ap
+            ) * array_response(cfg, tx_geom.azimuth)
+            got = crb_blocks_for_state(cfg, waveform, position_x, 25.0, rcs,
+                                       power_fraction)
+            for ap, block in enumerate(got):
+                rx_geom = geometry_for_ap(cfg, state, ap)
+                want = crb_block(waveform, cfg,
+                                 sensing_gain(cfg, tx_geom, rx_geom, rcs[ap],
+                                              precoder),
+                                 rx_geom.azimuth, ap)
+                assert block.ap_index == ap
+                assert_allclose(block.range_velocity, want.range_velocity,
+                                rtol=1e-12, atol=0)
+                assert block.angle_var == pytest.approx(want.angle_var,
+                                                        rel=1e-12)
+
+    @pytest.mark.parametrize("power_fraction", [0.0, -0.5, 1.5])
+    def test_power_fraction_outside_unit_interval_rejected(self,
+                                                           power_fraction):
+        with pytest.raises(ValueError, match="power_fraction"):
+            crb_blocks_for_state(CFG, all_ones_waveform(CFG), 60.0, 25.0,
+                                 np.full(CFG.num_aps, CFG.mean_rcs),
+                                 power_fraction)
+
+    def test_run_builds_no_precoder_vector(self, monkeypatch):
+        calls = {"sensing_gain": 0, "array_response": 0}
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        for module in (crb, geometry, comms, simulate):
+            for name in calls:
+                if name in vars(module):
+                    monkeypatch.setattr(module, name,
+                                        counting(name, vars(module)[name]))
+        records = run_scenario(make_scenario(num_epochs=40))
+        sensing = [r for r in records if r.action is Action.SENSING
+                   or any(a.action is Action.SENSING for a in r.arms.values())]
+        assert sensing and any(r.rates for r in records)
+        assert calls == {"sensing_gain": 0, "array_response": 0}
 
 
 class TestRunEpoch:
