@@ -135,6 +135,10 @@ def _initial_estimate(raw, truth: TargetTruth) -> StateEstimate:
     unknown = set(raw) - _ESTIMATE_KEYS
     if unknown:
         raise ConfigError(f"initial_estimate: unknown key(s) {sorted(unknown)}")
+    for given, ignored in (("mean", "offset"), ("covariance", "covariance_diag")):
+        if given in raw and ignored in raw:
+            raise ConfigError(
+                f"initial_estimate: give {given} or {ignored}, not both")
     try:
         for key, value in raw.items():
             _no_booleans(value)

@@ -1,12 +1,13 @@
 """Estimation bounds for the OFDM sensing link.
 
 Builds the delayed and Doppler-shifted sounding waveform, computes the
-Fisher-information bounds on (delay, Doppler) and angle for a single
-bistatic Tx-target-Rx hop, transforms them to (range, radial velocity),
-and assembles per-AP measurement covariance blocks. `crb_block` is the
-closed form of that chain at zero delay and Doppler, which the simulator
-uses; the FFT-based functions are the general reference it is tested
-against.
+Fisher-information bounds on (delay, Doppler) and, separately, on angle
+(`crb_angle`) for a single bistatic Tx-target-Rx hop, transforms the
+(delay, Doppler) bound to (range, radial velocity), and assembles per-AP
+measurement covariance blocks. `crb_block` is the closed form of that
+(range, radial velocity) chain at zero delay and Doppler, which the
+simulator uses; the FFT-based functions are the general reference it is
+tested against.
 """
 
 from __future__ import annotations
@@ -94,10 +95,9 @@ class SensingLinkGain:
 
 @dataclass(frozen=True)
 class CrbBlock:
-    """Per-AP lower bound over (range, radial velocity, angle) estimates."""
+    """Per-AP lower bound over (range, radial velocity) estimates."""
 
     range_velocity: np.ndarray  # 2x2, m^2 / m^2/s^2 on the diagonal
-    angle_var: float            # rad^2
     ap_index: int = 0
 
 
@@ -235,23 +235,20 @@ def crb_angle(spec: WaveformSpec, cfg: SystemConfig, gain: SensingLinkGain,
 
 
 def crb_block(spec: WaveformSpec, cfg: SystemConfig, gain: SensingLinkGain,
-              azimuth: float, ap_index: int = 0) -> CrbBlock:
-    """Per-AP (range, radial velocity, angle) bound at zero delay and Doppler.
+              ap_index: int = 0) -> CrbBlock:
+    """Per-AP (range, radial velocity) bound at zero delay and Doppler.
 
-    Closed form of transform_to_range_velocity(crb_delay_doppler(...),
-    crb_angle(...)) with delay = Doppler = 0, for any grid. There the
-    sampled waveform is a unitary transform of the symbol grid, so the
-    projected core Re{D^H (I - s s^H / ||s||^2) D} is the |gamma|^2-weighted
-    covariance of the index grid, entry (a, b) scaled by
-    (2 pi df a, -2 pi T_sym b), and the ULA angle core is
-    (2 pi d cos(az) / lambda)^2 N (N^2 - 1) / 12. The checks and their
-    messages are those of the FFT path.
+    Closed form of transform_to_range_velocity(crb_delay_doppler(...)) with
+    delay = Doppler = 0, for any grid. There the sampled waveform is a
+    unitary transform of the symbol grid, so the projected core
+    Re{D^H (I - s s^H / ||s||^2) D} is the |gamma|^2-weighted covariance of
+    the index grid, entry (a, b) scaled by (2 pi df a, -2 pi T_sym b). The
+    ULA array gain ||a(az)||^2 is N at every azimuth, so the bound needs no
+    azimuth. The checks and their messages are those of the FFT path.
     """
     if not gain.magnitude_sq > 0:
         raise ValueError("sensing gain must have positive power")
     _check_waveform(spec, cfg)
-    if not math.isfinite(azimuth):
-        raise ValueError("azimuth must be finite")
     (raw_aa, raw_bb), (cov_aa, cov_bb, cov_ab) = spec.index_raw, spec.index_cov
     weak = [name for name, core, raw in (("delay", cov_aa, raw_aa),
                                          ("doppler", cov_bb, raw_bb))
@@ -272,31 +269,19 @@ def crb_block(spec: WaveformSpec, cfg: SystemConfig, gain: SensingLinkGain,
         raise RankDeficientError(
             "Fisher information for (delay, doppler) is not positive definite")
 
-    if n < 2:
-        raise RankDeficientError(
-            "angle unidentifiable with a single antenna per AP")
-    if abs(azimuth) >= math.pi / 2:
-        raise ValueError("angle bound is singular at azimuth = +/- pi/2")
-    kappa = (2.0 * math.pi * cfg.antenna_spacing * math.cos(azimuth)
-             / cfg.wavelength)
-    info = snr * spec.energy * kappa * kappa * n * (n * n - 1) / 12.0
-    if info <= 0:
-        raise RankDeficientError("angle Fisher information is not positive")
-
     range_scale = SPEED_OF_LIGHT
     velocity_scale = SPEED_OF_LIGHT / (2.0 * cfg.carrier_frequency)
     rr = range_scale * range_scale * f11 / det
     vv = velocity_scale * velocity_scale * f00 / det
     rv = -range_scale * velocity_scale * f01 / det
-    return CrbBlock(np.array([[rr, rv], [rv, vv]]), 1.0 / info, ap_index)
+    return CrbBlock(np.array([[rr, rv], [rv, vv]]), ap_index)
 
 
-def transform_to_range_velocity(crb_dd: np.ndarray, crb_angle_var: float,
-                                cfg: SystemConfig, ap_index: int = 0) -> CrbBlock:
+def transform_to_range_velocity(crb_dd: np.ndarray, cfg: SystemConfig,
+                                ap_index: int = 0) -> CrbBlock:
     """Map the (delay, Doppler) bound to (range, radial velocity) units.
 
-    Applies the diagonal scaling (c, c / (2 f_c)) on both sides; the angle
-    variance passes through unchanged.
+    Applies the diagonal scaling (c, c / (2 f_c)) on both sides.
     """
     crb_dd = np.asarray(crb_dd, dtype=float)
     if crb_dd.shape != (2, 2):
@@ -304,8 +289,7 @@ def transform_to_range_velocity(crb_dd: np.ndarray, crb_angle_var: float,
     if not np.allclose(crb_dd, crb_dd.T, rtol=0, atol=1e-9 * abs(crb_dd).max()):
         raise ValueError("delay-Doppler bound must be symmetric")
     scale = np.array([SPEED_OF_LIGHT, SPEED_OF_LIGHT / (2.0 * cfg.carrier_frequency)])
-    return CrbBlock(crb_dd * np.outer(scale, scale), float(crb_angle_var),
-                    ap_index)
+    return CrbBlock(crb_dd * np.outer(scale, scale), ap_index)
 
 
 def sensing_gain(cfg: SystemConfig, tx_geometry: ApGeometry,

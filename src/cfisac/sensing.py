@@ -40,8 +40,9 @@ class SensingPolicy:
     exclude_tx_ap: bool = False
 
     def __post_init__(self) -> None:
-        if not self.variance_threshold > 0:
-            raise ValueError("variance_threshold: must be strictly positive")
+        if not 0 < self.variance_threshold < np.inf:
+            raise ValueError(
+                "variance_threshold: must be strictly positive and finite")
         if self.subset_cardinality < 0:
             raise ValueError("subset_cardinality: must be >= 0")
 

@@ -88,6 +88,8 @@ class TrafficModel:
             raise ValueError("traffic mode must be 'bernoulli' or 'intervals'")
         if self.mode == "bernoulli" and not 0.0 <= self.on_probability <= 1.0:
             raise ValueError("on_probability must lie in [0, 1]")
+        if self.mode == "bernoulli" and self.intervals:
+            raise ValueError("intervals: only read in mode 'intervals'")
         intervals = tuple((int(s), int(e)) for s, e in self.intervals)
         if intervals != tuple(tuple(bounds) for bounds in self.intervals):
             raise ValueError("intervals: bounds must be whole numbers")
@@ -231,7 +233,7 @@ def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
                          position_x: float, velocity_x: float,
                          rcs: np.ndarray, power_fraction: float = 1.0,
                          aps: tuple[int, ...] | None = None) -> list[CrbBlock]:
-    """Per-AP (range, velocity, angle) bound blocks at a reference state.
+    """Per-AP (range, radial velocity) bound blocks at a reference state.
 
     The sensing transmitter steers power_fraction of its power at the
     reference position, so each hop gain is `sensing_gain` of that matched
@@ -240,8 +242,8 @@ def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
     `crb_block` at zero delay/Doppler: the Fisher information depends on the
     waveform grid only through its power-weighted index moments, cached on
     the WaveformSpec, so the evaluation point does not change the result.
-    The FFT-based crb_delay_doppler and crb_angle are the general-grid
-    reference it is tested against.
+    The FFT-based crb_delay_doppler is the general-grid reference it is
+    tested against.
     """
     if not 0.0 < power_fraction <= 1.0:
         raise ValueError("power_fraction must lie in (0, 1]")
@@ -257,7 +259,7 @@ def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
             raise ValueError("rcs must be nonnegative")
         gain = SensingLinkGain(scale * rx_geom.path_gain
                                * cross_section * cross_section)
-        blocks.append(crb_block(waveform, cfg, gain, rx_geom.azimuth, ap))
+        blocks.append(crb_block(waveform, cfg, gain, ap))
     return blocks
 
 

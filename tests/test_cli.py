@@ -311,6 +311,12 @@ class TestMainEntry:
          "covariance_diag"),
         ("system:\n  ap_positions: [[125, 35], [250, -80], [375, 1000], "
          "[500, 7]]\n", "ap_positions"),
+        ("initial_estimate:\n  mean: [0, 25]\n  offset: [300, 0]\n",
+         "offset"),
+        ("initial_estimate:\n  covariance: [[100, 0], [0, 1]]\n"
+         "  covariance_diag: [1.0e6, 1.0e6]\n", "covariance_diag"),
+        ("traffic:\n  intervals: [[0, 2]]\n", "intervals"),
+        ("policy:\n  variance_threshold: .inf\n", "variance_threshold"),
     ], ids=["one_symbol", "one_antenna", "negative_variance", "asymmetric",
             "nan_mean", "nan_process_noise", "inf_tx_power", "inf_mean_rcs",
             "inf_epoch_duration", "nan_ap_position", "nan_target_position",
@@ -323,7 +329,9 @@ class TestMainEntry:
             "infeasible_cardinality", "too_many_aps", "fractional_interval",
             "bool_tx_power", "bool_target_position", "bool_on_probability",
             "bool_interval", "bool_ap_position", "bool_covariance_diag",
-            "off_road_ap_position"])
+            "off_road_ap_position", "mean_and_offset",
+            "covariance_and_diag", "bernoulli_intervals",
+            "inf_policy_threshold"])
     def test_run_time_failures_rejected_by_validate(self, tmp_path, capsys,
                                                     text, field):
         # sensing with these would fail mid-run, run on a meaningless prior

@@ -226,15 +226,14 @@ class TestAngleBound:
 class TestRangeVelocityTransform:
     def test_identity_maps_to_diagonal_scales(self):
         cfg = small_cfg(carrier_frequency=30e9)
-        block = transform_to_range_velocity(np.eye(2), 1.0, cfg)
+        block = transform_to_range_velocity(np.eye(2), cfg)
         c = SPEED_OF_LIGHT
         assert_allclose(np.diag(block.range_velocity),
                         [c ** 2, c ** 2 / (4 * 30e9 ** 2)])
-        assert block.angle_var == 1.0
 
     def test_velocity_scale_value(self):
         cfg = small_cfg(carrier_frequency=30e9)
-        block = transform_to_range_velocity(np.diag([0.0, 1.0]), 0.0, cfg)
+        block = transform_to_range_velocity(np.diag([0.0, 1.0]), cfg)
         # (3e8 / 6e10)^2 = 0.005^2, worked out by hand
         assert block.range_velocity[1, 1] == pytest.approx(2.5e-5, rel=1e-12)
 
@@ -242,38 +241,33 @@ class TestRangeVelocityTransform:
         cfg = small_cfg(carrier_frequency=30e9)
         q = 3.7e-3
         block = transform_to_range_velocity(np.array([[1.0, q], [q, 2.0]]),
-                                            0.5, cfg)
+                                            cfg)
         c = SPEED_OF_LIGHT
         assert block.range_velocity[0, 1] == pytest.approx(
             q * c * c / (2 * 30e9), rel=1e-12)
-        assert block.angle_var == 0.5
 
     def test_rejects_asymmetric_input(self):
         cfg = small_cfg()
         with pytest.raises(ValueError):
             transform_to_range_velocity(np.array([[1.0, 0.5], [0.0, 1.0]]),
-                                        0.0, cfg)
+                                        cfg)
 
     def test_full_chain_block_structure(self):
-        # blocks produced by the real bound chain stay symmetric positive
-        # definite, with a positive angle variance
+        # blocks produced by the real bound chain stay symmetric positive definite
         cfg = small_cfg()
         spec = qpsk_waveform(cfg, np.random.default_rng(31))
         for azimuth in (-0.8, 0.0, 0.6):
             dd = crb_delay_doppler(spec, cfg, GAIN, azimuth, 0.0, 0.0)
-            ang = crb_angle(spec, cfg, GAIN, azimuth, 0.0, 0.0)
-            block = transform_to_range_velocity(dd, ang, cfg, ap_index=1)
+            block = transform_to_range_velocity(dd, cfg, ap_index=1)
             rv = block.range_velocity
             assert_allclose(rv, rv.T, rtol=0, atol=0)
             assert np.linalg.eigvalsh(rv).min() > 0
-            assert block.angle_var > 0
 
 
 def fft_block(spec, cfg, gain, azimuth, ap_index=0):
     """The general-grid FFT chain the closed form must reproduce."""
     return transform_to_range_velocity(
-        crb_delay_doppler(spec, cfg, gain, azimuth, 0.0, 0.0),
-        crb_angle(spec, cfg, gain, azimuth, 0.0, 0.0), cfg, ap_index)
+        crb_delay_doppler(spec, cfg, gain, azimuth, 0.0, 0.0), cfg, ap_index)
 
 
 def assert_blocks_match(got, want, rtol):
@@ -284,7 +278,6 @@ def assert_blocks_match(got, want, rtol):
     scale = np.outer(sd, sd)
     assert_allclose(got.range_velocity / scale, want.range_velocity / scale,
                     rtol=0, atol=rtol)
-    assert_allclose(got.angle_var, want.angle_var, rtol=rtol, atol=0)
     assert got.ap_index == want.ap_index
 
 
@@ -302,7 +295,7 @@ class TestClosedFormBlock:
             cov_aa, cov_bb, cov_ab = spec.index_cov
             assert abs(cov_ab) > 1e-3 * math.sqrt(cov_aa * cov_bb)
         for azimuth in rng.uniform(-1.4, 1.4, size=20):
-            assert_blocks_match(crb_block(spec, cfg, GAIN, azimuth, 2),
+            assert_blocks_match(crb_block(spec, cfg, GAIN, 2),
                                 fft_block(spec, cfg, GAIN, azimuth, 2),
                                 rtol=1e-12)
 
@@ -310,12 +303,12 @@ class TestClosedFormBlock:
         cfg = SystemConfig()
         spec = qpsk_waveform(cfg, np.random.default_rng(8))
         for azimuth in (-1.2, -0.3, 0.0, 0.9):
-            assert_blocks_match(crb_block(spec, cfg, GAIN, azimuth),
+            assert_blocks_match(crb_block(spec, cfg, GAIN),
                                 fft_block(spec, cfg, GAIN, azimuth), rtol=1e-12)
 
     def test_unit_modulus_block_is_diagonal(self):
         cfg = small_cfg()
-        block = crb_block(all_ones_waveform(cfg), cfg, GAIN, 0.3)
+        block = crb_block(all_ones_waveform(cfg), cfg, GAIN)
         rv = block.range_velocity
         assert rv[0, 1] == 0.0 and rv[1, 0] == 0.0
         assert rv[0, 0] == pytest.approx(
@@ -336,25 +329,39 @@ class TestClosedFormBlock:
         with pytest.raises(RankDeficientError, match=weak) as oracle:
             fft_block(spec, cfg, GAIN, 0.2)
         with pytest.raises(RankDeficientError, match=weak) as closed:
-            crb_block(spec, cfg, GAIN, 0.2)
+            crb_block(spec, cfg, GAIN)
         assert str(closed.value) == str(oracle.value)
 
-    @pytest.mark.parametrize("cfg_kw, spec_fn, gain, azimuth", [
-        ({"n": 1}, all_ones_waveform, GAIN, 0.0),
-        ({}, all_ones_waveform, GAIN, math.pi / 2),
-        ({}, all_ones_waveform, SensingLinkGain.from_amplitude(0.0), 0.0),
-        ({}, lambda cfg: WaveformSpec(np.ones((8, 4))), GAIN, 0.0),
-        ({}, lambda cfg: WaveformSpec(2.0 * np.ones((16, 4))), GAIN, 0.0),
-    ], ids=["single_antenna", "endfire", "zero_gain", "shape", "power"])
-    def test_same_errors_as_oracle(self, cfg_kw, spec_fn, gain, azimuth):
-        cfg = small_cfg(**cfg_kw)
+    @pytest.mark.parametrize("spec_fn, gain", [
+        (all_ones_waveform, SensingLinkGain.from_amplitude(0.0)),
+        (lambda cfg: WaveformSpec(np.ones((8, 4))), GAIN),
+        (lambda cfg: WaveformSpec(2.0 * np.ones((16, 4))), GAIN),
+    ], ids=["zero_gain", "shape", "power"])
+    def test_same_errors_as_oracle(self, spec_fn, gain):
+        cfg = small_cfg()
         spec = spec_fn(cfg)
         with pytest.raises(ValueError) as oracle:
-            fft_block(spec, cfg, gain, azimuth)
+            fft_block(spec, cfg, gain, 0.0)
         with pytest.raises(ValueError) as closed:
-            crb_block(spec, cfg, gain, azimuth)
+            crb_block(spec, cfg, gain)
         assert type(closed.value) is type(oracle.value)
         assert str(closed.value) == str(oracle.value)
+
+    def test_delay_doppler_bound_does_not_depend_on_azimuth(self):
+        # ||a(az)||^2 = N at every azimuth, which is why crb_block takes none
+        cfg = small_cfg(n=8)
+        spec = unit_power_symbols(cfg, np.random.default_rng(12))
+        at_broadside = crb_delay_doppler(spec, cfg, GAIN, 0.0, 0.0, 0.0)
+        for azimuth in (0.7, -1.2):
+            assert_allclose(
+                crb_delay_doppler(spec, cfg, GAIN, azimuth, 0.0, 0.0),
+                at_broadside, rtol=1e-12, atol=0)
+
+    def test_single_antenna_block_matches_fft_chain(self):
+        cfg = small_cfg(n=1)
+        spec = unit_power_symbols(cfg, np.random.default_rng(13))
+        assert_blocks_match(crb_block(spec, cfg, GAIN, 1),
+                            fft_block(spec, cfg, GAIN, 0.0, 1), rtol=1e-12)
 
 
 class TestSensingLinkGainInvariant:
@@ -417,27 +424,26 @@ class TestSensingGain:
                          geometry_with_gain(1e-10), -1.0, w)
 
 
-def block_with(ap_index, diag3):
-    return CrbBlock(np.diag(np.asarray(diag3[:2], dtype=float)),
-                    float(diag3[2]), ap_index)
+def block_with(ap_index, diag2):
+    return CrbBlock(np.diag(np.asarray(diag2, dtype=float)), ap_index)
 
 
 class TestAssembleCovariance:
     def test_two_aps_make_4x4(self):
-        blocks = [block_with(0, (1, 2, 3)), block_with(1, (4, 5, 6))]
+        blocks = [block_with(0, (1, 2)), block_with(1, (4, 5))]
         sel = ApSelection.from_indices(4, [0, 1])
         out = assemble_measurement_covariance(blocks, sel)
         assert out.shape == (4, 4)
         assert_allclose(np.diag(out), [1, 2, 4, 5])
 
     def test_single_ap_drops_angle_row(self):
-        blocks = [block_with(2, (1, 2, 3))]
+        blocks = [block_with(2, (1, 2))]
         sel = ApSelection.from_indices(4, [2])
         assert_allclose(assemble_measurement_covariance(blocks, sel),
                         np.diag([1.0, 2.0]))
 
     def test_permutation_invariant(self):
-        blocks = [block_with(0, (1, 2, 3)), block_with(2, (7, 8, 9))]
+        blocks = [block_with(0, (1, 2)), block_with(2, (7, 8))]
         sel = ApSelection.from_indices(4, [0, 2])
         a = assemble_measurement_covariance(blocks, sel)
         b = assemble_measurement_covariance(list(reversed(blocks)), sel)
@@ -448,7 +454,7 @@ class TestAssembleCovariance:
             assemble_measurement_covariance([], ApSelection.empty(4))
 
     def test_missing_block_rejected(self):
-        blocks = [block_with(0, (1, 2, 3))]
+        blocks = [block_with(0, (1, 2))]
         with pytest.raises(ValueError, match="AP"):
             assemble_measurement_covariance(
                 blocks, ApSelection.from_indices(4, [0, 3]))

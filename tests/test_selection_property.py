@@ -36,7 +36,7 @@ def test_selection_is_the_bruteforce_minimum(data):
     est = StateEstimate(np.array(mean), np.array([[var_p, cross],
                                                   [cross, var_v]]))
     blocks = [CrbBlock(np.diag([data.draw(st.floats(0.1, 100)),
-                                data.draw(st.floats(1, 100))]), 1e-6, ap)
+                                data.draw(st.floats(1, 100))]), ap)
               for ap in range(num_aps)]
     policy = SensingPolicy(GAMMA_3DEG, subset_cardinality=k,
                            exclude_tx_ap=exclude)

@@ -15,9 +15,8 @@ from cfisac.tracking import MotionModel, StateEstimate
 GAMMA_3DEG = math.radians(3.0) ** 2
 
 
-def diag_block(ap_index, range_var, vel_var, angle_var=1e-6):
-    return CrbBlock(np.diag([range_var, vel_var]).astype(float), angle_var,
-                    ap_index)
+def diag_block(ap_index, range_var, vel_var):
+    return CrbBlock(np.diag([range_var, vel_var]).astype(float), ap_index)
 
 
 def oracle_variance(cfg, est, model, indices, blocks):

@@ -211,13 +211,10 @@ class TestCrbBlocksForState:
                 rx_geom = geometry_for_ap(cfg, state, ap)
                 want = crb_block(waveform, cfg,
                                  sensing_gain(cfg, tx_geom, rx_geom, rcs[ap],
-                                              precoder),
-                                 rx_geom.azimuth, ap)
+                                              precoder), ap)
                 assert block.ap_index == ap
                 assert_allclose(block.range_velocity, want.range_velocity,
                                 rtol=1e-12, atol=0)
-                assert block.angle_var == pytest.approx(want.angle_var,
-                                                        rel=1e-12)
 
     @pytest.mark.parametrize("power_fraction", [0.0, -0.5, 1.5])
     def test_power_fraction_outside_unit_interval_rejected(self,
