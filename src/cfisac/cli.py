@@ -161,6 +161,19 @@ def _initial_estimate(raw, truth: TargetTruth) -> StateEstimate:
         raise ConfigError(f"initial_estimate: {exc}") from exc
 
 
+def _traffic(raw) -> TrafficModel:
+    """The traffic model. `on_probability` is only read in Bernoulli mode;
+    intervals mode takes it only at its default, which the canonical config
+    records for every mode, so that a canonical config loads back."""
+    raw = _require_mapping(raw, "traffic")
+    default = TrafficModel.on_probability
+    if (raw.get("mode") == "intervals"
+            and raw.get("on_probability", default) != default):
+        raise ConfigError(
+            "traffic: on_probability: only read in mode 'bernoulli'")
+    return _build(TrafficModel, raw, "traffic")
+
+
 def _parse_arms(value) -> tuple[str, ...]:
     """Comparison arms from a list or a comma list; 'proposed' always runs."""
     names = value.split(",") if isinstance(value, str) else value
@@ -182,7 +195,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         initial_estimate=_initial_estimate(raw.get("initial_estimate"), truth),
         policy=_build(SensingPolicy, raw.get("policy"), "policy",
                       variance_threshold=system.variance_threshold),
-        traffic=_build(TrafficModel, raw.get("traffic"), "traffic"),
+        traffic=_traffic(raw.get("traffic")),
         comparison_arms=_parse_arms(raw.get("arms", COMPARISON_ARMS)))
 
 

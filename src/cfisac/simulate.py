@@ -16,17 +16,17 @@ power-split and perfect knowledge) over all traffic epochs.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .comms import ANGLE_MODES, PHASE_MODES, LinkResult, steered_links
 from .config import SystemConfig
-from .crb import (CrbBlock, SensingLinkGain, WaveformSpec, all_ones_waveform,
-                  assemble_measurement_covariance, crb_block,
+from .crb import (CrbBlock, WaveformSpec, _checked_index_cov,
+                  _range_velocity_terms, all_ones_waveform,
                   range_velocity_blocks)
-from .geometry import TargetTruth, geometry_for_ap
+from .geometry import TargetTruth
 from .selection import ApSelection
 from .sensing import (Action, SensingPolicy, available_rx_aps, decide_action,
                       select_rx_aps)
@@ -229,6 +229,40 @@ def draw_rcs(rng: np.random.Generator, cfg: SystemConfig,
     return rng.exponential(cfg.mean_rcs, size=num_aps)
 
 
+def _bound_stack(cfg: SystemConfig, waveform: WaveformSpec,
+                 position_x: float, velocity_x: float, rcs: np.ndarray,
+                 power_fraction: float, aps: Sequence[int]) -> np.ndarray:
+    """The blocks of `crb_blocks_for_state` as one (len(aps), 2, 2) stack.
+
+    The waveform is checked once, not once per AP.
+    """
+    if not 0.0 < power_fraction <= 1.0:
+        raise ValueError("power_fraction must lie in (0, 1]")
+    if not (math.isfinite(position_x) and math.isfinite(velocity_x)):
+        raise ValueError("target truth must be finite")
+    index_cov = _checked_index_cov(waveform, cfg)
+    wavelength, offset = cfg.wavelength, cfg.corridor_offset
+    # Each hop's path gain is geometry_for_ap's (lambda / (4 pi d))^2.
+    dist = math.hypot(position_x - cfg.ap_x(cfg.tx_ap), offset)
+    scale = ((wavelength / (4.0 * math.pi * dist)) ** 2
+             * 2.0 * math.pi / wavelength ** 2
+             * power_fraction * cfg.tx_power * cfg.antennas_per_ap)
+    flat = []
+    for ap in aps:
+        if not 0 <= ap < cfg.num_aps:
+            raise ValueError(
+                f"ap_index {ap} out of range [0, {cfg.num_aps})")
+        dist = math.hypot(position_x - cfg.ap_x(ap), offset)
+        cross_section = float(rcs[ap])
+        if cross_section < 0:
+            raise ValueError("rcs must be nonnegative")
+        rr, rv, vv = _range_velocity_terms(
+            cfg, (scale * (wavelength / (4.0 * math.pi * dist)) ** 2
+                  * cross_section * cross_section), index_cov)
+        flat += (rr, rv, rv, vv)
+    return np.array(flat).reshape(-1, 2, 2)
+
+
 def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
                          position_x: float, velocity_x: float,
                          rcs: np.ndarray, power_fraction: float = 1.0,
@@ -238,29 +272,19 @@ def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
     The sensing transmitter steers power_fraction of its power at the
     reference position, so each hop gain is `sensing_gain` of that matched
     beam in closed form: |alpha|^2 = beta_tx beta_rx (2 pi / lambda^2) rcs^2
-    power_fraction tx_power N. Each block is the closed-form bound
-    `crb_block` at zero delay/Doppler: the Fisher information depends on the
-    waveform grid only through its power-weighted index moments, cached on
-    the WaveformSpec, so the evaluation point does not change the result.
-    The FFT-based crb_delay_doppler is the general-grid reference it is
-    tested against.
+    power_fraction tx_power N. Each block equals `crb_block` of that gain
+    bit for bit, and the errors are those of `geometry_for_ap` and
+    `crb_block`; the waveform is checked once per call, not once per AP.
+    The bound is taken at zero delay/Doppler: the Fisher information depends
+    on the waveform grid only through its power-weighted index moments,
+    cached on the WaveformSpec, so the evaluation point does not change the
+    result. The FFT-based crb_delay_doppler is the general-grid reference it
+    is tested against.
     """
-    if not 0.0 < power_fraction <= 1.0:
-        raise ValueError("power_fraction must lie in (0, 1]")
-    state = TargetTruth(position_x, velocity_x)
-    tx_path_gain = geometry_for_ap(cfg, state, cfg.tx_ap).path_gain
-    scale = (tx_path_gain * 2.0 * math.pi / cfg.wavelength ** 2
-             * power_fraction * cfg.tx_power * cfg.antennas_per_ap)
-    blocks = []
-    for ap in (range(cfg.num_aps) if aps is None else aps):
-        rx_geom = geometry_for_ap(cfg, state, ap)
-        cross_section = float(rcs[ap])
-        if cross_section < 0:
-            raise ValueError("rcs must be nonnegative")
-        gain = SensingLinkGain(scale * rx_geom.path_gain
-                               * cross_section * cross_section)
-        blocks.append(crb_block(waveform, cfg, gain, ap))
-    return blocks
+    aps = range(cfg.num_aps) if aps is None else aps
+    stack = _bound_stack(cfg, waveform, position_x, velocity_x, rcs,
+                         power_fraction, aps)
+    return [CrbBlock(block, ap) for ap, block in zip(aps, stack)]
 
 
 def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
@@ -274,34 +298,38 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
     """Estimator outputs as Gaussian draws around the true geometry.
 
     Noise covariance per AP is the (range, velocity) bound at the TRUE
-    state with the epoch's cross-section draws. The attached covariance is
-    evaluated at filter_mean when given (the tracker linearization point),
-    otherwise at the truth. Standard normals are drawn for every AP so the
-    subset choice never shifts the stream.
+    state with the epoch's cross-section draws, or the caller's
+    `truth_blocks`. The attached covariance is evaluated at filter_mean
+    when given (the tracker linearization point), otherwise it is the noise
+    covariance. Standard normals are drawn for every AP so the subset
+    choice never shifts the stream. The selected blocks are factored with
+    one stacked Cholesky, which gives each AP's factor bit for bit.
     """
     if selection.cardinality == 0:
         raise ValueError("no sensing receivers selected")
+    aps = selection.indices
     if truth_blocks is None:
-        truth_blocks = crb_blocks_for_state(
-            cfg, waveform, truth.position_x, truth.velocity_x, rcs,
-            power_fraction, aps=selection.indices)
-    noise = range_velocity_blocks(truth_blocks, selection.indices)
-    normals = rng.standard_normal(2 * cfg.num_aps)
+        noise = _bound_stack(cfg, waveform, truth.position_x,
+                             truth.velocity_x, rcs, power_fraction, aps)
+    else:
+        noise = range_velocity_blocks(truth_blocks, aps)
+    normals = rng.standard_normal(2 * cfg.num_aps).reshape(-1, 2, 1)
 
     values = measurement_model(cfg, (truth.position_x, truth.velocity_x),
                                selection)
-    for pos, ap in enumerate(selection.indices):
-        chol = np.linalg.cholesky(noise[pos])
-        values[2 * pos:2 * pos + 2] += chol @ normals[2 * ap:2 * ap + 2]
+    values += (np.linalg.cholesky(noise)
+               @ normals.take(aps, axis=0)).reshape(-1)
 
-    filter_blocks = truth_blocks
+    filter_stack = noise
     if filter_mean is not None:
-        filter_blocks = crb_blocks_for_state(
-            cfg, waveform, float(filter_mean[0]), float(filter_mean[1]), rcs,
-            power_fraction, aps=selection.indices)
-    return MeasurementSet(
-        values, assemble_measurement_covariance(filter_blocks, selection),
-        selection)
+        filter_stack = _bound_stack(cfg, waveform, float(filter_mean[0]),
+                                    float(filter_mean[1]), rcs,
+                                    power_fraction, aps)
+    k = len(aps)
+    covariance = np.zeros((k, 2, k, 2))
+    diagonal = np.arange(k)
+    covariance[diagonal, :, diagonal] = filter_stack
+    return MeasurementSet(values, covariance.reshape(2 * k, 2 * k), selection)
 
 
 def _random_selection(cfg: SystemConfig, policy: SensingPolicy,

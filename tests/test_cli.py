@@ -317,6 +317,8 @@ class TestMainEntry:
          "  covariance_diag: [1.0e6, 1.0e6]\n", "covariance_diag"),
         ("traffic:\n  intervals: [[0, 2]]\n", "intervals"),
         ("policy:\n  variance_threshold: .inf\n", "variance_threshold"),
+        ("traffic:\n  mode: intervals\n  intervals: [[0, 2]]\n"
+         "  on_probability: 0.9\n", "on_probability"),
     ], ids=["one_symbol", "one_antenna", "negative_variance", "asymmetric",
             "nan_mean", "nan_process_noise", "inf_tx_power", "inf_mean_rcs",
             "inf_epoch_duration", "nan_ap_position", "nan_target_position",
@@ -331,7 +333,7 @@ class TestMainEntry:
             "bool_interval", "bool_ap_position", "bool_covariance_diag",
             "off_road_ap_position", "mean_and_offset",
             "covariance_and_diag", "bernoulli_intervals",
-            "inf_policy_threshold"])
+            "inf_policy_threshold", "intervals_on_probability"])
     def test_run_time_failures_rejected_by_validate(self, tmp_path, capsys,
                                                     text, field):
         # sensing with these would fail mid-run, run on a meaningless prior

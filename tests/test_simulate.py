@@ -9,8 +9,10 @@ from cfisac.comms import (build_channel, evaluate_link, predictive_precoder,
                           steered_link)
 from cfisac.config import SystemConfig
 from cfisac import comms, crb, geometry
-from cfisac.crb import (all_ones_waveform, crb_block, qpsk_waveform,
-                        range_velocity_blocks, sensing_gain)
+from cfisac.crb import (RankDeficientError, SensingLinkGain, WaveformSpec,
+                        all_ones_waveform, assemble_measurement_covariance,
+                        crb_block, qpsk_waveform, range_velocity_blocks,
+                        sensing_gain)
 from cfisac.geometry import TargetTruth, array_response, geometry_for_ap
 from cfisac.selection import ApSelection
 from cfisac.sensing import (Action, SensingPolicy, available_rx_aps,
@@ -243,6 +245,191 @@ class TestCrbBlocksForState:
                    or any(a.action is Action.SENSING for a in r.arms.values())]
         assert sensing and any(r.rates for r in records)
         assert calls == {"sensing_gain": 0, "array_response": 0}
+
+
+def unit_power_waveform(cfg, seed):
+    """Random complex grid of unit average power; unlike a unit-modulus
+    grid, its bound blocks have nonzero off-diagonal terms."""
+    rng = np.random.default_rng(seed)
+    shape = (cfg.num_subcarriers, cfg.num_symbols)
+    sym = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return WaveformSpec(sym * math.sqrt(sym.size / np.sum(np.abs(sym) ** 2)))
+
+
+# On both sides of and past every default AP (125 m apart).
+POSITIONS = (-300.0, 0.0, 124.0, 126.0, 249.0, 251.0, 374.0, 376.0, 499.0,
+             501.0, 900.0)
+
+
+class TestOneBoundPath:
+    """The simulator's bound stack, its stacked noise and its covariance are
+    the per-AP public pieces, bit for bit."""
+
+    @pytest.mark.parametrize("grid", ["ones", "random"])
+    @pytest.mark.parametrize("tx_ap", [0, 2])
+    @pytest.mark.parametrize("power_fraction", [0.5, 1.0])
+    def test_blocks_are_crb_block_of_the_closed_form_gain(
+            self, grid, tx_ap, power_fraction):
+        cfg = SystemConfig(tx_ap=tx_ap)
+        waveform = (all_ones_waveform(cfg) if grid == "ones"
+                    else unit_power_waveform(cfg, 5))
+        rcs = np.array([0.5, 5.0, 2.0, 11.0])
+        for position_x in POSITIONS:
+            state = TargetTruth(position_x, 25.0)
+            tx = geometry_for_ap(cfg, state, tx_ap)
+            got = crb_blocks_for_state(cfg, waveform, position_x, 25.0, rcs,
+                                       power_fraction)
+            assert [b.ap_index for b in got] == list(range(cfg.num_aps))
+            for ap, block in enumerate(got):
+                rx = geometry_for_ap(cfg, state, ap)
+                gain = (tx.path_gain * 2.0 * math.pi / cfg.wavelength ** 2
+                        * power_fraction * cfg.tx_power * cfg.antennas_per_ap
+                        * rx.path_gain * rcs[ap] * rcs[ap])
+                want = crb_block(waveform, cfg, SensingLinkGain(gain), ap)
+                assert (block.range_velocity.tobytes()
+                        == want.range_velocity.tobytes())
+
+    @pytest.mark.parametrize("grid", ["ones", "random"])
+    @pytest.mark.parametrize("with_filter_mean", [False, True])
+    @pytest.mark.parametrize("with_truth_blocks", [False, True])
+    @pytest.mark.parametrize("aps", [(2,), (0, 3), (0, 1, 2, 3)])
+    def test_stacked_noise_and_covariance_equal_per_ap_references(
+            self, grid, with_filter_mean, with_truth_blocks, aps):
+        waveform = (all_ones_waveform(CFG) if grid == "ones"
+                    else unit_power_waveform(CFG, 6))
+        selection = ApSelection.from_indices(CFG.num_aps, aps)
+        rcs = np.array([3.0, 0.7, 9.0, 4.0])
+        for epoch, position_x in enumerate(POSITIONS):
+            truth = TargetTruth(position_x, 25.0)
+            filter_mean = np.array([position_x + 7.5, 22.0])
+            # a caller's blocks at another state and cross section
+            caller = crb_blocks_for_state(CFG, waveform, position_x - 40.0,
+                                          30.0, 2.0 * rcs, 0.5, aps=aps)
+            meas = synthesize_measurement(
+                CFG, truth, selection, rcs,
+                RngStream(9, "measurement").generator(epoch),
+                waveform=waveform,
+                filter_mean=filter_mean if with_filter_mean else None,
+                truth_blocks=caller if with_truth_blocks else None)
+
+            truth_side = caller if with_truth_blocks else crb_blocks_for_state(
+                CFG, waveform, position_x, 25.0, rcs)
+            noise = range_velocity_blocks(truth_side, aps)
+            normals = RngStream(9, "measurement").generator(
+                epoch).standard_normal(2 * CFG.num_aps)
+            values = measurement_model(CFG, (position_x, 25.0), selection)
+            for pos, ap in enumerate(aps):
+                values[2 * pos:2 * pos + 2] += (np.linalg.cholesky(noise[pos])
+                                                @ normals[2 * ap:2 * ap + 2])
+            filter_side = truth_side
+            if with_filter_mean:
+                filter_side = crb_blocks_for_state(
+                    CFG, waveform, float(filter_mean[0]),
+                    float(filter_mean[1]), rcs)
+            covariance = assemble_measurement_covariance(filter_side,
+                                                         selection)
+            assert meas.values.tobytes() == values.tobytes()
+            assert meas.covariance.tobytes() == covariance.tobytes()
+            if grid == "random":
+                assert np.count_nonzero(covariance) == 4 * len(aps)
+
+    def test_grid_checked_per_bound_and_noise_factored_per_sensing(
+            self, monkeypatch):
+        # A bound evaluation is one planning call of the proposed arm, or
+        # one of the two (truth, filter mean) a sensing arm makes per epoch.
+        checks, factorizations = [], []
+        check_waveform, cholesky = crb._check_waveform, np.linalg.cholesky
+
+        def counting_check(*args):
+            checks.append(1)
+            return check_waveform(*args)
+
+        def counting_cholesky(*args):
+            factorizations.append(1)
+            return cholesky(*args)
+
+        monkeypatch.setattr(crb, "_check_waveform", counting_check)
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        records = run_scenario(make_scenario(num_epochs=200))
+        planned = sum(r.action is Action.SENSING for r in records)
+        sensed = planned + sum(a.action is Action.SENSING
+                               for r in records for a in r.arms.values())
+        assert planned and sensed > len(records)
+        assert len(factorizations) == sensed
+        assert len(checks) == planned + 2 * sensed
+
+
+# fault -> (overrides of the valid inputs, exception type, message)
+FAULTS = {
+    "negative_rcs": ({"rcs": np.array([5.0, -1.0, 5.0, 5.0])}, ValueError,
+                     "rcs must be nonnegative"),
+    "zero_rcs": ({"rcs": np.array([5.0, 0.0, 5.0, 5.0])}, ValueError,
+                 "sensing gain must have positive power"),
+    "ap_out_of_range": ({"aps": (1, 4)}, ValueError,
+                        "ap_index 4 out of range [0, 4)"),
+    "non_finite_state": ({"position_x": math.nan}, ValueError,
+                         "target truth must be finite"),
+    "zero_power_fraction": ({"power_fraction": 0.0}, ValueError,
+                            "power_fraction must lie in (0, 1]"),
+    "large_power_fraction": ({"power_fraction": 1.5}, ValueError,
+                             "power_fraction must lie in (0, 1]"),
+    "waveform_shape": ({"waveform": WaveformSpec(np.ones((8, 4)))},
+                       ValueError, "waveform shape (8, 4) does not match the "
+                       "configured grid (256, 14)"),
+    "waveform_power": ({"waveform": WaveformSpec(2.0 * np.ones((256, 14)))},
+                       ValueError, "waveform average power 4.0 is not 1"),
+    "rank_deficient_grid": (  # all power on subcarrier 5
+        {"waveform": WaveformSpec(np.zeros((256, 14)) + np.sqrt(256.0)
+                                  * (np.arange(256) == 5)[:, None])},
+        RankDeficientError, "Fisher information is singular: delay "
+        "unidentifiable for this waveform grid"),
+}
+
+
+class TestBoundErrors:
+    """Each single fault raises what the per-AP `geometry_for_ap` and
+    `crb_block` path raised: same type, same message."""
+
+    VALID = {"rcs": np.full(CFG.num_aps, CFG.mean_rcs), "aps": (1, 3),
+             "position_x": 60.0, "power_fraction": 1.0,
+             "waveform": all_ones_waveform(CFG)}
+
+    def check(self, func, fault):
+        overrides, kind, message = FAULTS[fault]
+        with pytest.raises(Exception) as caught:
+            func({**self.VALID, **overrides})
+        assert type(caught.value) is kind and str(caught.value) == message
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_crb_blocks_for_state(self, fault):
+        self.check(lambda v: crb_blocks_for_state(
+            CFG, v["waveform"], v["position_x"], 25.0, v["rcs"],
+            v["power_fraction"], aps=v["aps"]), fault)
+
+    @pytest.mark.parametrize("fault, via", [
+        (fault, via) for fault in sorted(FAULTS)
+        for via in ("truth", "filter_mean")
+        if (fault, via) != ("ap_out_of_range", "filter_mean")])
+    def test_synthesize_measurement(self, fault, via):
+        # via the bound at the truth, or, given the caller's truth blocks,
+        # via the bound at the filter mean; the selection may name AP 4
+        good = crb_blocks_for_state(CFG, self.VALID["waveform"], 60.0, 25.0,
+                                    self.VALID["rcs"], aps=(1, 3))
+
+        def synthesize(v):
+            faulty = TargetTruth(v["position_x"], 25.0)
+            extra = {}
+            if via == "filter_mean":
+                extra = {"truth_blocks": good,
+                         "filter_mean": np.array([v["position_x"], 25.0])}
+            return synthesize_measurement(
+                CFG, faulty if via == "truth" else TargetTruth(60.0, 25.0),
+                ApSelection(CFG.num_aps + 1, v["aps"]), v["rcs"],
+                RngStream(3, "measurement").generator(0),
+                waveform=v["waveform"], power_fraction=v["power_fraction"],
+                **extra)
+
+        self.check(synthesize, fault)
 
 
 class TestRunEpoch:
