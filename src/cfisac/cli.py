@@ -161,19 +161,6 @@ def _initial_estimate(raw, truth: TargetTruth) -> StateEstimate:
         raise ConfigError(f"initial_estimate: {exc}") from exc
 
 
-def _traffic(raw) -> TrafficModel:
-    """The traffic model. `on_probability` is only read in Bernoulli mode;
-    intervals mode takes it only at its default, which the canonical config
-    records for every mode, so that a canonical config loads back."""
-    raw = _require_mapping(raw, "traffic")
-    default = TrafficModel.on_probability
-    if (raw.get("mode") == "intervals"
-            and raw.get("on_probability", default) != default):
-        raise ConfigError(
-            "traffic: on_probability: only read in mode 'bernoulli'")
-    return _build(TrafficModel, raw, "traffic")
-
-
 def _parse_arms(value) -> tuple[str, ...]:
     """Comparison arms from a list or a comma list; 'proposed' always runs."""
     names = value.split(",") if isinstance(value, str) else value
@@ -195,7 +182,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         initial_estimate=_initial_estimate(raw.get("initial_estimate"), truth),
         policy=_build(SensingPolicy, raw.get("policy"), "policy",
                       variance_threshold=system.variance_threshold),
-        traffic=_traffic(raw.get("traffic")),
+        traffic=_build(TrafficModel, raw.get("traffic"), "traffic"),
         comparison_arms=_parse_arms(raw.get("arms", COMPARISON_ARMS)))
 
 
@@ -256,7 +243,7 @@ def _fmt(x: float) -> str:
 
 
 def _csv_row(rec: EpochRecord) -> str:
-    rates = rec.rates
+    rates, arm = rec.rates, rec.arms["proposed"]
     on = rec.traffic_state == "ON"
 
     def rate_of(tag: str) -> str:
@@ -266,13 +253,20 @@ def _csv_row(rec: EpochRecord) -> str:
     cells = [
         str(rec.epoch),
         _fmt(rec.truth.position_x), _fmt(rec.truth.velocity_x),
-        _fmt(rec.estimate.mean[0]), _fmt(rec.estimate.mean[1]),
-        _fmt(rec.estimate.covariance[0, 0]), _fmt(rec.estimate.covariance[1, 1]),
-        _fmt(rec.predicted_angle_variance),
-        rec.action.value, rec.traffic_state, str(rec.selection.bitmask),
+        _fmt(arm.estimate.mean[0]), _fmt(arm.estimate.mean[1]),
+        _fmt(arm.estimate.covariance[0, 0]), _fmt(arm.estimate.covariance[1, 1]),
+        _fmt(arm.predicted_angle_variance),
+        arm.action.value, rec.traffic_state, str(arm.selection.bitmask),
         rate_of("proposed"), rate_of("conventional"), rate_of("perfect"), snr,
     ]
     return ",".join(cells)
+
+
+def _variance_series(records: list[EpochRecord]) -> dict[str, list[float]]:
+    """Predicted angle variance per epoch of each threshold-gated arm run."""
+    return {tag: [r.arms[tag].predicted_angle_variance for r in records]
+            for tag in ("proposed", "random")
+            if records and tag in records[0].arms}
 
 
 def _threshold_crossing(variances: list[float], threshold: float) -> int | None:
@@ -291,19 +285,16 @@ def summarize_records(records: list[EpochRecord],
     for tag in rate_tags:
         values = [r.rates[tag].rate for r in on_records if tag in r.rates]
         mean_rates[tag] = float(np.mean(values)) if values else None
-    crossings = {"proposed": _threshold_crossing(
-        [r.predicted_angle_variance for r in records],
-        scenario.policy.variance_threshold)}
-    if records and "random" in records[0].arms:
-        crossings["random"] = _threshold_crossing(
-            [r.arms["random"].predicted_angle_variance for r in records],
-            scenario.policy.variance_threshold)
+    crossings = {tag: _threshold_crossing(values,
+                                          scenario.policy.variance_threshold)
+                 for tag, values in _variance_series(records).items()}
+    sensing = [r.epoch for r in records
+               if r.arms["proposed"].action is Action.SENSING]
     return {
         "num_epochs": len(records),
         "on_epochs": len(on_records),
-        "sensing_epochs": sum(r.action is Action.SENSING for r in records),
-        "sensing_epoch_indices": [r.epoch for r in records
-                                  if r.action is Action.SENSING],
+        "sensing_epochs": len(sensing),
+        "sensing_epoch_indices": sensing,
         "mean_rates": mean_rates,
         "threshold_crossing_epoch": crossings,
     }
@@ -384,10 +375,7 @@ def _svg(elements: list[str]) -> str:
 
 def _variance_svg(records: list[EpochRecord], threshold: float) -> str:
     n = len(records)
-    series = {"proposed": [r.predicted_angle_variance for r in records]}
-    if "random" in records[0].arms:
-        series["random"] = [r.arms["random"].predicted_angle_variance
-                            for r in records]
+    series = _variance_series(records)
     floor = 1e-12
     logs = [math.log10(max(v, floor)) for vs in series.values() for v in vs]
     logs.append(math.log10(threshold))
@@ -425,9 +413,10 @@ def _variance_svg(records: list[EpochRecord], threshold: float) -> str:
         elems.append(f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 14 + 14 * idx}" '
                      f'font-size="12" fill="{colors[tag]}">{tag} selection</text>')
     for rec in records:
-        if rec.action is Action.SENSING:
+        arm = rec.arms["proposed"]
+        if arm.action is Action.SENSING:
             x = to_x(rec.epoch)
-            y = to_y(math.log10(max(rec.predicted_angle_variance, floor)))
+            y = to_y(math.log10(max(arm.predicted_angle_variance, floor)))
             elems.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" '
                          f'fill="none" stroke="#d62728" stroke-width="1.5"/>')
     elems.append(f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 14 + 14 * len(series)}" '

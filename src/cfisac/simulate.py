@@ -90,6 +90,11 @@ class TrafficModel:
             raise ValueError("on_probability must lie in [0, 1]")
         if self.mode == "bernoulli" and self.intervals:
             raise ValueError("intervals: only read in mode 'intervals'")
+        # Intervals mode takes on_probability only at its default, which the
+        # canonical config records for every mode, so that it loads back.
+        if (self.mode == "intervals"
+                and self.on_probability != TrafficModel.on_probability):
+            raise ValueError("on_probability: only read in mode 'bernoulli'")
         intervals = tuple((int(s), int(e)) for s, e in self.intervals)
         if intervals != tuple(tuple(bounds) for bounds in self.intervals):
             raise ValueError("intervals: bounds must be whole numbers")
@@ -176,15 +181,26 @@ class ArmEpoch:
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """One epoch: each filter arm's snapshot by name, in stepping order, and
+    each downlink method's rate. The three properties read the proposed arm."""
+
     epoch: int
     truth: TargetTruth
-    action: Action
     traffic_state: str               # "ON" or "OFF"
-    selection: ApSelection
-    predicted_angle_variance: float
-    estimate: StateEstimate
     rates: dict[str, LinkResult]
-    arms: dict[str, ArmEpoch] = field(default_factory=dict)
+    arms: dict[str, ArmEpoch]
+
+    @property
+    def action(self) -> Action:
+        return self.arms["proposed"].action
+
+    @property
+    def estimate(self) -> StateEstimate:
+        return self.arms["proposed"].estimate
+
+    @property
+    def predicted_angle_variance(self) -> float:
+        return self.arms["proposed"].predicted_angle_variance
 
 
 @dataclass
@@ -305,6 +321,9 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
     choice never shifts the stream. The selected blocks are factored with
     one stacked Cholesky, which gives each AP's factor bit for bit.
     """
+    if selection.num_aps != cfg.num_aps:
+        raise ValueError(f"selection is over {selection.num_aps} APs, "
+                         f"the system has {cfg.num_aps}")
     if selection.cardinality == 0:
         raise ValueError("no sensing receivers selected")
     aps = selection.indices
@@ -416,21 +435,15 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
     truth_now = propagate_truth(state.truth, cfg)
     traffic_on = scenario.traffic.is_on(k, state.streams["traffic"])
 
-    arms: dict[str, ArmEpoch] = {}
-    for name in state.estimates:
-        arms[name] = _step_arm(scenario, state, name, truth_now, rcs,
-                               traffic_on, rng)
-    proposed = arms["proposed"]
-    del arms["proposed"]  # the record's own fields hold the proposed arm
+    arms = {name: _step_arm(scenario, state, name, truth_now, rcs,
+                            traffic_on, rng)
+            for name in state.estimates}
 
     state.truth = truth_now
     state.epoch = k + 1
-    return EpochRecord(
-        epoch=k, truth=truth_now, action=proposed.action,
-        traffic_state="ON" if traffic_on else "OFF",
-        selection=proposed.selection,
-        predicted_angle_variance=proposed.predicted_angle_variance,
-        estimate=proposed.estimate, rates={}, arms=arms)
+    return EpochRecord(epoch=k, truth=truth_now,
+                       traffic_state="ON" if traffic_on else "OFF",
+                       rates={}, arms=arms)
 
 
 def fill_rates(scenario: Scenario, records: list[EpochRecord]) -> None:
@@ -442,13 +455,10 @@ def fill_rates(scenario: Scenario, records: list[EpochRecord]) -> None:
     """
     on = [r for r in records if r.traffic_state == "ON"]
     truth_x = [r.truth.position_x for r in on]
-    methods = {"proposed": ([r.estimate.mean[0] for r in on],
-                            _ARMS["proposed"].power_fraction,
-                            scenario.angle_mode)}
-    if "conventional" in scenario.comparison_arms:
-        methods["conventional"] = (
-            [r.arms["conventional"].estimate.mean[0] for r in on],
-            _ARMS["conventional"].power_fraction, scenario.angle_mode)
+    methods = {tag: ([r.arms[tag].estimate.mean[0] for r in on],
+                     _ARMS[tag].power_fraction, scenario.angle_mode)
+               for tag in ("proposed", "conventional")
+               if tag in ("proposed", *scenario.comparison_arms)}
     if "perfect" in scenario.comparison_arms:
         methods["perfect"] = (truth_x, 1.0, "per_ap")
     for tag, (position_x, power_fraction, angle_mode) in methods.items():

@@ -18,10 +18,10 @@ from cfisac.selection import ApSelection
 from cfisac.sensing import (Action, SensingPolicy, available_rx_aps,
                             decide_action, select_rx_aps)
 from cfisac import simulate
-from cfisac.simulate import (RngStream, Scenario, TrafficModel,
-                             crb_blocks_for_state, draw_rcs, fill_rates,
-                             initial_sim_state, propagate_truth, run_epoch,
-                             run_scenario, synthesize_measurement)
+from cfisac.simulate import (COMPARISON_ARMS, RngStream, Scenario,
+                             TrafficModel, crb_blocks_for_state, draw_rcs,
+                             fill_rates, initial_sim_state, propagate_truth,
+                             run_epoch, run_scenario, synthesize_measurement)
 from cfisac.tracking import (MotionModel, StateEstimate,
                              angle_estimate_and_variance, measurement_model,
                              predict, update)
@@ -101,6 +101,13 @@ class TestTrafficModel:
         a = [tm.is_on(k, RngStream(2, "traffic")) for k in range(20)]
         b = [tm.is_on(k, RngStream(2, "traffic")) for k in range(20)]
         assert a == b
+
+    def test_intervals_mode_takes_only_the_default_on_probability(self):
+        # no run reads it, but the config digest would
+        assert TrafficModel(mode="intervals").on_probability == 0.3
+        with pytest.raises(ValueError, match="^on_probability: only read in "
+                           "mode 'bernoulli'$"):
+            TrafficModel(mode="intervals", on_probability=0.9)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -241,8 +248,8 @@ class TestCrbBlocksForState:
                     monkeypatch.setattr(module, name,
                                         counting(name, vars(module)[name]))
         records = run_scenario(make_scenario(num_epochs=40))
-        sensing = [r for r in records if r.action is Action.SENSING
-                   or any(a.action is Action.SENSING for a in r.arms.values())]
+        sensing = [r for r in records
+                   if any(a.action is Action.SENSING for a in r.arms.values())]
         assert sensing and any(r.rates for r in records)
         assert calls == {"sensing_gain": 0, "array_response": 0}
 
@@ -352,8 +359,8 @@ class TestOneBoundPath:
         monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
         records = run_scenario(make_scenario(num_epochs=200))
         planned = sum(r.action is Action.SENSING for r in records)
-        sensed = planned + sum(a.action is Action.SENSING
-                               for r in records for a in r.arms.values())
+        sensed = sum(a.action is Action.SENSING
+                     for r in records for a in r.arms.values())
         assert planned and sensed > len(records)
         assert len(factorizations) == sensed
         assert len(checks) == planned + 2 * sensed
@@ -406,13 +413,14 @@ class TestBoundErrors:
             CFG, v["waveform"], v["position_x"], 25.0, v["rcs"],
             v["power_fraction"], aps=v["aps"]), fault)
 
+    # A selection over the configured APs cannot name AP 4, so the
+    # out-of-range row is left to test_crb_blocks_for_state.
     @pytest.mark.parametrize("fault, via", [
         (fault, via) for fault in sorted(FAULTS)
-        for via in ("truth", "filter_mean")
-        if (fault, via) != ("ap_out_of_range", "filter_mean")])
+        for via in ("truth", "filter_mean") if fault != "ap_out_of_range"])
     def test_synthesize_measurement(self, fault, via):
         # via the bound at the truth, or, given the caller's truth blocks,
-        # via the bound at the filter mean; the selection may name AP 4
+        # via the bound at the filter mean
         good = crb_blocks_for_state(CFG, self.VALID["waveform"], 60.0, 25.0,
                                     self.VALID["rcs"], aps=(1, 3))
 
@@ -424,12 +432,33 @@ class TestBoundErrors:
                          "filter_mean": np.array([v["position_x"], 25.0])}
             return synthesize_measurement(
                 CFG, faulty if via == "truth" else TargetTruth(60.0, 25.0),
-                ApSelection(CFG.num_aps + 1, v["aps"]), v["rcs"],
+                ApSelection(CFG.num_aps, v["aps"]), v["rcs"],
                 RngStream(3, "measurement").generator(0),
                 waveform=v["waveform"], power_fraction=v["power_fraction"],
                 **extra)
 
         self.check(synthesize, fault)
+
+    @pytest.mark.parametrize("aps, via", [((1, 3), "truth"),
+                                          ((1, 4), "truth_blocks")],
+                             ids=["bound_path", "truth_blocks"])
+    def test_selection_over_another_ap_count(self, aps, via):
+        # a 5-AP selection on the 4-AP config: on the bound path it was
+        # taken as APs {1, 3}, and with a 5-AP config's truth blocks AP 4
+        # reached the measurement model as a bare IndexError
+        five = SystemConfig(num_aps=5)
+        extra = {}
+        if via == "truth_blocks":
+            extra = {"truth_blocks": crb_blocks_for_state(
+                five, all_ones_waveform(five), 60.0, 25.0,
+                np.full(5, five.mean_rcs))}
+        with pytest.raises(Exception) as caught:
+            synthesize_measurement(
+                CFG, TargetTruth(60.0, 25.0), ApSelection(5, aps),
+                self.VALID["rcs"], RngStream(3, "measurement").generator(0),
+                waveform=self.VALID["waveform"], **extra)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "selection is over 5 APs, the system has 4"
 
 
 class TestRunEpoch:
@@ -441,7 +470,7 @@ class TestRunEpoch:
         state = initial_sim_state(scenario)
         record = run_epoch(state, scenario)
         assert record.action is Action.NO_SENSING
-        assert record.selection.cardinality == 0
+        assert record.arms["proposed"].selection.cardinality == 0
         assert record.estimate.covariance[0, 0] > 0.01  # grew by propagation
         assert record.rates == {}
 
@@ -451,7 +480,7 @@ class TestRunEpoch:
         state = initial_sim_state(scenario)
         record = run_epoch(state, scenario)
         assert record.action is Action.SENSING
-        assert record.selection.cardinality == 2
+        assert record.arms["proposed"].selection.cardinality == 2
 
     def test_traffic_blocks_sensing_and_fills_rates(self):
         scenario = make_scenario(
@@ -550,7 +579,7 @@ class TestRunScenario:
     def test_disabled_arms_are_absent(self):
         records = run_scenario(make_scenario(num_epochs=10,
                                              comparison_arms=("perfect",)))
-        assert records[0].arms == {}
+        assert list(records[0].arms) == ["proposed"]
         on = [r for r in records if r.traffic_state == "ON"]
         for rec in on:
             assert set(rec.rates) == {"proposed", "perfect"}
@@ -583,11 +612,39 @@ class TestRunScenario:
             num_epochs=40, seed=4, comparison_arms=arms,
             traffic=TrafficModel(mode="intervals", intervals=((20, 30),))))
         sensed = [r.epoch for r in records
-                  if Action.SENSING in (r.action, *(a.action for a
-                                                    in r.arms.values()))]
+                  if any(a.action is Action.SENSING for a in r.arms.values())]
         assert sensed and len(sensed) < len(records)
         assert not [b for b in built if b[0] == "traffic"]
         assert [epoch for name, epoch in built if name == "rcs"] == sensed
+
+
+class TestArmIndependence:
+    @pytest.mark.parametrize("seed", [0, 4, 7])
+    @pytest.mark.parametrize("arms", [(), ("random",), ("conventional",),
+                                      ("perfect",), COMPARISON_ARMS],
+                             ids=["none", "random", "conventional", "perfect",
+                                  "all"])
+    def test_each_arm_steps_as_in_the_full_run(self, arms, seed):
+        full = run_scenario(make_scenario(num_epochs=40, seed=seed))
+        records = run_scenario(make_scenario(num_epochs=40, seed=seed,
+                                             comparison_arms=arms))
+        tracked = [name for name in ("proposed", "random", "conventional")
+                   if name == "proposed" or name in arms]
+        assert any(a.action is Action.SENSING
+                   for r in records for a in r.arms.values())
+        for rec, ref in zip(records, full, strict=True):
+            assert list(rec.arms) == tracked
+            for name, got in rec.arms.items():
+                want = ref.arms[name]
+                assert got.action is want.action
+                assert got.selection.bitmask == want.selection.bitmask
+                assert (got.predicted_angle_variance
+                        == want.predicted_angle_variance)
+                assert (got.estimate.mean.tobytes()
+                        == want.estimate.mean.tobytes())
+                assert (got.estimate.covariance.tobytes()
+                        == want.estimate.covariance.tobytes())
+            assert rec.rates == {tag: ref.rates[tag] for tag in rec.rates}
 
 
 class TestArmReplay:
@@ -622,7 +679,7 @@ class TestArmReplay:
         est, truth = scenario.initial_estimate, scenario.initial_truth
         sensed = 0
         for rec in run_scenario(scenario):
-            got = rec if arm == "proposed" else rec.arms[arm]
+            got = rec.arms[arm]
             k = rec.epoch
             truth = propagate_truth(truth, cfg)
             traffic_on = scenario.traffic.is_on(k, RngStream(seed, "traffic"))
@@ -755,5 +812,6 @@ class TestOpenLoopRates:
         records = [run_epoch(state, scenario) for _ in range(60)]
         idle = [r for r in records if r.action is Action.NO_SENSING]
         assert idle
-        assert all(r.selection is state.idle_selection for r in idle)
+        assert all(r.arms["proposed"].selection is state.idle_selection
+                   for r in idle)
         assert state.idle_selection.bitmask == 0
