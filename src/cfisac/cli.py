@@ -48,6 +48,24 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # scenario loading
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a key repeated in one mapping, which PyYAML
+    would otherwise resolve silently to its last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = []  # a list, so an unhashable key reaches SafeLoader's error
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.append(key)
+        return super().construct_mapping(node, deep)
+
+
 # Top-level keys read into Scenario's built fields, not its scalars.
 _SECTIONS = {"system", "policy", "target", "initial_estimate", "traffic",
              "arms"}
@@ -194,7 +212,9 @@ def load_scenario(path: str | Path | None) -> Scenario:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_UniqueKeyLoader)
+    except OSError as exc:  # a directory, or no permission to read
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return scenario_from_dict(raw or {})

@@ -6,10 +6,9 @@ Fisher-information bounds on (delay, Doppler) and, separately, on angle
 (delay, Doppler) bound to (range, radial velocity), and assembles per-AP
 measurement covariance blocks. `crb_block` is the closed form of that
 (range, radial velocity) chain at zero delay and Doppler; the FFT-based
-functions are the general reference it is tested against. It runs in two
-steps, the gain-free grid checks and the per-gain arithmetic, and the
-simulator's bound stack (`simulate.crb_blocks_for_state`) calls the same
-two steps: the checks once per evaluation, the arithmetic once per AP.
+functions are the general reference it is tested against. The simulator's
+bound stack (`simulate.crb_blocks_for_state`) evaluates `crb_block` once at
+unit gain and divides by each AP's hop gain.
 """
 
 from __future__ import annotations
@@ -236,15 +235,23 @@ def crb_angle(spec: WaveformSpec, cfg: SystemConfig, gain: SensingLinkGain,
     return 1.0 / info
 
 
-def _checked_index_cov(spec: WaveformSpec,
-                       cfg: SystemConfig) -> tuple[float, float, float]:
-    """The gain-free checks of `crb_block`; the centered index sums it reads.
+def crb_block(spec: WaveformSpec, cfg: SystemConfig, gain: SensingLinkGain,
+              ap_index: int = 0) -> CrbBlock:
+    """Per-AP (range, radial velocity) bound at zero delay and Doppler.
 
-    Checks the waveform against the configured grid and that delay and
-    Doppler are both identifiable on it, with the FFT path's messages.
+    Closed form of transform_to_range_velocity(crb_delay_doppler(...)) with
+    delay = Doppler = 0, for any grid. There the sampled waveform is a
+    unitary transform of the symbol grid, so the projected core
+    Re{D^H (I - s s^H / ||s||^2) D} is the |gamma|^2-weighted covariance of
+    the index grid, entry (a, b) scaled by (2 pi df a, -2 pi T_sym b). The
+    ULA array gain ||a(az)||^2 is N at every azimuth, so the bound needs no
+    azimuth. The checks and their messages are those of the FFT path. The
+    Fisher information is linear in |alpha|^2, so the block of any gain g
+    is the unit-gain block divided by g up to rounding; the simulator
+    evaluates it that way, once per bound for all APs.
     """
     _check_waveform(spec, cfg)
-    (raw_aa, raw_bb), (cov_aa, cov_bb, _) = spec.index_raw, spec.index_cov
+    (raw_aa, raw_bb), (cov_aa, cov_bb, cov_ab) = spec.index_raw, spec.index_cov
     weak = [name for name, core, raw in (("delay", cov_aa, raw_aa),
                                          ("doppler", cov_bb, raw_bb))
             if core <= 1e-12 * raw]
@@ -252,23 +259,10 @@ def _checked_index_cov(spec: WaveformSpec,
         raise RankDeficientError(
             f"Fisher information is singular: {' and '.join(weak)} "
             "unidentifiable for this waveform grid")
-    return spec.index_cov
-
-
-def _range_velocity_terms(cfg: SystemConfig, magnitude_sq: float,
-                          index_cov: tuple[float, float, float]
-                          ) -> tuple[float, float, float]:
-    """(rr, rv, vv) of the `crb_block` bound for one hop gain |alpha|^2.
-
-    `index_cov` comes from `_checked_index_cov`. `crb_block` and the
-    simulator's bound stack both call this, so a block has the same bits
-    whichever of them builds it.
-    """
-    if not magnitude_sq > 0:
+    if not gain.magnitude_sq > 0:
         raise ValueError("sensing gain must have positive power")
-    cov_aa, cov_bb, cov_ab = index_cov
     n = cfg.antennas_per_ap
-    snr = 2.0 * magnitude_sq / cfg.noise_power
+    snr = 2.0 * gain.magnitude_sq / cfg.noise_power
     w_tau = 2.0 * math.pi * cfg.subcarrier_spacing
     w_nu = 2.0 * math.pi * cfg.symbol_duration
     f00 = snr * n * w_tau * w_tau * cov_aa
@@ -284,26 +278,6 @@ def _range_velocity_terms(cfg: SystemConfig, magnitude_sq: float,
     rr = range_scale * range_scale * f11 / det
     vv = velocity_scale * velocity_scale * f00 / det
     rv = -range_scale * velocity_scale * f01 / det
-    return rr, rv, vv
-
-
-def crb_block(spec: WaveformSpec, cfg: SystemConfig, gain: SensingLinkGain,
-              ap_index: int = 0) -> CrbBlock:
-    """Per-AP (range, radial velocity) bound at zero delay and Doppler.
-
-    Closed form of transform_to_range_velocity(crb_delay_doppler(...)) with
-    delay = Doppler = 0, for any grid. There the sampled waveform is a
-    unitary transform of the symbol grid, so the projected core
-    Re{D^H (I - s s^H / ||s||^2) D} is the |gamma|^2-weighted covariance of
-    the index grid, entry (a, b) scaled by (2 pi df a, -2 pi T_sym b). The
-    ULA array gain ||a(az)||^2 is N at every azimuth, so the bound needs no
-    azimuth. The checks and their messages are those of the FFT path. The
-    grid checks and the per-gain arithmetic are separate steps, so the
-    simulator checks a grid once for all APs and computes each AP's block
-    with the same operations as this function.
-    """
-    rr, rv, vv = _range_velocity_terms(cfg, gain.magnitude_sq,
-                                       _checked_index_cov(spec, cfg))
     return CrbBlock(np.array([[rr, rv], [rv, vv]]), ap_index)
 
 

@@ -23,9 +23,8 @@ import numpy as np
 
 from .comms import ANGLE_MODES, PHASE_MODES, LinkResult, steered_links
 from .config import SystemConfig
-from .crb import (CrbBlock, WaveformSpec, _checked_index_cov,
-                  _range_velocity_terms, all_ones_waveform,
-                  range_velocity_blocks)
+from .crb import (CrbBlock, SensingLinkGain, WaveformSpec,
+                  all_ones_waveform, crb_block, range_velocity_blocks)
 from .geometry import TargetTruth
 from .selection import ApSelection
 from .sensing import (Action, SensingPolicy, available_rx_aps, decide_action,
@@ -248,22 +247,20 @@ def draw_rcs(rng: np.random.Generator, cfg: SystemConfig,
 def _bound_stack(cfg: SystemConfig, waveform: WaveformSpec,
                  position_x: float, velocity_x: float, rcs: np.ndarray,
                  power_fraction: float, aps: Sequence[int]) -> np.ndarray:
-    """The blocks of `crb_blocks_for_state` as one (len(aps), 2, 2) stack.
-
-    The waveform is checked once, not once per AP.
-    """
+    """The blocks of `crb_blocks_for_state` as one (len(aps), 2, 2) stack:
+    one unit-gain `crb_block` divided by each AP's hop gain."""
     if not 0.0 < power_fraction <= 1.0:
         raise ValueError("power_fraction must lie in (0, 1]")
     if not (math.isfinite(position_x) and math.isfinite(velocity_x)):
         raise ValueError("target truth must be finite")
-    index_cov = _checked_index_cov(waveform, cfg)
+    unit = crb_block(waveform, cfg, SensingLinkGain(1.0)).range_velocity
     wavelength, offset = cfg.wavelength, cfg.corridor_offset
     # Each hop's path gain is geometry_for_ap's (lambda / (4 pi d))^2.
     dist = math.hypot(position_x - cfg.ap_x(cfg.tx_ap), offset)
     scale = ((wavelength / (4.0 * math.pi * dist)) ** 2
              * 2.0 * math.pi / wavelength ** 2
              * power_fraction * cfg.tx_power * cfg.antennas_per_ap)
-    flat = []
+    gains = []
     for ap in aps:
         if not 0 <= ap < cfg.num_aps:
             raise ValueError(
@@ -272,11 +269,12 @@ def _bound_stack(cfg: SystemConfig, waveform: WaveformSpec,
         cross_section = float(rcs[ap])
         if cross_section < 0:
             raise ValueError("rcs must be nonnegative")
-        rr, rv, vv = _range_velocity_terms(
-            cfg, (scale * (wavelength / (4.0 * math.pi * dist)) ** 2
-                  * cross_section * cross_section), index_cov)
-        flat += (rr, rv, rv, vv)
-    return np.array(flat).reshape(-1, 2, 2)
+        gain = (scale * (wavelength / (4.0 * math.pi * dist)) ** 2
+                * cross_section * cross_section)
+        if not gain > 0:  # also a NaN cross section
+            raise ValueError("sensing gain must have positive power")
+        gains.append(gain)
+    return unit / np.array(gains)[:, None, None]
 
 
 def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
@@ -288,9 +286,9 @@ def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
     The sensing transmitter steers power_fraction of its power at the
     reference position, so each hop gain is `sensing_gain` of that matched
     beam in closed form: |alpha|^2 = beta_tx beta_rx (2 pi / lambda^2) rcs^2
-    power_fraction tx_power N. Each block equals `crb_block` of that gain
-    bit for bit, and the errors are those of `geometry_for_ap` and
-    `crb_block`; the waveform is checked once per call, not once per AP.
+    power_fraction tx_power N. Each block is the unit-gain `crb_block` over
+    that gain, a few ulp from `crb_block` of the gain. The errors are those
+    of `geometry_for_ap` and `crb_block`; the grid is checked once per call.
     The bound is taken at zero delay/Doppler: the Fisher information depends
     on the waveform grid only through its power-weighted index moments,
     cached on the WaveformSpec, so the evaluation point does not change the

@@ -72,6 +72,14 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="parse"):
             load_scenario(path)
 
+    def test_merge_key_is_not_a_repeated_key(self, tmp_path):
+        # YAML merge keys still load; a key given next to them overrides
+        path = tmp_path / "m.yaml"
+        path.write_text("system:\n  <<: {num_aps: 6, tx_power: 2.0}\n"
+                        "  num_aps: 5\n")
+        system = load_scenario(path).system
+        assert (system.num_aps, system.tx_power) == (5, 2.0)
+
     def test_round_trip_through_yaml(self, tmp_path):
         base = default_scenario()
         path = tmp_path / "rt.yaml"
@@ -364,6 +372,33 @@ class TestMainEntry:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("unknown key") == 2 and key in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ("num_epochs: 10\nnum_epochs: 20\n", "num_epochs"),
+        ("system: {num_aps: 4, num_aps: 6}\n", "num_aps"),
+        ("policy:\n  subset_cardinality: 2\n  subset_cardinality: 3\n",
+         "subset_cardinality"),
+    ], ids=["top_level", "nested_flow", "nested_block"])
+    def test_repeated_keys_rejected(self, tmp_path, capsys, text, key):
+        # PyYAML would keep the last value and run with it
+        cfg = tmp_path / "dup.yaml"
+        cfg.write_text(text)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"found duplicate key '{key}'") == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys):
+        # a directory; a file without read permission takes the same path,
+        # but cannot be made unreadable to a root user
+        assert main(["validate", "--config", str(tmp_path)]) == 2
+        assert main(["run", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"config error: cannot read {tmp_path}") == 2
         assert not (tmp_path / "o").exists()
 
     def test_bad_arms_flag_is_config_error(self, tmp_path):

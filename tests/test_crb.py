@@ -357,6 +357,18 @@ class TestClosedFormBlock:
                 crb_delay_doppler(spec, cfg, GAIN, azimuth, 0.0, 0.0),
                 at_broadside, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("grid", ["ones", "random"])
+    def test_unit_gain_block_over_gain_is_the_block_of_the_gain(self, grid):
+        # the Fisher information is linear in |alpha|^2, so the simulator
+        # divides one unit-gain block by each hop gain
+        cfg = SystemConfig()
+        spec = (all_ones_waveform(cfg) if grid == "ones"
+                else unit_power_symbols(cfg, np.random.default_rng(14)))
+        unit = crb_block(spec, cfg, SensingLinkGain(1.0)).range_velocity
+        for gain in np.logspace(-40, 5, 2000).tolist():
+            want = crb_block(spec, cfg, SensingLinkGain(gain)).range_velocity
+            assert_allclose(unit / gain, want, rtol=1e-15, atol=0)
+
     def test_single_antenna_block_matches_fft_chain(self):
         cfg = small_cfg(n=1)
         spec = unit_power_symbols(cfg, np.random.default_rng(13))

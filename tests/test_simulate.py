@@ -269,8 +269,10 @@ POSITIONS = (-300.0, 0.0, 124.0, 126.0, 249.0, 251.0, 374.0, 376.0, 499.0,
 
 
 class TestOneBoundPath:
-    """The simulator's bound stack, its stacked noise and its covariance are
-    the per-AP public pieces, bit for bit."""
+    """The simulator's bound stack is the unit-gain `crb_block` divided by
+    each hop gain, bit for bit, and within 1e-15 of `crb_block` of that
+    gain; its stacked noise and covariance are the per-AP pieces, bit for
+    bit."""
 
     @pytest.mark.parametrize("grid", ["ones", "random"])
     @pytest.mark.parametrize("tx_ap", [0, 2])
@@ -281,6 +283,7 @@ class TestOneBoundPath:
         waveform = (all_ones_waveform(cfg) if grid == "ones"
                     else unit_power_waveform(cfg, 5))
         rcs = np.array([0.5, 5.0, 2.0, 11.0])
+        unit = crb_block(waveform, cfg, SensingLinkGain(1.0)).range_velocity
         for position_x in POSITIONS:
             state = TargetTruth(position_x, 25.0)
             tx = geometry_for_ap(cfg, state, tx_ap)
@@ -292,9 +295,11 @@ class TestOneBoundPath:
                 gain = (tx.path_gain * 2.0 * math.pi / cfg.wavelength ** 2
                         * power_fraction * cfg.tx_power * cfg.antennas_per_ap
                         * rx.path_gain * rcs[ap] * rcs[ap])
-                want = crb_block(waveform, cfg, SensingLinkGain(gain), ap)
                 assert (block.range_velocity.tobytes()
-                        == want.range_velocity.tobytes())
+                        == (unit / gain).tobytes())
+                want = crb_block(waveform, cfg, SensingLinkGain(gain), ap)
+                assert_allclose(block.range_velocity, want.range_velocity,
+                                rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("grid", ["ones", "random"])
     @pytest.mark.parametrize("with_filter_mean", [False, True])
@@ -372,6 +377,8 @@ FAULTS = {
                      "rcs must be nonnegative"),
     "zero_rcs": ({"rcs": np.array([5.0, 0.0, 5.0, 5.0])}, ValueError,
                  "sensing gain must have positive power"),
+    "nan_rcs": ({"rcs": np.array([5.0, math.nan, 5.0, 5.0])}, ValueError,
+                "sensing gain must have positive power"),
     "ap_out_of_range": ({"aps": (1, 4)}, ValueError,
                         "ap_index 4 out of range [0, 4)"),
     "non_finite_state": ({"position_x": math.nan}, ValueError,
