@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import groupby
@@ -198,8 +199,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         Scenario, {k: v for k, v in raw.items() if k not in _SECTIONS},
         "config", system=system, initial_truth=truth,
         initial_estimate=_initial_estimate(raw.get("initial_estimate"), truth),
-        policy=_build(SensingPolicy, raw.get("policy"), "policy",
-                      variance_threshold=system.variance_threshold),
+        policy=_build(SensingPolicy, raw.get("policy"), "policy"),
         traffic=_build(TrafficModel, raw.get("traffic"), "traffic"),
         comparison_arms=_parse_arms(raw.get("arms", COMPARISON_ARMS)))
 
@@ -212,9 +212,11 @@ def load_scenario(path: str | Path | None) -> Scenario:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.load(path.read_text(), Loader=_UniqueKeyLoader)
-    except OSError as exc:  # a directory, or no permission to read
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raw = yaml.load(path.read_text(encoding="utf-8"),
+                        Loader=_UniqueKeyLoader)
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {path}: {reason}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return scenario_from_dict(raw or {})
@@ -321,8 +323,10 @@ def summarize_records(records: list[EpochRecord],
 
 
 def write_records(records: list[EpochRecord], out_dir: str | Path,
-                  scenario: Scenario) -> RunManifest:
-    """Write epochs.csv and summary.json, then the run manifest (last)."""
+                  scenario: Scenario, plots: Sequence[Path] = ()
+                  ) -> RunManifest:
+    """Write epochs.csv and summary.json, then the run manifest (last),
+    which also lists `plots`, the files `emit_plots` wrote before it."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
@@ -338,7 +342,7 @@ def write_records(records: list[EpochRecord], out_dir: str | Path,
         config_digest=config_digest(scenario), seed=scenario.seed,
         tool_version=__version__, started_at=started,
         finished_at=datetime.now(timezone.utc).isoformat(),
-        outputs=("epochs.csv", "summary.json"))
+        outputs=("epochs.csv", "summary.json", *(p.name for p in plots)))
     manifest_path = out_dir / "manifest.json"
     payload = dataclasses.asdict(manifest)
     payload["outputs"] = list(manifest.outputs)
@@ -540,9 +544,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         records = run_scenario(scenario)
-        write_records(records, args.out, scenario)
-        if args.emit_plots:
-            emit_plots(records, args.out, scenario.policy.variance_threshold)
+        plots = (emit_plots(records, args.out,
+                            scenario.policy.variance_threshold)
+                 if args.emit_plots else [])
+        write_records(records, args.out, scenario, plots)
     except Exception as exc:  # noqa: BLE001 - report and signal runtime failure
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,8 @@ class SystemConfig:
     Defaults reproduce the reference evaluation scenario: four 4-antenna APs
     along a road at y = 0, a 30 GHz carrier, and a vehicle corridor 40 m away.
     `antenna_spacing` derives from the carrier when left None. Every float
-    field and AP coordinate must be finite.
+    field and AP coordinate must be finite. The sensing trigger is not a
+    deployment parameter: it is `SensingPolicy.variance_threshold`.
     """
 
     num_aps: int = 4                      # L_T
@@ -39,7 +40,6 @@ class SystemConfig:
     mean_rcs: float = 5.0                 # m^2, Swerling-I mean cross section
     epoch_duration: float = 0.01          # s between filter epochs
     process_noise_std: float = 0.1        # m/s^2, acceleration uncertainty
-    variance_threshold: float = math.radians(3.0) ** 2  # rad^2, sensing trigger
     tx_ap: int = 0                        # index of the sensing transmitter AP
 
     def __post_init__(self) -> None:
@@ -72,7 +72,7 @@ class SystemConfig:
             raise ValueError("cp_length: must be >= 0")
         for name in ("carrier_frequency", "subcarrier_spacing", "tx_power",
                      "noise_power", "antenna_spacing", "corridor_offset",
-                     "mean_rcs", "epoch_duration", "variance_threshold"):
+                     "mean_rcs", "epoch_duration"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name}: must be strictly positive")

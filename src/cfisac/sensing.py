@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from itertools import combinations
 from statistics import NormalDist
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ class Action(enum.Enum):
 class SensingPolicy:
     """Trigger threshold and receive-subset constraints."""
 
-    variance_threshold: float       # rad^2
+    variance_threshold: float = math.radians(3.0) ** 2  # rad^2
     subset_cardinality: int = 2     # 0 means unconstrained
     exclude_tx_ap: bool = False
 
@@ -49,8 +50,9 @@ class SensingPolicy:
     @classmethod
     def from_config(cls, cfg: SystemConfig, subset_cardinality: int = 2,
                     exclude_tx_ap: bool = False) -> "SensingPolicy":
-        return cls(variance_threshold=cfg.variance_threshold,
-                   subset_cardinality=subset_cardinality,
+        """The default-threshold policy with these subset constraints; `cfg`
+        is not read, since the threshold belongs to the policy alone."""
+        return cls(subset_cardinality=subset_cardinality,
                    exclude_tx_ap=exclude_tx_ap)
 
 

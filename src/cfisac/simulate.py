@@ -16,7 +16,7 @@ power-split and perfect knowledge) over all traffic epochs.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -364,17 +364,17 @@ def _random_selection(cfg: SystemConfig, policy: SensingPolicy,
 
 
 def _step_arm(scenario: Scenario, state: SimState, name: str,
-              truth_now: TargetTruth, rcs: Callable[[], np.ndarray],
-              traffic_on: bool,
-              rng: Callable[[str], np.random.Generator]) -> ArmEpoch:
+              truth_now: TargetTruth, traffic_on: bool) -> ArmEpoch:
     """One EKF cycle of a filter arm: predict, then select, synthesize and
     update if the arm senses this epoch.
 
-    `rcs()` returns the epoch's cross sections and `rng(stream)` the
-    stream's generator reset to the epoch; both are called only when the
-    arm senses.
+    Only an arm that senses reads the selection, cross-section and
+    measurement streams, each reset to (seed, stream, epoch) by its
+    `generator` call, so every arm that senses draws the same cross
+    sections and normals.
     """
     cfg, policy, arm = scenario.system, scenario.policy, _ARMS[name]
+    streams, k = state.streams, state.epoch
     prior = state.estimates[name]
     predicted = predict(prior, state.model)
     _, variance = angle_estimate_and_variance(cfg, predicted)
@@ -389,7 +389,8 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
         if arm.receivers == "all":
             selection = ApSelection.full(cfg.num_aps)
         elif arm.receivers == "random":
-            selection = _random_selection(cfg, policy, rng("selection"))
+            selection = _random_selection(cfg, policy,
+                                          streams["selection"].generator(k))
         else:
             mean_rcs = np.full(cfg.num_aps, cfg.mean_rcs)
             planning = crb_blocks_for_state(cfg, state.waveform,
@@ -397,8 +398,9 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
                                             float(predicted.mean[1]),
                                             mean_rcs)
             selection = select_rx_aps(cfg, prior, state.model, policy, planning)
+        rcs = draw_rcs(streams["rcs"].generator(k), cfg, cfg.num_aps)
         meas = synthesize_measurement(
-            cfg, truth_now, selection, rcs(), rng("measurement"),
+            cfg, truth_now, selection, rcs, streams["measurement"].generator(k),
             waveform=state.waveform, power_fraction=arm.power_fraction,
             filter_mean=predicted.mean)
         estimate = update(predicted, meas, cfg)
@@ -409,32 +411,18 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
 def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
     """Advance every filter arm one epoch and record the outcome.
 
-    Generators are read on demand: the cross sections are drawn once, by
-    the first arm that senses, and traffic draws only in Bernoulli mode.
-    Each draw is keyed by (seed, stream, epoch), so a skipped stream never
-    shifts another, and every arm that senses resets the measurement
-    stream to the epoch, so all arms draw the same normals. The record's
-    `rates` stay empty; `fill_rates` evaluates them over many epochs at
-    once.
+    Generators are read on demand: traffic draws only in Bernoulli mode,
+    and the other streams only for an arm that senses. Each draw is keyed
+    by (seed, stream, epoch), so a skipped stream never shifts another.
+    The record's `rates` stay empty; `fill_rates` evaluates them over many
+    epochs at once.
     """
     cfg = scenario.system
     k = state.epoch
-
-    def rng(stream: str) -> np.random.Generator:
-        return state.streams[stream].generator(k)
-
-    drawn: list[np.ndarray] = []
-
-    def rcs() -> np.ndarray:
-        if not drawn:
-            drawn.append(draw_rcs(rng("rcs"), cfg, cfg.num_aps))
-        return drawn[0]
-
     truth_now = propagate_truth(state.truth, cfg)
     traffic_on = scenario.traffic.is_on(k, state.streams["traffic"])
 
-    arms = {name: _step_arm(scenario, state, name, truth_now, rcs,
-                            traffic_on, rng)
+    arms = {name: _step_arm(scenario, state, name, truth_now, traffic_on)
             for name in state.estimates}
 
     state.truth = truth_now

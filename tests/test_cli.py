@@ -97,9 +97,10 @@ class TestLoadScenario:
         assert scenario.traffic.intervals == ((0, 5), (10, 12))
 
     def test_default_digest_is_pinned(self):
-        # the canonical form of the defaults; a schema change must move it
+        # the canonical form of the defaults (the threshold only under
+        # policy); a schema change must move it
         assert config_digest(default_scenario()) == (
-            "4600fb7f71a56df05b5c364ce1f3b8d256eb974234698bcc54df9330319434e1")
+            "9424424d5c04bbf6f8428c4054bf8ef4785a35c992c3906204bbd080996a3c85")
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_workload_round_trip_through_yaml(self, tmp_path, workload):
@@ -117,6 +118,14 @@ class TestLoadScenario:
         scenario = scenario_from_dict(yaml.safe_load(example))
         assert scenario.system.num_aps == 4
         assert scenario.policy.subset_cardinality == 2
+
+    def test_readme_library_example_runs(self):
+        readme = (REPO / "README.md").read_text()
+        example = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+        namespace = {}
+        exec(example, namespace)
+        assert len(namespace["records"]) == namespace["scenario"].num_epochs
+        assert namespace["sensed"]
 
 
 class TestWriteRecords:
@@ -224,6 +233,19 @@ class TestMainEntry:
         for name in ("epochs.csv", "summary.json", "manifest.json",
                      "variance.svg", "rate.svg"):
             assert (out / name).exists()
+
+    def test_manifest_lists_the_plots(self, tmp_path):
+        # written last, so it lists every output, the plots included
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text("num_epochs: 5\n")
+        for flags, plots in (([], []),
+                             (["--emit-plots"], ["variance.svg", "rate.svg"])):
+            out = tmp_path / f"out{len(flags)}"
+            assert main(["run", "--config", str(cfg), "--out", str(out),
+                         *flags]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["outputs"] == ["epochs.csv", "summary.json",
+                                           *plots]
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "s.yaml"
@@ -400,6 +422,42 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.count(f"config error: cannot read {tmp_path}") == 2
         assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bin.yaml"
+        cfg.write_bytes(b"num_epochs: \xff\n")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"config error: cannot read {cfg}: 'utf-8'") == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_threshold_is_a_policy_key_only(self, tmp_path, capsys):
+        # a system threshold would be a second owner of the sensing trigger
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text("num_epochs: 5\nsystem:\n  variance_threshold: 0.5\n"
+                       "policy:\n  variance_threshold: 0.001\n")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("system: unknown key(s) ['variance_threshold']") == 2
+        assert not (tmp_path / "o").exists()
+        # far above the prior's angle variance, so no epoch senses
+        cfg.write_text("num_epochs: 5\npolicy:\n  variance_threshold: 10.0\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        canonical = json.loads(
+            (out / "manifest.json").read_text())["canonical_config"]
+        assert canonical["policy"]["variance_threshold"] == 10.0
+        assert "variance_threshold" not in canonical["system"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["sensing_epochs"] == 0
+        cfg.write_text("num_epochs: 5\n")  # the default threshold senses
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["sensing_epochs"] > 0
 
     def test_bad_arms_flag_is_config_error(self, tmp_path):
         assert main(["run", "--out", str(tmp_path / "o"),

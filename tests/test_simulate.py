@@ -618,9 +618,10 @@ class TestRunScenario:
         records = run_scenario(make_scenario(
             num_epochs=40, seed=4, comparison_arms=arms,
             traffic=TrafficModel(mode="intervals", intervals=((20, 30),))))
-        sensed = [r.epoch for r in records
-                  if any(a.action is Action.SENSING for a in r.arms.values())]
-        assert sensed and len(sensed) < len(records)
+        # one cross-section draw per arm that senses, in stepping order
+        sensed = [r.epoch for r in records for a in r.arms.values()
+                  if a.action is Action.SENSING]
+        assert sensed and len(set(sensed)) < len(records)
         assert not [b for b in built if b[0] == "traffic"]
         assert [epoch for name, epoch in built if name == "rcs"] == sensed
 
