@@ -8,8 +8,6 @@ import hashlib
 import json
 import math
 import sys
-from collections.abc import Sequence
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import groupby
 from pathlib import Path
@@ -34,16 +32,6 @@ CSV_COLUMNS = (
 
 class ConfigError(ValueError):
     """Scenario file is missing, malformed, or violates an invariant."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    config_digest: str
-    seed: int
-    tool_version: str
-    started_at: str
-    finished_at: str
-    outputs: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -260,28 +248,26 @@ def config_digest(scenario: Scenario) -> str:
 # ---------------------------------------------------------------------------
 # record output
 
-def _fmt(x: float) -> str:
-    return f"{x:.17e}"
+# The state columns of an epochs.csv row, then one cell per rate column:
+# (method, LinkResult field), empty where the method has no rate (every
+# traffic-OFF epoch, and arms that did not run).
+_STATE_CELLS = "%d" + ",%.17e" * 7 + ",%s,%s,%d"
+_LINK_CELLS = (("proposed", "rate"), ("conventional", "rate"),
+               ("perfect", "rate"), ("proposed", "snr"))
 
 
 def _csv_row(rec: EpochRecord) -> str:
-    rates, arm = rec.rates, rec.arms["proposed"]
-    on = rec.traffic_state == "ON"
-
-    def rate_of(tag: str) -> str:
-        return _fmt(rates[tag].rate) if on and tag in rates else ""
-
-    snr = _fmt(rates["proposed"].snr) if on and "proposed" in rates else ""
-    cells = [
-        str(rec.epoch),
-        _fmt(rec.truth.position_x), _fmt(rec.truth.velocity_x),
-        _fmt(arm.estimate.mean[0]), _fmt(arm.estimate.mean[1]),
-        _fmt(arm.estimate.covariance[0, 0]), _fmt(arm.estimate.covariance[1, 1]),
-        _fmt(arm.predicted_angle_variance),
-        arm.action.value, rec.traffic_state, str(arm.selection.bitmask),
-        rate_of("proposed"), rate_of("conventional"), rate_of("perfect"), snr,
-    ]
-    return ",".join(cells)
+    arm, rates = rec.arms["proposed"], rec.rates
+    est = arm.estimate
+    template = _STATE_CELLS + "".join(",%.17e" if tag in rates else ","
+                                      for tag, _ in _LINK_CELLS)
+    return template % (
+        rec.epoch, rec.truth.position_x, rec.truth.velocity_x, *est.mean,
+        est.covariance[0, 0], est.covariance[1, 1],
+        arm.predicted_angle_variance, arm.action.value, rec.traffic_state,
+        arm.selection.bitmask,
+        *(getattr(rates[tag], field) for tag, field in _LINK_CELLS
+          if tag in rates))
 
 
 def _variance_series(records: list[EpochRecord]) -> dict[str, list[float]]:
@@ -323,10 +309,11 @@ def summarize_records(records: list[EpochRecord],
 
 
 def write_records(records: list[EpochRecord], out_dir: str | Path,
-                  scenario: Scenario, plots: Sequence[Path] = ()
-                  ) -> RunManifest:
-    """Write epochs.csv and summary.json, then the run manifest (last),
-    which also lists `plots`, the files `emit_plots` wrote before it."""
+                  scenario: Scenario, plots: bool = False) -> dict:
+    """Write every output of a run: epochs.csv, summary.json, variance.svg
+    and rate.svg if `plots`, then manifest.json last. The manifest's
+    started_at-finished_at window spans every output it lists; it is
+    returned as written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
@@ -337,17 +324,18 @@ def write_records(records: list[EpochRecord], out_dir: str | Path,
     (out_dir / "summary.json").write_text(
         json.dumps(summarize_records(records, scenario), indent=2,
                    sort_keys=True) + "\n")
+    outputs = ["epochs.csv", "summary.json"]
+    if plots:
+        outputs.extend(path.name for path in emit_plots(
+            records, out_dir, scenario.policy.variance_threshold))
 
-    manifest = RunManifest(
-        config_digest=config_digest(scenario), seed=scenario.seed,
-        tool_version=__version__, started_at=started,
-        finished_at=datetime.now(timezone.utc).isoformat(),
-        outputs=("epochs.csv", "summary.json", *(p.name for p in plots)))
-    manifest_path = out_dir / "manifest.json"
-    payload = dataclasses.asdict(manifest)
-    payload["outputs"] = list(manifest.outputs)
-    payload["canonical_config"] = scenario_to_dict(scenario)
-    manifest_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    manifest = {
+        "config_digest": config_digest(scenario), "seed": scenario.seed,
+        "tool_version": __version__, "started_at": started,
+        "finished_at": datetime.now(timezone.utc).isoformat(),
+        "outputs": outputs, "canonical_config": scenario_to_dict(scenario)}
+    (out_dir / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
@@ -543,11 +531,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        records = run_scenario(scenario)
-        plots = (emit_plots(records, args.out,
-                            scenario.policy.variance_threshold)
-                 if args.emit_plots else [])
-        write_records(records, args.out, scenario, plots)
+        write_records(run_scenario(scenario), args.out, scenario,
+                      args.emit_plots)
     except Exception as exc:  # noqa: BLE001 - report and signal runtime failure
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1

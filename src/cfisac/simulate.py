@@ -136,6 +136,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.num_epochs < 1:
             raise ValueError("num_epochs: must be >= 1")
+        # RngStream keys on the seed's low 64 bits; a seed outside them
+        # would alias one inside under another config digest.
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed: must lie in [0, 2**64)")
         unknown = set(self.comparison_arms) - set(COMPARISON_ARMS)
         if unknown:
             raise ValueError(f"unknown comparison arms {sorted(unknown)}")
@@ -239,16 +243,15 @@ def propagate_truth(truth: TargetTruth, cfg: SystemConfig) -> TargetTruth:
 def draw_rcs(rng: np.random.Generator, cfg: SystemConfig,
              num_aps: int) -> np.ndarray:
     """Per-AP fluctuating cross sections: exponential with the configured mean."""
-    if not cfg.mean_rcs > 0:
-        raise ValueError("mean_rcs: must be strictly positive")
     return rng.exponential(cfg.mean_rcs, size=num_aps)
 
 
 def _bound_stack(cfg: SystemConfig, waveform: WaveformSpec,
                  position_x: float, velocity_x: float, rcs: np.ndarray,
                  power_fraction: float, aps: Sequence[int]) -> np.ndarray:
-    """The blocks of `crb_blocks_for_state` as one (len(aps), 2, 2) stack:
-    one unit-gain `crb_block` divided by each AP's hop gain."""
+    """The bound blocks of APs `aps`, indices into `cfg`, as one
+    (len(aps), 2, 2) stack: one unit-gain `crb_block` divided by each AP's
+    hop gain."""
     if not 0.0 < power_fraction <= 1.0:
         raise ValueError("power_fraction must lie in (0, 1]")
     if not (math.isfinite(position_x) and math.isfinite(velocity_x)):
@@ -262,9 +265,6 @@ def _bound_stack(cfg: SystemConfig, waveform: WaveformSpec,
              * power_fraction * cfg.tx_power * cfg.antennas_per_ap)
     gains = []
     for ap in aps:
-        if not 0 <= ap < cfg.num_aps:
-            raise ValueError(
-                f"ap_index {ap} out of range [0, {cfg.num_aps})")
         dist = math.hypot(position_x - cfg.ap_x(ap), offset)
         cross_section = float(rcs[ap])
         if cross_section < 0:
@@ -279,9 +279,9 @@ def _bound_stack(cfg: SystemConfig, waveform: WaveformSpec,
 
 def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
                          position_x: float, velocity_x: float,
-                         rcs: np.ndarray, power_fraction: float = 1.0,
-                         aps: tuple[int, ...] | None = None) -> list[CrbBlock]:
-    """Per-AP (range, radial velocity) bound blocks at a reference state.
+                         rcs: np.ndarray, power_fraction: float = 1.0
+                         ) -> list[CrbBlock]:
+    """Every AP's (range, radial velocity) bound block at a reference state.
 
     The sensing transmitter steers power_fraction of its power at the
     reference position, so each hop gain is `sensing_gain` of that matched
@@ -295,10 +295,9 @@ def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
     result. The FFT-based crb_delay_doppler is the general-grid reference it
     is tested against.
     """
-    aps = range(cfg.num_aps) if aps is None else aps
     stack = _bound_stack(cfg, waveform, position_x, velocity_x, rcs,
-                         power_fraction, aps)
-    return [CrbBlock(block, ap) for ap, block in zip(aps, stack)]
+                         power_fraction, range(cfg.num_aps))
+    return [CrbBlock(block, ap) for ap, block in enumerate(stack)]
 
 
 def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,

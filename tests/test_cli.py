@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,8 @@ class TestLoadScenario:
         scenario = scenario_from_dict(yaml.safe_load(example))
         assert scenario.system.num_aps == 4
         assert scenario.policy.subset_cardinality == 2
+        # it documents the defaults, every value to the last digit
+        assert config_digest(scenario) == config_digest(default_scenario())
 
     def test_readme_library_example_runs(self):
         readme = (REPO / "README.md").read_text()
@@ -156,6 +159,35 @@ class TestWriteRecords:
             else:
                 assert cells[11] != "" and float(cells[14]) > 0
 
+    def test_cells_hold_the_record_values_exactly(self, short_run, tmp_path):
+        scenario, records = short_run
+        assert {r.traffic_state for r in records} == {"ON", "OFF"}
+        assert scenario.comparison_arms == ("conventional", "random",
+                                            "perfect")
+        write_records(records, tmp_path, scenario)
+        rows = (tmp_path / "epochs.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(records)
+        for rec, row in zip(records, rows):
+            cells = row.split(",")
+            arm = rec.arms["proposed"]
+            est = arm.estimate
+            values = [rec.truth.position_x, rec.truth.velocity_x, *est.mean,
+                      est.covariance[0, 0], est.covariance[1, 1],
+                      arm.predicted_angle_variance]
+            float_cells = cells[1:8]
+            if rec.traffic_state == "ON":
+                values += [rec.rates[tag].rate for tag in
+                           ("proposed", "conventional", "perfect")]
+                values.append(rec.rates["proposed"].snr)
+                float_cells += cells[11:15]
+            else:
+                assert cells[11:15] == ["", "", "", ""]
+            assert ([float(cell).hex() for cell in float_cells]
+                    == [float(value).hex() for value in values])
+            assert int(cells[0]) == rec.epoch
+            assert int(cells[10]) == arm.selection.bitmask
+            assert cells[8:10] == [arm.action.value, rec.traffic_state]
+
     def test_selection_bitmask_encoding(self):
         assert ApSelection.from_indices(4, [0, 2]).bitmask == 5
 
@@ -173,12 +205,12 @@ class TestWriteRecords:
     def test_manifest_digest_tracks_config(self, short_run, tmp_path):
         scenario, records = short_run
         manifest = write_records(records, tmp_path, scenario)
-        assert manifest.config_digest == config_digest(scenario)
+        assert manifest["config_digest"] == config_digest(scenario)
         changed = dataclasses.replace(scenario, seed=scenario.seed + 1)
-        assert config_digest(changed) != manifest.config_digest
+        assert config_digest(changed) != manifest["config_digest"]
         payload = json.loads((tmp_path / "manifest.json").read_text())
-        assert payload["config_digest"] == manifest.config_digest
-        assert payload["tool_version"] == manifest.tool_version
+        assert payload["config_digest"] == manifest["config_digest"]
+        assert payload["tool_version"] == manifest["tool_version"]
         assert set(payload["outputs"]) == {"epochs.csv", "summary.json"}
 
     def test_digest_recomputes_from_stored_config(self, short_run, tmp_path):
@@ -246,6 +278,45 @@ class TestMainEntry:
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["outputs"] == ["epochs.csv", "summary.json",
                                            *plots]
+
+    def test_plots_are_written_inside_the_manifest_window(self, tmp_path,
+                                                          monkeypatch):
+        spans = []
+
+        def timed_emit_plots(*args, **kwargs):
+            start = datetime.now(timezone.utc)
+            paths = emit_plots(*args, **kwargs)
+            spans.append((start, datetime.now(timezone.utc)))
+            return paths
+
+        monkeypatch.setattr("cfisac.cli.emit_plots", timed_emit_plots)
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text("num_epochs: 5\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--emit-plots"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        [(start, end)] = spans
+        assert datetime.fromisoformat(manifest["started_at"]) <= start
+        assert end <= datetime.fromisoformat(manifest["finished_at"])
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_flag_outside_64_bits_rejected(self, tmp_path, capsys, seed):
+        # the streams key on the seed's low 64 bits, so such a seed would
+        # repeat another seed's run under a different config digest
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--seed", str(seed)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(f"num_epochs: 3\nseed: {2 ** 64 - 1}\n")
+        assert main(["validate", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 2 ** 64 - 1
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "s.yaml"
@@ -323,6 +394,8 @@ class TestMainEntry:
         ("system:\n  num_aps: 4.7\n", "num_aps"),
         ("num_epochs: 2.9\n", "num_epochs"),
         ("seed: 2.5\n", "seed"),
+        ("seed: -1\n", "seed"),
+        (f"seed: {2 ** 64}\n", "seed"),
         ("policy:\n  exclude_tx_ap: \"false\"\n", "exclude_tx_ap"),
         ("phase_mode: bogus\n", "phase_mode"),
         ("angle_mode: bogus\n", "angle_mode"),
@@ -356,7 +429,8 @@ class TestMainEntry:
             "zero_carrier", "list_num_epochs", "list_cardinality",
             "list_target_position", "list_on_probability", "scalar_intervals",
             "scalar_ap_positions", "scalar_arms", "fractional_num_aps",
-            "fractional_num_epochs", "fractional_seed", "string_bool",
+            "fractional_num_epochs", "fractional_seed", "negative_seed",
+            "seed_past_64_bits", "string_bool",
             "unknown_phase_mode", "unknown_angle_mode",
             "infeasible_cardinality", "too_many_aps", "fractional_interval",
             "bool_tx_power", "bool_target_position", "bool_on_probability",

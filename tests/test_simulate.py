@@ -316,7 +316,7 @@ class TestOneBoundPath:
             filter_mean = np.array([position_x + 7.5, 22.0])
             # a caller's blocks at another state and cross section
             caller = crb_blocks_for_state(CFG, waveform, position_x - 40.0,
-                                          30.0, 2.0 * rcs, 0.5, aps=aps)
+                                          30.0, 2.0 * rcs, 0.5)
             meas = synthesize_measurement(
                 CFG, truth, selection, rcs,
                 RngStream(9, "measurement").generator(epoch),
@@ -379,8 +379,6 @@ FAULTS = {
                  "sensing gain must have positive power"),
     "nan_rcs": ({"rcs": np.array([5.0, math.nan, 5.0, 5.0])}, ValueError,
                 "sensing gain must have positive power"),
-    "ap_out_of_range": ({"aps": (1, 4)}, ValueError,
-                        "ap_index 4 out of range [0, 4)"),
     "non_finite_state": ({"position_x": math.nan}, ValueError,
                          "target truth must be finite"),
     "zero_power_fraction": ({"power_fraction": 0.0}, ValueError,
@@ -418,18 +416,16 @@ class TestBoundErrors:
     def test_crb_blocks_for_state(self, fault):
         self.check(lambda v: crb_blocks_for_state(
             CFG, v["waveform"], v["position_x"], 25.0, v["rcs"],
-            v["power_fraction"], aps=v["aps"]), fault)
+            v["power_fraction"]), fault)
 
-    # A selection over the configured APs cannot name AP 4, so the
-    # out-of-range row is left to test_crb_blocks_for_state.
     @pytest.mark.parametrize("fault, via", [
         (fault, via) for fault in sorted(FAULTS)
-        for via in ("truth", "filter_mean") if fault != "ap_out_of_range"])
+        for via in ("truth", "filter_mean")])
     def test_synthesize_measurement(self, fault, via):
         # via the bound at the truth, or, given the caller's truth blocks,
         # via the bound at the filter mean
         good = crb_blocks_for_state(CFG, self.VALID["waveform"], 60.0, 25.0,
-                                    self.VALID["rcs"], aps=(1, 3))
+                                    self.VALID["rcs"])
 
         def synthesize(v):
             faulty = TargetTruth(v["position_x"], 25.0)
