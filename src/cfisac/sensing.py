@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from itertools import combinations
-from statistics import NormalDist
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +21,8 @@ from .tracking import (MotionModel, StateEstimate, measurement_jacobian,
 __all__ = [
     "Action", "ApSelection", "SensingPolicy", "hpbw",
     "variance_threshold_from_hpbw", "decide_action",
-    "predict_variance_for_selection", "available_rx_aps", "select_rx_aps",
+    "predict_variance_for_selection", "available_rx_aps", "score_subsets",
+    "select_rx_aps",
 ]
 
 _MAX_EXHAUSTIVE_APS = 20
@@ -69,6 +70,8 @@ def variance_threshold_from_hpbw(beamwidth: float, epsilon: float) -> float:
     Returns (beamwidth / q)^2 with q the standard normal quantile at
     1 - epsilon/2.
     """
+    from statistics import NormalDist  # about 2 ms to import; no run needs it
+
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     quantile = NormalDist().inv_cdf(1.0 - epsilon / 2.0)
@@ -77,7 +80,7 @@ def variance_threshold_from_hpbw(beamwidth: float, epsilon: float) -> float:
 
 def decide_action(predicted_variance: float, policy: SensingPolicy) -> Action:
     """Sense only when the predicted angle variance exceeds the threshold."""
-    if predicted_variance < 0:
+    if not predicted_variance >= 0:  # also NaN, which would never sense
         raise ValueError("predicted variance must be nonnegative")
     if predicted_variance > policy.variance_threshold:
         return Action.SENSING
@@ -120,29 +123,70 @@ def available_rx_aps(cfg: SystemConfig, policy: SensingPolicy) -> list[int]:
     return available
 
 
-def select_rx_aps(cfg: SystemConfig, est: StateEstimate, model: MotionModel,
-                  policy: SensingPolicy, crbs: list[CrbBlock]) -> ApSelection:
-    """Receive-AP subset minimizing the predicted angle variance.
+@functools.lru_cache(maxsize=8)
+def _subset_table(available: tuple[int, ...],
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every k-subset of `available`, as read-only arrays: the (k, m)
+    positions into `available`, one row per member, and the (m, k) AP
+    indices. Subsets ascend by bitmask, so the first of equal scores is the
+    one with the lowest bitmask."""
+    positions = np.array(sorted(combinations(range(len(available)), k),
+                                key=lambda row: sum(1 << i for i in row)))
+    columns = np.ascontiguousarray(positions.T)
+    subsets = np.asarray(available)[positions]
+    columns.setflags(write=False)
+    subsets.setflags(write=False)
+    return columns, subsets
 
-    Scored in information form, I_l = J_l^T R_l^-1 J_l per AP: subset S leaves
-    P00 of (I + P sum_S I_l)^-1 P, needing no P^-1. Ties break toward fewer
-    APs, then the lowest bitmask, so unconstrained it selects every AP that
-    adds information (information never raises the variance).
+
+def score_subsets(cfg: SystemConfig, predicted: StateEstimate,
+                  policy: SensingPolicy, crbs: list[CrbBlock]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate receive subsets and their predicted angle variances.
+
+    `predicted` is the estimate already propagated to the sensing epoch.
+    Returns an (m, k) array of AP indices, one subset per row in ascending
+    bitmask order, and the (m,) angle variances those subsets leave after
+    the update: the C(n, k) subsets of the n available APs, from a
+    read-only table built once per (available APs, k). At k = 0 the one
+    row is every AP that adds information (information never raises the
+    variance), or the first AP when none does, since then all subsets tie.
+
+    Scored in information form, I_l = J_l^T R_l^-1 J_l per AP: subset S
+    leaves P00 of (I + P sum_S I_l)^-1 P, needing no P^-1.
     """
     available = available_rx_aps(cfg, policy)
-    predicted = predict(est, model)
     jac = measurement_jacobian(cfg, predicted.mean, ApSelection.from_indices(
         cfg.num_aps, available)).reshape(-1, 2, 2)
     noise = range_velocity_blocks(crbs, available)
     info = jac.transpose(0, 2, 1) @ np.linalg.solve(noise, jac)
-    if policy.subset_cardinality == 0:  # if no AP informs, all subsets tie
-        chosen = [ap for ap, i_l in zip(available, info) if i_l.any()]
-        return ApSelection.from_indices(cfg.num_aps, chosen or available[:1])
-    positions = np.array(list(combinations(range(len(available)),
-                                           policy.subset_cardinality)))
-    total_info = sum(info[column] for column in positions.T)
+    if policy.subset_cardinality:
+        columns, subsets = _subset_table(tuple(available),
+                                         policy.subset_cardinality)
+    else:
+        informs = np.flatnonzero(info.any(axis=(1, 2)))
+        columns = (informs if informs.size else np.zeros(1, int))[:, None]
+        subsets = np.asarray(available)[columns.T]
+    total_info = sum(info.take(column, axis=0) for column in columns)
     cov = predicted.covariance[None]  # 3-D: numpy 1.x solves it as a stack
     variance = np.linalg.solve(np.eye(2) + cov @ total_info, cov)[:, 0, 0]
-    subsets = np.asarray(available)[positions]
-    best = np.lexsort(((1 << subsets).sum(axis=1), variance))[0]
-    return ApSelection.from_indices(cfg.num_aps, subsets[best])
+    slope = angle_slope_from_position(cfg, float(predicted.mean[0]))
+    return subsets, variance * slope ** 2
+
+
+def _lowest_variance(num_aps: int, subsets: np.ndarray,
+                     variances: np.ndarray) -> ApSelection:
+    """The row of `score_subsets` with the lowest variance; of equal
+    variances the first, which has the lowest bitmask."""
+    return ApSelection.from_indices(
+        num_aps, subsets[np.argsort(variances, kind="stable")[0]])
+
+
+def select_rx_aps(cfg: SystemConfig, est: StateEstimate, model: MotionModel,
+                  policy: SensingPolicy, crbs: list[CrbBlock]) -> ApSelection:
+    """Receive-AP subset minimizing the predicted angle variance, one epoch
+    after `est`: the lowest-scoring row of `score_subsets`, ties to the
+    lowest bitmask. Unconstrained, it selects every AP that adds
+    information, or the first AP when none does."""
+    return _lowest_variance(
+        cfg.num_aps, *score_subsets(cfg, predict(est, model), policy, crbs))

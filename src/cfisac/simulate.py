@@ -27,8 +27,8 @@ from .crb import (CrbBlock, SensingLinkGain, WaveformSpec,
                   all_ones_waveform, crb_block, range_velocity_blocks)
 from .geometry import TargetTruth
 from .selection import ApSelection
-from .sensing import (Action, SensingPolicy, available_rx_aps, decide_action,
-                      select_rx_aps)
+from .sensing import (Action, SensingPolicy, _lowest_variance,
+                      available_rx_aps, decide_action, score_subsets)
 from .tracking import (MeasurementSet, MotionModel, StateEstimate,
                        angle_estimate_and_variance, measurement_model, predict,
                        update)
@@ -374,8 +374,7 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
     """
     cfg, policy, arm = scenario.system, scenario.policy, _ARMS[name]
     streams, k = state.streams, state.epoch
-    prior = state.estimates[name]
-    predicted = predict(prior, state.model)
+    predicted = predict(state.estimates[name], state.model)
     _, variance = angle_estimate_and_variance(cfg, predicted)
     action = Action.SENSING
     if arm.gated:
@@ -396,7 +395,8 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
                                             float(predicted.mean[0]),
                                             float(predicted.mean[1]),
                                             mean_rcs)
-            selection = select_rx_aps(cfg, prior, state.model, policy, planning)
+            selection = _lowest_variance(
+                cfg.num_aps, *score_subsets(cfg, predicted, policy, planning))
         rcs = draw_rcs(streams["rcs"].generator(k), cfg, cfg.num_aps)
         meas = synthesize_measurement(
             cfg, truth_now, selection, rcs, streams["measurement"].generator(k),

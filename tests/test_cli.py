@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import yaml
 from cfisac.cli import (ConfigError, config_digest, default_scenario,
                         emit_plots, load_scenario, main, scenario_from_dict,
                         scenario_to_dict, summarize_records, write_records)
+from cfisac.config import SystemConfig
 from cfisac.selection import ApSelection
 from cfisac.sensing import Action
 from cfisac.simulate import TrafficModel, run_scenario
@@ -548,3 +552,40 @@ class TestSummarize:
         assert records[k].predicted_angle_variance < gamma
         assert all(r.predicted_angle_variance >= gamma for r in records[:k])
         assert crossing["random"] is not None
+
+
+@pytest.mark.parametrize("workload", ["ref_all", "select_dense"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scaling_tx_and_noise_power_together_leaves_the_run(tmp_path,
+                                                            workload, seed):
+    # power enters the bound and the downlink SNR only as a ratio to the
+    # noise, and scaling both by a power of two is exact in binary floats
+    overrides = WORKLOADS[workload]["overrides"]
+    defaults = SystemConfig()
+
+    def epochs_csv(scale):
+        system = {**overrides.get("system", {}),
+                  "tx_power": defaults.tx_power * scale,
+                  "noise_power": defaults.noise_power * scale}
+        scenario = scenario_from_dict({**overrides, "system": system,
+                                       "seed": seed})
+        out = tmp_path / f"scale{scale}"
+        write_records(run_scenario(scenario), out, scenario, plots=False)
+        return (out / "epochs.csv").read_bytes()
+
+    base = epochs_csv(1.0)
+    for exponent in (-3, 2, 7):
+        assert epochs_csv(2.0 ** exponent) == base, exponent
+
+
+def test_importing_the_cli_leaves_statistics_unloaded():
+    # statistics, with the fractions and decimal it imports, costs about
+    # 2 ms at every start; only variance_threshold_from_hpbw needs it
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(REPO / "src"), *([path] if path else [])])}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cfisac.cli; print('statistics' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

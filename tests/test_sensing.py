@@ -7,10 +7,13 @@ import pytest
 from cfisac.config import SystemConfig
 from cfisac.crb import CrbBlock
 from cfisac.selection import ApSelection
-from cfisac.sensing import (Action, SensingPolicy, decide_action, hpbw,
-                            predict_variance_for_selection, select_rx_aps,
-                            variance_threshold_from_hpbw)
-from cfisac.tracking import MotionModel, StateEstimate
+from cfisac.crb import all_ones_waveform
+from cfisac.sensing import (Action, SensingPolicy, available_rx_aps,
+                            decide_action, hpbw,
+                            predict_variance_for_selection, score_subsets,
+                            select_rx_aps, variance_threshold_from_hpbw)
+from cfisac.simulate import crb_blocks_for_state
+from cfisac.tracking import MotionModel, StateEstimate, predict
 
 GAMMA_3DEG = math.radians(3.0) ** 2
 
@@ -116,6 +119,11 @@ class TestDecideAction:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             decide_action(-1e-9, SensingPolicy(GAMMA_3DEG))
+
+    def test_nan_variance_rejected(self):
+        # NaN fails every comparison, so it would otherwise never sense
+        with pytest.raises(ValueError, match="nonnegative"):
+            decide_action(math.nan, SensingPolicy(GAMMA_3DEG))
 
 
 class TestPredictVariance:
@@ -265,6 +273,78 @@ class TestSelectRxAps:
         policy = SensingPolicy(GAMMA_3DEG, subset_cardinality=5)
         with pytest.raises(ValueError, match="no feasible subset"):
             select_rx_aps(self.cfg, self.est, self.model, policy, self.blocks)
+
+
+def criterion_4_states(cfg, count, seed):
+    """Random estimates with the bound blocks of random cross sections at
+    their mean, as the AP-selection criterion draws them."""
+    rng = np.random.default_rng(seed)
+    waveform = all_ones_waveform(cfg)
+    for _ in range(count):
+        est = StateEstimate(
+            np.array([rng.uniform(-50, 550), rng.uniform(5, 40)]),
+            np.diag([rng.uniform(5, 150), rng.uniform(0.2, 2.0)]))
+        rcs = rng.exponential(cfg.mean_rcs, size=cfg.num_aps)
+        yield est, crb_blocks_for_state(cfg, waveform, float(est.mean[0]),
+                                        float(est.mean[1]), rcs)
+
+
+# (num_aps, subset_cardinality, exclude_tx_ap)
+SCORED_POLICIES = [(4, 2, False), (4, 0, False), (6, 3, True), (6, 0, True),
+                   (10, 4, False)]
+
+
+class TestScoreSubsets:
+    @pytest.mark.parametrize("num_aps,k,exclude", SCORED_POLICIES)
+    def test_rows_scores_and_pick(self, num_aps, k, exclude):
+        cfg = SystemConfig(num_aps=num_aps)
+        model = MotionModel.from_config(cfg)
+        policy = SensingPolicy(GAMMA_3DEG, subset_cardinality=k,
+                               exclude_tx_ap=exclude)
+        available = available_rx_aps(cfg, policy)
+        for est, blocks in criterion_4_states(cfg, 20, 404 + num_aps + k):
+            subsets, variances = score_subsets(cfg, predict(est, model),
+                                               policy, blocks)
+            rows = [tuple(int(ap) for ap in row) for row in subsets]
+            assert variances.shape == (len(rows),)
+            if k:
+                assert len(rows) == math.comb(len(available), k)
+                assert sorted(rows) == list(combinations(available, k))
+            else:
+                assert len(rows) == 1
+                assert set(rows[0]) <= set(available)
+            for row, variance in zip(rows, variances):
+                oracle = predict_variance_for_selection(
+                    cfg, est, model, ApSelection.from_indices(num_aps, row),
+                    blocks)
+                assert variance == pytest.approx(oracle, rel=1e-12, abs=0)
+            best = min(zip(variances, rows),
+                       key=lambda pair: (pair[0], sum(1 << ap
+                                                      for ap in pair[1])))
+            chosen = select_rx_aps(cfg, est, model, policy, blocks)
+            assert chosen.indices == best[1]
+
+    def test_rows_ascend_by_bitmask(self):
+        cfg = SystemConfig(num_aps=6)
+        policy = SensingPolicy(GAMMA_3DEG, subset_cardinality=3)
+        est, blocks = next(criterion_4_states(cfg, 1, 3))
+        subsets, _ = score_subsets(cfg, est, policy, blocks)
+        masks = [sum(1 << int(ap) for ap in row) for row in subsets]
+        assert masks == sorted(set(masks))
+
+    def test_table_is_cached_and_read_only(self):
+        cfg = SystemConfig(num_aps=10)
+        policy = SensingPolicy(GAMMA_3DEG, subset_cardinality=4)
+        (est_a, blocks_a), (est_b, blocks_b) = criterion_4_states(cfg, 2, 8)
+        first, _ = score_subsets(cfg, est_a, policy, blocks_a)
+        second, _ = score_subsets(cfg, est_b, policy, blocks_b)
+        assert second is first
+        with pytest.raises(ValueError, match="read-only"):
+            second[0, 0] = 9
+        other, _ = score_subsets(
+            cfg, est_b, SensingPolicy(GAMMA_3DEG, subset_cardinality=4,
+                                      exclude_tx_ap=True), blocks_b)
+        assert other is not first and 0 not in other
 
 
 class TestApSelection:

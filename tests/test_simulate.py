@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from cfisac.cli import write_records
 from cfisac.comms import (build_channel, evaluate_link, predictive_precoder,
                           steered_link)
 from cfisac.config import SystemConfig
-from cfisac import comms, crb, geometry
+from cfisac import comms, crb, geometry, sensing, tracking
 from cfisac.crb import (RankDeficientError, SensingLinkGain, WaveformSpec,
                         all_ones_waveform, assemble_measurement_covariance,
                         crb_block, qpsk_waveform, range_velocity_blocks,
@@ -714,6 +715,25 @@ class TestArmReplay:
                     == posterior.covariance.tobytes())
             est = posterior
         assert sensed
+
+
+def test_each_arm_predicts_once_an_epoch(monkeypatch):
+    # selection scores the estimate the arm has already predicted
+    epochs = []
+
+    def counting_predict(est, model):
+        epochs.append(est.epoch)
+        return predict(est, model)
+
+    for module in (tracking, sensing, simulate):
+        monkeypatch.setattr(module, "predict", counting_predict)
+    scenario = make_scenario(num_epochs=30, seed=0,
+                             policy=SensingPolicy(1e-9))
+    records = run_scenario(scenario)
+    arms = len(records[0].arms)
+    assert arms == 3
+    assert sum(r.action is Action.SENSING for r in records) > 10
+    assert Counter(epochs) == {k: arms for k in range(scenario.num_epochs)}
 
 
 # The key of every draw is (seed, code << 32 + epoch); codes are part of the
