@@ -40,6 +40,24 @@ COMPARISON_ARMS = ("conventional", "random", "perfect")
 _STREAM_CODES = {"rcs": 1, "measurement": 2, "traffic": 4, "selection": 5}
 _ZEROS = np.zeros(4, dtype=np.uint64)  # Philox counter and buffer at rest
 _ZEROS.setflags(write=False)
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC'11): the two round multipliers and the two key increments.
+_PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_KEY_BUMPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _mulhilo(a: np.ndarray, multiplier: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of each 128-bit product a * multiplier,
+    built from 32-bit halves so that no uint64 operation overflows."""
+    half, mask = np.uint64(32), np.uint64(0xFFFFFFFF)
+    m_lo, m_hi = np.uint64(multiplier & 0xFFFFFFFF), np.uint64(multiplier >> 32)
+    a_lo, a_hi = a & mask, a >> half
+    lo_lo, hi_lo, lo_hi = a_lo * m_lo, a_hi * m_lo, a_lo * m_hi
+    middle = (lo_lo >> half) + (hi_lo & mask) + (lo_hi & mask)
+    high = a_hi * m_hi + (hi_lo >> half) + (lo_hi >> half) + (middle >> half)
+    return high, ((middle & mask) << half) | (lo_lo & mask)
 
 
 @dataclass(frozen=True)
@@ -73,6 +91,28 @@ class RngStream:
                 "uinteger": 0}
         return self._generator
 
+    def first_uniforms(self, epochs: np.ndarray) -> np.ndarray:
+        """`self.generator(e).random()` for each epoch e in `epochs`, bit for
+        bit, in one vectorized Philox4x64-10 evaluation.
+
+        A reset generator increments its counter before its first block, so
+        that block is Philox of counter (1, 0, 0, 0) under the key
+        (seed, (code << 32) + e), and `random()` is the top 53 bits of its
+        first word over 2**53.
+        """
+        code = _STREAM_CODES[self.stream_id]
+        key_hi = np.uint64(code << 32) + np.asarray(epochs, dtype=np.uint64)
+        c0 = np.ones_like(key_hi)
+        c1, c2, c3 = (np.zeros_like(key_hi) for _ in range(3))
+        for bumps in range(10):
+            key0 = np.uint64((self.seed + bumps * _PHILOX_KEY_BUMPS[0])
+                             & _MASK64)
+            key1 = key_hi + np.uint64(bumps * _PHILOX_KEY_BUMPS[1] & _MASK64)
+            hi0, lo0 = _mulhilo(c0, _PHILOX_MULTIPLIERS[0])
+            hi1, lo1 = _mulhilo(c2, _PHILOX_MULTIPLIERS[1])
+            c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+        return (c0 >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
 
 @dataclass(frozen=True)
 class TrafficModel:
@@ -99,11 +139,19 @@ class TrafficModel:
             raise ValueError("intervals: bounds must be whole numbers")
         object.__setattr__(self, "intervals", intervals)
 
-    def is_on(self, epoch: int, stream: RngStream) -> bool:
-        """Whether traffic is ON; only Bernoulli mode builds the generator."""
+    def on_flags(self, epochs: np.ndarray, stream: RngStream) -> np.ndarray:
+        """Whether traffic is ON in each epoch: in Bernoulli mode, whether the
+        epoch's first uniform of `stream` lies below `on_probability`."""
         if self.mode == "bernoulli":
-            return bool(stream.generator(epoch).random() < self.on_probability)
-        return any(start <= epoch < end for start, end in self.intervals)
+            return stream.first_uniforms(epochs) < self.on_probability
+        on = np.zeros(epochs.shape, dtype=bool)
+        for start, end in self.intervals:
+            on |= (start <= epochs) & (epochs < end)
+        return on
+
+    def is_on(self, epoch: int, stream: RngStream) -> bool:
+        """Whether traffic is ON in one epoch."""
+        return bool(self.on_flags(np.array([epoch]), stream)[0])
 
 
 def _check_initial_estimate(est: StateEstimate) -> None:
@@ -216,6 +264,7 @@ class SimState:
     waveform: WaveformSpec
     model: MotionModel
     streams: dict[str, RngStream]  # one per stream name, for the whole run
+    traffic_on: tuple[bool, ...]   # each epoch's traffic flag, for the run
     idle_selection: ApSelection    # the empty receive set of every idle arm
 
 
@@ -410,16 +459,20 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
 def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
     """Advance every filter arm one epoch and record the outcome.
 
-    Generators are read on demand: traffic draws only in Bernoulli mode,
-    and the other streams only for an arm that senses. Each draw is keyed
-    by (seed, stream, epoch), so a skipped stream never shifts another.
-    The record's `rates` stay empty; `fill_rates` evaluates them over many
-    epochs at once.
+    The traffic flag comes from `state.traffic_on`, drawn for the whole run
+    by `initial_sim_state`; the other streams build a generator only for an
+    arm that senses. Each draw is keyed by (seed, stream, epoch), so a
+    skipped stream never shifts another. The record's `rates` stay empty;
+    `fill_rates` evaluates them over many epochs at once. Raises ValueError
+    past the scenario's last epoch.
     """
     cfg = scenario.system
     k = state.epoch
+    if k >= scenario.num_epochs:
+        raise ValueError(f"epoch {k} is past the scenario's last epoch "
+                         f"(num_epochs = {scenario.num_epochs})")
     truth_now = propagate_truth(state.truth, cfg)
-    traffic_on = scenario.traffic.is_on(k, state.streams["traffic"])
+    traffic_on = state.traffic_on[k]
 
     arms = {name: _step_arm(scenario, state, name, truth_now, traffic_on)
             for name in state.estimates}
@@ -455,14 +508,18 @@ def fill_rates(scenario: Scenario, records: list[EpochRecord]) -> None:
 
 
 def initial_sim_state(scenario: Scenario) -> SimState:
+    """The state before epoch 0, with every epoch's traffic flag drawn."""
+    streams = {name: RngStream(scenario.seed, name) for name in _STREAM_CODES}
+    traffic_on = scenario.traffic.on_flags(np.arange(scenario.num_epochs),
+                                           streams["traffic"])
     return SimState(epoch=0, truth=scenario.initial_truth,
                     estimates={name: scenario.initial_estimate
                                for name in _ARMS if name == "proposed"
                                or name in scenario.comparison_arms},
                     waveform=all_ones_waveform(scenario.system),
                     model=MotionModel.from_config(scenario.system),
-                    streams={name: RngStream(scenario.seed, name)
-                             for name in _STREAM_CODES},
+                    streams=streams,
+                    traffic_on=tuple(traffic_on.tolist()),
                     idle_selection=ApSelection.empty(scenario.system.num_aps))
 
 

@@ -10,13 +10,16 @@ from pathlib import Path
 import pytest
 import yaml
 
-from cfisac.cli import (ConfigError, config_digest, default_scenario,
-                        emit_plots, load_scenario, main, scenario_from_dict,
-                        scenario_to_dict, summarize_records, write_records)
+from cfisac.cli import (CSV_COLUMNS, ConfigError, config_digest,
+                        default_scenario, emit_plots, load_scenario, main,
+                        scenario_from_dict, scenario_to_dict,
+                        summarize_records, write_records)
 from cfisac.config import SystemConfig
+from cfisac.geometry import TargetTruth
 from cfisac.selection import ApSelection
 from cfisac.sensing import Action
 from cfisac.simulate import TrafficModel, run_scenario
+from cfisac.tracking import StateEstimate
 
 REPO = Path(__file__).resolve().parents[1]
 WORKLOADS = json.loads((REPO / "bench" / "workloads.json").read_text())
@@ -576,6 +579,38 @@ def test_scaling_tx_and_noise_power_together_leaves_the_run(tmp_path,
     base = epochs_csv(1.0)
     for exponent in (-3, 2, 7):
         assert epochs_csv(2.0 ** exponent) == base, exponent
+
+
+@pytest.mark.parametrize("workload", ["ref_all", "select_dense"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mirroring_the_deployment_mirrors_the_run(tmp_path, workload, seed):
+    # AP i at -x_i, in the same order and with the same transmitter, and the
+    # target and the prior negated: the geometry is a mirror image, so the
+    # states flip sign and nothing else moves
+    scenario = scenario_from_dict({**WORKLOADS[workload]["overrides"],
+                                   "seed": seed})
+    system = scenario.system
+    truth, prior = scenario.initial_truth, scenario.initial_estimate
+    mirror = dataclasses.replace(
+        scenario,
+        system=dataclasses.replace(system, ap_positions=tuple(
+            (-x, y) for x, y in system.ap_positions)),
+        initial_truth=TargetTruth(-truth.position_x, -truth.velocity_x),
+        initial_estimate=StateEstimate(-prior.mean, prior.covariance))
+
+    def rows(run, name):
+        write_records(run_scenario(run), tmp_path / name, run, plots=False)
+        text = (tmp_path / name / "epochs.csv").read_text()
+        return [dict(zip(CSV_COLUMNS, line.split(",")))
+                for line in text.splitlines()[1:]]
+
+    states = ("p_x_true", "v_x_true", "p_x_est", "v_x_est")
+    for got, want in zip(rows(mirror, "mirror"), rows(scenario, "base"),
+                         strict=True):
+        for column in states:
+            assert float(got[column]) == -float(want[column]), column
+        assert ({c: v for c, v in got.items() if c not in states}
+                == {c: v for c, v in want.items() if c not in states})
 
 
 def test_importing_the_cli_leaves_statistics_unloaded():

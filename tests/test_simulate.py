@@ -103,6 +103,16 @@ class TestTrafficModel:
         b = [tm.is_on(k, RngStream(2, "traffic")) for k in range(20)]
         assert a == b
 
+    @pytest.mark.parametrize("seed", [0, 2, 2 ** 64 - 1])
+    def test_bernoulli_flag_is_the_epochs_first_uniform_below_p(self, seed):
+        tm = TrafficModel(on_probability=0.5)
+        stream = RngStream(seed, "traffic")
+        want = [RngStream(seed, "traffic").generator(k).random() < 0.5
+                for k in range(64)]
+        assert [tm.is_on(k, stream) for k in range(64)] == want
+        assert tm.on_flags(np.arange(64), stream).tolist() == want
+        assert 0 < sum(want) < 64
+
     def test_intervals_mode_takes_only_the_default_on_probability(self):
         # no run reads it, but the config digest would
         assert TrafficModel(mode="intervals").on_probability == 0.3
@@ -496,6 +506,16 @@ class TestRunEpoch:
         assert record.action is Action.NO_SENSING
         assert set(record.rates) == {"proposed", "conventional", "perfect"}
 
+    def test_stepping_past_the_last_epoch_raises(self):
+        scenario = make_scenario(num_epochs=3)
+        state = initial_sim_state(scenario)
+        for _ in range(3):
+            run_epoch(state, scenario)
+        with pytest.raises(ValueError, match=r"^epoch 3 is past the "
+                           r"scenario's last epoch \(num_epochs = 3\)$"):
+            run_epoch(state, scenario)
+        assert state.epoch == 3
+
 
 class TestRunScenario:
     def test_deterministic_records(self, tmp_path):
@@ -622,6 +642,29 @@ class TestRunScenario:
         assert not [b for b in built if b[0] == "traffic"]
         assert [epoch for name, epoch in built if name == "rcs"] == sensed
 
+    def test_idle_epochs_build_no_generator(self, monkeypatch):
+        # the whole run's traffic is drawn at once, so only a draw of an arm
+        # that senses builds a generator, however long the run
+        built = []
+        generator = RngStream.generator
+
+        def counting(stream, epoch=0):
+            built.append(stream.stream_id)
+            return generator(stream, epoch)
+
+        monkeypatch.setattr(RngStream, "generator", counting)
+        records = run_scenario(make_scenario(
+            system=SystemConfig(epoch_duration=0.001), num_epochs=2000,
+            comparison_arms=("random", "perfect")))
+        assert any(r.traffic_state == "ON" for r in records)
+        # cross sections and normals for every arm that senses, and the
+        # random arm's receive set
+        draws = sum(2 + (name == "random") for r in records
+                    for name, arm in r.arms.items()
+                    if arm.action is Action.SENSING)
+        assert 0 < draws < 20
+        assert len(built) == draws
+
 
 class TestArmIndependence:
     @pytest.mark.parametrize("seed", [0, 4, 7])
@@ -687,7 +730,8 @@ class TestArmReplay:
             got = rec.arms[arm]
             k = rec.epoch
             truth = propagate_truth(truth, cfg)
-            traffic_on = scenario.traffic.is_on(k, RngStream(seed, "traffic"))
+            traffic_on = (RngStream(seed, "traffic").generator(k).random()
+                          < scenario.traffic.on_probability)
             assert rec.traffic_state == ("ON" if traffic_on else "OFF")
             predicted = predict(est, model)
             _, variance = angle_estimate_and_variance(cfg, predicted)
@@ -763,6 +807,18 @@ class TestStreamReuse:
         for epoch in (0, 1, 4999, 1, 0):
             assert (draws(stream.generator(epoch))
                     == draws(fresh_generator(seed, code, epoch)))
+
+    @pytest.mark.parametrize("stream_id, code", sorted(STREAM_CODES.items()))
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+    def test_first_uniforms_equal_a_new_generators_first_draw(
+            self, stream_id, code, seed):
+        # runs under error::RuntimeWarning, so no uint64 scalar overflows
+        epochs = [*range(64), 2 ** 31, 2 ** 32 - 1]
+        got = RngStream(seed, stream_id).first_uniforms(np.array(epochs))
+        want = np.array([fresh_generator(seed, code, epoch).random()
+                         for epoch in epochs])
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
     def test_same_epoch_restarts_the_counter(self):
         stream = RngStream(3, "measurement")
