@@ -7,8 +7,9 @@ Fisher-information bounds on (delay, Doppler) and, separately, on angle
 measurement covariance blocks. `crb_block` is the closed form of that
 (range, radial velocity) chain at zero delay and Doppler; the FFT-based
 functions are the general reference it is tested against. The simulator's
-bound stack (`simulate.crb_blocks_for_state`) evaluates `crb_block` once at
-unit gain and divides by each AP's hop gain.
+bound stack (`simulate.crb_blocks_for_state`) divides the unit-gain
+`crb_block`, kept on the waveform (`WaveformSpec.unit_block`), by each AP's
+hop gain.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class WaveformSpec:
     zero-delay, zero-Doppler bounds need: the energy sum(w), the raw second
     moments (sum w a^2, sum w b^2) and the centered sums
     (sum w da^2, sum w db^2, sum w da db), da and db taken about the
-    weighted means.
+    weighted means. `unit_block` keeps the bound of the last config it was
+    asked for.
     """
 
     symbols: np.ndarray
@@ -47,6 +49,8 @@ class WaveformSpec:
                                            compare=False)
     index_cov: tuple[float, float, float] = field(init=False, repr=False,
                                                   compare=False)
+    _unit: tuple[SystemConfig, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         sym = np.array(self.symbols, dtype=complex)
@@ -71,6 +75,17 @@ class WaveformSpec:
     @property
     def shape(self) -> tuple[int, int]:
         return self.symbols.shape
+
+    def unit_block(self, cfg: SystemConfig) -> np.ndarray:
+        """`crb_block(self, cfg, SensingLinkGain(1.0)).range_velocity`,
+        read-only. It is evaluated, and the grid checked, on the first call
+        for `cfg` and kept for later calls with that same config object;
+        the grid is immutable, so a kept block stays exact."""
+        if self._unit is None or self._unit[0] is not cfg:
+            block = crb_block(self, cfg, SensingLinkGain(1.0)).range_velocity
+            block.setflags(write=False)
+            object.__setattr__(self, "_unit", (cfg, block))
+        return self._unit[1]
 
 
 def qpsk_waveform(cfg: SystemConfig, rng: np.random.Generator) -> WaveformSpec:
@@ -248,7 +263,7 @@ def crb_block(spec: WaveformSpec, cfg: SystemConfig, gain: SensingLinkGain,
     azimuth. The checks and their messages are those of the FFT path. The
     Fisher information is linear in |alpha|^2, so the block of any gain g
     is the unit-gain block divided by g up to rounding; the simulator
-    evaluates it that way, once per bound for all APs.
+    evaluates it that way, from `WaveformSpec.unit_block`, once per run.
     """
     _check_waveform(spec, cfg)
     (raw_aa, raw_bb), (cov_aa, cov_bb, cov_ab) = spec.index_raw, spec.index_cov

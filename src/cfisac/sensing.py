@@ -25,7 +25,9 @@ __all__ = [
     "select_rx_aps",
 ]
 
-_MAX_EXHAUSTIVE_APS = 20
+# Rows one `score_subsets` call may score: C(20, 10), the largest table of
+# the 20-AP limit this budget replaced, so every scenario it took loads.
+_MAX_SCORED_SUBSETS = math.comb(20, 10)
 
 
 class Action(enum.Enum):
@@ -109,17 +111,21 @@ def predict_variance_for_selection(cfg: SystemConfig, est: StateEstimate,
 
 def available_rx_aps(cfg: SystemConfig, policy: SensingPolicy) -> list[int]:
     """AP indices that may receive the echo; ValueError when the subset
-    search is infeasible (too many APs, or too few for the cardinality)."""
-    if cfg.num_aps > _MAX_EXHAUSTIVE_APS:
-        raise ValueError(f"system.num_aps: exhaustive subset search capped "
-                         f"at {_MAX_EXHAUSTIVE_APS} APs")
+    search is infeasible: too few APs for the cardinality, or more
+    k-subsets than one `score_subsets` call may score. At k = 0 nothing is
+    searched, so any number of APs is feasible."""
     available = [l for l in range(cfg.num_aps)
                  if not (policy.exclude_tx_ap and l == cfg.tx_ap)]
-    if policy.subset_cardinality > len(available):
+    k = policy.subset_cardinality
+    if k > len(available):
         raise ValueError(
             f"policy.subset_cardinality: no feasible subset: cardinality "
-            f"{policy.subset_cardinality} exceeds the {len(available)} "
-            f"available APs")
+            f"{k} exceeds the {len(available)} available APs")
+    if k and math.comb(len(available), k) > _MAX_SCORED_SUBSETS:
+        raise ValueError(
+            f"policy.subset_cardinality: the {len(available)} available APs "
+            f"have {math.comb(len(available), k)} subsets of {k} to score, "
+            f"over the budget of {_MAX_SCORED_SUBSETS}")
     return available
 
 

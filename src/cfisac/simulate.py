@@ -23,8 +23,8 @@ import numpy as np
 
 from .comms import ANGLE_MODES, PHASE_MODES, LinkResult, steered_links
 from .config import SystemConfig
-from .crb import (CrbBlock, SensingLinkGain, WaveformSpec,
-                  all_ones_waveform, crb_block, range_velocity_blocks)
+from .crb import (CrbBlock, WaveformSpec, all_ones_waveform,
+                  range_velocity_blocks)
 from .geometry import TargetTruth
 from .selection import ApSelection
 from .sensing import (Action, SensingPolicy, _lowest_variance,
@@ -212,7 +212,14 @@ class Scenario:
             raise ValueError("initial_truth: target position and velocity "
                              "must be finite")
         _check_initial_estimate(self.initial_estimate)
-        available_rx_aps(self.system, self.policy)  # searched when sensing
+        available = available_rx_aps(self.system, self.policy)
+        # An unconstrained random receive set is drawn as an int64 bitmask.
+        if ("random" in self.comparison_arms
+                and self.policy.subset_cardinality == 0
+                and len(available) > 63):
+            raise ValueError(
+                f"arms: the random arm draws an unconstrained receive set "
+                f"from at most 63 available APs, not {len(available)}")
         for start, end in self.traffic.intervals:
             if not 0 <= start < end <= self.num_epochs:
                 raise ValueError(
@@ -256,16 +263,19 @@ class EpochRecord:
 
 @dataclass
 class SimState:
-    """Mutable loop state threaded through run_epoch."""
+    """Mutable loop state threaded through run_epoch. The fields below
+    `epoch`, `truth` and `estimates` are fixed for the run."""
 
     epoch: int
     truth: TargetTruth
     estimates: dict[str, StateEstimate]
-    waveform: WaveformSpec
+    waveform: WaveformSpec         # keeps the run's unit-gain bound block
     model: MotionModel
-    streams: dict[str, RngStream]  # one per stream name, for the whole run
-    traffic_on: tuple[bool, ...]   # each epoch's traffic flag, for the run
+    streams: dict[str, RngStream]  # one per stream name
+    traffic_on: tuple[bool, ...]   # each epoch's traffic flag
     idle_selection: ApSelection    # the empty receive set of every idle arm
+    full_selection: ApSelection    # every AP: the conventional receive set
+    planning_rcs: np.ndarray       # read-only mean cross sections, per AP
 
 
 @dataclass(frozen=True)
@@ -305,7 +315,7 @@ def _bound_stack(cfg: SystemConfig, waveform: WaveformSpec,
         raise ValueError("power_fraction must lie in (0, 1]")
     if not (math.isfinite(position_x) and math.isfinite(velocity_x)):
         raise ValueError("target truth must be finite")
-    unit = crb_block(waveform, cfg, SensingLinkGain(1.0)).range_velocity
+    unit = waveform.unit_block(cfg)
     wavelength, offset = cfg.wavelength, cfg.corridor_offset
     # Each hop's path gain is geometry_for_ap's (lambda / (4 pi d))^2.
     dist = math.hypot(position_x - cfg.ap_x(cfg.tx_ap), offset)
@@ -337,7 +347,9 @@ def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
     beam in closed form: |alpha|^2 = beta_tx beta_rx (2 pi / lambda^2) rcs^2
     power_fraction tx_power N. Each block is the unit-gain `crb_block` over
     that gain, a few ulp from `crb_block` of the gain. The errors are those
-    of `geometry_for_ap` and `crb_block`; the grid is checked once per call.
+    of `geometry_for_ap` and `crb_block`. The unit-gain block, and with it
+    the grid check, comes from `waveform.unit_block(cfg)`, so it is
+    evaluated once per waveform and config.
     The bound is taken at zero delay/Doppler: the Fisher information depends
     on the waveform grid only through its power-weighted index moments,
     cached on the WaveformSpec, so the evaluation point does not change the
@@ -365,7 +377,8 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
     when given (the tracker linearization point), otherwise it is the noise
     covariance. Standard normals are drawn for every AP so the subset
     choice never shifts the stream. The selected blocks are factored with
-    one stacked Cholesky, which gives each AP's factor bit for bit.
+    one stacked Cholesky, which gives each AP's factor bit for bit. Both
+    bounds divide the one unit-gain block of `waveform.unit_block(cfg)`.
     """
     if selection.num_aps != cfg.num_aps:
         raise ValueError(f"selection is over {selection.num_aps} APs, "
@@ -434,16 +447,15 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
     estimate = predicted
     if action is Action.SENSING:
         if arm.receivers == "all":
-            selection = ApSelection.full(cfg.num_aps)
+            selection = state.full_selection
         elif arm.receivers == "random":
             selection = _random_selection(cfg, policy,
                                           streams["selection"].generator(k))
         else:
-            mean_rcs = np.full(cfg.num_aps, cfg.mean_rcs)
             planning = crb_blocks_for_state(cfg, state.waveform,
                                             float(predicted.mean[0]),
                                             float(predicted.mean[1]),
-                                            mean_rcs)
+                                            state.planning_rcs)
             selection = _lowest_variance(
                 cfg.num_aps, *score_subsets(cfg, predicted, policy, planning))
         rcs = draw_rcs(streams["rcs"].generator(k), cfg, cfg.num_aps)
@@ -508,19 +520,26 @@ def fill_rates(scenario: Scenario, records: list[EpochRecord]) -> None:
 
 
 def initial_sim_state(scenario: Scenario) -> SimState:
-    """The state before epoch 0, with every epoch's traffic flag drawn."""
+    """The state before epoch 0, with every epoch's traffic flag drawn. The
+    run's waveform evaluates its unit-gain bound block, and checks its grid,
+    at the first sensing epoch; every later bound reuses that block."""
+    cfg = scenario.system
     streams = {name: RngStream(scenario.seed, name) for name in _STREAM_CODES}
     traffic_on = scenario.traffic.on_flags(np.arange(scenario.num_epochs),
                                            streams["traffic"])
+    planning_rcs = np.full(cfg.num_aps, cfg.mean_rcs)
+    planning_rcs.setflags(write=False)
     return SimState(epoch=0, truth=scenario.initial_truth,
                     estimates={name: scenario.initial_estimate
                                for name in _ARMS if name == "proposed"
                                or name in scenario.comparison_arms},
-                    waveform=all_ones_waveform(scenario.system),
-                    model=MotionModel.from_config(scenario.system),
+                    waveform=all_ones_waveform(cfg),
+                    model=MotionModel.from_config(cfg),
                     streams=streams,
                     traffic_on=tuple(traffic_on.tolist()),
-                    idle_selection=ApSelection.empty(scenario.system.num_aps))
+                    idle_selection=ApSelection.empty(cfg.num_aps),
+                    full_selection=ApSelection.full(cfg.num_aps),
+                    planning_rcs=planning_rcs)
 
 
 def run_scenario(scenario: Scenario) -> list[EpochRecord]:

@@ -11,6 +11,9 @@ from .config import SystemConfig
 from .geometry import angle_from_position, angle_slope_from_position
 from .selection import ApSelection
 
+_IDENTITY = np.eye(2)
+_IDENTITY.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class StateEstimate:
@@ -80,8 +83,16 @@ def predict(est: StateEstimate, model: MotionModel) -> StateEstimate:
     f = model.transition
     mean = f @ est.mean
     cov = f @ est.covariance @ f.T + model.process_noise
-    cov = (cov + cov.T) / 2.0
-    return StateEstimate._built(mean, cov, est.epoch + 1)
+    return StateEstimate._built(mean, _symmetrized(cov), est.epoch + 1)
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """(m + m.T) / 2.0 of a 2x2, bit for bit, in one `tolist` and one
+    `np.array`: Python and numpy round the same IEEE add and halving, so
+    each entry keeps its rounding, overflow and signed zero."""
+    (a, b), (c, d) = m.tolist()
+    off = (b + c) / 2.0
+    return np.array([[(a + a) / 2.0, off], [off, (d + d) / 2.0]])
 
 
 def measurement_model(cfg: SystemConfig, state_mean: np.ndarray,
@@ -90,13 +101,12 @@ def measurement_model(cfg: SystemConfig, state_mean: np.ndarray,
     if selection.cardinality == 0:
         raise ValueError("no sensing receivers selected")
     p_x, v_x = float(state_mean[0]), float(state_mean[1])
-    out = np.empty(2 * selection.cardinality)
-    for pos, ap in enumerate(selection.indices):
+    out = []
+    for ap in selection.indices:
         dx = p_x - cfg.ap_x(ap)
         dist = math.hypot(dx, cfg.corridor_offset)
-        out[2 * pos] = dist
-        out[2 * pos + 1] = dx * v_x / dist
-    return out
+        out += (dist, dx * v_x / dist)
+    return np.array(out)
 
 
 def measurement_jacobian(cfg: SystemConfig, state_mean: np.ndarray,
@@ -106,15 +116,14 @@ def measurement_jacobian(cfg: SystemConfig, state_mean: np.ndarray,
         raise ValueError("no sensing receivers selected")
     p_x, v_x = float(state_mean[0]), float(state_mean[1])
     p_y = cfg.corridor_offset
-    jac = np.empty((2 * selection.cardinality, 2))
-    for pos, ap in enumerate(selection.indices):
+    jac = []
+    for ap in selection.indices:
         dx = p_x - cfg.ap_x(ap)
         dist = math.hypot(dx, p_y)
         if dist == 0.0:
             raise ValueError(f"zero range to AP {ap}: jacobian is singular")
-        jac[2 * pos] = (dx / dist, 0.0)
-        jac[2 * pos + 1] = (v_x * p_y ** 2 / dist ** 3, dx / dist)
-    return jac
+        jac += (dx / dist, 0.0, v_x * p_y ** 2 / dist ** 3, dx / dist)
+    return np.array(jac).reshape(-1, 2)
 
 
 def _gain_and_posterior(prior_cov: np.ndarray, jacobian: np.ndarray,
@@ -122,8 +131,8 @@ def _gain_and_posterior(prior_cov: np.ndarray, jacobian: np.ndarray,
     """Kalman gain and symmetrized posterior covariance of an update."""
     innovation_cov = jacobian @ prior_cov @ jacobian.T + meas_cov
     gain = np.linalg.solve(innovation_cov.T, (prior_cov @ jacobian.T).T).T
-    post = (np.eye(prior_cov.shape[0]) - gain @ jacobian) @ prior_cov
-    return gain, (post + post.T) / 2.0
+    post = (_IDENTITY - gain @ jacobian) @ prior_cov
+    return gain, _symmetrized(post)
 
 
 def posterior_covariance(prior_cov: np.ndarray, jacobian: np.ndarray,

@@ -407,7 +407,8 @@ class TestMainEntry:
         ("phase_mode: bogus\n", "phase_mode"),
         ("angle_mode: bogus\n", "angle_mode"),
         ("policy:\n  subset_cardinality: 9\n", "subset_cardinality"),
-        ("system:\n  num_aps: 21\n", "num_aps"),
+        ("system:\n  num_aps: 24\npolicy:\n  subset_cardinality: 12\n",
+         "subset_cardinality"),
         ("traffic:\n  mode: intervals\n  intervals: [[0, 5.5]]\n",
          "intervals"),
         ("system:\n  tx_power: true\n", "tx_power"),
@@ -543,6 +544,56 @@ class TestMainEntry:
     def test_bad_arms_flag_is_config_error(self, tmp_path):
         assert main(["run", "--out", str(tmp_path / "o"),
                      "--arms", "proposed,telepathy"]) == 2
+
+
+class TestApBudget:
+    """The AP count is bounded only where a search or a draw needs it: by
+    the rows one `score_subsets` call may score, C(20, 10) = 184756, and
+    by the random arm's 64-bit mask at k = 0."""
+
+    def validate(self, tmp_path, text):
+        cfg = tmp_path / "aps.yaml"
+        cfg.write_text(text)
+        return main(["validate", "--config", str(cfg)])
+
+    def test_subset_table_over_the_budget_rejected(self, tmp_path, capsys):
+        code = self.validate(tmp_path, "system:\n  num_aps: 24\n"
+                             "policy:\n  subset_cardinality: 12\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("the 24 available APs have 2704156 subsets of 12 to score, "
+                "over the budget of 184756") in err
+
+    @pytest.mark.parametrize("text", [
+        "system:\n  num_aps: 20\npolicy:\n  subset_cardinality: 10\n",
+        "system:\n  num_aps: 64\npolicy:\n  subset_cardinality: 0\n"
+        "arms: [conventional, perfect]\n",
+        "system:\n  num_aps: 64\npolicy:\n  subset_cardinality: 0\n"
+        "  exclude_tx_ap: true\n",
+    ], ids=["budget_exactly", "unconstrained_64_without_random",
+            "random_63_available"])
+    def test_within_the_budget_loads(self, tmp_path, capsys, text):
+        assert self.validate(tmp_path, text) == 0, capsys.readouterr().err
+
+    def test_random_arm_unconstrained_past_63_aps_rejected(self, tmp_path,
+                                                         capsys):
+        # its draw, rng.integers(1, 2 ** 64), would raise at the first
+        # sensing epoch
+        code = self.validate(tmp_path, "system:\n  num_aps: 64\n"
+                             "policy:\n  subset_cardinality: 0\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("the random arm draws an unconstrained receive set from at "
+                "most 63 available APs, not 64") in err
+
+    def test_thirty_two_aps_run_every_arm(self, tmp_path):
+        cfg, out = tmp_path / "aps.yaml", tmp_path / "out"
+        cfg.write_text("num_epochs: 5\nsystem:\n  num_aps: 32\n"
+                       "policy:\n  subset_cardinality: 2\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "epochs.csv").read_text().splitlines()
+        assert len(rows) == 6
+        assert "rate_conventional" in rows[0]
 
 
 class TestSummarize:

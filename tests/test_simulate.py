@@ -356,10 +356,10 @@ class TestOneBoundPath:
             if grid == "random":
                 assert np.count_nonzero(covariance) == 4 * len(aps)
 
-    def test_grid_checked_per_bound_and_noise_factored_per_sensing(
+    def test_grid_checked_once_per_run_and_noise_factored_per_sensing(
             self, monkeypatch):
-        # A bound evaluation is one planning call of the proposed arm, or
-        # one of the two (truth, filter mean) a sensing arm makes per epoch.
+        # Every bound of a run, planning or (truth, filter mean), divides
+        # the one unit-gain block the run's waveform keeps.
         checks, factorizations = [], []
         check_waveform, cholesky = crb._check_waveform, np.linalg.cholesky
 
@@ -379,7 +379,53 @@ class TestOneBoundPath:
                      for r in records for a in r.arms.values())
         assert planned and sensed > len(records)
         assert len(factorizations) == sensed
-        assert len(checks) == planned + 2 * sensed
+        assert len(checks) == 1
+
+    def test_direct_call_checks_the_grid_once(self, monkeypatch):
+        checks = []
+        check_waveform = crb._check_waveform
+
+        def counting_check(*args):
+            checks.append(1)
+            return check_waveform(*args)
+
+        monkeypatch.setattr(crb, "_check_waveform", counting_check)
+        synthesize_measurement(
+            CFG, TargetTruth(60.0, 25.0), ApSelection.full(CFG.num_aps),
+            np.full(CFG.num_aps, CFG.mean_rcs),
+            RngStream(3, "measurement").generator(0),
+            waveform=all_ones_waveform(CFG),
+            filter_mean=np.array([62.0, 24.0]))
+        assert len(checks) == 1
+
+    def test_kept_block_is_per_config(self):
+        # a waveform kept for one config gives another config its own
+        # block, and its grid error
+        waveform, rcs = all_ones_waveform(CFG), np.array([3.0, 0.7, 9.0, 4.0])
+        crb_blocks_for_state(CFG, waveform, 60.0, 25.0, rcs)
+        noisier = SystemConfig(noise_power=2.0 * CFG.noise_power)
+        got = crb_blocks_for_state(noisier, waveform, 60.0, 25.0, rcs)
+        want = crb_blocks_for_state(noisier, all_ones_waveform(noisier), 60.0,
+                                    25.0, rcs)
+        for g, w in zip(got, want, strict=True):
+            assert g.range_velocity.tobytes() == w.range_velocity.tobytes()
+        assert not np.array_equal(
+            got[0].range_velocity,
+            crb_blocks_for_state(CFG, waveform, 60.0, 25.0, rcs)[0]
+            .range_velocity)
+        narrow = SystemConfig(num_subcarriers=128)
+        for call in (
+                lambda: crb_blocks_for_state(narrow, waveform, 60.0, 25.0,
+                                             rcs),
+                lambda: synthesize_measurement(
+                    narrow, TargetTruth(60.0, 25.0), ApSelection.full(4), rcs,
+                    RngStream(3, "measurement").generator(0),
+                    waveform=waveform)):
+            with pytest.raises(Exception) as caught:
+                call()
+            assert type(caught.value) is ValueError
+            assert str(caught.value) == ("waveform shape (256, 14) does not "
+                                         "match the configured grid (128, 14)")
 
 
 # fault -> (overrides of the valid inputs, exception type, message)
@@ -895,3 +941,23 @@ class TestOpenLoopRates:
         assert all(r.arms["proposed"].selection is state.idle_selection
                    for r in idle)
         assert state.idle_selection.bitmask == 0
+
+    def test_conventional_epochs_share_one_full_selection(self):
+        scenario = make_scenario(num_epochs=60, seed=11)
+        state = initial_sim_state(scenario)
+        records = [run_epoch(state, scenario) for _ in range(60)]
+        sensing = [r.arms["conventional"] for r in records]
+        assert all(a.action is Action.SENSING for a in sensing)
+        assert all(a.selection is state.full_selection for a in sensing)
+        assert state.full_selection == ApSelection.full(CFG.num_aps)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_every_arm_covariance_is_exactly_symmetric(seed):
+    records = run_scenario(make_scenario(num_epochs=200, seed=seed))
+    arms = [a for r in records for a in r.arms.values()]
+    assert len(arms) == 3 * len(records)
+    assert any(a.action is Action.SENSING for a in arms)
+    for arm in arms:
+        cov = arm.estimate.covariance
+        assert cov[0, 1] == cov[1, 0]

@@ -1,11 +1,14 @@
-"""The EKF covariance stays symmetric and PSD over long random runs."""
+"""The EKF covariance stays symmetric and PSD over long random runs, and
+its symmetrization is numpy's, bit for bit."""
+import math
+
 import numpy as np
 import pytest
 
 from cfisac.config import SystemConfig
 from cfisac.selection import ApSelection
 from cfisac.tracking import (MeasurementSet, MotionModel, StateEstimate,
-                             measurement_model, predict, update)
+                             _symmetrized, measurement_model, predict, update)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -64,3 +67,28 @@ def test_covariance_stays_symmetric_psd(epoch_duration, process_noise_std,
         values = measurement_model(cfg, truth, selection)
         est = update(est, MeasurementSet(values, cov, selection), cfg)
         assert_symmetric_psd(est.covariance)
+
+
+# Every magnitude from 1e-300 to 1e300 with either sign, every finite and
+# infinite float, and the edges: signed zeros, subnormals, the largest
+# finite values (whose doubling overflows) and infinities.
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+         -2.2250738585072014e-308, 1e-300, -1e300, 1.7976931348623157e308,
+         -1.7976931348623157e308, math.inf, -math.inf)
+ENTRY = st.one_of(
+    st.sampled_from(EDGES),
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa
+              * 10.0 ** exponent, st.sampled_from((1.0, -1.0)),
+              st.floats(1.0, 10.0, exclude_max=True), st.integers(-300, 299)),
+    st.floats(allow_nan=False))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(entries=st.lists(ENTRY, min_size=4, max_size=4))
+def test_symmetrized_is_numpys_halved_sum_bit_for_bit(entries):
+    m = np.array(entries).reshape(2, 2)
+    with np.errstate(all="ignore"):  # inf - inf and overflow, as numpy rounds
+        want = (m + m.T) / 2.0
+    got = _symmetrized(m)
+    assert got.dtype == want.dtype and got.shape == (2, 2)
+    assert got.tobytes() == want.tobytes()
