@@ -24,7 +24,7 @@ from .tracking import (MeasurementSet, MotionModel, StateEstimate,
 from .sensing import (Action, SensingPolicy, decide_action, hpbw,
                       predict_variance_for_selection, select_rx_aps,
                       variance_threshold_from_hpbw)
-from .comms import (LinkResult, Precoder, build_channel, conventional_baseline,
+from .comms import (LinkResult, build_channel, conventional_baseline,
                     evaluate_link, perfect_angle_bound, predictive_precoder,
                     steered_link, steered_links)
 from .simulate import (ArmEpoch, EpochRecord, RngStream, Scenario, SimState,

@@ -288,9 +288,7 @@ def summarize_records(records: list[EpochRecord],
                       scenario: Scenario) -> dict:
     on_records = [r for r in records if r.traffic_state == "ON"]
     mean_rates = {}
-    rate_tags = [t for t in ("proposed", "conventional", "perfect")
-                 if t == "proposed" or t in scenario.comparison_arms]
-    for tag in rate_tags:
+    for tag in scenario.rated_methods:
         values = [r.rates[tag].rate for r in on_records if tag in r.rates]
         mean_rates[tag] = float(np.mean(values)) if values else None
     crossings = {tag: _threshold_crossing(values,
@@ -437,10 +435,12 @@ def _variance_svg(records: list[EpochRecord], threshold: float) -> str:
 
 
 def _rate_svg(records: list[EpochRecord]) -> str:
+    """Each method's rate per epoch, drawn and listed in the legend only if
+    it has a rate in some epoch."""
     n = len(records)
-    tags = ("proposed", "conventional", "perfect")
     colors = {"proposed": "#1f77b4", "conventional": "#ff7f0e",
               "perfect": "#2ca02c"}
+    tags = [t for t in colors if any(t in r.rates for r in records)]
     all_rates = [r.rates[t].rate for r in records for t in tags if t in r.rates]
     hi = max(all_rates) * 1.1 if all_rates else 1.0
     to_x = _scaler(0, max(n - 1, 1), _MARGIN_L, _WIDTH - _MARGIN_R)

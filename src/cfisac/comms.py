@@ -28,17 +28,6 @@ _HYPOT = np.frompyfunc(math.hypot, 2, 1)
 
 
 @dataclass(frozen=True)
-class Precoder:
-    """Per-AP transmit vectors; each must respect the AP power limit."""
-
-    per_ap: tuple[np.ndarray, ...]
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.concatenate(self.per_ap)
-
-
-@dataclass(frozen=True)
 class LinkResult:
     snr: float
     rate: float  # bits per symbol use, log2(1 + snr)
@@ -74,41 +63,37 @@ def _check_steering(power_fraction: float, angle_mode: str) -> None:
         raise ValueError(f"angle_mode must be one of {ANGLE_MODES}")
 
 
-def _precoder_for_position(cfg: SystemConfig, position_x: float,
-                           power_fraction: float, angle_mode: str) -> Precoder:
+def predictive_precoder(cfg: SystemConfig, est: StateEstimate,
+                        power_fraction: float = 1.0,
+                        angle_mode: str = "per_ap") -> np.ndarray:
+    """Maximum-ratio precoder steered at the tracked position, as the
+    (L N,) vector stacked AP by AP like `build_channel`.
+
+    Each AP transmits sqrt(power_fraction * tx_power / N) a(angle), with the
+    angle taken per AP toward the estimated position (default) or as the
+    single origin-referenced angle (angle_mode="global").
+    """
     _check_steering(power_fraction, angle_mode)
+    position_x = float(est.mean[0])
     amplitude = math.sqrt(power_fraction * cfg.tx_power / cfg.antennas_per_ap)
     if angle_mode == "global":
         angles = [angle_from_position(cfg, position_x)] * cfg.num_aps
     else:
         angles = [math.atan2(position_x - cfg.ap_x(ap), cfg.corridor_offset)
                   for ap in range(cfg.num_aps)]
-    return Precoder(tuple(amplitude * array_response(cfg, angle)
-                          for angle in angles))
-
-
-def predictive_precoder(cfg: SystemConfig, est: StateEstimate,
-                        power_fraction: float = 1.0,
-                        angle_mode: str = "per_ap") -> Precoder:
-    """Maximum-ratio precoder steered at the tracked position.
-
-    Each AP transmits sqrt(power_fraction * tx_power / N) a(angle), with the
-    angle taken per AP toward the estimated position (default) or as the
-    single origin-referenced angle (angle_mode="global").
-    """
-    return _precoder_for_position(cfg, float(est.mean[0]), power_fraction,
-                                  angle_mode)
+    return np.concatenate([amplitude * array_response(cfg, angle)
+                           for angle in angles])
 
 
 def evaluate_link(cfg: SystemConfig, channel: np.ndarray,
-                  precoder: Precoder) -> LinkResult:
-    """Coherent downlink SNR |h^H w|^2 / sigma_n^2 and its rate."""
-    stacked = precoder.stacked
-    if channel.shape != stacked.shape:
+                  precoder: np.ndarray) -> LinkResult:
+    """Coherent downlink SNR |h^H w|^2 / sigma_n^2 and its rate, for the
+    stacked channel and precoder vectors."""
+    if channel.shape != precoder.shape:
         raise ValueError(
             f"channel length {channel.shape} does not match precoder "
-            f"length {stacked.shape}")
-    snr = abs(np.vdot(channel, stacked)) ** 2 / cfg.noise_power
+            f"length {precoder.shape}")
+    snr = abs(np.vdot(channel, precoder)) ** 2 / cfg.noise_power
     return LinkResult(float(snr), math.log2(1.0 + snr))
 
 

@@ -347,6 +347,15 @@ def range_velocity_blocks(blocks: list[CrbBlock],
     return np.array([by_index[i] for i in indices])
 
 
+def block_diagonal(stack: np.ndarray) -> np.ndarray:
+    """The dense (2k, 2k) block-diagonal matrix of a (k, 2, 2) stack."""
+    k = len(stack)
+    out = np.zeros((k, 2, k, 2))
+    diagonal = np.arange(k)
+    out[diagonal, :, diagonal] = stack
+    return out.reshape(2 * k, 2 * k)
+
+
 def assemble_measurement_covariance(blocks: list[CrbBlock],
                                     selection: ApSelection) -> np.ndarray:
     """Block-diagonal covariance over the selected APs, ascending AP index.
@@ -355,8 +364,4 @@ def assemble_measurement_covariance(blocks: list[CrbBlock],
     """
     if selection.cardinality == 0:
         raise ValueError("no sensing receivers selected")
-    out = np.zeros((2 * selection.cardinality, 2 * selection.cardinality))
-    for pos, block in enumerate(range_velocity_blocks(blocks,
-                                                      selection.indices)):
-        out[2 * pos:2 * pos + 2, 2 * pos:2 * pos + 2] = block
-    return out
+    return block_diagonal(range_velocity_blocks(blocks, selection.indices))

@@ -135,9 +135,11 @@ def _subset_table(available: tuple[int, ...],
     """Every k-subset of `available`, as read-only arrays: the (k, m)
     positions into `available`, one row per member, and the (m, k) AP
     indices. Subsets ascend by bitmask, so the first of equal scores is the
-    one with the lowest bitmask."""
-    positions = np.array(sorted(combinations(range(len(available)), k),
-                                key=lambda row: sum(1 << i for i in row)))
+    one with the lowest bitmask: the k-subsets of the descending positions
+    come in descending bitmask order, so reversing the rows and each row
+    gives ascending bitmasks with ascending members."""
+    descending = combinations(range(len(available) - 1, -1, -1), k)
+    positions = np.array(list(descending))[::-1, ::-1]
     columns = np.ascontiguousarray(positions.T)
     subsets = np.asarray(available)[positions]
     columns.setflags(write=False)
@@ -183,9 +185,12 @@ def score_subsets(cfg: SystemConfig, predicted: StateEstimate,
 def _lowest_variance(num_aps: int, subsets: np.ndarray,
                      variances: np.ndarray) -> ApSelection:
     """The row of `score_subsets` with the lowest variance; of equal
-    variances the first, which has the lowest bitmask."""
-    return ApSelection.from_indices(
-        num_aps, subsets[np.argsort(variances, kind="stable")[0]])
+    variances the first, which has the lowest bitmask. A NaN variance
+    raises ValueError, since it would compare false against every other."""
+    best = int(np.argmin(variances))  # the first NaN, if there is one
+    if math.isnan(variances[best]):
+        raise ValueError("subset variances must not be NaN")
+    return ApSelection.from_indices(num_aps, subsets[best])
 
 
 def select_rx_aps(cfg: SystemConfig, est: StateEstimate, model: MotionModel,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .comms import ANGLE_MODES, PHASE_MODES, LinkResult, steered_links
 from .config import SystemConfig
-from .crb import (CrbBlock, WaveformSpec, all_ones_waveform,
+from .crb import (CrbBlock, WaveformSpec, all_ones_waveform, block_diagonal,
                   range_velocity_blocks)
 from .geometry import TargetTruth
 from .selection import ApSelection
@@ -149,10 +149,6 @@ class TrafficModel:
             on |= (start <= epochs) & (epochs < end)
         return on
 
-    def is_on(self, epoch: int, stream: RngStream) -> bool:
-        """Whether traffic is ON in one epoch."""
-        return bool(self.on_flags(np.array([epoch]), stream)[0])
-
 
 def _check_initial_estimate(est: StateEstimate) -> None:
     """Finite mean, finite symmetric PSD covariance; checked once per scenario
@@ -225,6 +221,13 @@ class Scenario:
                 raise ValueError(
                     f"traffic interval [{start}, {end}) outside "
                     f"[0, {self.num_epochs})")
+
+    @property
+    def rated_methods(self) -> tuple[str, ...]:
+        """The downlink methods a run rates: "proposed", then "conventional"
+        and "perfect" where the scenario runs them."""
+        return ("proposed", *(a for a in self.comparison_arms
+                              if a in ("conventional", "perfect")))
 
 
 @dataclass(frozen=True)
@@ -403,11 +406,7 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
         filter_stack = _bound_stack(cfg, waveform, float(filter_mean[0]),
                                     float(filter_mean[1]), rcs,
                                     power_fraction, aps)
-    k = len(aps)
-    covariance = np.zeros((k, 2, k, 2))
-    diagonal = np.arange(k)
-    covariance[diagonal, :, diagonal] = filter_stack
-    return MeasurementSet(values, covariance.reshape(2 * k, 2 * k), selection)
+    return MeasurementSet(values, block_diagonal(filter_stack), selection)
 
 
 def _random_selection(cfg: SystemConfig, policy: SensingPolicy,
@@ -497,7 +496,8 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
 
 
 def fill_rates(scenario: Scenario, records: list[EpochRecord]) -> None:
-    """Fill `rates` of every traffic-ON record, one `steered_links` per method.
+    """Fill `rates` of every traffic-ON record, one `steered_links` per
+    method of `scenario.rated_methods`.
 
     The tracked arm steers full power at its estimate, the conventional arm
     half power at its own, and the perfect bound full power at the truth
@@ -505,13 +505,13 @@ def fill_rates(scenario: Scenario, records: list[EpochRecord]) -> None:
     """
     on = [r for r in records if r.traffic_state == "ON"]
     truth_x = [r.truth.position_x for r in on]
-    methods = {tag: ([r.arms[tag].estimate.mean[0] for r in on],
-                     _ARMS[tag].power_fraction, scenario.angle_mode)
-               for tag in ("proposed", "conventional")
-               if tag in ("proposed", *scenario.comparison_arms)}
-    if "perfect" in scenario.comparison_arms:
-        methods["perfect"] = (truth_x, 1.0, "per_ap")
-    for tag, (position_x, power_fraction, angle_mode) in methods.items():
+    for tag in scenario.rated_methods:
+        if tag == "perfect":
+            position_x, power_fraction, angle_mode = truth_x, 1.0, "per_ap"
+        else:
+            position_x = [r.arms[tag].estimate.mean[0] for r in on]
+            power_fraction = _ARMS[tag].power_fraction
+            angle_mode = scenario.angle_mode
         snr, rate = steered_links(scenario.system, truth_x, position_x,
                                   power_fraction, scenario.phase_mode,
                                   angle_mode)

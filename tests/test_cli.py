@@ -64,9 +64,11 @@ class TestLoadScenario:
             load_scenario(path)
 
     @pytest.mark.parametrize("raw", [{"initial_truth": {"position_x": 1.0}},
-                                     {"comparison_arms": ["random"]}])
+                                     {"comparison_arms": ["random"]},
+                                     {"rated_methods": ["proposed"]}])
     def test_built_fields_are_not_keys(self, raw):
-        # the loader builds these from `target` and `arms`
+        # the loader builds these from `target` and `arms`, and the rated
+        # methods are a property read from the arms
         with pytest.raises(ConfigError, match="unknown key"):
             scenario_from_dict(raw)
 
@@ -249,6 +251,27 @@ class TestEmitPlots:
         svg = paths[1].read_text()
         for tag in ("proposed", "conventional", "perfect"):
             assert tag in svg
+
+    @pytest.mark.parametrize("arms, rated", [
+        (None, ["proposed", "conventional", "perfect"]),
+        ("random", ["proposed"]),
+        ("perfect", ["proposed", "perfect"]),
+    ], ids=["default", "random", "perfect"])
+    def test_rate_legend_lists_the_rated_methods(self, tmp_path, arms, rated):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text("num_epochs: 30\n")
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg), "--out", str(out), "--emit-plots"]
+        assert main(argv + (["--arms", arms] if arms else [])) == 0
+        svg = (out / "rate.svg").read_text()
+        legend = re.findall(r'<text x="\d+" y="(\d+)" font-size="12" '
+                            r'fill="#\w+">(\w+)</text>', svg)
+        assert [tag for _, tag in legend] == rated
+        # the entries close up, one line apart
+        assert [int(y) for y, _ in legend] == [34 + 14 * i
+                                               for i in range(len(rated))]
+        # one colour per method, on its legend entry and its traces alone
+        assert len(set(re.findall(r'"(#[0-9a-f]{6})"', svg))) == len(rated)
 
     def test_all_off_traffic_still_emits_rate_plot(self, tmp_path):
         scenario = dataclasses.replace(
@@ -608,13 +631,20 @@ class TestSummarize:
         assert crossing["random"] is not None
 
 
+# (phase_mode, angle_mode): every combination a scenario can set
+MODES = [("compensated", "per_ap"), ("compensated", "global"),
+         ("geometric", "per_ap"), ("geometric", "global")]
+
+
+@pytest.mark.parametrize("phase_mode, angle_mode", MODES)
 @pytest.mark.parametrize("workload", ["ref_all", "select_dense"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_scaling_tx_and_noise_power_together_leaves_the_run(tmp_path,
-                                                            workload, seed):
+def test_scaling_tx_and_noise_power_together_leaves_the_run(
+        tmp_path, workload, seed, phase_mode, angle_mode):
     # power enters the bound and the downlink SNR only as a ratio to the
     # noise, and scaling both by a power of two is exact in binary floats
-    overrides = WORKLOADS[workload]["overrides"]
+    overrides = {**WORKLOADS[workload]["overrides"],
+                 "phase_mode": phase_mode, "angle_mode": angle_mode}
     defaults = SystemConfig()
 
     def epochs_csv(scale):
@@ -632,14 +662,21 @@ def test_scaling_tx_and_noise_power_together_leaves_the_run(tmp_path,
         assert epochs_csv(2.0 ** exponent) == base, exponent
 
 
+@pytest.mark.parametrize("phase_mode, angle_mode", MODES)
 @pytest.mark.parametrize("workload", ["ref_all", "select_dense"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_mirroring_the_deployment_mirrors_the_run(tmp_path, workload, seed):
+def test_mirroring_the_deployment_mirrors_the_run(tmp_path, workload, seed,
+                                                  phase_mode, angle_mode):
     # AP i at -x_i, in the same order and with the same transmitter, and the
     # target and the prior negated: the geometry is a mirror image, so the
-    # states flip sign and nothing else moves
+    # states flip sign and nothing else moves. In geometric mode each array
+    # keeps its +x orientation and element-0 phase reference, so the mirror
+    # conjugates the steering kernel but not the LOS phase: the steered
+    # rates move, and only the filter columns and the perfect-knowledge
+    # rate, whose steering error is zero, stay mirrored or equal.
     scenario = scenario_from_dict({**WORKLOADS[workload]["overrides"],
-                                   "seed": seed})
+                                   "seed": seed, "phase_mode": phase_mode,
+                                   "angle_mode": angle_mode})
     system = scenario.system
     truth, prior = scenario.initial_truth, scenario.initial_estimate
     mirror = dataclasses.replace(
@@ -656,12 +693,14 @@ def test_mirroring_the_deployment_mirrors_the_run(tmp_path, workload, seed):
                 for line in text.splitlines()[1:]]
 
     states = ("p_x_true", "v_x_true", "p_x_est", "v_x_est")
+    unchecked = (("rate_proposed", "rate_conventional", "snr_proposed")
+                 if phase_mode == "geometric" else ())
     for got, want in zip(rows(mirror, "mirror"), rows(scenario, "base"),
                          strict=True):
         for column in states:
             assert float(got[column]) == -float(want[column]), column
-        assert ({c: v for c, v in got.items() if c not in states}
-                == {c: v for c, v in want.items() if c not in states})
+        rest = set(CSV_COLUMNS) - set(states) - set(unchecked)
+        assert {c: got[c] for c in rest} == {c: want[c] for c in rest}
 
 
 def test_importing_the_cli_leaves_statistics_unloaded():

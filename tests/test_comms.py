@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cfisac.comms import (LinkResult, Precoder, build_channel,
-                          conventional_baseline, evaluate_link,
-                          perfect_angle_bound, predictive_precoder,
-                          steered_link, steered_links)
+from cfisac.comms import (LinkResult, build_channel, conventional_baseline,
+                          evaluate_link, perfect_angle_bound,
+                          predictive_precoder, steered_link, steered_links)
 from cfisac.config import SystemConfig
-from cfisac.geometry import TargetTruth, array_response, geometry_for_ap
+from cfisac.geometry import (TargetTruth, angle_from_position, array_response,
+                             geometry_for_ap)
 from cfisac.sensing import SensingPolicy
 from cfisac.simulate import Scenario, TrafficModel, run_scenario
 from cfisac.tracking import StateEstimate
@@ -58,22 +58,22 @@ class TestBuildChannel:
 class TestPredictivePrecoder:
     def test_power_split(self):
         w = predictive_precoder(CFG, est_at(100.0), power_fraction=0.5)
-        for vec in w.per_ap:
+        for vec in w.reshape(CFG.num_aps, -1):
             assert np.vdot(vec, vec).real == pytest.approx(CFG.tx_power / 2,
                                                            rel=1e-12)
 
     def test_full_power_respects_limit(self):
         w = predictive_precoder(CFG, est_at(100.0), power_fraction=1.0)
-        for vec in w.per_ap:
+        assert w.shape == (CFG.num_aps * CFG.antennas_per_ap,)
+        for vec in w.reshape(CFG.num_aps, -1):
             assert np.vdot(vec, vec).real <= CFG.tx_power + 1e-12
 
     def test_single_antenna_is_a_scalar(self):
         cfg = SystemConfig(antennas_per_ap=1)
         for px in (0.0, 250.0):
             w = predictive_precoder(cfg, est_at(px))
-            for vec in w.per_ap:
-                assert vec.shape == (1,)
-                assert vec[0] == pytest.approx(math.sqrt(cfg.tx_power))
+            assert w.shape == (cfg.num_aps,)
+            assert_allclose(w, math.sqrt(cfg.tx_power), rtol=1e-12)
 
     def test_exact_estimate_gives_coherent_mr_snr(self):
         # each AP contributes sqrt(beta_l rho N); oracle from MR algebra
@@ -92,10 +92,23 @@ class TestPredictivePrecoder:
         with pytest.raises(ValueError):
             predictive_precoder(CFG, est_at(0.0), power_fraction=1.1)
 
+    @pytest.mark.parametrize("angle_mode", ["per_ap", "global"])
+    def test_stacked_ap_by_ap_like_the_channel(self, angle_mode):
+        px = 130.0
+        w = predictive_precoder(CFG, est_at(px), 0.5, angle_mode)
+        amplitude = math.sqrt(0.5 * CFG.tx_power / CFG.antennas_per_ap)
+        for ap, vec in enumerate(w.reshape(CFG.num_aps, -1)):
+            angle = (math.atan2(px - CFG.ap_x(ap), CFG.corridor_offset)
+                     if angle_mode == "per_ap"
+                     else angle_from_position(CFG, px))
+            assert_allclose(vec, amplitude * array_response(CFG, angle),
+                            rtol=0, atol=0)
+
     def test_global_mode_uses_one_angle(self):
         w = predictive_precoder(CFG, est_at(0.0), angle_mode="global")
-        for vec in w.per_ap[1:]:
-            assert_allclose(vec, w.per_ap[0], rtol=0, atol=0)
+        per_ap = w.reshape(CFG.num_aps, -1)
+        for vec in per_ap[1:]:
+            assert_allclose(vec, per_ap[0], rtol=0, atol=0)
 
 
 class TestEvaluateLink:
@@ -103,16 +116,15 @@ class TestEvaluateLink:
         n = CFG.antennas_per_ap
         channel = np.zeros(CFG.num_aps * n, dtype=complex)
         channel[0] = math.sqrt(CFG.noise_power)
-        per_ap = [np.zeros(n, dtype=complex) for _ in range(CFG.num_aps)]
-        per_ap[0][0] = 1.0
-        res = evaluate_link(CFG, channel, Precoder(tuple(per_ap)))
+        precoder = np.zeros(CFG.num_aps * n, dtype=complex)
+        precoder[0] = 1.0
+        res = evaluate_link(CFG, channel, precoder)
         assert res.snr == pytest.approx(1.0, rel=1e-12)
         assert res.rate == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_precoder(self):
         channel = build_channel(CFG, TargetTruth(50.0, 0.0))
-        zeros = Precoder(tuple(np.zeros(CFG.antennas_per_ap, dtype=complex)
-                               for _ in range(CFG.num_aps)))
+        zeros = np.zeros(CFG.num_aps * CFG.antennas_per_ap, dtype=complex)
         res = evaluate_link(CFG, channel, zeros)
         assert res.snr == 0.0
         assert res.rate == 0.0
@@ -126,7 +138,8 @@ class TestEvaluateLink:
         geo = geometry_for_ap(cfg, truth, 0)
         w0 = math.sqrt(cfg.tx_power / cfg.antennas_per_ap) * array_response(
             cfg, geo.azimuth)
-        precoder = Precoder((w0, np.zeros(cfg.antennas_per_ap, dtype=complex)))
+        precoder = np.concatenate(
+            [w0, np.zeros(cfg.antennas_per_ap, dtype=complex)])
         res = evaluate_link(cfg, h, precoder)
         beta = (0.01 / (4 * math.pi * 100.0)) ** 2
         sigma2 = 10 ** (-7.5) / 1e3  # -75 dBm in watts
@@ -136,7 +149,7 @@ class TestEvaluateLink:
 
     def test_dimension_mismatch_rejected(self):
         channel = np.zeros(3, dtype=complex)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^channel length"):
             evaluate_link(CFG, channel,
                           predictive_precoder(CFG, est_at(0.0)))
 
@@ -145,8 +158,7 @@ class TestEvaluateLink:
         h = build_channel(CFG, truth)
         w = predictive_precoder(CFG, est_at(88.0))
         base = evaluate_link(CFG, h, w).snr
-        scaled = Precoder(tuple(0.5 * v for v in w.per_ap))
-        assert evaluate_link(CFG, h, scaled).snr == pytest.approx(
+        assert evaluate_link(CFG, h, 0.5 * w).snr == pytest.approx(
             base / 4, rel=1e-12)
 
 

@@ -7,9 +7,10 @@ from numpy.testing import assert_allclose
 from cfisac.config import SPEED_OF_LIGHT, SystemConfig
 from cfisac.crb import (CrbBlock, RankDeficientError, SensingLinkGain,
                         WaveformSpec, all_ones_waveform,
-                        assemble_measurement_covariance, build_waveform_vector,
-                        crb_angle, crb_block, crb_delay_doppler, qpsk_waveform,
-                        sensing_gain, transform_to_range_velocity)
+                        assemble_measurement_covariance, block_diagonal,
+                        build_waveform_vector, crb_angle, crb_block,
+                        crb_delay_doppler, qpsk_waveform, sensing_gain,
+                        transform_to_range_velocity)
 from cfisac.geometry import ApGeometry, array_response
 from cfisac.selection import ApSelection
 
@@ -441,6 +442,14 @@ def block_with(ap_index, diag2):
 
 
 class TestAssembleCovariance:
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_block_diagonal_places_each_block(self, k):
+        stack = np.random.default_rng(k).normal(size=(k, 2, 2))
+        want = np.zeros((2 * k, 2 * k))
+        for pos, block in enumerate(stack):
+            want[2 * pos:2 * pos + 2, 2 * pos:2 * pos + 2] = block
+        assert_allclose(block_diagonal(stack), want, rtol=0, atol=0)
+
     def test_two_aps_make_4x4(self):
         blocks = [block_with(0, (1, 2)), block_with(1, (4, 5))]
         sel = ApSelection.from_indices(4, [0, 1])

@@ -8,8 +8,8 @@ from cfisac.config import SystemConfig
 from cfisac.crb import CrbBlock
 from cfisac.selection import ApSelection
 from cfisac.crb import all_ones_waveform
-from cfisac.sensing import (Action, SensingPolicy, available_rx_aps,
-                            decide_action, hpbw,
+from cfisac.sensing import (Action, SensingPolicy, _lowest_variance,
+                            available_rx_aps, decide_action, hpbw,
                             predict_variance_for_selection, score_subsets,
                             select_rx_aps, variance_threshold_from_hpbw)
 from cfisac.simulate import crb_blocks_for_state
@@ -324,13 +324,27 @@ class TestScoreSubsets:
             chosen = select_rx_aps(cfg, est, model, policy, blocks)
             assert chosen.indices == best[1]
 
-    def test_rows_ascend_by_bitmask(self):
-        cfg = SystemConfig(num_aps=6)
-        policy = SensingPolicy(GAMMA_3DEG, subset_cardinality=3)
+    @pytest.mark.parametrize("exclude", [False, True])
+    @pytest.mark.parametrize("num_aps", range(2, 9))
+    def test_rows_ascend_by_bitmask(self, num_aps, exclude):
+        # with the transmitter excluded, 1 to 7 APs are available
+        cfg = SystemConfig(num_aps=num_aps)
         est, blocks = next(criterion_4_states(cfg, 1, 3))
-        subsets, _ = score_subsets(cfg, est, policy, blocks)
-        masks = [sum(1 << int(ap) for ap in row) for row in subsets]
-        assert masks == sorted(set(masks))
+        available = range(int(exclude), num_aps)
+        for k in range(1, len(available) + 1):
+            policy = SensingPolicy(GAMMA_3DEG, subset_cardinality=k,
+                                   exclude_tx_ap=exclude)
+            subsets, _ = score_subsets(cfg, est, policy, blocks)
+            rows = [tuple(int(ap) for ap in row) for row in subsets]
+            assert rows == sorted(combinations(available, k),
+                                  key=lambda row: sum(1 << ap for ap in row))
+
+    def test_nan_score_rejected(self):
+        # NaN compares false against every score, so no pick is the lowest
+        subsets = np.array([[0, 1], [0, 2], [1, 2]])
+        for variances in ([math.nan, 1.0, 2.0], [1.0, math.nan, 0.5]):
+            with pytest.raises(ValueError, match="NaN"):
+                _lowest_variance(3, subsets, np.array(variances))
 
     def test_table_is_cached_and_read_only(self):
         cfg = SystemConfig(num_aps=10)

@@ -93,14 +93,14 @@ class TestTrafficModel:
     def test_interval_membership(self):
         tm = TrafficModel(mode="intervals", intervals=((2, 5), (9, 10)))
         stream = RngStream(1, "traffic")
-        states = [tm.is_on(k, stream) for k in range(12)]
+        states = tm.on_flags(np.arange(12), stream).tolist()
         assert states == [False, False, True, True, True, False, False,
                           False, False, True, False, False]
 
     def test_bernoulli_determinism(self):
         tm = TrafficModel(on_probability=0.5)
-        a = [tm.is_on(k, RngStream(2, "traffic")) for k in range(20)]
-        b = [tm.is_on(k, RngStream(2, "traffic")) for k in range(20)]
+        a = tm.on_flags(np.arange(20), RngStream(2, "traffic")).tolist()
+        b = tm.on_flags(np.arange(20), RngStream(2, "traffic")).tolist()
         assert a == b
 
     @pytest.mark.parametrize("seed", [0, 2, 2 ** 64 - 1])
@@ -109,7 +109,8 @@ class TestTrafficModel:
         stream = RngStream(seed, "traffic")
         want = [RngStream(seed, "traffic").generator(k).random() < 0.5
                 for k in range(64)]
-        assert [tm.is_on(k, stream) for k in range(64)] == want
+        assert [bool(tm.on_flags(np.array([k]), stream)[0])
+                for k in range(64)] == want
         assert tm.on_flags(np.arange(64), stream).tolist() == want
         assert 0 < sum(want) < 64
 
@@ -720,10 +721,16 @@ class TestArmIndependence:
                                   "all"])
     def test_each_arm_steps_as_in_the_full_run(self, arms, seed):
         full = run_scenario(make_scenario(num_epochs=40, seed=seed))
-        records = run_scenario(make_scenario(num_epochs=40, seed=seed,
-                                             comparison_arms=arms))
+        scenario = make_scenario(num_epochs=40, seed=seed,
+                                 comparison_arms=arms)
+        records = run_scenario(scenario)
         tracked = [name for name in ("proposed", "random", "conventional")
                    if name == "proposed" or name in arms]
+        rated = [name for name in ("proposed", "conventional", "perfect")
+                 if name == "proposed" or name in arms]
+        assert scenario.rated_methods == tuple(rated)
+        assert all(list(r.rates) == (rated if r.traffic_state == "ON" else [])
+                   for r in records)
         assert any(a.action is Action.SENSING
                    for r in records for a in r.arms.values())
         for rec, ref in zip(records, full, strict=True):
