@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -256,14 +257,21 @@ _LINK_CELLS = (("proposed", "rate"), ("conventional", "rate"),
                ("perfect", "rate"), ("proposed", "snr"))
 
 
+@functools.cache
+def _row_template(methods: tuple[str, ...]) -> str:
+    """The row template for an epoch rated by `methods`, in the order its
+    `rates` holds them: at most 16, one per ordered subset of the three."""
+    return _STATE_CELLS + "".join(",%.17e" if tag in methods else ","
+                                  for tag, _ in _LINK_CELLS)
+
+
 def _csv_row(rec: EpochRecord) -> str:
     arm, rates = rec.arms["proposed"], rec.rates
     est = arm.estimate
-    template = _STATE_CELLS + "".join(",%.17e" if tag in rates else ","
-                                      for tag, _ in _LINK_CELLS)
-    return template % (
-        rec.epoch, rec.truth.position_x, rec.truth.velocity_x, *est.mean,
-        est.covariance[0, 0], est.covariance[1, 1],
+    (var_p, _), (_, var_v) = est.covariance.tolist()
+    return _row_template(tuple(rates)) % (
+        rec.epoch, rec.truth.position_x, rec.truth.velocity_x,
+        *est.mean.tolist(), var_p, var_v,
         arm.predicted_angle_variance, arm.action.value, rec.traffic_state,
         arm.selection.bitmask,
         *(getattr(rates[tag], field) for tag, field in _LINK_CELLS

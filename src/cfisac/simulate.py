@@ -178,8 +178,10 @@ class Scenario:
     angle_mode: str = "per_ap"
 
     def __post_init__(self) -> None:
-        if self.num_epochs < 1:
-            raise ValueError("num_epochs: must be >= 1")
+        # RngStream keys each draw on (stream code << 32) + epoch, so an
+        # epoch past 32 bits would draw another stream's numbers.
+        if not 1 <= self.num_epochs <= 2 ** 32:
+            raise ValueError("num_epochs: must lie in [1, 2**32]")
         # RngStream keys on the seed's low 64 bits; a seed outside them
         # would alias one inside under another config digest.
         if not 0 <= self.seed < 2 ** 64:

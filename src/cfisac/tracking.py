@@ -79,11 +79,26 @@ class MeasurementSet:
 
 
 def predict(est: StateEstimate, model: MotionModel) -> StateEstimate:
-    """Time update: propagate mean and covariance one epoch forward."""
-    f = model.transition
-    mean = f @ est.mean
-    cov = f @ est.covariance @ f.T + model.process_noise
-    return StateEstimate._built(mean, _symmetrized(cov), est.epoch + 1)
+    """Time update: propagate mean and covariance one epoch forward.
+
+    Closed-form 2x2 arithmetic on Python floats in matmul's operand order:
+    F m, then (F P) F^T + Q, then `_symmetrized`'s halving. Each product is
+    the plainly rounded two-term dot product, which a BLAS kernel without
+    fused multiply-add also computes; one with it can move the last bit.
+    """
+    (f00, f01), (f10, f11) = model.transition.tolist()
+    (p00, p01), (p10, p11) = est.covariance.tolist()
+    (q00, q01), (q10, q11) = model.process_noise.tolist()
+    m0, m1 = est.mean.tolist()
+    a00, a01 = f00 * p00 + f01 * p10, f00 * p01 + f01 * p11
+    a10, a11 = f10 * p00 + f11 * p10, f10 * p01 + f11 * p11
+    c00 = a00 * f00 + a01 * f01 + q00
+    c11 = a10 * f10 + a11 * f11 + q11
+    off = ((a00 * f10 + a01 * f11 + q01) + (a10 * f00 + a11 * f01 + q10)) / 2.0
+    return StateEstimate._built(
+        np.array([f00 * m0 + f01 * m1, f10 * m0 + f11 * m1]),
+        np.array([[(c00 + c00) / 2.0, off], [off, (c11 + c11) / 2.0]]),
+        est.epoch + 1)
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:

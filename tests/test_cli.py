@@ -426,6 +426,9 @@ class TestMainEntry:
         ("seed: 2.5\n", "seed"),
         ("seed: -1\n", "seed"),
         (f"seed: {2 ** 64}\n", "seed"),
+        # never reaches run: validate must reject it first, or run would
+        # draw 2**32 + 1 traffic flags
+        (f"num_epochs: {2 ** 32 + 1}\n", "num_epochs"),
         ("policy:\n  exclude_tx_ap: \"false\"\n", "exclude_tx_ap"),
         ("phase_mode: bogus\n", "phase_mode"),
         ("angle_mode: bogus\n", "angle_mode"),
@@ -461,7 +464,7 @@ class TestMainEntry:
             "list_target_position", "list_on_probability", "scalar_intervals",
             "scalar_ap_positions", "scalar_arms", "fractional_num_aps",
             "fractional_num_epochs", "fractional_seed", "negative_seed",
-            "seed_past_64_bits", "string_bool",
+            "seed_past_64_bits", "epochs_past_32_bits", "string_bool",
             "unknown_phase_mode", "unknown_angle_mode",
             "infeasible_cardinality", "too_many_aps", "fractional_interval",
             "bool_tx_power", "bool_target_position", "bool_on_probability",
