@@ -159,25 +159,56 @@ def score_subsets(cfg: SystemConfig, predicted: StateEstimate,
     read-only table built once per (available APs, k). At k = 0 the one
     row is every AP that adds information (information never raises the
     variance), or the first AP when none does, since then all subsets tie.
-
-    Scored in information form, I_l = J_l^T R_l^-1 J_l per AP: subset S
-    leaves P00 of (I + P sum_S I_l)^-1 P, needing no P^-1.
+    ValueError names the first available AP whose block is not positive
+    definite.
     """
     available = available_rx_aps(cfg, policy)
-    jac = measurement_jacobian(cfg, predicted.mean, ApSelection.from_indices(
-        cfg.num_aps, available)).reshape(-1, 2, 2)
-    noise = range_velocity_blocks(crbs, available)
-    info = jac.transpose(0, 2, 1) @ np.linalg.solve(noise, jac)
-    if policy.subset_cardinality:
-        columns, subsets = _subset_table(tuple(available),
-                                         policy.subset_cardinality)
+    return _score_blocks(cfg, predicted, available, policy.subset_cardinality,
+                         range_velocity_blocks(crbs, available))
+
+
+def _score_blocks(cfg: SystemConfig, predicted: StateEstimate,
+                  available: list[int], k: int, noise: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """`score_subsets` over `noise`, the (len(available), 2, 2) stack of
+    the available APs' bound blocks R_l, in the order of `available`.
+
+    Scored in information form in closed-form 2x2 arithmetic: each AP's
+    I_l = J_l^T R_l^-1 J_l is three floats (s00, s01, s11), a subset sums
+    them to S, and leaves P00 of (I + P S)^-1 P, needing no P^-1. With
+    M = I + P S that is (m11 p00 - m01 p10) / det M, evaluated with the
+    terms that cancel taken out, which keeps a strongly correlated P
+    within a few ulp: the numerator is p00 + S11 det P and
+    det M = 1 + tr(P S) + det P det S.
+    """
+    rows = measurement_jacobian(cfg, predicted.mean, ApSelection.from_indices(
+        cfg.num_aps, available)).tolist()
+    info = []
+    for ap, ((r00, r01), (r10, r11)), (j00, j01), (j10, j11) in zip(
+            available, noise.tolist(), rows[::2], rows[1::2]):
+        det = r00 * r11 - r01 * r10
+        if not (r00 > 0 and det > 0):  # also a NaN block
+            raise ValueError(
+                f"bound block of AP {ap} is not positive definite")
+        # R^-1 = [[w00, w01], [w01, w11]], and a = J^T R^-1
+        w00, w01, w11 = r11 / det, -r01 / det, r00 / det
+        a00, a01 = j00 * w00 + j10 * w01, j00 * w01 + j10 * w11
+        a10, a11 = j01 * w00 + j11 * w01, j01 * w01 + j11 * w11
+        info.append((a00 * j00 + a01 * j10, a00 * j01 + a01 * j11,
+                     a10 * j01 + a11 * j11))
+    info = np.array(info).T  # (3, n): s00, s01, s11 of each available AP
+    if k:
+        columns, subsets = _subset_table(tuple(available), k)
     else:
-        informs = np.flatnonzero(info.any(axis=(1, 2)))
+        informs = np.flatnonzero(info.any(axis=0))
         columns = (informs if informs.size else np.zeros(1, int))[:, None]
         subsets = np.asarray(available)[columns.T]
-    total_info = sum(info.take(column, axis=0) for column in columns)
-    cov = predicted.covariance[None]  # 3-D: numpy 1.x solves it as a stack
-    variance = np.linalg.solve(np.eye(2) + cov @ total_info, cov)[:, 0, 0]
+    t00, t01, t11 = sum(info.take(column, axis=1) for column in columns)
+    (p00, p01), (p10, p11) = predicted.covariance.tolist()
+    det_p = p00 * p11 - p01 * p10
+    variance = (p00 + t11 * det_p) / (
+        1.0 + (p00 * t00 + (p01 + p10) * t01 + p11 * t11)
+        + det_p * (t00 * t11 - t01 * t01))
     slope = angle_slope_from_position(cfg, float(predicted.mean[0]))
     return subsets, variance * slope ** 2
 

@@ -27,8 +27,8 @@ from .crb import (CrbBlock, WaveformSpec, all_ones_waveform, block_diagonal,
                   range_velocity_blocks)
 from .geometry import TargetTruth
 from .selection import ApSelection
-from .sensing import (Action, SensingPolicy, _lowest_variance,
-                      available_rx_aps, decide_action, score_subsets)
+from .sensing import (Action, SensingPolicy, _lowest_variance, _score_blocks,
+                      available_rx_aps, decide_action)
 from .tracking import (MeasurementSet, MotionModel, StateEstimate,
                        angle_estimate_and_variance, measurement_model, predict,
                        update)
@@ -453,12 +453,14 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
             selection = _random_selection(cfg, policy,
                                           streams["selection"].generator(k))
         else:
-            planning = crb_blocks_for_state(cfg, state.waveform,
-                                            float(predicted.mean[0]),
-                                            float(predicted.mean[1]),
-                                            state.planning_rcs)
-            selection = _lowest_variance(
-                cfg.num_aps, *score_subsets(cfg, predicted, policy, planning))
+            available = available_rx_aps(cfg, policy)
+            planning = _bound_stack(cfg, state.waveform,
+                                    float(predicted.mean[0]),
+                                    float(predicted.mean[1]),
+                                    state.planning_rcs, 1.0, available)
+            selection = _lowest_variance(cfg.num_aps, *_score_blocks(
+                cfg, predicted, available, policy.subset_cardinality,
+                planning))
         rcs = draw_rcs(streams["rcs"].generator(k), cfg, cfg.num_aps)
         meas = synthesize_measurement(
             cfg, truth_now, selection, rcs, streams["measurement"].generator(k),

@@ -665,29 +665,34 @@ def test_scaling_tx_and_noise_power_together_leaves_the_run(
         assert epochs_csv(2.0 ** exponent) == base, exponent
 
 
-@pytest.mark.parametrize("phase_mode, angle_mode", MODES)
-@pytest.mark.parametrize("workload", ["ref_all", "select_dense"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_mirroring_the_deployment_mirrors_the_run(tmp_path, workload, seed,
-                                                  phase_mode, angle_mode):
-    # AP i at -x_i, in the same order and with the same transmitter, and the
-    # target and the prior negated: the geometry is a mirror image, so the
-    # states flip sign and nothing else moves. In geometric mode each array
-    # keeps its +x orientation and element-0 phase reference, so the mirror
-    # conjugates the steering kernel but not the LOS phase: the steered
-    # rates move, and only the filter columns and the perfect-knowledge
-    # rate, whose steering error is zero, stay mirrored or equal.
-    scenario = scenario_from_dict({**WORKLOADS[workload]["overrides"],
-                                   "seed": seed, "phase_mode": phase_mode,
-                                   "angle_mode": angle_mode})
+def mirrored(scenario):
+    """AP i at -x_i, in the same order and with the same transmitter, and
+    the target and the prior negated."""
     system = scenario.system
     truth, prior = scenario.initial_truth, scenario.initial_estimate
-    mirror = dataclasses.replace(
+    return dataclasses.replace(
         scenario,
         system=dataclasses.replace(system, ap_positions=tuple(
             (-x, y) for x, y in system.ap_positions)),
         initial_truth=TargetTruth(-truth.position_x, -truth.velocity_x),
         initial_estimate=StateEstimate(-prior.mean, prior.covariance))
+
+
+@pytest.mark.parametrize("phase_mode, angle_mode", MODES)
+@pytest.mark.parametrize("workload", ["ref_all", "select_dense"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mirroring_the_deployment_mirrors_the_run(tmp_path, workload, seed,
+                                                  phase_mode, angle_mode):
+    # the mirrored geometry is a mirror image, so the states flip sign and
+    # nothing else moves. In geometric mode each array keeps its +x
+    # orientation and element-0 phase reference, so the mirror conjugates
+    # the steering kernel but not the LOS phase: the steered rates move,
+    # and only the filter columns and the perfect-knowledge
+    # rate, whose steering error is zero, stay mirrored or equal.
+    scenario = scenario_from_dict({**WORKLOADS[workload]["overrides"],
+                                   "seed": seed, "phase_mode": phase_mode,
+                                   "angle_mode": angle_mode})
+    mirror = mirrored(scenario)
 
     def rows(run, name):
         write_records(run_scenario(run), tmp_path / name, run, plots=False)

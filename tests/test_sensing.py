@@ -383,6 +383,20 @@ class TestScoreSubsets:
             assert rows == sorted(combinations(available, k),
                                   key=lambda row: sum(1 << ap for ap in row))
 
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("block", [np.zeros((2, 2)), np.diag([4.0, 0.0]),
+                                       np.full((2, 2), 3.0)])
+    def test_singular_block_names_the_ap(self, block, k):
+        # rejected before the closed-form inverse divides by its zero
+        # determinant
+        cfg = SystemConfig()
+        est, blocks = next(criterion_4_states(cfg, 1, 5))
+        blocks[2] = CrbBlock(block, 2)
+        policy = SensingPolicy(GAMMA_3DEG, subset_cardinality=k)
+        with pytest.raises(ValueError,
+                           match="bound block of AP 2 is not positive definite"):
+            score_subsets(cfg, est, policy, blocks)
+
     def test_nan_score_rejected(self):
         # NaN compares false against every score, so no pick is the lowest
         subsets = np.array([[0, 1], [0, 2], [1, 2]])

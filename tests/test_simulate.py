@@ -1,11 +1,14 @@
+import json
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cfisac.cli import write_records
+from cfisac.cli import scenario_from_dict, write_records
 from cfisac.comms import (build_channel, evaluate_link, predictive_precoder,
                           steered_link)
 from cfisac.config import SystemConfig
@@ -831,6 +834,36 @@ def test_each_arm_predicts_once_an_epoch(monkeypatch):
     assert arms == 3
     assert sum(r.action is Action.SENSING for r in records) > 10
     assert Counter(epochs) == {k: arms for k in range(scenario.num_epochs)}
+
+
+def test_selection_scores_the_bound_stack_without_a_solve(monkeypatch):
+    # the proposed arm scores its planning bound stack in closed form: no
+    # solve under sensing, and no per-AP CrbBlock list to restack
+    solves, solve = Counter(), np.linalg.solve
+    block_lists = []
+
+    def counting_solve(*args, **kwargs):
+        frame, callers = sys._getframe(1), set()
+        while frame is not None:
+            callers.add(frame.f_globals.get("__name__"))
+            frame = frame.f_back
+        solves["sensing" if "cfisac.sensing" in callers else "other"] += 1
+        return solve(*args, **kwargs)
+
+    def counting_blocks(*args, **kwargs):
+        block_lists.append(args)
+        return crb_blocks_for_state(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(simulate, "crb_blocks_for_state", counting_blocks)
+    workloads = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                            / "workloads.json").read_text())
+    records = run_scenario(scenario_from_dict(
+        workloads["select_dense"]["overrides"]))
+    sensed = sum(r.action is Action.SENSING for r in records)
+    assert sensed > 30
+    assert solves == {"other": sensed}  # one per update: the counter works
+    assert block_lists == []
 
 
 # The key of every draw is (seed, code << 32 + epoch); codes are part of the
