@@ -10,7 +10,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -324,9 +324,9 @@ def write_records(records: list[EpochRecord], out_dir: str | Path,
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
 
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(_csv_row(rec) for rec in records)
-    (out_dir / "epochs.csv").write_text("\n".join(lines) + "\n", newline="")
+    with open(out_dir / "epochs.csv", "w", newline="") as csv_file:
+        csv_file.write(",".join(CSV_COLUMNS) + "\n")
+        csv_file.writelines(_csv_row(rec) + "\n" for rec in records)
     (out_dir / "summary.json").write_text(
         json.dumps(summarize_records(records, scenario), indent=2,
                    sort_keys=True) + "\n")
@@ -375,9 +375,9 @@ def _scaler(lo: float, hi: float, pix_lo: float, pix_hi: float):
     return to_pix
 
 
-def _polyline(points: list[tuple[float, float]], color: str,
-              dash: str | None = None) -> str:
-    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+def _polyline(xy: list[float], color: str, dash: str | None = None) -> str:
+    """A polyline through the points x0, y0, x1, y1, ... of `xy`."""
+    coords = " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(xy)
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
             f'{dash_attr} points="{coords}"/>')
@@ -393,11 +393,14 @@ def _svg(elements: list[str]) -> str:
 
 def _variance_svg(records: list[EpochRecord], threshold: float) -> str:
     n = len(records)
-    series = _variance_series(records)
     floor = 1e-12
-    logs = [math.log10(max(v, floor)) for vs in series.values() for v in vs]
-    logs.append(math.log10(threshold))
-    lo, hi = min(logs) - 0.2, max(logs) + 0.2
+    # math.log10, not numpy's, which need not round as libm does; the pixel
+    # maps below are the same IEEE operations on arrays as on floats.
+    logs = {tag: [math.log10(max(v, floor)) for v in values]
+            for tag, values in _variance_series(records).items()}
+    log_threshold = math.log10(threshold)
+    lo = min(chain(*logs.values(), [log_threshold])) - 0.2
+    hi = max(chain(*logs.values(), [log_threshold])) + 0.2
     to_x = _scaler(0, max(n - 1, 1), _MARGIN_L, _WIDTH - _MARGIN_R)
     to_y = _scaler(lo, hi, _HEIGHT - _MARGIN_B, _MARGIN_T)
 
@@ -415,8 +418,8 @@ def _variance_svg(records: list[EpochRecord], threshold: float) -> str:
         elems.append(f'<text x="{x:.2f}" y="{_HEIGHT - _MARGIN_B + 16}" '
                      f'text-anchor="middle" font-size="11">{k}</text>')
 
-    y_thr = to_y(math.log10(threshold))
-    elems.append(_polyline([(to_x(0), y_thr), (to_x(n - 1), y_thr)],
+    y_thr = to_y(log_threshold)
+    elems.append(_polyline([to_x(0), y_thr, to_x(n - 1), y_thr],
                            "#777777", dash="6,4"))
     deg = math.degrees(math.sqrt(threshold))
     elems.append(f'<text x="{_WIDTH - _MARGIN_R - 4}" y="{y_thr - 6:.2f}" '
@@ -424,10 +427,10 @@ def _variance_svg(records: list[EpochRecord], threshold: float) -> str:
                  f'threshold ({deg:.1f}&#176; std)</text>')
 
     colors = {"proposed": "#1f77b4", "random": "#ff7f0e"}
-    for idx, (tag, values) in enumerate(series.items()):
-        pts = [(to_x(k), to_y(math.log10(max(v, floor))))
-               for k, v in enumerate(values)]
-        elems.append(_polyline(pts, colors[tag]))
+    for idx, (tag, values) in enumerate(logs.items()):
+        xy = np.column_stack((to_x(np.arange(len(values))),
+                              to_y(np.array(values))))
+        elems.append(_polyline(xy.ravel().tolist(), colors[tag]))
         elems.append(f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 14 + 14 * idx}" '
                      f'font-size="12" fill="{colors[tag]}">{tag} selection</text>')
     for rec in records:
@@ -437,7 +440,7 @@ def _variance_svg(records: list[EpochRecord], threshold: float) -> str:
             y = to_y(math.log10(max(arm.predicted_angle_variance, floor)))
             elems.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" '
                          f'fill="none" stroke="#d62728" stroke-width="1.5"/>')
-    elems.append(f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 14 + 14 * len(series)}" '
+    elems.append(f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 14 + 14 * len(logs)}" '
                  f'font-size="12" fill="#d62728">o sensing epoch</text>')
     return _svg(elems)
 
@@ -471,11 +474,12 @@ def _rate_svg(records: list[EpochRecord]) -> str:
         for rated, run in groupby(records, key=lambda r: tag in r.rates):
             if not rated:
                 continue
-            segment = [(to_x(r.epoch), to_y(r.rates[tag].rate)) for r in run]
-            if len(segment) > 1:
+            segment = [v for r in run
+                       for v in (to_x(r.epoch), to_y(r.rates[tag].rate))]
+            if len(segment) > 2:
                 elems.append(_polyline(segment, colors[tag]))
             else:
-                x, y = segment[0]
+                x, y = segment
                 elems.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" '
                              f'fill="{colors[tag]}"/>')
         elems.append(f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 14 + 14 * idx}" '

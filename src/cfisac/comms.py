@@ -27,7 +27,7 @@ ANGLE_MODES = ("per_ap", "global")
 _HYPOT = np.frompyfunc(math.hypot, 2, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkResult:
     snr: float
     rate: float  # bits per symbol use, log2(1 + snr)

@@ -10,7 +10,7 @@ import numpy as np
 from .config import SystemConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TargetTruth:
     """True kinematic state on the corridor line y = corridor_offset."""
 

@@ -232,7 +232,7 @@ class Scenario:
                               if a in ("conventional", "perfect")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArmEpoch:
     """Per-epoch snapshot of one filter arm's tracker."""
 
@@ -242,7 +242,7 @@ class ArmEpoch:
     estimate: StateEstimate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpochRecord:
     """One epoch: each filter arm's snapshot by name, in stepping order, and
     each downlink method's rate. The three properties read the proposed arm."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,7 +15,7 @@ _IDENTITY = np.eye(2)
 _IDENTITY.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateEstimate:
     """Filter mean [p_x, v_x], covariance, and the epoch it refers to."""
 
@@ -35,16 +35,33 @@ class StateEstimate:
         """An estimate from arrays the filter just built, taken as they are:
         skips __post_init__, whose copies are for caller input."""
         est = object.__new__(cls)
-        est.__dict__.update(mean=mean, covariance=covariance, epoch=epoch)
+        object.__setattr__(est, "mean", mean)
+        object.__setattr__(est, "covariance", covariance)
+        object.__setattr__(est, "epoch", epoch)
         return est
 
 
 @dataclass(frozen=True)
 class MotionModel:
-    """Constant-velocity transition and discretized acceleration noise."""
+    """Constant-velocity transition and discretized acceleration noise.
+
+    Both matrices are copied into read-only float arrays, and their entries
+    are kept as Python floats, row by row, for `predict`.
+    """
 
     transition: np.ndarray     # F = [[1, dt], [0, 1]]
     process_noise: np.ndarray  # Q with entries dt^4/4, dt^3/2, dt^2 times sigma_q^2
+    _entries: tuple[tuple[float, ...], tuple[float, ...]] = field(
+        init=False, repr=False, compare=False)  # (F, Q), each flattened
+
+    def __post_init__(self) -> None:
+        matrices = []
+        for name in ("transition", "process_noise"):
+            matrix = np.array(getattr(self, name), dtype=float).reshape(2, 2)
+            matrix.setflags(write=False)
+            object.__setattr__(self, name, matrix)
+            matrices.append(tuple(matrix.ravel().tolist()))
+        object.__setattr__(self, "_entries", tuple(matrices))
 
     @classmethod
     def from_config(cls, cfg: SystemConfig) -> "MotionModel":
@@ -86,9 +103,8 @@ def predict(est: StateEstimate, model: MotionModel) -> StateEstimate:
     the plainly rounded two-term dot product, which a BLAS kernel without
     fused multiply-add also computes; one with it can move the last bit.
     """
-    (f00, f01), (f10, f11) = model.transition.tolist()
+    (f00, f01, f10, f11), (q00, q01, q10, q11) = model._entries
     (p00, p01), (p10, p11) = est.covariance.tolist()
-    (q00, q01), (q10, q11) = model.process_noise.tolist()
     m0, m1 = est.mean.tolist()
     a00, a01 = f00 * p00 + f01 * p10, f00 * p01 + f01 * p11
     a10, a11 = f10 * p00 + f11 * p10, f10 * p01 + f11 * p11

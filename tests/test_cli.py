@@ -1,15 +1,18 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 import yaml
 
+from cfisac import cli
 from cfisac.cli import (CSV_COLUMNS, ConfigError, config_digest,
                         default_scenario, emit_plots, load_scenario, main,
                         scenario_from_dict, scenario_to_dict,
@@ -28,6 +31,13 @@ WORKLOADS = json.loads((REPO / "bench" / "workloads.json").read_text())
 @pytest.fixture(scope="module")
 def short_run():
     scenario = dataclasses.replace(default_scenario(), num_epochs=30)
+    return scenario, run_scenario(scenario)
+
+
+@pytest.fixture(scope="module")
+def long_run():
+    scenario = scenario_from_dict(WORKLOADS["long_sparse"]["overrides"])
+    assert scenario.num_epochs == 5000
     return scenario, run_scenario(scenario)
 
 
@@ -232,6 +242,20 @@ class TestWriteRecords:
         assert (hashlib.sha256(canonical.encode()).hexdigest()
                 == payload["config_digest"])
 
+    def test_epochs_csv_is_streamed(self, long_run, tmp_path):
+        # writing holds less than the file it writes, so the text of
+        # epochs.csv is never built whole
+        scenario, records = long_run
+        tracemalloc.start()
+        try:
+            write_records(records, tmp_path, scenario, plots=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "epochs.csv").stat().st_size
+        assert size > 500_000
+        assert peak < size
+
 
 class TestEmitPlots:
     def test_variance_plot_contents(self, short_run, tmp_path):
@@ -243,6 +267,28 @@ class TestEmitPlots:
         assert svg.count("<circle") >= sum(
             r.action is Action.SENSING for r in records)
         assert "stroke-dasharray" in svg  # the threshold line
+
+    @pytest.mark.parametrize("run", ["short_run", "long_run"])
+    def test_variance_traces_match_a_per_point_reference(self, request, run,
+                                                         tmp_path):
+        # the traces are mapped to pixels on arrays; mapping and formatting
+        # each point on Python floats must give the same text
+        scenario, records = request.getfixturevalue(run)
+        threshold = scenario.policy.variance_threshold
+        svg = emit_plots(records, tmp_path, threshold)[0].read_text()
+        series = [[math.log10(max(r.arms[tag].predicted_angle_variance, 1e-12))
+                   for r in records]
+                  for tag in ("proposed", "random") if tag in records[0].arms]
+        logs = [v for values in series for v in values]
+        logs.append(math.log10(threshold))
+        to_x = cli._scaler(0, max(len(records) - 1, 1), cli._MARGIN_L,
+                           cli._WIDTH - cli._MARGIN_R)
+        to_y = cli._scaler(min(logs) - 0.2, max(logs) + 0.2,
+                           cli._HEIGHT - cli._MARGIN_B, cli._MARGIN_T)
+        want = [" ".join(f"{to_x(k):.2f},{to_y(v):.2f}"
+                         for k, v in enumerate(values)) for values in series]
+        # the threshold line's dash attribute keeps it out of this match
+        assert re.findall(r'stroke-width="1.5" points="([^"]*)"', svg) == want
 
     def test_rate_plot_with_gaps(self, short_run, tmp_path):
         scenario, records = short_run

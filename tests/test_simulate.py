@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import sys
 from collections import Counter
 from pathlib import Path
@@ -1001,3 +1004,71 @@ def test_every_arm_covariance_is_exactly_symmetric(seed):
     for arm in arms:
         cov = arm.estimate.covariance
         assert cov[0, 1] == cov[1, 0]
+
+
+def same_value(a, b):
+    """Equal field by field, arrays by dtype and entries: the generated
+    `__eq__` of a dataclass holding arrays is ambiguous."""
+    if isinstance(a, np.ndarray):
+        return (type(b) is np.ndarray and a.dtype == b.dtype
+                and np.array_equal(a, b))
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_value(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_value(a[k], b[k]) for k in a)
+    return a == b
+
+
+PER_EPOCH_VALUES = ("EpochRecord", "ArmEpoch", "StateEstimate",
+                    "StateEstimate._built by predict",
+                    "StateEstimate._built by update", "LinkResult",
+                    "TargetTruth")
+
+
+@pytest.fixture(scope="module")
+def per_epoch_values():
+    """One instance of each per-epoch value type, the filter's own
+    `_built` estimates included."""
+    records = run_scenario(make_scenario(num_epochs=30, seed=3))
+    record = next(r for r in records if r.rates)
+    model = MotionModel.from_config(CFG)
+    return {
+        "EpochRecord": record,
+        "ArmEpoch": record.arms["conventional"],
+        "StateEstimate": StateEstimate([1.0, 2.0], np.eye(2), 4),
+        "StateEstimate._built by predict": predict(record.estimate, model),
+        "StateEstimate._built by update": record.arms["conventional"].estimate,
+        "LinkResult": record.rates["proposed"],
+        "TargetTruth": record.truth,
+    }
+
+
+class TestSlottedRecords:
+    @pytest.mark.parametrize("name", PER_EPOCH_VALUES)
+    def test_has_no_instance_dict(self, per_epoch_values, name):
+        value = per_epoch_values[name]
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(TypeError):
+            vars(value)
+        assert dataclasses.asdict(value)
+
+    @pytest.mark.parametrize("name", PER_EPOCH_VALUES)
+    def test_assignment_raises(self, per_epoch_values, name):
+        value = per_epoch_values[name]
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+        # nor can a new name be added: the generated __setattr__ of a
+        # slotted class raises TypeError for it on some Python versions
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = 1
+        assert not hasattr(value, "extra")
+
+    @pytest.mark.parametrize("name", PER_EPOCH_VALUES)
+    def test_round_trips_through_pickle_and_copy(self, per_epoch_values, name):
+        value = per_epoch_values[name]
+        for again in (pickle.loads(pickle.dumps(value)), copy.copy(value)):
+            assert again is not value
+            assert same_value(again, value)

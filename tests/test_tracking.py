@@ -26,6 +26,19 @@ class TestMotionModel:
                         sq2 * np.array([[1e-8 / 4, 1e-6 / 2], [1e-6 / 2, 1e-4]]),
                         rtol=1e-15)
 
+    def test_matrices_are_read_only_copies(self):
+        # predict reads entries kept at construction, so the matrices must
+        # not change after it
+        f, q = np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros((2, 2))
+        model = MotionModel(f, q)
+        f[0, 1] = 9.0
+        assert model.transition[0, 1] == 0.5
+        for matrix in (model.transition, model.process_noise):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 2.0
+        out = predict(estimate([0.0, 2.0], np.zeros((2, 2))), model)
+        assert out.mean.tolist() == [1.0, 2.0]
+
 
 class TestPredict:
     def test_mean_propagation(self):
