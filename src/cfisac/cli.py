@@ -241,9 +241,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def config_digest(scenario: Scenario) -> str:
-    canonical = json.dumps(scenario_to_dict(scenario), sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _digest(scenario_to_dict(scenario))
+
+
+def _digest(canonical: dict) -> str:
+    """SHA-256 of a `scenario_to_dict` dict's compact, key-sorted JSON."""
+    text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +339,12 @@ def write_records(records: list[EpochRecord], out_dir: str | Path,
         outputs.extend(path.name for path in emit_plots(
             records, out_dir, scenario.policy.variance_threshold))
 
+    canonical = scenario_to_dict(scenario)
     manifest = {
-        "config_digest": config_digest(scenario), "seed": scenario.seed,
+        "config_digest": _digest(canonical), "seed": scenario.seed,
         "tool_version": __version__, "started_at": started,
         "finished_at": datetime.now(timezone.utc).isoformat(),
-        "outputs": outputs, "canonical_config": scenario_to_dict(scenario)}
+        "outputs": outputs, "canonical_config": canonical}
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .geometry import TargetTruth, angle_from_position, array_response, geometry_for_ap
+from .geometry import (TargetTruth, _slot_setters, angle_from_position,
+                       array_response, geometry_for_ap)
 from .tracking import StateEstimate
 
 PHASE_MODES = ("compensated", "geometric")
@@ -31,6 +32,18 @@ _HYPOT = np.frompyfunc(math.hypot, 2, 1)
 class LinkResult:
     snr: float
     rate: float  # bits per symbol use, log2(1 + snr)
+
+    @classmethod
+    def _built(cls, snr: float, rate: float) -> "LinkResult":
+        """A link the simulator just evaluated, taken as it is."""
+        link = object.__new__(cls)
+        set_snr, set_rate = _LINK_SLOTS
+        set_snr(link, snr)
+        set_rate(link, rate)
+        return link
+
+
+_LINK_SLOTS = _slot_setters(LinkResult)
 
 
 def _check_phase_mode(phase_mode: str) -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -16,6 +16,29 @@ class TargetTruth:
 
     position_x: float  # m
     velocity_x: float  # m/s
+
+    @classmethod
+    def _built(cls, position_x: float, velocity_x: float) -> "TargetTruth":
+        """A truth the simulator just computed, taken as it is."""
+        truth = object.__new__(cls)
+        set_position, set_velocity = _TRUTH_SLOTS
+        set_position(truth, position_x)
+        set_velocity(truth, velocity_x)
+        return truth
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The `__set__` of each field's slot in a slotted dataclass, in field
+    order. A frozen dataclass's `__init__` sets each field through
+    `object.__setattr__`; setting the slots through these instead, on an
+    `object.__new__` instance, builds the same value at a fraction of the
+    cost. The `_built` constructors of the per-epoch types do so, for values
+    the simulator has just computed only: they skip any validation and
+    conversion the public constructor does."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_TRUTH_SLOTS = _slot_setters(TargetTruth)
 
 
 @dataclass(frozen=True)

@@ -162,16 +162,17 @@ def score_subsets(cfg: SystemConfig, predicted: StateEstimate,
     ValueError names the first available AP whose block is not positive
     definite.
     """
-    available = available_rx_aps(cfg, policy)
+    available = ApSelection.from_indices(cfg.num_aps,
+                                         available_rx_aps(cfg, policy))
     return _score_blocks(cfg, predicted, available, policy.subset_cardinality,
-                         range_velocity_blocks(crbs, available))
+                         range_velocity_blocks(crbs, available.indices))
 
 
 def _score_blocks(cfg: SystemConfig, predicted: StateEstimate,
-                  available: list[int], k: int, noise: np.ndarray
+                  available: ApSelection, k: int, noise: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """`score_subsets` over `noise`, the (len(available), 2, 2) stack of
-    the available APs' bound blocks R_l, in the order of `available`.
+    """`score_subsets` over `noise`, the (available.cardinality, 2, 2)
+    stack of the available APs' bound blocks R_l, in ascending AP order.
 
     Scored in information form in closed-form 2x2 arithmetic: each AP's
     I_l = J_l^T R_l^-1 J_l is three floats (s00, s01, s11), a subset sums
@@ -181,11 +182,10 @@ def _score_blocks(cfg: SystemConfig, predicted: StateEstimate,
     within a few ulp: the numerator is p00 + S11 det P and
     det M = 1 + tr(P S) + det P det S.
     """
-    rows = measurement_jacobian(cfg, predicted.mean, ApSelection.from_indices(
-        cfg.num_aps, available)).tolist()
+    rows = measurement_jacobian(cfg, predicted.mean, available).tolist()
     info = []
     for ap, ((r00, r01), (r10, r11)), (j00, j01), (j10, j11) in zip(
-            available, noise.tolist(), rows[::2], rows[1::2]):
+            available.indices, noise.tolist(), rows[::2], rows[1::2]):
         det = r00 * r11 - r01 * r10
         if not (r00 > 0 and det > 0):  # also a NaN block
             raise ValueError(
@@ -198,11 +198,11 @@ def _score_blocks(cfg: SystemConfig, predicted: StateEstimate,
                      a10 * j01 + a11 * j11))
     info = np.array(info).T  # (3, n): s00, s01, s11 of each available AP
     if k:
-        columns, subsets = _subset_table(tuple(available), k)
+        columns, subsets = _subset_table(available.indices, k)
     else:
         informs = np.flatnonzero(info.any(axis=0))
         columns = (informs if informs.size else np.zeros(1, int))[:, None]
-        subsets = np.asarray(available)[columns.T]
+        subsets = np.asarray(available.indices)[columns.T]
     t00, t01, t11 = sum(info.take(column, axis=1) for column in columns)
     (p00, p01), (p10, p11) = predicted.covariance.tolist()
     det_p = p00 * p11 - p01 * p10

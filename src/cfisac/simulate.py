@@ -25,13 +25,12 @@ from .comms import ANGLE_MODES, PHASE_MODES, LinkResult, steered_links
 from .config import SystemConfig
 from .crb import (CrbBlock, WaveformSpec, all_ones_waveform, block_diagonal,
                   range_velocity_blocks)
-from .geometry import TargetTruth
+from .geometry import TargetTruth, _slot_setters, angle_slope_from_position
 from .selection import ApSelection
 from .sensing import (Action, SensingPolicy, _lowest_variance, _score_blocks,
                       available_rx_aps, decide_action)
 from .tracking import (MeasurementSet, MotionModel, StateEstimate,
-                       angle_estimate_and_variance, measurement_model, predict,
-                       update)
+                       measurement_model, predict, update)
 
 COMPARISON_ARMS = ("conventional", "random", "perfect")
 
@@ -241,6 +240,22 @@ class ArmEpoch:
     predicted_angle_variance: float
     estimate: StateEstimate
 
+    @classmethod
+    def _built(cls, action: Action, selection: ApSelection,
+               predicted_angle_variance: float,
+               estimate: StateEstimate) -> "ArmEpoch":
+        """A snapshot the simulator just took, taken as it is."""
+        arm = object.__new__(cls)
+        set_action, set_selection, set_variance, set_estimate = _ARM_SLOTS
+        set_action(arm, action)
+        set_selection(arm, selection)
+        set_variance(arm, predicted_angle_variance)
+        set_estimate(arm, estimate)
+        return arm
+
+
+_ARM_SLOTS = _slot_setters(ArmEpoch)
+
 
 @dataclass(frozen=True, slots=True)
 class EpochRecord:
@@ -265,6 +280,23 @@ class EpochRecord:
     def predicted_angle_variance(self) -> float:
         return self.arms["proposed"].predicted_angle_variance
 
+    @classmethod
+    def _built(cls, epoch: int, truth: TargetTruth, traffic_state: str,
+               rates: dict[str, LinkResult],
+               arms: dict[str, ArmEpoch]) -> "EpochRecord":
+        """A record the simulator just made, taken as it is."""
+        rec = object.__new__(cls)
+        set_epoch, set_truth, set_traffic, set_rates, set_arms = _RECORD_SLOTS
+        set_epoch(rec, epoch)
+        set_truth(rec, truth)
+        set_traffic(rec, traffic_state)
+        set_rates(rec, rates)
+        set_arms(rec, arms)
+        return rec
+
+
+_RECORD_SLOTS = _slot_setters(EpochRecord)
+
 
 @dataclass
 class SimState:
@@ -280,6 +312,7 @@ class SimState:
     traffic_on: tuple[bool, ...]   # each epoch's traffic flag
     idle_selection: ApSelection    # the empty receive set of every idle arm
     full_selection: ApSelection    # every AP: the conventional receive set
+    available: ApSelection         # the APs the gated arms pick receivers from
     planning_rcs: np.ndarray       # read-only mean cross sections, per AP
 
 
@@ -296,12 +329,14 @@ class _Arm:
 _ARMS = {"proposed": _Arm(True, "optimal", 1.0),
          "random": _Arm(True, "random", 1.0),
          "conventional": _Arm(False, "all", 0.5)}
+_SENSING, _NO_SENSING = Action.SENSING, Action.NO_SENSING
 
 
 def propagate_truth(truth: TargetTruth, cfg: SystemConfig) -> TargetTruth:
     """Noiseless constant-velocity step over one epoch."""
-    return TargetTruth(truth.position_x + truth.velocity_x * cfg.epoch_duration,
-                       truth.velocity_x)
+    return TargetTruth._built(
+        truth.position_x + truth.velocity_x * cfg.epoch_duration,
+        truth.velocity_x)
 
 
 def draw_rcs(rng: np.random.Generator, cfg: SystemConfig,
@@ -411,18 +446,18 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
     return MeasurementSet(values, block_diagonal(filter_stack), selection)
 
 
-def _random_selection(cfg: SystemConfig, policy: SensingPolicy,
+def _random_selection(available: ApSelection, k: int,
                       rng: np.random.Generator) -> ApSelection:
-    available = available_rx_aps(cfg, policy)
-    k = policy.subset_cardinality
+    """k of the `available` APs drawn uniformly, or at k = 0 a nonempty
+    subset of them drawn as a bitmask."""
+    aps = available.indices
     if k > 0:
-        picked = rng.choice(len(available), size=k, replace=False)
-        return ApSelection.from_indices(cfg.num_aps,
-                                        [available[i] for i in picked])
-    mask = int(rng.integers(1, 2 ** len(available)))
+        picked = rng.choice(len(aps), size=k, replace=False)
+        return ApSelection.from_indices(available.num_aps,
+                                        [aps[i] for i in picked])
+    mask = int(rng.integers(1, 2 ** len(aps)))
     return ApSelection.from_indices(
-        cfg.num_aps, [available[i] for i in range(len(available))
-                      if mask >> i & 1])
+        available.num_aps, [aps[i] for i in range(len(aps)) if mask >> i & 1])
 
 
 def _step_arm(scenario: Scenario, state: SimState, name: str,
@@ -433,33 +468,36 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
     Only an arm that senses reads the selection, cross-section and
     measurement streams, each reset to (seed, stream, epoch) by its
     `generator` call, so every arm that senses draws the same cross
-    sections and normals.
+    sections and normals. The predicted angle variance is that of
+    `angle_estimate_and_variance`, without the angle, which no arm reads.
     """
     cfg, policy, arm = scenario.system, scenario.policy, _ARMS[name]
     streams, k = state.streams, state.epoch
     predicted = predict(state.estimates[name], state.model)
-    _, variance = angle_estimate_and_variance(cfg, predicted)
-    action = Action.SENSING
+    variance = predicted.covariance.item(0) * angle_slope_from_position(
+        cfg, predicted.mean.item(0)) ** 2
+    action = _SENSING
     if arm.gated:
         action = decide_action(variance, policy)
         if traffic_on:
-            action = Action.NO_SENSING  # data frames carry no sensing signal
+            action = _NO_SENSING  # data frames carry no sensing signal
     selection = state.idle_selection
     estimate = predicted
-    if action is Action.SENSING:
+    if action is _SENSING:
         if arm.receivers == "all":
             selection = state.full_selection
         elif arm.receivers == "random":
-            selection = _random_selection(cfg, policy,
+            selection = _random_selection(state.available,
+                                          policy.subset_cardinality,
                                           streams["selection"].generator(k))
         else:
-            available = available_rx_aps(cfg, policy)
             planning = _bound_stack(cfg, state.waveform,
                                     float(predicted.mean[0]),
                                     float(predicted.mean[1]),
-                                    state.planning_rcs, 1.0, available)
+                                    state.planning_rcs, 1.0,
+                                    state.available.indices)
             selection = _lowest_variance(cfg.num_aps, *_score_blocks(
-                cfg, predicted, available, policy.subset_cardinality,
+                cfg, predicted, state.available, policy.subset_cardinality,
                 planning))
         rcs = draw_rcs(streams["rcs"].generator(k), cfg, cfg.num_aps)
         meas = synthesize_measurement(
@@ -468,7 +506,7 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
             filter_mean=predicted.mean)
         estimate = update(predicted, meas, cfg)
     state.estimates[name] = estimate
-    return ArmEpoch(action, selection, variance, estimate)
+    return ArmEpoch._built(action, selection, variance, estimate)
 
 
 def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
@@ -494,9 +532,8 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
 
     state.truth = truth_now
     state.epoch = k + 1
-    return EpochRecord(epoch=k, truth=truth_now,
-                       traffic_state="ON" if traffic_on else "OFF",
-                       rates={}, arms=arms)
+    return EpochRecord._built(k, truth_now, "ON" if traffic_on else "OFF",
+                              {}, arms)
 
 
 def fill_rates(scenario: Scenario, records: list[EpochRecord]) -> None:
@@ -520,7 +557,7 @@ def fill_rates(scenario: Scenario, records: list[EpochRecord]) -> None:
                                   power_fraction, scenario.phase_mode,
                                   angle_mode)
         for rec, s, r in zip(on, snr.tolist(), rate.tolist()):
-            rec.rates[tag] = LinkResult(s, r)
+            rec.rates[tag] = LinkResult._built(s, r)
 
 
 def initial_sim_state(scenario: Scenario) -> SimState:
@@ -543,6 +580,8 @@ def initial_sim_state(scenario: Scenario) -> SimState:
                     traffic_on=tuple(traffic_on.tolist()),
                     idle_selection=ApSelection.empty(cfg.num_aps),
                     full_selection=ApSelection.full(cfg.num_aps),
+                    available=ApSelection.from_indices(
+                        cfg.num_aps, available_rx_aps(cfg, scenario.policy)),
                     planning_rcs=planning_rcs)
 
 

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SystemConfig
-from .geometry import angle_from_position, angle_slope_from_position
+from .geometry import (_slot_setters, angle_from_position,
+                       angle_slope_from_position)
 from .selection import ApSelection
 
 _IDENTITY = np.eye(2)
@@ -35,10 +36,14 @@ class StateEstimate:
         """An estimate from arrays the filter just built, taken as they are:
         skips __post_init__, whose copies are for caller input."""
         est = object.__new__(cls)
-        object.__setattr__(est, "mean", mean)
-        object.__setattr__(est, "covariance", covariance)
-        object.__setattr__(est, "epoch", epoch)
+        set_mean, set_covariance, set_epoch = _ESTIMATE_SLOTS
+        set_mean(est, mean)
+        set_covariance(est, covariance)
+        set_epoch(est, epoch)
         return est
+
+
+_ESTIMATE_SLOTS = _slot_setters(StateEstimate)
 
 
 @dataclass(frozen=True)

@@ -1007,7 +1007,8 @@ def test_every_arm_covariance_is_exactly_symmetric(seed):
 
 
 def same_value(a, b):
-    """Equal field by field, arrays by dtype and entries: the generated
+    """Equal field by field, arrays by dtype and entries, every other value
+    by its exact type too (a float is not an np.float64): the generated
     `__eq__` of a dataclass holding arrays is ambiguous."""
     if isinstance(a, np.ndarray):
         return (type(b) is np.ndarray and a.dtype == b.dtype
@@ -1017,32 +1018,43 @@ def same_value(a, b):
             same_value(getattr(a, f.name), getattr(b, f.name))
             for f in dataclasses.fields(a))
     if isinstance(a, dict):
-        return list(a) == list(b) and all(same_value(a[k], b[k]) for k in a)
-    return a == b
+        return (type(b) is dict and list(a) == list(b)
+                and all(same_value(a[k], b[k]) for k in a))
+    return type(a) is type(b) and a == b
 
 
-PER_EPOCH_VALUES = ("EpochRecord", "ArmEpoch", "StateEstimate",
-                    "StateEstimate._built by predict",
-                    "StateEstimate._built by update", "LinkResult",
-                    "TargetTruth")
+def rebuilt(value):
+    """`value` built again by its public constructor, from its own fields."""
+    return type(value)(*(getattr(value, f.name)
+                         for f in dataclasses.fields(value)))
+
+
+# The run's values that the simulator builds through a `_built` fast path.
+FAST_BUILT = ("EpochRecord", "ArmEpoch", "StateEstimate._built by predict",
+              "StateEstimate._built by update", "LinkResult", "TargetTruth")
+PER_EPOCH_VALUES = ("StateEstimate", *FAST_BUILT,
+                    *(f"{name}, rebuilt" for name in FAST_BUILT))
 
 
 @pytest.fixture(scope="module")
 def per_epoch_values():
-    """One instance of each per-epoch value type, the filter's own
-    `_built` estimates included."""
+    """One instance of each per-epoch value type: the run's own, which the
+    simulator builds through the fast path, and each of those rebuilt by
+    its public constructor."""
     records = run_scenario(make_scenario(num_epochs=30, seed=3))
     record = next(r for r in records if r.rates)
     model = MotionModel.from_config(CFG)
-    return {
+    fast = {
         "EpochRecord": record,
         "ArmEpoch": record.arms["conventional"],
-        "StateEstimate": StateEstimate([1.0, 2.0], np.eye(2), 4),
         "StateEstimate._built by predict": predict(record.estimate, model),
         "StateEstimate._built by update": record.arms["conventional"].estimate,
         "LinkResult": record.rates["proposed"],
         "TargetTruth": record.truth,
     }
+    return {"StateEstimate": StateEstimate([1.0, 2.0], np.eye(2), 4), **fast,
+            **{f"{name}, rebuilt": rebuilt(value)
+               for name, value in fast.items()}}
 
 
 class TestSlottedRecords:
@@ -1072,3 +1084,89 @@ class TestSlottedRecords:
         for again in (pickle.loads(pickle.dumps(value)), copy.copy(value)):
             assert again is not value
             assert same_value(again, value)
+
+
+FAST_TYPES = (TargetTruth, StateEstimate, simulate.ArmEpoch,
+              simulate.EpochRecord, comms.LinkResult)
+WORKLOADS = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                        / "workloads.json").read_text())
+
+
+class TestFastConstruction:
+    """`_built` sets the slots directly, skipping the frozen `__setattr__`
+    and any checks: it must build exactly what the public constructor does
+    from the same simulator-computed values."""
+
+    @pytest.mark.parametrize("name", FAST_BUILT)
+    def test_run_values_survive_the_public_constructor(self, per_epoch_values,
+                                                       name):
+        # the constructor's conversions (StateEstimate's float arrays of
+        # shape (2,) and (2, 2)) find nothing to change
+        assert same_value(per_epoch_values[name],
+                          per_epoch_values[f"{name}, rebuilt"])
+
+    @pytest.mark.parametrize("cls", FAST_TYPES, ids=lambda c: c.__name__)
+    def test_each_value_lands_in_its_own_field(self, cls):
+        values = {
+            TargetTruth: (1.5, -2.25),
+            StateEstimate: (np.array([1.0, 2.0]),
+                            np.array([[3.0, 0.5], [0.5, 4.0]]), 6),
+            simulate.ArmEpoch: (Action.SENSING, ApSelection.full(4), 0.125,
+                                StateEstimate([1.0, 2.0], np.eye(2), 3)),
+            simulate.EpochRecord: (9, TargetTruth(1.0, 2.0), "ON",
+                                   {"proposed": comms.LinkResult(1.0, 1.0)},
+                                   {}),
+            comms.LinkResult: (3.0, 2.0),
+        }[cls]
+        fast = cls._built(*values)
+        assert type(fast) is cls
+        assert same_value(fast, cls(*values))
+        for f, value in zip(dataclasses.fields(cls), values):
+            assert getattr(fast, f.name) is value
+
+    def test_run_floats_are_python_floats(self):
+        records = run_scenario(make_scenario(num_epochs=60, seed=11))
+        assert any(r.rates for r in records)
+        for rec in records:
+            assert type(rec.truth.position_x) is float
+            assert type(rec.truth.velocity_x) is float
+            for arm in rec.arms.values():
+                assert type(arm.predicted_angle_variance) is float
+            for link in rec.rates.values():
+                assert type(link.snr) is float and type(link.rate) is float
+
+    @pytest.mark.parametrize("seed", [0, 12])
+    @pytest.mark.parametrize("workload",
+                             ["ref_all", "select_dense", "long_sparse"])
+    def test_run_equals_a_run_through_the_public_constructors(
+            self, monkeypatch, workload, seed):
+        scenario = dataclasses.replace(
+            scenario_from_dict(WORKLOADS[workload]["overrides"]), seed=seed)
+        fast = run_scenario(scenario)
+        built = Counter()
+
+        def public(cls, *values):
+            built[cls] += 1
+            return cls(*values)
+
+        for cls in FAST_TYPES:
+            monkeypatch.setattr(cls, "_built", classmethod(public))
+        slow = run_scenario(scenario)
+        assert set(built) == set(FAST_TYPES)  # the patch reached every type
+        assert len(fast) == len(slow) == scenario.num_epochs
+        for a, b in zip(fast, slow):
+            assert same_value(a, b)
+
+
+@pytest.mark.parametrize("p00", [math.nan, -1.0])
+def test_traffic_on_epoch_still_checks_the_predicted_variance(monkeypatch,
+                                                              p00):
+    # traffic overrides the action only after decide_action has checked it
+    scenario = make_scenario(traffic=TrafficModel(mode="intervals",
+                                                  intervals=((0, 40),)))
+    state = initial_sim_state(scenario)
+    assert state.traffic_on[0]
+    monkeypatch.setattr(simulate, "predict", lambda est, model: StateEstimate(
+        [0.0, 25.0], [[p00, 0.0], [0.0, 1.0]], 1))
+    with pytest.raises(ValueError, match="predicted variance"):
+        run_epoch(state, scenario)
