@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .geometry import (TargetTruth, _slot_setters, angle_from_position,
-                       array_response, geometry_for_ap)
+from .geometry import TargetTruth, angle_from_position, array_response, geometry_for_ap
 from .tracking import StateEstimate
 
 PHASE_MODES = ("compensated", "geometric")
@@ -33,17 +32,15 @@ class LinkResult:
     snr: float
     rate: float  # bits per symbol use, log2(1 + snr)
 
-    @classmethod
-    def _built(cls, snr: float, rate: float) -> "LinkResult":
-        """A link the simulator just evaluated, taken as it is."""
-        link = object.__new__(cls)
-        set_snr, set_rate = _LINK_SLOTS
-        set_snr(link, snr)
-        set_rate(link, rate)
-        return link
+    def __init__(self, snr: float, rate: float) -> None:
+        set_snr, set_rate = _LINK_SETTERS
+        set_snr(self, snr)
+        set_rate(self, rate)
 
 
-_LINK_SLOTS = _slot_setters(LinkResult)
+# The slots' own setters, for __init__, as for `TargetTruth`: one link per
+# rated method and traffic-ON epoch.
+_LINK_SETTERS = (LinkResult.snr.__set__, LinkResult.rate.__set__)
 
 
 def _check_phase_mode(phase_mode: str) -> None:

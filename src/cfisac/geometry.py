@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,28 +17,17 @@ class TargetTruth:
     position_x: float  # m
     velocity_x: float  # m/s
 
-    @classmethod
-    def _built(cls, position_x: float, velocity_x: float) -> "TargetTruth":
-        """A truth the simulator just computed, taken as it is."""
-        truth = object.__new__(cls)
-        set_position, set_velocity = _TRUTH_SLOTS
-        set_position(truth, position_x)
-        set_velocity(truth, velocity_x)
-        return truth
+    def __init__(self, position_x: float, velocity_x: float) -> None:
+        set_position, set_velocity = _TRUTH_SETTERS
+        set_position(self, position_x)
+        set_velocity(self, velocity_x)
 
 
-def _slot_setters(cls: type) -> tuple:
-    """The `__set__` of each field's slot in a slotted dataclass, in field
-    order. A frozen dataclass's `__init__` sets each field through
-    `object.__setattr__`; setting the slots through these instead, on an
-    `object.__new__` instance, builds the same value at a fraction of the
-    cost. The `_built` constructors of the per-epoch types do so, for values
-    the simulator has just computed only: they skip any validation and
-    conversion the public constructor does."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-
-
-_TRUTH_SLOTS = _slot_setters(TargetTruth)
+# The slots' own setters, for __init__: the generated __init__ of a frozen
+# dataclass sets each field through object.__setattr__, about twice as slow,
+# and the simulator builds a truth every epoch.
+_TRUTH_SETTERS = (TargetTruth.position_x.__set__,
+                  TargetTruth.velocity_x.__set__)
 
 
 @dataclass(frozen=True)

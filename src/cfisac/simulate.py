@@ -25,12 +25,12 @@ from .comms import ANGLE_MODES, PHASE_MODES, LinkResult, steered_links
 from .config import SystemConfig
 from .crb import (CrbBlock, WaveformSpec, all_ones_waveform, block_diagonal,
                   range_velocity_blocks)
-from .geometry import TargetTruth, _slot_setters, angle_slope_from_position
+from .geometry import TargetTruth
 from .selection import ApSelection
 from .sensing import (Action, SensingPolicy, _lowest_variance, _score_blocks,
                       available_rx_aps, decide_action)
 from .tracking import (MeasurementSet, MotionModel, StateEstimate,
-                       measurement_model, predict, update)
+                       angle_variance, measurement_model, predict, update)
 
 COMPARISON_ARMS = ("conventional", "random", "perfect")
 
@@ -240,21 +240,20 @@ class ArmEpoch:
     predicted_angle_variance: float
     estimate: StateEstimate
 
-    @classmethod
-    def _built(cls, action: Action, selection: ApSelection,
-               predicted_angle_variance: float,
-               estimate: StateEstimate) -> "ArmEpoch":
-        """A snapshot the simulator just took, taken as it is."""
-        arm = object.__new__(cls)
-        set_action, set_selection, set_variance, set_estimate = _ARM_SLOTS
-        set_action(arm, action)
-        set_selection(arm, selection)
-        set_variance(arm, predicted_angle_variance)
-        set_estimate(arm, estimate)
-        return arm
+    def __init__(self, action: Action, selection: ApSelection,
+                 predicted_angle_variance: float,
+                 estimate: StateEstimate) -> None:
+        set_action, set_selection, set_variance, set_estimate = _ARM_SETTERS
+        set_action(self, action)
+        set_selection(self, selection)
+        set_variance(self, predicted_angle_variance)
+        set_estimate(self, estimate)
 
 
-_ARM_SLOTS = _slot_setters(ArmEpoch)
+# The slots' own setters, for __init__, as for `TargetTruth`.
+_ARM_SETTERS = (ArmEpoch.action.__set__, ArmEpoch.selection.__set__,
+                ArmEpoch.predicted_angle_variance.__set__,
+                ArmEpoch.estimate.__set__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,22 +279,21 @@ class EpochRecord:
     def predicted_angle_variance(self) -> float:
         return self.arms["proposed"].predicted_angle_variance
 
-    @classmethod
-    def _built(cls, epoch: int, truth: TargetTruth, traffic_state: str,
-               rates: dict[str, LinkResult],
-               arms: dict[str, ArmEpoch]) -> "EpochRecord":
-        """A record the simulator just made, taken as it is."""
-        rec = object.__new__(cls)
-        set_epoch, set_truth, set_traffic, set_rates, set_arms = _RECORD_SLOTS
-        set_epoch(rec, epoch)
-        set_truth(rec, truth)
-        set_traffic(rec, traffic_state)
-        set_rates(rec, rates)
-        set_arms(rec, arms)
-        return rec
+    def __init__(self, epoch: int, truth: TargetTruth, traffic_state: str,
+                 rates: dict[str, LinkResult],
+                 arms: dict[str, ArmEpoch]) -> None:
+        set_epoch, set_truth, set_traffic, set_rates, set_arms = _RECORD_SETTERS
+        set_epoch(self, epoch)
+        set_truth(self, truth)
+        set_traffic(self, traffic_state)
+        set_rates(self, rates)
+        set_arms(self, arms)
 
 
-_RECORD_SLOTS = _slot_setters(EpochRecord)
+# The slots' own setters, for __init__, as for `TargetTruth`.
+_RECORD_SETTERS = (EpochRecord.epoch.__set__, EpochRecord.truth.__set__,
+                   EpochRecord.traffic_state.__set__,
+                   EpochRecord.rates.__set__, EpochRecord.arms.__set__)
 
 
 @dataclass
@@ -334,9 +332,8 @@ _SENSING, _NO_SENSING = Action.SENSING, Action.NO_SENSING
 
 def propagate_truth(truth: TargetTruth, cfg: SystemConfig) -> TargetTruth:
     """Noiseless constant-velocity step over one epoch."""
-    return TargetTruth._built(
-        truth.position_x + truth.velocity_x * cfg.epoch_duration,
-        truth.velocity_x)
+    return TargetTruth(truth.position_x + truth.velocity_x * cfg.epoch_duration,
+                       truth.velocity_x)
 
 
 def draw_rcs(rng: np.random.Generator, cfg: SystemConfig,
@@ -468,14 +465,12 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
     Only an arm that senses reads the selection, cross-section and
     measurement streams, each reset to (seed, stream, epoch) by its
     `generator` call, so every arm that senses draws the same cross
-    sections and normals. The predicted angle variance is that of
-    `angle_estimate_and_variance`, without the angle, which no arm reads.
+    sections and normals.
     """
     cfg, policy, arm = scenario.system, scenario.policy, _ARMS[name]
     streams, k = state.streams, state.epoch
     predicted = predict(state.estimates[name], state.model)
-    variance = predicted.covariance.item(0) * angle_slope_from_position(
-        cfg, predicted.mean.item(0)) ** 2
+    variance = angle_variance(cfg, predicted)
     action = _SENSING
     if arm.gated:
         action = decide_action(variance, policy)
@@ -506,7 +501,7 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
             filter_mean=predicted.mean)
         estimate = update(predicted, meas, cfg)
     state.estimates[name] = estimate
-    return ArmEpoch._built(action, selection, variance, estimate)
+    return ArmEpoch(action, selection, variance, estimate)
 
 
 def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
@@ -532,8 +527,9 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
 
     state.truth = truth_now
     state.epoch = k + 1
-    return EpochRecord._built(k, truth_now, "ON" if traffic_on else "OFF",
-                              {}, arms)
+    return EpochRecord(epoch=k, truth=truth_now,
+                       traffic_state="ON" if traffic_on else "OFF",
+                       rates={}, arms=arms)
 
 
 def fill_rates(scenario: Scenario, records: list[EpochRecord]) -> None:
@@ -557,7 +553,7 @@ def fill_rates(scenario: Scenario, records: list[EpochRecord]) -> None:
                                   power_fraction, scenario.phase_mode,
                                   angle_mode)
         for rec, s, r in zip(on, snr.tolist(), rate.tolist()):
-            rec.rates[tag] = LinkResult._built(s, r)
+            rec.rates[tag] = LinkResult(s, r)
 
 
 def initial_sim_state(scenario: Scenario) -> SimState:

@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SystemConfig
-from .geometry import (_slot_setters, angle_from_position,
-                       angle_slope_from_position)
+from .geometry import angle_from_position, angle_slope_from_position
 from .selection import ApSelection
 
 _IDENTITY = np.eye(2)
@@ -36,14 +35,17 @@ class StateEstimate:
         """An estimate from arrays the filter just built, taken as they are:
         skips __post_init__, whose copies are for caller input."""
         est = object.__new__(cls)
-        set_mean, set_covariance, set_epoch = _ESTIMATE_SLOTS
+        set_mean, set_covariance, set_epoch = _ESTIMATE_SETTERS
         set_mean(est, mean)
         set_covariance(est, covariance)
         set_epoch(est, epoch)
         return est
 
 
-_ESTIMATE_SLOTS = _slot_setters(StateEstimate)
+# The slots' own setters, as for `TargetTruth`, for `_built`.
+_ESTIMATE_SETTERS = (StateEstimate.mean.__set__,
+                     StateEstimate.covariance.__set__,
+                     StateEstimate.epoch.__set__)
 
 
 @dataclass(frozen=True)
@@ -194,6 +196,11 @@ def update(est: StateEstimate, meas: MeasurementSet,
 def angle_estimate_and_variance(cfg: SystemConfig,
                                 est: StateEstimate) -> tuple[float, float]:
     """Angle of the estimated position and its first-order error variance."""
-    p_x = float(est.mean[0])
-    slope = angle_slope_from_position(cfg, p_x)
-    return angle_from_position(cfg, p_x), float(est.covariance[0, 0]) * slope ** 2
+    return (angle_from_position(cfg, est.mean.item(0)),
+            angle_variance(cfg, est))
+
+
+def angle_variance(cfg: SystemConfig, est: StateEstimate) -> float:
+    """First-order error variance of the estimated position's angle."""
+    return est.covariance.item(0) * angle_slope_from_position(
+        cfg, est.mean.item(0)) ** 2

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import json
 import math
 import pickle
@@ -1023,38 +1024,28 @@ def same_value(a, b):
     return type(a) is type(b) and a == b
 
 
-def rebuilt(value):
-    """`value` built again by its public constructor, from its own fields."""
-    return type(value)(*(getattr(value, f.name)
-                         for f in dataclasses.fields(value)))
-
-
-# The run's values that the simulator builds through a `_built` fast path.
-FAST_BUILT = ("EpochRecord", "ArmEpoch", "StateEstimate._built by predict",
-              "StateEstimate._built by update", "LinkResult", "TargetTruth")
-PER_EPOCH_VALUES = ("StateEstimate", *FAST_BUILT,
-                    *(f"{name}, rebuilt" for name in FAST_BUILT))
+PER_EPOCH_VALUES = ("EpochRecord", "ArmEpoch", "StateEstimate",
+                    "StateEstimate._built by predict",
+                    "StateEstimate._built by update", "LinkResult",
+                    "TargetTruth")
 
 
 @pytest.fixture(scope="module")
 def per_epoch_values():
-    """One instance of each per-epoch value type: the run's own, which the
-    simulator builds through the fast path, and each of those rebuilt by
-    its public constructor."""
+    """One instance of each per-epoch value type, the filter's own
+    `_built` estimates included."""
     records = run_scenario(make_scenario(num_epochs=30, seed=3))
     record = next(r for r in records if r.rates)
     model = MotionModel.from_config(CFG)
-    fast = {
+    return {
         "EpochRecord": record,
         "ArmEpoch": record.arms["conventional"],
+        "StateEstimate": StateEstimate([1.0, 2.0], np.eye(2), 4),
         "StateEstimate._built by predict": predict(record.estimate, model),
         "StateEstimate._built by update": record.arms["conventional"].estimate,
         "LinkResult": record.rates["proposed"],
         "TargetTruth": record.truth,
     }
-    return {"StateEstimate": StateEstimate([1.0, 2.0], np.eye(2), 4), **fast,
-            **{f"{name}, rebuilt": rebuilt(value)
-               for name, value in fast.items()}}
 
 
 class TestSlottedRecords:
@@ -1086,43 +1077,51 @@ class TestSlottedRecords:
             assert same_value(again, value)
 
 
-FAST_TYPES = (TargetTruth, StateEstimate, simulate.ArmEpoch,
-              simulate.EpochRecord, comms.LinkResult)
-WORKLOADS = json.loads((Path(__file__).resolve().parents[1] / "bench"
-                        / "workloads.json").read_text())
+# The per-epoch types whose __init__ is written by hand to set the slots
+# directly, each with distinct field values.
+HAND_WRITTEN_INIT = {
+    TargetTruth: (1.5, -2.25),
+    simulate.ArmEpoch: (Action.SENSING, ApSelection.full(4), 0.125,
+                        StateEstimate([1.0, 2.0], np.eye(2), 3)),
+    simulate.EpochRecord: (9, TargetTruth(1.0, 2.0), "ON",
+                           {"proposed": comms.LinkResult(1.0, 1.0)}, {}),
+    comms.LinkResult: (3.0, 2.0),
+}
 
 
-class TestFastConstruction:
-    """`_built` sets the slots directly, skipping the frozen `__setattr__`
-    and any checks: it must build exactly what the public constructor does
-    from the same simulator-computed values."""
+class TestRecordConstruction:
+    """The records' hand-written __init__ and `StateEstimate._built` set
+    the slots directly, skipping the frozen `__setattr__`: each value must
+    land in its own field."""
 
-    @pytest.mark.parametrize("name", FAST_BUILT)
-    def test_run_values_survive_the_public_constructor(self, per_epoch_values,
-                                                       name):
-        # the constructor's conversions (StateEstimate's float arrays of
-        # shape (2,) and (2, 2)) find nothing to change
-        assert same_value(per_epoch_values[name],
-                          per_epoch_values[f"{name}, rebuilt"])
-
-    @pytest.mark.parametrize("cls", FAST_TYPES, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("cls", HAND_WRITTEN_INIT,
+                             ids=lambda cls: cls.__name__)
     def test_each_value_lands_in_its_own_field(self, cls):
-        values = {
-            TargetTruth: (1.5, -2.25),
-            StateEstimate: (np.array([1.0, 2.0]),
-                            np.array([[3.0, 0.5], [0.5, 4.0]]), 6),
-            simulate.ArmEpoch: (Action.SENSING, ApSelection.full(4), 0.125,
-                                StateEstimate([1.0, 2.0], np.eye(2), 3)),
-            simulate.EpochRecord: (9, TargetTruth(1.0, 2.0), "ON",
-                                   {"proposed": comms.LinkResult(1.0, 1.0)},
-                                   {}),
-            comms.LinkResult: (3.0, 2.0),
-        }[cls]
-        fast = cls._built(*values)
-        assert type(fast) is cls
-        assert same_value(fast, cls(*values))
-        for f, value in zip(dataclasses.fields(cls), values):
-            assert getattr(fast, f.name) is value
+        values = HAND_WRITTEN_INIT[cls]
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert list(inspect.signature(cls).parameters) == names
+        for value in (cls(*values), cls(**dict(zip(names, values)))):
+            assert type(value) is cls
+            for name, expected in zip(names, values):
+                assert getattr(value, name) is expected
+
+    def test_built_estimate_lands_in_its_own_fields(self):
+        values = (np.array([1.0, 2.0]), np.array([[3.0, 0.5], [0.5, 4.0]]), 6)
+        est = StateEstimate._built(*values)
+        assert type(est) is StateEstimate
+        assert same_value(est, StateEstimate(*values))
+        for f, value in zip(dataclasses.fields(est), values):
+            assert getattr(est, f.name) is value
+
+    @pytest.mark.parametrize("name", ["StateEstimate._built by predict",
+                                      "StateEstimate._built by update"])
+    def test_filter_estimates_survive_the_public_constructor(
+            self, per_epoch_values, name):
+        # __post_init__'s conversions (float arrays of shape (2,) and
+        # (2, 2)) find nothing to change
+        est = per_epoch_values[name]
+        assert same_value(est, StateEstimate(est.mean, est.covariance,
+                                             est.epoch))
 
     def test_run_floats_are_python_floats(self):
         records = run_scenario(make_scenario(num_epochs=60, seed=11))
@@ -1134,28 +1133,6 @@ class TestFastConstruction:
                 assert type(arm.predicted_angle_variance) is float
             for link in rec.rates.values():
                 assert type(link.snr) is float and type(link.rate) is float
-
-    @pytest.mark.parametrize("seed", [0, 12])
-    @pytest.mark.parametrize("workload",
-                             ["ref_all", "select_dense", "long_sparse"])
-    def test_run_equals_a_run_through_the_public_constructors(
-            self, monkeypatch, workload, seed):
-        scenario = dataclasses.replace(
-            scenario_from_dict(WORKLOADS[workload]["overrides"]), seed=seed)
-        fast = run_scenario(scenario)
-        built = Counter()
-
-        def public(cls, *values):
-            built[cls] += 1
-            return cls(*values)
-
-        for cls in FAST_TYPES:
-            monkeypatch.setattr(cls, "_built", classmethod(public))
-        slow = run_scenario(scenario)
-        assert set(built) == set(FAST_TYPES)  # the patch reached every type
-        assert len(fast) == len(slow) == scenario.num_epochs
-        for a, b in zip(fast, slow):
-            assert same_value(a, b)
 
 
 @pytest.mark.parametrize("p00", [math.nan, -1.0])
