@@ -220,8 +220,8 @@ class Scenario:
         for start, end in self.traffic.intervals:
             if not 0 <= start < end <= self.num_epochs:
                 raise ValueError(
-                    f"traffic interval [{start}, {end}) outside "
-                    f"[0, {self.num_epochs})")
+                    f"traffic interval [{start}, {end}): must satisfy "
+                    f"0 <= start < end <= num_epochs = {self.num_epochs}")
 
     @property
     def rated_methods(self) -> tuple[str, ...]:
@@ -512,18 +512,23 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
     arm that senses. Each draw is keyed by (seed, stream, epoch), so a
     skipped stream never shifts another. The record's `rates` stay empty;
     `fill_rates` evaluates them over many epochs at once. Raises ValueError
-    past the scenario's last epoch.
+    past the scenario's last epoch; a ValueError raised while an arm steps
+    is raised again, of its own type, naming the epoch and the arm.
     """
-    cfg = scenario.system
     k = state.epoch
     if k >= scenario.num_epochs:
         raise ValueError(f"epoch {k} is past the scenario's last epoch "
                          f"(num_epochs = {scenario.num_epochs})")
-    truth_now = propagate_truth(state.truth, cfg)
+    truth_now = propagate_truth(state.truth, scenario.system)
     traffic_on = state.traffic_on[k]
 
-    arms = {name: _step_arm(scenario, state, name, truth_now, traffic_on)
-            for name in state.estimates}
+    arms = {}
+    for name in state.estimates:
+        try:
+            arms[name] = _step_arm(scenario, state, name, truth_now,
+                                   traffic_on)
+        except ValueError as exc:  # RankDeficientError stays one
+            raise type(exc)(f"epoch {k}, {name} arm: {exc}") from exc
 
     state.truth = truth_now
     state.epoch = k + 1

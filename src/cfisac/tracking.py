@@ -17,11 +17,10 @@ _IDENTITY.setflags(write=False)
 
 @dataclass(frozen=True, slots=True)
 class StateEstimate:
-    """Filter mean [p_x, v_x], covariance, and the epoch it refers to."""
+    """Filter mean [p_x, v_x] and covariance; the run counts the epochs."""
 
     mean: np.ndarray        # shape (2,)
     covariance: np.ndarray  # shape (2, 2)
-    epoch: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mean",
@@ -30,22 +29,20 @@ class StateEstimate:
                            np.array(self.covariance, dtype=float).reshape(2, 2))
 
     @classmethod
-    def _built(cls, mean: np.ndarray, covariance: np.ndarray,
-               epoch: int) -> "StateEstimate":
+    def _built(cls, mean: np.ndarray,
+               covariance: np.ndarray) -> "StateEstimate":
         """An estimate from arrays the filter just built, taken as they are:
         skips __post_init__, whose copies are for caller input."""
         est = object.__new__(cls)
-        set_mean, set_covariance, set_epoch = _ESTIMATE_SETTERS
+        set_mean, set_covariance = _ESTIMATE_SETTERS
         set_mean(est, mean)
         set_covariance(est, covariance)
-        set_epoch(est, epoch)
         return est
 
 
 # The slots' own setters, as for `TargetTruth`, for `_built`.
 _ESTIMATE_SETTERS = (StateEstimate.mean.__set__,
-                     StateEstimate.covariance.__set__,
-                     StateEstimate.epoch.__set__)
+                     StateEstimate.covariance.__set__)
 
 
 @dataclass(frozen=True)
@@ -120,8 +117,7 @@ def predict(est: StateEstimate, model: MotionModel) -> StateEstimate:
     off = ((a00 * f10 + a01 * f11 + q01) + (a10 * f00 + a11 * f01 + q10)) / 2.0
     return StateEstimate._built(
         np.array([f00 * m0 + f01 * m1, f10 * m0 + f11 * m1]),
-        np.array([[(c00 + c00) / 2.0, off], [off, (c11 + c11) / 2.0]]),
-        est.epoch + 1)
+        np.array([[(c00 + c00) / 2.0, off], [off, (c11 + c11) / 2.0]]))
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
@@ -181,16 +177,15 @@ def posterior_covariance(prior_cov: np.ndarray, jacobian: np.ndarray,
 
 def update(est: StateEstimate, meas: MeasurementSet,
            cfg: SystemConfig) -> StateEstimate:
-    """Measurement update at the estimate's epoch."""
+    """Measurement update of a predicted estimate."""
     jac = measurement_jacobian(cfg, est.mean, meas.selection)
     innovation = meas.values - measurement_model(cfg, est.mean, meas.selection)
     try:
         gain, cov = _gain_and_posterior(est.covariance, jac, meas.covariance)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            f"singular innovation covariance at epoch {est.epoch} for "
-            f"APs {meas.selection.indices}") from exc
-    return StateEstimate._built(est.mean + gain @ innovation, cov, est.epoch)
+        raise ValueError(f"singular innovation covariance for APs "
+                         f"{meas.selection.indices}") from exc
+    return StateEstimate._built(est.mean + gain @ innovation, cov)
 
 
 def angle_estimate_and_variance(cfg: SystemConfig,

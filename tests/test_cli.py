@@ -421,6 +421,19 @@ class TestMainEntry:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert "runtime error" in capsys.readouterr().err
 
+    def test_stepping_error_names_the_epoch_and_the_arm(self, tmp_path,
+                                                        capsys):
+        # the proposed arm's first planning bound squares a cross section
+        # of 1e-200 to zero gain, in Python floats
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text("system: {mean_rcs: 1.0e-200}\n")
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "runtime error: epoch 0, proposed arm: "
+            "sensing gain must have positive power\n")
+
     def test_arms_flag(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "--out", str(out), "--seed", "4",

@@ -133,10 +133,15 @@ class TestTrafficModel:
             TrafficModel(mode="carrier-pigeon")
 
     def test_interval_bounds_checked_by_scenario(self):
-        with pytest.raises(ValueError, match="interval"):
-            make_scenario(traffic=TrafficModel(mode="intervals",
-                                               intervals=((0, 99),)),
-                          num_epochs=10)
+        # past the run, empty and reversed: each message states the rule
+        for start, end in ((0, 99), (5, 5), (6, 2)):
+            with pytest.raises(ValueError) as caught:
+                make_scenario(traffic=TrafficModel(mode="intervals",
+                                                   intervals=((start, end),)),
+                              num_epochs=10)
+            assert str(caught.value) == (
+                f"traffic interval [{start}, {end}): must satisfy "
+                f"0 <= start < end <= num_epochs = 10")
 
 
 class TestSynthesizeMeasurement:
@@ -822,18 +827,20 @@ class TestArmReplay:
 
 
 def test_each_arm_predicts_once_an_epoch(monkeypatch):
-    # selection scores the estimate the arm has already predicted
+    # selection scores the estimate the arm has already predicted; each
+    # predict is counted against the run's epoch
     epochs = []
 
     def counting_predict(est, model):
-        epochs.append(est.epoch)
+        epochs.append(state.epoch)
         return predict(est, model)
 
     for module in (tracking, sensing, simulate):
         monkeypatch.setattr(module, "predict", counting_predict)
     scenario = make_scenario(num_epochs=30, seed=0,
                              policy=SensingPolicy(1e-9))
-    records = run_scenario(scenario)
+    state = initial_sim_state(scenario)
+    records = [run_epoch(state, scenario) for _ in range(scenario.num_epochs)]
     arms = len(records[0].arms)
     assert arms == 3
     assert sum(r.action is Action.SENSING for r in records) > 10
@@ -1040,7 +1047,7 @@ def per_epoch_values():
     return {
         "EpochRecord": record,
         "ArmEpoch": record.arms["conventional"],
-        "StateEstimate": StateEstimate([1.0, 2.0], np.eye(2), 4),
+        "StateEstimate": StateEstimate([1.0, 2.0], np.eye(2)),
         "StateEstimate._built by predict": predict(record.estimate, model),
         "StateEstimate._built by update": record.arms["conventional"].estimate,
         "LinkResult": record.rates["proposed"],
@@ -1082,7 +1089,7 @@ class TestSlottedRecords:
 HAND_WRITTEN_INIT = {
     TargetTruth: (1.5, -2.25),
     simulate.ArmEpoch: (Action.SENSING, ApSelection.full(4), 0.125,
-                        StateEstimate([1.0, 2.0], np.eye(2), 3)),
+                        StateEstimate([1.0, 2.0], np.eye(2))),
     simulate.EpochRecord: (9, TargetTruth(1.0, 2.0), "ON",
                            {"proposed": comms.LinkResult(1.0, 1.0)}, {}),
     comms.LinkResult: (3.0, 2.0),
@@ -1106,7 +1113,7 @@ class TestRecordConstruction:
                 assert getattr(value, name) is expected
 
     def test_built_estimate_lands_in_its_own_fields(self):
-        values = (np.array([1.0, 2.0]), np.array([[3.0, 0.5], [0.5, 4.0]]), 6)
+        values = (np.array([1.0, 2.0]), np.array([[3.0, 0.5], [0.5, 4.0]]))
         est = StateEstimate._built(*values)
         assert type(est) is StateEstimate
         assert same_value(est, StateEstimate(*values))
@@ -1120,8 +1127,7 @@ class TestRecordConstruction:
         # __post_init__'s conversions (float arrays of shape (2,) and
         # (2, 2)) find nothing to change
         est = per_epoch_values[name]
-        assert same_value(est, StateEstimate(est.mean, est.covariance,
-                                             est.epoch))
+        assert same_value(est, StateEstimate(est.mean, est.covariance))
 
     def test_run_floats_are_python_floats(self):
         records = run_scenario(make_scenario(num_epochs=60, seed=11))
@@ -1144,6 +1150,37 @@ def test_traffic_on_epoch_still_checks_the_predicted_variance(monkeypatch,
     state = initial_sim_state(scenario)
     assert state.traffic_on[0]
     monkeypatch.setattr(simulate, "predict", lambda est, model: StateEstimate(
-        [0.0, 25.0], [[p00, 0.0], [0.0, 1.0]], 1))
-    with pytest.raises(ValueError, match="predicted variance"):
+        [0.0, 25.0], [[p00, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError,
+                       match=r"^epoch 0, proposed arm: .*predicted variance"):
         run_epoch(state, scenario)
+
+
+@pytest.mark.parametrize("error", [ValueError, RankDeficientError])
+def test_stepping_error_names_the_epoch_and_the_arm(monkeypatch, error):
+    # an update of the conventional arm fails at epoch 3; the proposed arm
+    # never senses, so every update is the conventional arm's
+    calls = []
+
+    def failing_update(est, meas, cfg):
+        calls.append(meas.selection.indices)
+        if len(calls) < 4:
+            return update(est, meas, cfg)
+        if error is RankDeficientError:
+            raise RankDeficientError("stand-in")
+        # a zero prior and zero noise make the innovation covariance zero
+        return update(StateEstimate(est.mean, np.zeros((2, 2))),
+                      dataclasses.replace(meas, covariance=0 * meas.covariance),
+                      cfg)
+
+    monkeypatch.setattr(simulate, "update", failing_update)
+    scenario = make_scenario(policy=SensingPolicy(1e9),
+                             comparison_arms=("conventional",))
+    with pytest.raises(error) as caught:
+        run_scenario(scenario)
+    assert type(caught.value) is error
+    assert calls == [(0, 1, 2, 3)] * 4
+    assert str(caught.value) == "epoch 3, conventional arm: " + (
+        "stand-in" if error is RankDeficientError
+        else "singular innovation covariance for APs (0, 1, 2, 3)")
+    assert type(caught.value.__cause__) is error

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,9 +13,29 @@ from cfisac.tracking import (MeasurementSet, MotionModel, StateEstimate,
 CFG = SystemConfig()
 
 
-def estimate(mean, cov, epoch=0):
-    return StateEstimate(np.asarray(mean, float), np.asarray(cov, float),
-                         epoch)
+def estimate(mean, cov):
+    return StateEstimate(np.asarray(mean, float), np.asarray(cov, float))
+
+
+class TestStateEstimate:
+    def test_is_a_mean_and_a_covariance(self):
+        assert [f.name for f in dataclasses.fields(StateEstimate)] == [
+            "mean", "covariance"]
+
+    def test_copies_the_callers_arrays(self):
+        mean, cov = np.array([1.0, 2.0]), np.array([[3.0, 0.5], [0.5, 4.0]])
+        est = StateEstimate(mean, cov)
+        mean[0], cov[0, 1] = 9.0, 9.0
+        assert est.mean.tolist() == [1.0, 2.0]
+        assert est.covariance.tolist() == [[3.0, 0.5], [0.5, 4.0]]
+
+    def test_replace_takes_the_two_fields(self):
+        est = StateEstimate([1.0, 2.0], np.eye(2))
+        cov = np.diag([5.0, 6.0])
+        out = dataclasses.replace(est, covariance=cov)
+        assert out.mean.tolist() == [1.0, 2.0]
+        assert out.covariance.tolist() == [[5.0, 0.0], [0.0, 6.0]]
+        assert out.covariance is not cov and est.covariance[0, 0] == 1.0
 
 
 class TestMotionModel:
@@ -45,7 +67,6 @@ class TestPredict:
         model = MotionModel.from_config(SystemConfig(epoch_duration=0.01))
         out = predict(estimate([0.0, 25.0], np.eye(2)), model)
         assert_allclose(out.mean, [0.25, 25.0])
-        assert out.epoch == 1
 
     def test_covariance_propagation_matches_matrix_arithmetic(self):
         cfg = SystemConfig(epoch_duration=0.01, process_noise_std=0.1)
@@ -67,18 +88,16 @@ class TestPredict:
 
     def test_matches_the_validated_constructor_bit_for_bit(self):
         model = MotionModel.from_config(SystemConfig(process_noise_std=3.0))
-        est = estimate([10.0, -4.0], [[9.0, 0.3], [0.3, 2.0]], 5)
+        est = estimate([10.0, -4.0], [[9.0, 0.3], [0.3, 2.0]])
         for _ in range(100):
             out = predict(est, model)
             f = model.transition
             cov = f @ est.covariance @ f.T + model.process_noise
-            want = StateEstimate(f @ est.mean, (cov + cov.T) / 2.0,
-                                 est.epoch + 1)
+            want = StateEstimate(f @ est.mean, (cov + cov.T) / 2.0)
             assert type(out) is StateEstimate
             assert out.mean.shape == (2,) and out.covariance.shape == (2, 2)
             assert out.mean.tobytes() == want.mean.tobytes()
             assert out.covariance.tobytes() == want.covariance.tobytes()
-            assert out.epoch == want.epoch
             assert out.mean is not est.mean
             assert out.covariance is not est.covariance
             est = out
@@ -157,13 +176,12 @@ class TestUpdate:
 
     def test_infinite_noise_is_a_no_op(self):
         sel = ApSelection.from_indices(CFG.num_aps, [0, 1])
-        prior = estimate([100.0, 20.0], np.diag([50.0, 2.0]), epoch=3)
+        prior = estimate([100.0, 20.0], np.diag([50.0, 2.0]))
         meas = self.make_measurement(np.array([101.0, 21.0]), sel, r_scale=1e12)
         post = update(prior, meas, CFG)
         assert_allclose(post.mean, prior.mean, rtol=1e-6)
         assert_allclose(post.covariance, prior.covariance, rtol=1e-6,
                         atol=1e-6 * np.trace(prior.covariance))
-        assert post.epoch == 3
 
     def test_perfect_prior_ignores_measurement(self):
         sel = ApSelection.from_indices(CFG.num_aps, [0])
@@ -198,13 +216,16 @@ class TestUpdate:
             assert gap_eigs.min() >= -1e-9 * np.trace(prior_cov)
             assert_allclose(post.covariance, post.covariance.T, rtol=0, atol=0)
 
-    def test_singular_innovation_names_epoch_and_selection(self):
+    def test_singular_innovation_names_the_selection(self):
+        # run_epoch adds the epoch and the arm
         sel = ApSelection.from_indices(CFG.num_aps, [1])
-        prior = estimate([100.0, 20.0], np.zeros((2, 2)), epoch=7)
+        prior = estimate([100.0, 20.0], np.zeros((2, 2)))
         vals = measurement_model(CFG, prior.mean, sel)
         meas = MeasurementSet(vals, np.zeros((2, 2)), sel)
-        with pytest.raises(ValueError, match="epoch 7"):
+        with pytest.raises(ValueError) as caught:
             update(prior, meas, CFG)
+        assert str(caught.value) == (
+            "singular innovation covariance for APs (1,)")
 
     def test_deterministic(self):
         sel = ApSelection.from_indices(CFG.num_aps, [0, 1])

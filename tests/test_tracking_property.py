@@ -120,8 +120,7 @@ def test_predict_is_within_a_rounding_bound_of_exact(transition, covariance,
     since P and Q are symmetric. The mean is one dot product: gamma_2."""
     f = np.array(transition).reshape(2, 2)
     model = MotionModel(f, np.array(noise))
-    out = predict(StateEstimate(mean, covariance, 4), model)
-    assert out.epoch == 5
+    out = predict(StateEstimate(mean, covariance), model)
     assert out.covariance[0, 1] == out.covariance[1, 0]
 
     fx, px, qx = exact(f), exact(covariance), exact(noise)
