@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 SPEED_OF_LIGHT = 3e8  # m/s
@@ -78,6 +79,30 @@ class SystemConfig:
                 raise ValueError(f"{name}: must be strictly positive")
         if self.process_noise_std < 0:
             raise ValueError("process_noise_std: must be >= 0")
+        # The motion model raises these two to powers, and each hop gain
+        # divides by the squared wavelength: checked here, so that a run
+        # does not fail on them at its start.
+        for name, power in (("epoch_duration", 4), ("process_noise_std", 2)):
+            try:
+                getattr(self, name) ** power
+            except OverflowError:
+                raise ValueError(f"{name}: {name}**{power}, in the process "
+                                 f"noise, overflows a float") from None
+        dt = self.epoch_duration  # dt^3 / 2 lies between the two below
+        if not math.isfinite(self.process_noise_std ** 2
+                             * max(dt ** 4 / 4.0, dt ** 2)):
+            raise ValueError("process_noise_std: process_noise_std**2 "
+                             "times the epoch_duration terms of the process "
+                             "noise overflows a float")
+        try:
+            wavelength_sq = self.wavelength ** 2
+        except OverflowError:
+            wavelength_sq = math.inf
+        if not sys.float_info.min <= wavelength_sq < math.inf:
+            raise ValueError(
+                f"carrier_frequency: the squared wavelength "
+                f"(c / carrier_frequency)**2 = {wavelength_sq!r} must be a "
+                f"positive, finite, normal float")
         if self.ap_positions is not None:
             if len(self.ap_positions) != self.num_aps:
                 raise ValueError("ap_positions: length must equal num_aps")

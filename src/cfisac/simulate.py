@@ -27,18 +27,21 @@ from .crb import (CrbBlock, WaveformSpec, all_ones_waveform, block_diagonal,
                   range_velocity_blocks)
 from .geometry import TargetTruth
 from .selection import ApSelection
-from .sensing import (Action, SensingPolicy, _lowest_variance, _score_blocks,
-                      available_rx_aps, decide_action)
+from .sensing import (Action, SensingPolicy, _hops_from_blocks,
+                      _lowest_variance, _score_blocks, available_rx_aps,
+                      decide_action)
 from .tracking import (MeasurementSet, MotionModel, StateEstimate,
-                       angle_variance, measurement_model, predict, update)
+                       angle_variance, predict, update)
 
 COMPARISON_ARMS = ("conventional", "random", "perfect")
 
 # A code is part of every draw's key, so codes are never renumbered; 3 is
 # retired.
 _STREAM_CODES = {"rcs": 1, "measurement": 2, "traffic": 4, "selection": 5}
-_ZEROS = np.zeros(4, dtype=np.uint64)  # Philox counter and buffer at rest
-_ZEROS.setflags(write=False)
+# Philox counter and buffer at rest, as Python ints: the state setter reads
+# them element by element, which is about twice as fast from a tuple as from
+# a uint64 array.
+_ZEROS = (0, 0, 0, 0)
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 # 3", SC'11): the two round multipliers and the two key increments.
 _PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -77,11 +80,10 @@ class RngStream:
 
     def generator(self, epoch: int = 0) -> np.random.Generator:
         code = _STREAM_CODES[self.stream_id]
-        key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF,
-                        (code << 32) + epoch], dtype=np.uint64)
+        key = (self.seed & 0xFFFFFFFFFFFFFFFF, (code << 32) + epoch)
         if self._generator is None:
-            object.__setattr__(self, "_generator",
-                               np.random.Generator(np.random.Philox(key=key)))
+            object.__setattr__(self, "_generator", np.random.Generator(
+                np.random.Philox(key=np.array(key, dtype=np.uint64))))
         else:
             self._generator.bit_generator.state = {
                 "bit_generator": "Philox",
@@ -342,35 +344,48 @@ def draw_rcs(rng: np.random.Generator, cfg: SystemConfig,
     return rng.exponential(cfg.mean_rcs, size=num_aps)
 
 
-def _bound_stack(cfg: SystemConfig, waveform: WaveformSpec,
-                 position_x: float, velocity_x: float, rcs: np.ndarray,
-                 power_fraction: float, aps: Sequence[int]) -> np.ndarray:
-    """The bound blocks of APs `aps`, indices into `cfg`, as one
-    (len(aps), 2, 2) stack: one unit-gain `crb_block` divided by each AP's
-    hop gain."""
+def _hops(cfg: SystemConfig, waveform: WaveformSpec, position_x: float,
+          velocity_x: float, rcs: np.ndarray, power_fraction: float,
+          aps: Sequence[int]) -> list[tuple[float, ...]]:
+    """Per AP of `aps`, indices into `cfg`, the floats a sensing epoch reads
+    of its hop at the state (position_x, velocity_x): the tuple
+    (dx, distance, r00, r01, r10, r11) of dx = position_x - x_l, the
+    distance, and the entries of its bound block, the unit-gain `crb_block`
+    over the AP's hop gain."""
     if not 0.0 < power_fraction <= 1.0:
         raise ValueError("power_fraction must lie in (0, 1]")
     if not (math.isfinite(position_x) and math.isfinite(velocity_x)):
         raise ValueError("target truth must be finite")
-    unit = waveform.unit_block(cfg)
+    u00, u01, u10, u11 = waveform.unit_block(cfg).ravel().tolist()
     wavelength, offset = cfg.wavelength, cfg.corridor_offset
+    positions, hypot, four_pi = cfg.ap_positions, math.hypot, 4.0 * math.pi
     # Each hop's path gain is geometry_for_ap's (lambda / (4 pi d))^2.
-    dist = math.hypot(position_x - cfg.ap_x(cfg.tx_ap), offset)
-    scale = ((wavelength / (4.0 * math.pi * dist)) ** 2
+    dist = hypot(position_x - positions[cfg.tx_ap][0], offset)
+    scale = ((wavelength / (four_pi * dist)) ** 2
              * 2.0 * math.pi / wavelength ** 2
              * power_fraction * cfg.tx_power * cfg.antennas_per_ap)
-    gains = []
+    hops = []
     for ap in aps:
-        dist = math.hypot(position_x - cfg.ap_x(ap), offset)
+        dx = position_x - positions[ap][0]
+        dist = hypot(dx, offset)
         cross_section = float(rcs[ap])
         if cross_section < 0:
             raise ValueError("rcs must be nonnegative")
-        gain = (scale * (wavelength / (4.0 * math.pi * dist)) ** 2
+        gain = (scale * (wavelength / (four_pi * dist)) ** 2
                 * cross_section * cross_section)
         if not gain > 0:  # also a NaN cross section
             raise ValueError("sensing gain must have positive power")
-        gains.append(gain)
-    return unit / np.array(gains)[:, None, None]
+        hops.append((dx, dist, u00 / gain, u01 / gain, u10 / gain,
+                     u11 / gain))
+    return hops
+
+
+def _entry_stack(hops: list[tuple[float, ...]]) -> np.ndarray:
+    """The (len(hops), 2, 2) stack of the hops' bound blocks."""
+    entries = []
+    for hop in hops:
+        entries += hop[2:]
+    return np.array(entries).reshape(-1, 2, 2)
 
 
 def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
@@ -383,7 +398,8 @@ def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
     reference position, so each hop gain is `sensing_gain` of that matched
     beam in closed form: |alpha|^2 = beta_tx beta_rx (2 pi / lambda^2) rcs^2
     power_fraction tx_power N. Each block is the unit-gain `crb_block` over
-    that gain, a few ulp from `crb_block` of the gain. The errors are those
+    that gain, a few ulp from `crb_block` of the gain, from the same
+    per-AP pass the simulator's sensing epoch makes. The errors are those
     of `geometry_for_ap` and `crb_block`. The unit-gain block, and with it
     the grid check, comes from `waveform.unit_block(cfg)`, so it is
     evaluated once per waveform and config.
@@ -393,9 +409,25 @@ def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
     result. The FFT-based crb_delay_doppler is the general-grid reference it
     is tested against.
     """
-    stack = _bound_stack(cfg, waveform, position_x, velocity_x, rcs,
-                         power_fraction, range(cfg.num_aps))
+    stack = _entry_stack(_hops(cfg, waveform, position_x, velocity_x, rcs,
+                               power_fraction, range(cfg.num_aps)))
     return [CrbBlock(block, ap) for ap, block in enumerate(stack)]
+
+
+def _noise_factor(ap: int, r00: float, r10: float,
+                  r11: float) -> tuple[float, float, float, float]:
+    """The lower Cholesky factor of the 2x2 noise block [[r00, .], [r10,
+    r11]] of AP `ap`, in closed form and flattened row by row. Like
+    LAPACK's potrf it scales by the pivot's reciprocal, which gives
+    `np.linalg.cholesky`'s factor bit for bit; a block that is not positive
+    definite, or holds a NaN, raises ValueError naming the AP."""
+    if r00 > 0:
+        l00 = math.sqrt(r00)
+        l10 = r10 * (1.0 / l00)
+        pivot = r11 - l10 * l10
+        if pivot > 0:
+            return l00, 0.0, l10, math.sqrt(pivot)
+    raise ValueError(f"noise block of AP {ap} is not positive definite")
 
 
 def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
@@ -413,9 +445,11 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
     `truth_blocks`. The attached covariance is evaluated at filter_mean
     when given (the tracker linearization point), otherwise it is the noise
     covariance. Standard normals are drawn for every AP so the subset
-    choice never shifts the stream. The selected blocks are factored with
-    one stacked Cholesky, which gives each AP's factor bit for bit. Both
-    bounds divide the one unit-gain block of `waveform.unit_block(cfg)`.
+    choice never shifts the stream. One pass over the selected APs at the
+    truth gives each AP's model values and the closed-form factor of its
+    noise block (`_noise_factor`), and a second pass at filter_mean its
+    attached block. Both bounds divide the one unit-gain block of
+    `waveform.unit_block(cfg)`.
     """
     if selection.num_aps != cfg.num_aps:
         raise ValueError(f"selection is over {selection.num_aps} APs, "
@@ -423,24 +457,27 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
     if selection.cardinality == 0:
         raise ValueError("no sensing receivers selected")
     aps = selection.indices
+    v_x = truth.velocity_x
     if truth_blocks is None:
-        noise = _bound_stack(cfg, waveform, truth.position_x,
-                             truth.velocity_x, rcs, power_fraction, aps)
+        hops = _hops(cfg, waveform, truth.position_x, v_x, rcs,
+                     power_fraction, aps)
     else:
-        noise = range_velocity_blocks(truth_blocks, aps)
-    normals = rng.standard_normal(2 * cfg.num_aps).reshape(-1, 2, 1)
-
-    values = measurement_model(cfg, (truth.position_x, truth.velocity_x),
-                               selection)
-    values += (np.linalg.cholesky(noise)
+        hops = _hops_from_blocks(cfg, truth.position_x, aps,
+                                 range_velocity_blocks(truth_blocks, aps))
+    values, factors = [], []
+    for ap, (dx, dist, r00, _, r10, r11) in zip(aps, hops):
+        values += (dist, dx * v_x / dist)
+        factors += _noise_factor(ap, r00, r10, r11)
+    normals = rng.standard_normal((cfg.num_aps, 2, 1))
+    values = np.array(values)
+    values += (np.array(factors).reshape(-1, 2, 2)
                @ normals.take(aps, axis=0)).reshape(-1)
 
-    filter_stack = noise
     if filter_mean is not None:
-        filter_stack = _bound_stack(cfg, waveform, float(filter_mean[0]),
-                                    float(filter_mean[1]), rcs,
-                                    power_fraction, aps)
-    return MeasurementSet(values, block_diagonal(filter_stack), selection)
+        hops = _hops(cfg, waveform, float(filter_mean[0]),
+                     float(filter_mean[1]), rcs, power_fraction, aps)
+    return MeasurementSet._built(values, block_diagonal(_entry_stack(hops)),
+                                 selection)
 
 
 def _random_selection(available: ApSelection, k: int,
@@ -486,11 +523,9 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
                                           policy.subset_cardinality,
                                           streams["selection"].generator(k))
         else:
-            planning = _bound_stack(cfg, state.waveform,
-                                    float(predicted.mean[0]),
-                                    float(predicted.mean[1]),
-                                    state.planning_rcs, 1.0,
-                                    state.available.indices)
+            planning = _hops(cfg, state.waveform, float(predicted.mean[0]),
+                             float(predicted.mean[1]), state.planning_rcs,
+                             1.0, state.available.indices)
             selection = _lowest_variance(cfg.num_aps, *_score_blocks(
                 cfg, predicted, state.available, policy.subset_cardinality,
                 planning))

@@ -98,6 +98,18 @@ class MeasurementSet:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "covariance", cov)
 
+    @classmethod
+    def _built(cls, values: np.ndarray, covariance: np.ndarray,
+               selection: ApSelection) -> "MeasurementSet":
+        """A measurement set from float arrays the simulator just built to
+        the selection's shapes, taken as they are: skips __post_init__,
+        whose conversions and checks are for caller input."""
+        meas = object.__new__(cls)
+        object.__setattr__(meas, "values", values)
+        object.__setattr__(meas, "covariance", covariance)
+        object.__setattr__(meas, "selection", selection)
+        return meas
+
 
 def predict(est: StateEstimate, model: MotionModel) -> StateEstimate:
     """Time update: propagate mean and covariance one epoch forward.
@@ -129,34 +141,39 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return np.array([[(a + a) / 2.0, off], [off, (d + d) / 2.0]])
 
 
-def measurement_model(cfg: SystemConfig, state_mean: np.ndarray,
-                      selection: ApSelection) -> np.ndarray:
-    """Noiseless (range, radial velocity) per selected AP, ascending index."""
-    if selection.cardinality == 0:
-        raise ValueError("no sensing receivers selected")
-    p_x, v_x = float(state_mean[0]), float(state_mean[1])
-    out = []
-    for ap in selection.indices:
-        dx = p_x - cfg.ap_x(ap)
-        dist = math.hypot(dx, cfg.corridor_offset)
-        out += (dist, dx * v_x / dist)
-    return np.array(out)
-
-
-def measurement_jacobian(cfg: SystemConfig, state_mean: np.ndarray,
-                         selection: ApSelection) -> np.ndarray:
-    """Gradient of measurement_model with respect to [p_x, v_x]."""
+def _model_and_jacobian(cfg: SystemConfig, state_mean: np.ndarray,
+                        selection: ApSelection
+                        ) -> tuple[list[float], list[float]]:
+    """`measurement_model` and `measurement_jacobian` of one state, as flat
+    lists, from one pass over the selected APs."""
     if selection.cardinality == 0:
         raise ValueError("no sensing receivers selected")
     p_x, v_x = float(state_mean[0]), float(state_mean[1])
     p_y = cfg.corridor_offset
-    jac = []
+    # over dist^3, the radial velocity's derivative along p_x
+    velocity_slope = v_x * p_y ** 2
+    values, jac = [], []
     for ap in selection.indices:
         dx = p_x - cfg.ap_x(ap)
         dist = math.hypot(dx, p_y)
         if dist == 0.0:
             raise ValueError(f"zero range to AP {ap}: jacobian is singular")
-        jac += (dx / dist, 0.0, v_x * p_y ** 2 / dist ** 3, dx / dist)
+        cosine = dx / dist
+        values += (dist, dx * v_x / dist)
+        jac += (cosine, 0.0, velocity_slope / dist ** 3, cosine)
+    return values, jac
+
+
+def measurement_model(cfg: SystemConfig, state_mean: np.ndarray,
+                      selection: ApSelection) -> np.ndarray:
+    """Noiseless (range, radial velocity) per selected AP, ascending index."""
+    return np.array(_model_and_jacobian(cfg, state_mean, selection)[0])
+
+
+def measurement_jacobian(cfg: SystemConfig, state_mean: np.ndarray,
+                         selection: ApSelection) -> np.ndarray:
+    """Gradient of measurement_model with respect to [p_x, v_x]."""
+    jac = _model_and_jacobian(cfg, state_mean, selection)[1]
     return np.array(jac).reshape(-1, 2)
 
 
@@ -178,10 +195,12 @@ def posterior_covariance(prior_cov: np.ndarray, jacobian: np.ndarray,
 def update(est: StateEstimate, meas: MeasurementSet,
            cfg: SystemConfig) -> StateEstimate:
     """Measurement update of a predicted estimate."""
-    jac = measurement_jacobian(cfg, est.mean, meas.selection)
-    innovation = meas.values - measurement_model(cfg, est.mean, meas.selection)
+    values, jac = _model_and_jacobian(cfg, est.mean, meas.selection)
+    innovation = meas.values - np.array(values)
     try:
-        gain, cov = _gain_and_posterior(est.covariance, jac, meas.covariance)
+        gain, cov = _gain_and_posterior(est.covariance,
+                                        np.array(jac).reshape(-1, 2),
+                                        meas.covariance)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular innovation covariance for APs "
                          f"{meas.selection.indices}") from exc

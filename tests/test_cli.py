@@ -515,6 +515,12 @@ class TestMainEntry:
         ("policy:\n  variance_threshold: .inf\n", "variance_threshold"),
         ("traffic:\n  mode: intervals\n  intervals: [[0, 2]]\n"
          "  on_probability: 0.9\n", "on_probability"),
+        ("system: {epoch_duration: 1.0e80}\n", "epoch_duration**4"),
+        ("system: {process_noise_std: 1.0e160}\n", "process_noise_std**2"),
+        ("system: {epoch_duration: 1.0e70, process_noise_std: 1.0e20}\n",
+         "times the epoch_duration terms"),
+        ("system: {carrier_frequency: 1.0e300}\n", "carrier_frequency"),
+        ("system: {carrier_frequency: 1.0e-150}\n", "carrier_frequency"),
     ], ids=["one_symbol", "one_antenna", "negative_variance", "asymmetric",
             "nan_mean", "nan_process_noise", "inf_tx_power", "inf_mean_rcs",
             "inf_epoch_duration", "nan_ap_position", "nan_target_position",
@@ -530,7 +536,10 @@ class TestMainEntry:
             "bool_interval", "bool_ap_position", "bool_covariance_diag",
             "off_road_ap_position", "mean_and_offset",
             "covariance_and_diag", "bernoulli_intervals",
-            "inf_policy_threshold", "intervals_on_probability"])
+            "inf_policy_threshold", "intervals_on_probability",
+            "epoch_duration_overflows_q", "process_noise_overflows_q",
+            "product_overflows_q",
+            "wavelength_sq_underflows", "wavelength_sq_overflows"])
     def test_run_time_failures_rejected_by_validate(self, tmp_path, capsys,
                                                     text, field):
         # sensing with these would fail mid-run, run on a meaningless prior

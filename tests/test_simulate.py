@@ -372,26 +372,36 @@ class TestOneBoundPath:
     def test_grid_checked_once_per_run_and_noise_factored_per_sensing(
             self, monkeypatch):
         # Every bound of a run, planning or (truth, filter mean), divides
-        # the one unit-gain block the run's waveform keeps.
-        checks, factorizations = [], []
+        # the one unit-gain block the run's waveform keeps. Each sensing
+        # arm factors each receiver's noise block once, in closed form,
+        # and the run makes no LAPACK Cholesky call.
+        checks, factorizations, lapack = [], [], []
         check_waveform, cholesky = crb._check_waveform, np.linalg.cholesky
+        noise_factor = simulate._noise_factor
 
         def counting_check(*args):
             checks.append(1)
             return check_waveform(*args)
 
+        def counting_factor(*args):
+            factorizations.append(args[0])
+            return noise_factor(*args)
+
         def counting_cholesky(*args):
-            factorizations.append(1)
+            lapack.append(1)
             return cholesky(*args)
 
         monkeypatch.setattr(crb, "_check_waveform", counting_check)
+        monkeypatch.setattr(simulate, "_noise_factor", counting_factor)
         monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
         records = run_scenario(make_scenario(num_epochs=200))
         planned = sum(r.action is Action.SENSING for r in records)
-        sensed = sum(a.action is Action.SENSING
-                     for r in records for a in r.arms.values())
-        assert planned and sensed > len(records)
-        assert len(factorizations) == sensed
+        receivers = [ap for r in records for a in r.arms.values()
+                     if a.action is Action.SENSING
+                     for ap in a.selection.indices]
+        assert planned and len(receivers) > 2 * len(records)
+        assert factorizations == receivers
+        assert lapack == []
         assert len(checks) == 1
 
     def test_direct_call_checks_the_grid_once(self, monkeypatch):
@@ -439,6 +449,78 @@ class TestOneBoundPath:
             assert type(caught.value) is ValueError
             assert str(caught.value) == ("waveform shape (256, 14) does not "
                                          "match the configured grid (128, 14)")
+
+
+class TestClosedFormFactor:
+    """Each receiver's noise block is factored in closed form, bit for bit
+    as `np.linalg.cholesky` factors it."""
+
+    def test_equals_lapack_cholesky_bit_for_bit(self):
+        # standard deviations 1e-4..1e2, so variances 1e-8..1e4, and
+        # correlations up to +-0.999; a unit-modulus grid's blocks are
+        # diagonal, so a tenth of them are
+        rng = np.random.default_rng(25)
+        n = 20000
+        std = 10.0 ** rng.uniform(-4.0, 2.0, size=(n, 2))
+        rho = rng.uniform(-0.999, 0.999, size=n)
+        rho[:n // 10] = 0.0
+        rho[n // 10:n // 10 + 2] = (-0.999, 0.999)
+        blocks = np.empty((n, 2, 2))
+        blocks[:, 0, 0], blocks[:, 1, 1] = std[:, 0] ** 2, std[:, 1] ** 2
+        blocks[:, 0, 1] = blocks[:, 1, 0] = rho * std[:, 0] * std[:, 1]
+        got = np.array([simulate._noise_factor(ap, r00, r10, r11)
+                        for ap, ((r00, _), (r10, r11))
+                        in enumerate(blocks.tolist())])
+        assert got.tobytes() == np.linalg.cholesky(blocks).tobytes()
+
+    @pytest.mark.parametrize("block", [
+        [[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]],
+        [[-1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]],
+        [[math.nan, 0.0], [0.0, 1.0]]],
+        ids=["indefinite", "zero_pivot", "negative", "singular", "nan"])
+    def test_caller_block_not_positive_definite_names_the_ap(self, block):
+        rcs = np.full(CFG.num_aps, CFG.mean_rcs)
+        waveform = all_ones_waveform(CFG)
+        blocks = crb_blocks_for_state(CFG, waveform, 60.0, 25.0, rcs)
+        blocks[2] = crb.CrbBlock(np.array(block), 2)
+        with pytest.raises(Exception) as caught:
+            synthesize_measurement(
+                CFG, TargetTruth(60.0, 25.0),
+                ApSelection.from_indices(CFG.num_aps, [1, 2]), rcs,
+                RngStream(3, "measurement").generator(0), waveform=waveform,
+                truth_blocks=blocks)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == (
+            "noise block of AP 2 is not positive definite")
+
+
+@pytest.mark.parametrize("workload", ["ref_all", "select_dense"])
+def test_planning_scores_equal_score_subsets_of_the_bound_list(monkeypatch,
+                                                                workload):
+    # the proposed arm scores one pass at its predicted mean; the public
+    # scorer of crb_blocks_for_state's list gives the same bytes
+    workloads = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                            / "workloads.json").read_text())
+    scenario = scenario_from_dict(workloads[workload]["overrides"])
+    state = initial_sim_state(scenario)
+    score_blocks, scored = simulate._score_blocks, []
+
+    def checking(cfg, predicted, available, k, hops):
+        subsets, variances = score_blocks(cfg, predicted, available, k, hops)
+        planning = crb_blocks_for_state(
+            cfg, state.waveform, float(predicted.mean[0]),
+            float(predicted.mean[1]), state.planning_rcs)
+        want = sensing.score_subsets(cfg, predicted, scenario.policy,
+                                     planning)
+        assert subsets.tobytes() == want[0].tobytes()
+        assert variances.tobytes() == want[1].tobytes()
+        scored.append(len(variances))
+        return subsets, variances
+
+    monkeypatch.setattr(simulate, "_score_blocks", checking)
+    for _ in range(scenario.num_epochs):
+        run_epoch(state, scenario)
+    assert scored and max(scored) > 1
 
 
 # fault -> (overrides of the valid inputs, exception type, message)
