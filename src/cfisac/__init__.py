@@ -28,7 +28,8 @@ from .sensing import (Action, SensingPolicy, decide_action, hpbw,
 from .comms import (LinkResult, build_channel, conventional_baseline,
                     evaluate_link, perfect_angle_bound, predictive_precoder,
                     steered_link, steered_links)
-from .simulate import (ArmEpoch, EpochRecord, RngStream, Scenario, SimState,
-                       TrafficModel, crb_blocks_for_state, draw_rcs,
-                       fill_rates, propagate_truth, run_epoch, run_scenario,
+from .simulate import (ArmColumns, ArmEpoch, EpochRecord, EpochStep,
+                       RngStream, RunLog, Scenario, SimState, TrafficModel,
+                       crb_blocks_for_state, draw_rcs, fill_rates,
+                       propagate_truth, run_epoch, run_scenario,
                        synthesize_measurement)

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import math
 import sys
+from array import array
 from datetime import datetime, timezone
-from itertools import chain, groupby
+from itertools import chain, count, groupby, repeat
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from . import __version__
 from .config import SystemConfig
 from .geometry import TargetTruth
 from .sensing import Action, SensingPolicy
-from .simulate import (COMPARISON_ARMS, EpochRecord, Scenario, TrafficModel,
+from .simulate import (COMPARISON_ARMS, RunLog, Scenario, TrafficModel,
                        run_scenario)
 from .tracking import StateEstimate
 
@@ -253,64 +253,59 @@ def _digest(canonical: dict) -> str:
 # ---------------------------------------------------------------------------
 # record output
 
-# The state columns of an epochs.csv row, then one cell per rate column:
-# (method, LinkResult field), empty where the method has no rate (every
-# traffic-OFF epoch, and arms that did not run).
-_STATE_CELLS = "%d" + ",%.17e" * 7 + ",%s,%s,%d"
-_LINK_CELLS = (("proposed", "rate"), ("conventional", "rate"),
-               ("perfect", "rate"), ("proposed", "snr"))
+# One cell per rate column of an epochs.csv row: (method, index into its
+# (snr, rate) arrays), empty where the method has no rate (every traffic-OFF
+# epoch, and arms that did not run).
+_SNR, _RATE = 0, 1
+_LINK_CELLS = (("proposed", _RATE), ("conventional", _RATE),
+               ("perfect", _RATE), ("proposed", _SNR))
 
 
-@functools.cache
-def _row_template(methods: tuple[str, ...]) -> str:
-    """The row template for an epoch rated by `methods`, in the order its
-    `rates` holds them: at most 16, one per ordered subset of the three."""
-    return _STATE_CELLS + "".join(",%.17e" if tag in methods else ","
-                                  for tag, _ in _LINK_CELLS)
+def _csv_rows(log: RunLog):
+    """The rows of epochs.csv, one per epoch, from the log's columns: the
+    proposed arm's state, then, in traffic-ON epochs, the rate cells. The
+    run's one velocity is formatted once, into the row templates."""
+    arm, rates = log.arms["proposed"], log.rates
+    head = "%d,%.17e," + ("%.17e" % log.velocity_x) + ",%.17e" * 5 + ",%s,"
+    off_row = head + "OFF,%d,,,,"
+    on_row = head + "ON,%d" + "".join(",%.17e" if tag in rates else ","
+                                      for tag, _ in _LINK_CELLS)
+    # before fill_rates, no epoch has a rate
+    links = zip(*(rates[tag][index].tolist() for tag, index in _LINK_CELLS
+                  if tag in rates)) if rates else repeat(())
+    states = zip(count(), log.truth_x, arm.mean_p, arm.mean_v, arm.p00,
+                 arm.p11, arm.variance, [a.value for a in arm.action],
+                 arm.bitmask)
+    for on, state in zip(log.traffic_on, states):
+        yield on_row % (state + next(links)) if on else off_row % state
 
 
-def _csv_row(rec: EpochRecord) -> str:
-    arm, rates = rec.arms["proposed"], rec.rates
-    est = arm.estimate
-    (var_p, _), (_, var_v) = est.covariance.tolist()
-    return _row_template(tuple(rates)) % (
-        rec.epoch, rec.truth.position_x, rec.truth.velocity_x,
-        *est.mean.tolist(), var_p, var_v,
-        arm.predicted_angle_variance, arm.action.value, rec.traffic_state,
-        arm.selection.bitmask,
-        *(getattr(rates[tag], field) for tag, field in _LINK_CELLS
-          if tag in rates))
-
-
-def _variance_series(records: list[EpochRecord]) -> dict[str, list[float]]:
+def _variance_series(log: RunLog) -> dict[str, array]:
     """Predicted angle variance per epoch of each threshold-gated arm run."""
-    return {tag: [r.arms[tag].predicted_angle_variance for r in records]
-            for tag in ("proposed", "random")
-            if records and tag in records[0].arms}
+    return {tag: log.arms[tag].variance for tag in ("proposed", "random")
+            if tag in log.arms}
 
 
-def _threshold_crossing(variances: list[float], threshold: float) -> int | None:
+def _threshold_crossing(variances: array, threshold: float) -> int | None:
     for k, v in enumerate(variances):
         if v < threshold:
             return k
     return None
 
 
-def summarize_records(records: list[EpochRecord],
-                      scenario: Scenario) -> dict:
-    on_records = [r for r in records if r.traffic_state == "ON"]
+def summarize_records(log: RunLog, scenario: Scenario) -> dict:
     mean_rates = {}
     for tag in scenario.rated_methods:
-        values = [r.rates[tag].rate for r in on_records if tag in r.rates]
-        mean_rates[tag] = float(np.mean(values)) if values else None
+        rate = log.rates[tag][_RATE] if tag in log.rates else ()
+        mean_rates[tag] = float(np.mean(rate)) if len(rate) else None
     crossings = {tag: _threshold_crossing(values,
                                           scenario.policy.variance_threshold)
-                 for tag, values in _variance_series(records).items()}
-    sensing = [r.epoch for r in records
-               if r.arms["proposed"].action is Action.SENSING]
+                 for tag, values in _variance_series(log).items()}
+    sensing = [k for k, action in enumerate(log.arms["proposed"].action)
+               if action is Action.SENSING]
     return {
-        "num_epochs": len(records),
-        "on_epochs": len(on_records),
+        "num_epochs": len(log),
+        "on_epochs": sum(log.traffic_on[:len(log)]),
         "sensing_epochs": len(sensing),
         "sensing_epoch_indices": sensing,
         "mean_rates": mean_rates,
@@ -318,10 +313,11 @@ def summarize_records(records: list[EpochRecord],
     }
 
 
-def write_records(records: list[EpochRecord], out_dir: str | Path,
-                  scenario: Scenario, plots: bool = False) -> dict:
-    """Write every output of a run: epochs.csv, summary.json, variance.svg
-    and rate.svg if `plots`, then manifest.json last. The manifest's
+def write_records(log: RunLog, out_dir: str | Path, scenario: Scenario,
+                  plots: bool = False) -> dict:
+    """Write every output of the run `log`, as `run_scenario` returns it:
+    epochs.csv, summary.json, variance.svg and rate.svg if `plots`, then
+    manifest.json last. Each reads the log's columns. The manifest's
     started_at-finished_at window spans every output it lists; it is
     returned as written."""
     out_dir = Path(out_dir)
@@ -330,14 +326,14 @@ def write_records(records: list[EpochRecord], out_dir: str | Path,
 
     with open(out_dir / "epochs.csv", "w", newline="") as csv_file:
         csv_file.write(",".join(CSV_COLUMNS) + "\n")
-        csv_file.writelines(_csv_row(rec) + "\n" for rec in records)
+        csv_file.writelines(row + "\n" for row in _csv_rows(log))
     (out_dir / "summary.json").write_text(
-        json.dumps(summarize_records(records, scenario), indent=2,
+        json.dumps(summarize_records(log, scenario), indent=2,
                    sort_keys=True) + "\n")
     outputs = ["epochs.csv", "summary.json"]
     if plots:
         outputs.extend(path.name for path in emit_plots(
-            records, out_dir, scenario.policy.variance_threshold))
+            log, out_dir, scenario.policy.variance_threshold))
 
     canonical = scenario_to_dict(scenario)
     manifest = {
@@ -396,13 +392,13 @@ def _svg(elements: list[str]) -> str:
             f"{body}\n</svg>\n")
 
 
-def _variance_svg(records: list[EpochRecord], threshold: float) -> str:
-    n = len(records)
+def _variance_svg(log: RunLog, threshold: float) -> str:
+    n = len(log)
     floor = 1e-12
     # math.log10, not numpy's, which need not round as libm does; the pixel
     # maps below are the same IEEE operations on arrays as on floats.
     logs = {tag: [math.log10(max(v, floor)) for v in values]
-            for tag, values in _variance_series(records).items()}
+            for tag, values in _variance_series(log).items()}
     log_threshold = math.log10(threshold)
     lo = min(chain(*logs.values(), [log_threshold])) - 0.2
     hi = max(chain(*logs.values(), [log_threshold])) + 0.2
@@ -438,11 +434,11 @@ def _variance_svg(records: list[EpochRecord], threshold: float) -> str:
         elems.append(_polyline(xy.ravel().tolist(), colors[tag]))
         elems.append(f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 14 + 14 * idx}" '
                      f'font-size="12" fill="{colors[tag]}">{tag} selection</text>')
-    for rec in records:
-        arm = rec.arms["proposed"]
-        if arm.action is Action.SENSING:
-            x = to_x(rec.epoch)
-            y = to_y(math.log10(max(arm.predicted_angle_variance, floor)))
+    arm = log.arms["proposed"]
+    for k, (action, variance) in enumerate(zip(arm.action, arm.variance)):
+        if action is Action.SENSING:
+            x = to_x(k)
+            y = to_y(math.log10(max(variance, floor)))
             elems.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" '
                          f'fill="none" stroke="#d62728" stroke-width="1.5"/>')
     elems.append(f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 14 + 14 * len(logs)}" '
@@ -450,15 +446,16 @@ def _variance_svg(records: list[EpochRecord], threshold: float) -> str:
     return _svg(elems)
 
 
-def _rate_svg(records: list[EpochRecord]) -> str:
+def _rate_svg(log: RunLog) -> str:
     """Each method's rate per epoch, drawn and listed in the legend only if
     it has a rate in some epoch."""
-    n = len(records)
+    n = len(log)
     colors = {"proposed": "#1f77b4", "conventional": "#ff7f0e",
               "perfect": "#2ca02c"}
-    tags = [t for t in colors if any(t in r.rates for r in records)]
-    all_rates = [r.rates[t].rate for r in records for t in tags if t in r.rates]
-    hi = max(all_rates) * 1.1 if all_rates else 1.0
+    rates = {t: log.rates[t][_RATE].tolist() for t in colors
+             if t in log.rates and len(log.rates[t][_RATE])}
+    tags = list(rates)
+    hi = max(map(max, rates.values())) * 1.1 if rates else 1.0
     to_x = _scaler(0, max(n - 1, 1), _MARGIN_L, _WIDTH - _MARGIN_R)
     to_y = _scaler(0.0, hi, _HEIGHT - _MARGIN_B, _MARGIN_T)
 
@@ -476,11 +473,11 @@ def _rate_svg(records: list[EpochRecord]) -> str:
 
     for idx, tag in enumerate(tags):
         # One polyline per run of rated epochs; a lone point gets a dot.
-        for rated, run in groupby(records, key=lambda r: tag in r.rates):
+        values = iter(rates[tag])
+        for rated, run in groupby(range(n), key=log.traffic_on.__getitem__):
             if not rated:
                 continue
-            segment = [v for r in run
-                       for v in (to_x(r.epoch), to_y(r.rates[tag].rate))]
+            segment = [v for k in run for v in (to_x(k), to_y(next(values)))]
             if len(segment) > 2:
                 elems.append(_polyline(segment, colors[tag]))
             else:
@@ -492,17 +489,18 @@ def _rate_svg(records: list[EpochRecord]) -> str:
     return _svg(elems)
 
 
-def emit_plots(records: list[EpochRecord], out_dir: str | Path,
+def emit_plots(log: RunLog, out_dir: str | Path,
                variance_threshold: float) -> list[Path]:
-    """Write variance.svg and rate.svg; returns the created paths."""
-    if not records:
+    """Write variance.svg and rate.svg of the run `log`; returns the created
+    paths."""
+    if not log:
         raise ValueError("no records to plot")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     variance_path = out_dir / "variance.svg"
-    variance_path.write_text(_variance_svg(records, variance_threshold))
+    variance_path.write_text(_variance_svg(log, variance_threshold))
     rate_path = out_dir / "rate.svg"
-    rate_path.write_text(_rate_svg(records))
+    rate_path.write_text(_rate_svg(log))
     return [variance_path, rate_path]
 
 

@@ -32,16 +32,6 @@ class LinkResult:
     snr: float
     rate: float  # bits per symbol use, log2(1 + snr)
 
-    def __init__(self, snr: float, rate: float) -> None:
-        set_snr, set_rate = _LINK_SETTERS
-        set_snr(self, snr)
-        set_rate(self, rate)
-
-
-# The slots' own setters, for __init__, as for `TargetTruth`: one link per
-# rated method and traffic-ON epoch.
-_LINK_SETTERS = (LinkResult.snr.__set__, LinkResult.rate.__set__)
-
 
 def _check_phase_mode(phase_mode: str) -> None:
     if phase_mode not in PHASE_MODES:

@@ -14,6 +14,7 @@ hop gain.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -347,12 +348,22 @@ def range_velocity_blocks(blocks: list[CrbBlock],
     return np.array([by_index[i] for i in indices])
 
 
+@functools.cache
+def _block_slots(k: int) -> np.ndarray:
+    """The flat indices, in a (2k, 2k) matrix, of its k diagonal 2x2
+    blocks' entries, block by block and each row by row."""
+    n = 2 * k
+    slots = np.array([(2 * b + row) * n + 2 * b + col for b in range(k)
+                      for row in range(2) for col in range(2)])
+    slots.setflags(write=False)
+    return slots
+
+
 def block_diagonal(stack: np.ndarray) -> np.ndarray:
     """The dense (2k, 2k) block-diagonal matrix of a (k, 2, 2) stack."""
     k = len(stack)
-    out = np.zeros((k, 2, k, 2))
-    diagonal = np.arange(k)
-    out[diagonal, :, diagonal] = stack
+    out = np.zeros(4 * k * k)
+    out[_block_slots(k)] = np.asarray(stack).reshape(-1)
     return out.reshape(2 * k, 2 * k)
 
 

@@ -17,18 +17,6 @@ class TargetTruth:
     position_x: float  # m
     velocity_x: float  # m/s
 
-    def __init__(self, position_x: float, velocity_x: float) -> None:
-        set_position, set_velocity = _TRUTH_SETTERS
-        set_position(self, position_x)
-        set_velocity(self, velocity_x)
-
-
-# The slots' own setters, for __init__: the generated __init__ of a frozen
-# dataclass sets each field through object.__setattr__, about twice as slow,
-# and the simulator builds a truth every epoch.
-_TRUTH_SETTERS = (TargetTruth.position_x.__set__,
-                  TargetTruth.velocity_x.__set__)
-
 
 @dataclass(frozen=True)
 class ApGeometry:

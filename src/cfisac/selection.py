@@ -26,6 +26,11 @@ class ApSelection:
         return cls(num_aps, tuple(indices))
 
     @classmethod
+    def from_bitmask(cls, num_aps: int, mask: int) -> "ApSelection":
+        """The APs whose bits are set in `mask`: the inverse of `bitmask`."""
+        return cls(num_aps, tuple(i for i in range(num_aps) if mask >> i & 1))
+
+    @classmethod
     def empty(cls, num_aps: int) -> "ApSelection":
         return cls(num_aps, ())
 
@@ -40,4 +45,4 @@ class ApSelection:
     @property
     def bitmask(self) -> int:
         """Bit i set when AP i is selected."""
-        return sum(1 << i for i in self.indices)
+        return sum(map((1).__lshift__, self.indices))

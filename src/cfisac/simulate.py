@@ -6,7 +6,10 @@ whether to sense, selects the receive APs and synthesizes estimator
 outputs as Gaussian draws with the estimation-bound covariance. Every
 filter arm runs this one cycle; its row of `_ARMS` says when it senses,
 which APs listen and at what power. The arms run on the same per-epoch
-random streams so they stay comparable. The open-loop part is the
+random streams so they stay comparable. The loop appends each epoch to
+the columns of a `RunLog`: between sensing epochs an arm's filter is six
+Python floats, and arrays and estimates are built only where it senses.
+The open-loop part is the
 downlink: the rate of an epoch depends only on the true and the tracked
 positions and never feeds back into a filter, so `run_scenario` evaluates
 it after the loop, with one `steered_links` call per method (tracked,
@@ -16,8 +19,11 @@ power-split and perfect knowledge) over all traffic epochs.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +37,7 @@ from .sensing import (Action, SensingPolicy, _hops_from_blocks,
                       _lowest_variance, _score_blocks, available_rx_aps,
                       decide_action)
 from .tracking import (MeasurementSet, MotionModel, StateEstimate,
-                       angle_variance, predict, update)
+                       _angle_variance, _predict_floats, predict, update)
 
 COMPARISON_ARMS = ("conventional", "random", "perfect")
 
@@ -242,21 +248,6 @@ class ArmEpoch:
     predicted_angle_variance: float
     estimate: StateEstimate
 
-    def __init__(self, action: Action, selection: ApSelection,
-                 predicted_angle_variance: float,
-                 estimate: StateEstimate) -> None:
-        set_action, set_selection, set_variance, set_estimate = _ARM_SETTERS
-        set_action(self, action)
-        set_selection(self, selection)
-        set_variance(self, predicted_angle_variance)
-        set_estimate(self, estimate)
-
-
-# The slots' own setters, for __init__, as for `TargetTruth`.
-_ARM_SETTERS = (ArmEpoch.action.__set__, ArmEpoch.selection.__set__,
-                ArmEpoch.predicted_angle_variance.__set__,
-                ArmEpoch.estimate.__set__)
-
 
 @dataclass(frozen=True, slots=True)
 class EpochRecord:
@@ -281,36 +272,105 @@ class EpochRecord:
     def predicted_angle_variance(self) -> float:
         return self.arms["proposed"].predicted_angle_variance
 
-    def __init__(self, epoch: int, truth: TargetTruth, traffic_state: str,
-                 rates: dict[str, LinkResult],
-                 arms: dict[str, ArmEpoch]) -> None:
-        set_epoch, set_truth, set_traffic, set_rates, set_arms = _RECORD_SETTERS
-        set_epoch(self, epoch)
-        set_truth(self, truth)
-        set_traffic(self, traffic_state)
-        set_rates(self, rates)
-        set_arms(self, arms)
+
+def _floats() -> array:
+    return array("d")
 
 
-# The slots' own setters, for __init__, as for `TargetTruth`.
-_RECORD_SETTERS = (EpochRecord.epoch.__set__, EpochRecord.truth.__set__,
-                   EpochRecord.traffic_state.__set__,
-                   EpochRecord.rates.__set__, EpochRecord.arms.__set__)
+@dataclass(eq=False)
+class ArmColumns:
+    """One filter arm's run, one entry per epoch in each column: the
+    posterior mean (`mean_p`, `mean_v`) and covariance entries (`p00`,
+    `p01`, `p11`; the filter keeps P10 = P01), the predicted angle
+    variance, the action and the bitmask of the receive set."""
+
+    mean_p: array = field(default_factory=_floats)
+    mean_v: array = field(default_factory=_floats)
+    p00: array = field(default_factory=_floats)
+    p01: array = field(default_factory=_floats)
+    p11: array = field(default_factory=_floats)
+    variance: array = field(default_factory=_floats)
+    action: list[Action] = field(default_factory=list)
+    bitmask: list[int] = field(default_factory=list)
+
+    def arm_epoch(self, k: int, num_aps: int) -> ArmEpoch:
+        """Epoch k of this arm as an `ArmEpoch`."""
+        p01 = self.p01[k]
+        return ArmEpoch(self.action[k],
+                        ApSelection.from_bitmask(num_aps, self.bitmask[k]),
+                        self.variance[k],
+                        StateEstimate([self.mean_p[k], self.mean_v[k]],
+                                      [[self.p00[k], p01], [p01, self.p11[k]]]))
+
+
+class RunLog(Sequence):
+    """A run as columns, and as a sequence of `EpochRecord`s built on access.
+
+    `truth_x` holds each epoch's true position (the velocity is the run's
+    constant `velocity_x`), `traffic_on` each epoch's traffic flag and
+    `arms` each filter arm's `ArmColumns`, in stepping order. `rates` maps
+    each rated method to the (snr, rate) arrays of `steered_links`, whose
+    entry j is the link of epoch `rated_epochs[j]`; `fill_rates` sets both.
+    Its length is the number of epochs stepped.
+    """
+
+    def __init__(self, num_aps: int, velocity_x: float,
+                 traffic_on: tuple[bool, ...], arms: Sequence[str]) -> None:
+        self.num_aps = num_aps
+        self.velocity_x = velocity_x
+        self.traffic_on = traffic_on
+        self.truth_x = _floats()
+        self.arms = {name: ArmColumns() for name in arms}
+        self.rates: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.rated_epochs = np.zeros(0, dtype=np.intp)
+
+    def __len__(self) -> int:
+        return len(self.truth_x)
+
+    def __getitem__(self, k) -> EpochRecord | list[EpochRecord]:
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("epoch index out of range")
+        on = self.traffic_on[k]
+        rates = {}
+        if on and self.rates:
+            j = int(np.searchsorted(self.rated_epochs, k))
+            rates = {tag: LinkResult(float(snr[j]), float(rate[j]))
+                     for tag, (snr, rate) in self.rates.items()}
+        return EpochRecord(
+            k, TargetTruth(self.truth_x[k], self.velocity_x),
+            "ON" if on else "OFF", rates,
+            {name: columns.arm_epoch(k, self.num_aps)
+             for name, columns in self.arms.items()})
+
+
+class EpochStep(NamedTuple):
+    """What `run_epoch` returns: the epoch it stepped and the proposed arm's
+    action; the epoch's record is `state.log[epoch]`."""
+
+    epoch: int
+    action: Action
 
 
 @dataclass
 class SimState:
-    """Mutable loop state threaded through run_epoch. The fields below
-    `epoch`, `truth` and `estimates` are fixed for the run."""
+    """Mutable loop state threaded through run_epoch. `truth_x` is the true
+    position after the last epoch stepped, `estimates` each filter arm's
+    estimate as the floats (p, v, P00, P01, P10, P11) and `log` the run so
+    far. The fields below `log` are fixed for the run."""
 
     epoch: int
-    truth: TargetTruth
-    estimates: dict[str, StateEstimate]
+    truth_x: float
+    estimates: dict[str, tuple[float, ...]]
+    log: RunLog
     waveform: WaveformSpec         # keeps the run's unit-gain bound block
     model: MotionModel
     streams: dict[str, RngStream]  # one per stream name
     traffic_on: tuple[bool, ...]   # each epoch's traffic flag
-    idle_selection: ApSelection    # the empty receive set of every idle arm
     full_selection: ApSelection    # every AP: the conventional receive set
     available: ApSelection         # the APs the gated arms pick receivers from
     planning_rcs: np.ndarray       # read-only mean cross sections, per AP
@@ -346,16 +406,18 @@ def draw_rcs(rng: np.random.Generator, cfg: SystemConfig,
 
 def _hops(cfg: SystemConfig, waveform: WaveformSpec, position_x: float,
           velocity_x: float, rcs: np.ndarray, power_fraction: float,
-          aps: Sequence[int]) -> list[tuple[float, ...]]:
+          aps: Sequence[int], state: str = "target truth"
+          ) -> list[tuple[float, ...]]:
     """Per AP of `aps`, indices into `cfg`, the floats a sensing epoch reads
     of its hop at the state (position_x, velocity_x): the tuple
     (dx, distance, r00, r01, r10, r11) of dx = position_x - x_l, the
     distance, and the entries of its bound block, the unit-gain `crb_block`
-    over the AP's hop gain."""
+    over the AP's hop gain. A state that is not finite raises ValueError
+    naming it as `state`."""
     if not 0.0 < power_fraction <= 1.0:
         raise ValueError("power_fraction must lie in (0, 1]")
     if not (math.isfinite(position_x) and math.isfinite(velocity_x)):
-        raise ValueError("target truth must be finite")
+        raise ValueError(f"{state} must be finite")
     u00, u01, u10, u11 = waveform.unit_block(cfg).ravel().tolist()
     wavelength, offset = cfg.wavelength, cfg.corridor_offset
     positions, hypot, four_pi = cfg.ap_positions, math.hypot, 4.0 * math.pi
@@ -475,7 +537,8 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
 
     if filter_mean is not None:
         hops = _hops(cfg, waveform, float(filter_mean[0]),
-                     float(filter_mean[1]), rcs, power_fraction, aps)
+                     float(filter_mean[1]), rcs, power_fraction, aps,
+                     "filter mean")
     return MeasurementSet._built(values, block_diagonal(_entry_stack(hops)),
                                  selection)
 
@@ -495,9 +558,12 @@ def _random_selection(available: ApSelection, k: int,
 
 
 def _step_arm(scenario: Scenario, state: SimState, name: str,
-              truth_now: TargetTruth, traffic_on: bool) -> ArmEpoch:
-    """One EKF cycle of a filter arm: predict, then select, synthesize and
-    update if the arm senses this epoch.
+              truth_x: float, traffic_on: bool) -> Action:
+    """One EKF cycle of a filter arm, appended to its columns: predict on
+    Python floats, then select, synthesize and update if the arm senses
+    this epoch. Only a sensing epoch builds arrays and estimates: there
+    `predict` repeats the float step on the prior estimate, with the same
+    helper and so the same bits.
 
     Only an arm that senses reads the selection, cross-section and
     measurement streams, each reset to (seed, stream, epoch) by its
@@ -505,17 +571,21 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
     sections and normals.
     """
     cfg, policy, arm = scenario.system, scenario.policy, _ARMS[name]
-    streams, k = state.streams, state.epoch
-    predicted = predict(state.estimates[name], state.model)
-    variance = angle_variance(cfg, predicted)
+    prior = state.estimates[name]
+    mean_p, mean_v, p00, p01, p11 = _predict_floats(state.model, *prior)
+    p10 = p01
+    variance = _angle_variance(cfg, mean_p, p00)
     action = _SENSING
     if arm.gated:
         action = decide_action(variance, policy)
         if traffic_on:
             action = _NO_SENSING  # data frames carry no sensing signal
-    selection = state.idle_selection
-    estimate = predicted
+    mask = 0  # the empty receive set's, shared by every idle epoch
     if action is _SENSING:
+        streams, k = state.streams, state.epoch
+        entries = np.array(prior)  # the mean, then the covariance
+        predicted = predict(StateEstimate._built(
+            entries[:2], entries[2:].reshape(2, 2)), state.model)
         if arm.receivers == "all":
             selection = state.full_selection
         elif arm.receivers == "random":
@@ -523,29 +593,42 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
                                           policy.subset_cardinality,
                                           streams["selection"].generator(k))
         else:
-            planning = _hops(cfg, state.waveform, float(predicted.mean[0]),
-                             float(predicted.mean[1]), state.planning_rcs,
-                             1.0, state.available.indices)
+            planning = _hops(cfg, state.waveform, mean_p, mean_v,
+                             state.planning_rcs, 1.0, state.available.indices,
+                             "filter mean")
             selection = _lowest_variance(cfg.num_aps, *_score_blocks(
                 cfg, predicted, state.available, policy.subset_cardinality,
                 planning))
         rcs = draw_rcs(streams["rcs"].generator(k), cfg, cfg.num_aps)
         meas = synthesize_measurement(
-            cfg, truth_now, selection, rcs, streams["measurement"].generator(k),
+            cfg, TargetTruth(truth_x, scenario.initial_truth.velocity_x),
+            selection, rcs, streams["measurement"].generator(k),
             waveform=state.waveform, power_fraction=arm.power_fraction,
             filter_mean=predicted.mean)
         estimate = update(predicted, meas, cfg)
-    state.estimates[name] = estimate
-    return ArmEpoch(action, selection, variance, estimate)
+        mask = selection.bitmask
+        (mean_p, mean_v), ((p00, p01), (p10, p11)) = (
+            estimate.mean.tolist(), estimate.covariance.tolist())
+    state.estimates[name] = (mean_p, mean_v, p00, p01, p10, p11)
+    columns = state.log.arms[name]
+    columns.mean_p.append(mean_p)
+    columns.mean_v.append(mean_v)
+    columns.p00.append(p00)
+    columns.p01.append(p01)
+    columns.p11.append(p11)
+    columns.variance.append(variance)
+    columns.action.append(action)
+    columns.bitmask.append(mask)
+    return action
 
 
-def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
-    """Advance every filter arm one epoch and record the outcome.
+def run_epoch(state: SimState, scenario: Scenario) -> EpochStep:
+    """Advance every filter arm one epoch and append it to `state.log`.
 
     The traffic flag comes from `state.traffic_on`, drawn for the whole run
     by `initial_sim_state`; the other streams build a generator only for an
     arm that senses. Each draw is keyed by (seed, stream, epoch), so a
-    skipped stream never shifts another. The record's `rates` stay empty;
+    skipped stream never shifts another. The epoch has no rates until
     `fill_rates` evaluates them over many epochs at once. Raises ValueError
     past the scenario's last epoch; a ValueError raised while an arm steps
     is raised again, of its own type, naming the epoch and the arm.
@@ -554,77 +637,81 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochRecord:
     if k >= scenario.num_epochs:
         raise ValueError(f"epoch {k} is past the scenario's last epoch "
                          f"(num_epochs = {scenario.num_epochs})")
-    truth_now = propagate_truth(state.truth, scenario.system)
+    # propagate_truth's constant-velocity step, on the position alone
+    truth_x = (state.truth_x + scenario.initial_truth.velocity_x
+               * scenario.system.epoch_duration)
     traffic_on = state.traffic_on[k]
 
-    arms = {}
+    actions = []
     for name in state.estimates:
         try:
-            arms[name] = _step_arm(scenario, state, name, truth_now,
-                                   traffic_on)
+            actions.append(_step_arm(scenario, state, name, truth_x,
+                                     traffic_on))
         except ValueError as exc:  # RankDeficientError stays one
             raise type(exc)(f"epoch {k}, {name} arm: {exc}") from exc
 
-    state.truth = truth_now
+    state.log.truth_x.append(truth_x)
+    state.truth_x = truth_x
     state.epoch = k + 1
-    return EpochRecord(epoch=k, truth=truth_now,
-                       traffic_state="ON" if traffic_on else "OFF",
-                       rates={}, arms=arms)
+    return EpochStep(k, actions[0])
 
 
-def fill_rates(scenario: Scenario, records: list[EpochRecord]) -> None:
-    """Fill `rates` of every traffic-ON record, one `steered_links` per
-    method of `scenario.rated_methods`.
+def fill_rates(scenario: Scenario, log: RunLog) -> None:
+    """Set `log.rates`, one `steered_links` call per method of
+    `scenario.rated_methods` over every traffic-ON epoch, and
+    `log.rated_epochs`.
 
     The tracked arm steers full power at its estimate, the conventional arm
     half power at its own, and the perfect bound full power at the truth
     with per-AP angles.
     """
-    on = [r for r in records if r.traffic_state == "ON"]
-    truth_x = [r.truth.position_x for r in on]
+    on = np.flatnonzero(log.traffic_on[:len(log)])
+    truth_x = np.array(log.truth_x)[on]
     for tag in scenario.rated_methods:
         if tag == "perfect":
             position_x, power_fraction, angle_mode = truth_x, 1.0, "per_ap"
         else:
-            position_x = [r.arms[tag].estimate.mean[0] for r in on]
+            position_x = np.array(log.arms[tag].mean_p)[on]
             power_fraction = _ARMS[tag].power_fraction
             angle_mode = scenario.angle_mode
-        snr, rate = steered_links(scenario.system, truth_x, position_x,
-                                  power_fraction, scenario.phase_mode,
-                                  angle_mode)
-        for rec, s, r in zip(on, snr.tolist(), rate.tolist()):
-            rec.rates[tag] = LinkResult(s, r)
+        log.rates[tag] = steered_links(scenario.system, truth_x, position_x,
+                                       power_fraction, scenario.phase_mode,
+                                       angle_mode)
+    log.rated_epochs = on
 
 
 def initial_sim_state(scenario: Scenario) -> SimState:
     """The state before epoch 0, with every epoch's traffic flag drawn. The
     run's waveform evaluates its unit-gain bound block, and checks its grid,
     at the first sensing epoch; every later bound reuses that block."""
-    cfg = scenario.system
+    cfg, est = scenario.system, scenario.initial_estimate
     streams = {name: RngStream(scenario.seed, name) for name in _STREAM_CODES}
-    traffic_on = scenario.traffic.on_flags(np.arange(scenario.num_epochs),
-                                           streams["traffic"])
+    traffic_on = tuple(scenario.traffic.on_flags(
+        np.arange(scenario.num_epochs), streams["traffic"]).tolist())
     planning_rcs = np.full(cfg.num_aps, cfg.mean_rcs)
     planning_rcs.setflags(write=False)
-    return SimState(epoch=0, truth=scenario.initial_truth,
-                    estimates={name: scenario.initial_estimate
-                               for name in _ARMS if name == "proposed"
-                               or name in scenario.comparison_arms},
+    arms = [name for name in _ARMS
+            if name == "proposed" or name in scenario.comparison_arms]
+    initial = (*est.mean.tolist(), *est.covariance.ravel().tolist())
+    return SimState(epoch=0, truth_x=scenario.initial_truth.position_x,
+                    estimates={name: initial for name in arms},
+                    log=RunLog(cfg.num_aps, scenario.initial_truth.velocity_x,
+                               traffic_on, arms),
                     waveform=all_ones_waveform(cfg),
                     model=MotionModel.from_config(cfg),
                     streams=streams,
-                    traffic_on=tuple(traffic_on.tolist()),
-                    idle_selection=ApSelection.empty(cfg.num_aps),
+                    traffic_on=traffic_on,
                     full_selection=ApSelection.full(cfg.num_aps),
                     available=ApSelection.from_indices(
                         cfg.num_aps, available_rx_aps(cfg, scenario.policy)),
                     planning_rcs=planning_rcs)
 
 
-def run_scenario(scenario: Scenario) -> list[EpochRecord]:
-    """Run the epoch loop, then every rate; deterministic given the seed."""
+def run_scenario(scenario: Scenario) -> RunLog:
+    """Run the epoch loop, then every rate; deterministic given the seed.
+    The log's items are the epochs' `EpochRecord`s, built on access."""
     state = initial_sim_state(scenario)
-    records = [run_epoch(state, scenario)
-               for _ in range(scenario.num_epochs)]
-    fill_rates(scenario, records)
-    return records
+    for _ in range(scenario.num_epochs):
+        run_epoch(state, scenario)
+    fill_rates(scenario, state.log)
+    return state.log

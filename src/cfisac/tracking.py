@@ -31,18 +31,13 @@ class StateEstimate:
     @classmethod
     def _built(cls, mean: np.ndarray,
                covariance: np.ndarray) -> "StateEstimate":
-        """An estimate from arrays the filter just built, taken as they are:
-        skips __post_init__, whose copies are for caller input."""
+        """An estimate from float arrays of shapes (2,) and (2, 2) that the
+        filter has just built, taken as they are: skips __post_init__,
+        whose copies are for caller input."""
         est = object.__new__(cls)
-        set_mean, set_covariance = _ESTIMATE_SETTERS
-        set_mean(est, mean)
-        set_covariance(est, covariance)
+        object.__setattr__(est, "mean", mean)
+        object.__setattr__(est, "covariance", covariance)
         return est
-
-
-# The slots' own setters, as for `TargetTruth`, for `_built`.
-_ESTIMATE_SETTERS = (StateEstimate.mean.__set__,
-                     StateEstimate.covariance.__set__)
 
 
 @dataclass(frozen=True)
@@ -111,25 +106,36 @@ class MeasurementSet:
         return meas
 
 
-def predict(est: StateEstimate, model: MotionModel) -> StateEstimate:
-    """Time update: propagate mean and covariance one epoch forward.
+def _predict_floats(model: MotionModel, m0: float, m1: float, p00: float,
+                    p01: float, p10: float, p11: float
+                    ) -> tuple[float, float, float, float, float]:
+    """`predict` on Python floats: the predicted mean (p, v) and the entries
+    P00, P01 = P10 and P11 of the predicted covariance, from the mean
+    (m0, m1) and covariance [[p00, p01], [p10, p11]].
 
-    Closed-form 2x2 arithmetic on Python floats in matmul's operand order:
-    F m, then (F P) F^T + Q, then `_symmetrized`'s halving. Each product is
-    the plainly rounded two-term dot product, which a BLAS kernel without
-    fused multiply-add also computes; one with it can move the last bit.
+    Closed-form 2x2 arithmetic in matmul's operand order: F m, then
+    (F P) F^T + Q, then `_symmetrized`'s halving. Each product is the
+    plainly rounded two-term dot product, which a BLAS kernel without fused
+    multiply-add also computes; one with it can move the last bit.
     """
     (f00, f01, f10, f11), (q00, q01, q10, q11) = model._entries
-    (p00, p01), (p10, p11) = est.covariance.tolist()
-    m0, m1 = est.mean.tolist()
     a00, a01 = f00 * p00 + f01 * p10, f00 * p01 + f01 * p11
     a10, a11 = f10 * p00 + f11 * p10, f10 * p01 + f11 * p11
     c00 = a00 * f00 + a01 * f01 + q00
     c11 = a10 * f10 + a11 * f11 + q11
     off = ((a00 * f10 + a01 * f11 + q01) + (a10 * f00 + a11 * f01 + q10)) / 2.0
-    return StateEstimate._built(
-        np.array([f00 * m0 + f01 * m1, f10 * m0 + f11 * m1]),
-        np.array([[(c00 + c00) / 2.0, off], [off, (c11 + c11) / 2.0]]))
+    return (f00 * m0 + f01 * m1, f10 * m0 + f11 * m1, (c00 + c00) / 2.0, off,
+            (c11 + c11) / 2.0)
+
+
+def predict(est: StateEstimate, model: MotionModel) -> StateEstimate:
+    """Time update: propagate mean and covariance one epoch forward, as
+    `_predict_floats` does."""
+    (p00, p01), (p10, p11) = est.covariance.tolist()
+    m0, m1, c00, off, c11 = _predict_floats(model, *est.mean.tolist(), p00,
+                                            p01, p10, p11)
+    return StateEstimate._built(np.array([m0, m1]),
+                                np.array([[c00, off], [off, c11]]))
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
@@ -192,9 +198,19 @@ def posterior_covariance(prior_cov: np.ndarray, jacobian: np.ndarray,
     return _gain_and_posterior(prior_cov, jacobian, meas_cov)[1]
 
 
+def _finite(values: list[float]) -> bool:
+    return all(map(math.isfinite, values))
+
+
 def update(est: StateEstimate, meas: MeasurementSet,
            cfg: SystemConfig) -> StateEstimate:
-    """Measurement update of a predicted estimate."""
+    """Measurement update of a predicted estimate.
+
+    A posterior mean or covariance that is not finite raises ValueError
+    naming the selection. The innovation is checked before the gain
+    multiplies it, so a measurement at infinity raises that error rather
+    than a numpy warning and a NaN mean.
+    """
     values, jac = _model_and_jacobian(cfg, est.mean, meas.selection)
     innovation = meas.values - np.array(values)
     try:
@@ -204,7 +220,12 @@ def update(est: StateEstimate, meas: MeasurementSet,
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular innovation covariance for APs "
                          f"{meas.selection.indices}") from exc
-    return StateEstimate._built(est.mean + gain @ innovation, cov)
+    if _finite(innovation.tolist()):
+        mean = est.mean + gain @ innovation
+        if _finite(mean.tolist() + cov.ravel().tolist()):
+            return StateEstimate._built(mean, cov)
+    raise ValueError(f"posterior for APs {meas.selection.indices} is not "
+                     f"finite")
 
 
 def angle_estimate_and_variance(cfg: SystemConfig,
@@ -216,5 +237,10 @@ def angle_estimate_and_variance(cfg: SystemConfig,
 
 def angle_variance(cfg: SystemConfig, est: StateEstimate) -> float:
     """First-order error variance of the estimated position's angle."""
-    return est.covariance.item(0) * angle_slope_from_position(
-        cfg, est.mean.item(0)) ** 2
+    return _angle_variance(cfg, est.mean.item(0), est.covariance.item(0))
+
+
+def _angle_variance(cfg: SystemConfig, position_x: float,
+                    position_variance: float) -> float:
+    """`angle_variance` of a position estimate and its variance, as floats."""
+    return position_variance * angle_slope_from_position(cfg, position_x) ** 2

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -148,6 +149,53 @@ class TestLoadScenario:
         exec(example, namespace)
         assert len(namespace["records"]) == namespace["scenario"].num_epochs
         assert namespace["sensed"]
+
+
+# An epochs.csv row rendered from one record, the oracle of the CLI's
+# writer, which reads the run's columns: the state cells of the proposed
+# arm, then one cell per (method, LinkResult field), empty where the record
+# has no such rate.
+ORACLE_STATE_CELLS = "%d" + ",%.17e" * 7 + ",%s,%s,%d"
+ORACLE_LINK_CELLS = (("proposed", "rate"), ("conventional", "rate"),
+                     ("perfect", "rate"), ("proposed", "snr"))
+
+
+def oracle_row(rec) -> str:
+    arm, rates = rec.arms["proposed"], rec.rates
+    est = arm.estimate
+    (var_p, _), (_, var_v) = est.covariance.tolist()
+    template = ORACLE_STATE_CELLS + "".join(
+        ",%.17e" if tag in rates else "," for tag, _ in ORACLE_LINK_CELLS)
+    return template % (
+        rec.epoch, rec.truth.position_x, rec.truth.velocity_x,
+        *est.mean.tolist(), var_p, var_v,
+        arm.predicted_angle_variance, arm.action.value, rec.traffic_state,
+        arm.selection.bitmask,
+        *(getattr(rates[tag], field) for tag, field in ORACLE_LINK_CELLS
+          if tag in rates))
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_epochs_csv_equals_the_per_record_oracle(tmp_path, workload, seed):
+    # the CLI writes epochs.csv from the run's columns; the oracle renders
+    # the records the same run builds on access
+    spec = WORKLOADS[workload]
+    overrides = {**spec["overrides"], "num_epochs": spec["smoke_epochs"]}
+    config = tmp_path / "s.yaml"
+    config.write_text(json.dumps(overrides))
+    assert main(["run", "--config", str(config), "--seed", str(seed),
+                 "--out", str(tmp_path / "out")]) == 0
+    scenario = dataclasses.replace(scenario_from_dict(overrides), seed=seed)
+    records = list(run_scenario(scenario))
+    assert {r.traffic_state for r in records} == {"ON", "OFF"}
+    assert any(r.action is Action.SENSING for r in records)
+    want = [",".join(CSV_COLUMNS)] + [oracle_row(rec) for rec in records]
+    got = (tmp_path / "out" / "epochs.csv").read_text()
+    assert got.endswith("\n")
+    # compared line by line, so that a failure reports the first row that
+    # differs rather than a diff of the whole file
+    assert got.splitlines() == want
 
 
 class TestWriteRecords:
@@ -433,6 +481,23 @@ class TestMainEntry:
         assert capsys.readouterr().err == (
             "runtime error: epoch 0, proposed arm: "
             "sensing gain must have positive power\n")
+
+    def test_non_finite_posterior_names_the_arm(self, tmp_path, capsys):
+        # a transmit power of 1e-300 leaves hop gains so small that the
+        # conventional arm's measurement noise and values overflow; the
+        # update rejects the posterior rather than keep a NaN mean
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text("system: {tx_power: 1.0e-300}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "runtime error: epoch 162, conventional arm: posterior for APs "
+            "(0, 1, 2, 3) is not finite\n")
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
 
     def test_arms_flag(self, tmp_path):
         out = tmp_path / "out"

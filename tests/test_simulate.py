@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import gc
 import inspect
 import json
 import math
 import pickle
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -558,11 +560,12 @@ class TestBoundErrors:
              "position_x": 60.0, "power_fraction": 1.0,
              "waveform": all_ones_waveform(CFG)}
 
-    def check(self, func, fault):
-        overrides, kind, message = FAULTS[fault]
+    def check(self, func, fault, message=None):
+        overrides, kind, default = FAULTS[fault]
         with pytest.raises(Exception) as caught:
             func({**self.VALID, **overrides})
-        assert type(caught.value) is kind and str(caught.value) == message
+        assert type(caught.value) is kind
+        assert str(caught.value) == (message or default)
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_crb_blocks_for_state(self, fault):
@@ -592,7 +595,11 @@ class TestBoundErrors:
                 waveform=v["waveform"], power_fraction=v["power_fraction"],
                 **extra)
 
-        self.check(synthesize, fault)
+        # the bound at the filter mean names the filter mean, not the truth
+        self.check(synthesize, fault,
+                   "filter mean must be finite"
+                   if (fault, via) == ("non_finite_state", "filter_mean")
+                   else None)
 
     @pytest.mark.parametrize("aps, via", [((1, 3), "truth"),
                                           ((1, 4), "truth_blocks")],
@@ -623,7 +630,9 @@ class TestRunEpoch:
                                            np.diag([0.01, 0.01])),
             traffic=TrafficModel(mode="intervals", intervals=()))
         state = initial_sim_state(scenario)
-        record = run_epoch(state, scenario)
+        step = run_epoch(state, scenario)
+        assert step == (0, Action.NO_SENSING)
+        record = state.log[0]
         assert record.action is Action.NO_SENSING
         assert record.arms["proposed"].selection.cardinality == 0
         assert record.estimate.covariance[0, 0] > 0.01  # grew by propagation
@@ -633,7 +642,10 @@ class TestRunEpoch:
         scenario = make_scenario(
             traffic=TrafficModel(mode="intervals", intervals=()))
         state = initial_sim_state(scenario)
-        record = run_epoch(state, scenario)
+        step = run_epoch(state, scenario)
+        assert step.action is Action.SENSING
+        assert step.action.value == "Sensing"
+        record = state.log[step.epoch]
         assert record.action is Action.SENSING
         assert record.arms["proposed"].selection.cardinality == 2
 
@@ -641,8 +653,10 @@ class TestRunEpoch:
         scenario = make_scenario(
             traffic=TrafficModel(mode="intervals", intervals=((0, 40),)))
         state = initial_sim_state(scenario)
-        record = run_epoch(state, scenario)
-        fill_rates(scenario, [record])
+        run_epoch(state, scenario)
+        assert state.log[0].rates == {}
+        fill_rates(scenario, state.log)
+        record = state.log[0]
         assert record.traffic_state == "ON"
         assert record.action is Action.NO_SENSING
         assert set(record.rates) == {"proposed", "conventional", "perfect"}
@@ -656,6 +670,7 @@ class TestRunEpoch:
                            r"scenario's last epoch \(num_epochs = 3\)$"):
             run_epoch(state, scenario)
         assert state.epoch == 3
+        assert len(state.log) == 3
 
 
 class TestRunScenario:
@@ -909,24 +924,37 @@ class TestArmReplay:
 
 
 def test_each_arm_predicts_once_an_epoch(monkeypatch):
-    # selection scores the estimate the arm has already predicted; each
-    # predict is counted against the run's epoch
-    epochs = []
+    # every arm steps its prediction once an epoch, on floats; an arm that
+    # senses builds its predicted estimate with one `predict`, and selection
+    # scores that estimate without predicting again. Each call is counted
+    # against the run's epoch
+    float_steps, estimates = [], []
+    predict_floats = simulate._predict_floats
+
+    def counting_floats(*args):
+        float_steps.append(state.epoch)
+        return predict_floats(*args)
 
     def counting_predict(est, model):
-        epochs.append(state.epoch)
+        estimates.append(state.epoch)
         return predict(est, model)
 
+    monkeypatch.setattr(simulate, "_predict_floats", counting_floats)
     for module in (tracking, sensing, simulate):
         monkeypatch.setattr(module, "predict", counting_predict)
     scenario = make_scenario(num_epochs=30, seed=0,
                              policy=SensingPolicy(1e-9))
     state = initial_sim_state(scenario)
-    records = [run_epoch(state, scenario) for _ in range(scenario.num_epochs)]
+    for _ in range(scenario.num_epochs):
+        run_epoch(state, scenario)
+    records = state.log
     arms = len(records[0].arms)
     assert arms == 3
     assert sum(r.action is Action.SENSING for r in records) > 10
-    assert Counter(epochs) == {k: arms for k in range(scenario.num_epochs)}
+    assert Counter(float_steps) == {k: arms for k in range(scenario.num_epochs)}
+    assert Counter(estimates) == Counter(
+        r.epoch for r in records for a in r.arms.values()
+        if a.action is Action.SENSING)
 
 
 def test_selection_scores_the_bound_stack_without_a_solve(monkeypatch):
@@ -1056,32 +1084,44 @@ class TestStreamReuse:
 class TestOpenLoopRates:
     def test_batched_rates_equal_epoch_by_epoch_rates(self):
         scenario = make_scenario(num_epochs=60, seed=11)
+        cfg = scenario.system
         batched = run_scenario(scenario)
-        state = initial_sim_state(scenario)
-        stepped = [run_epoch(state, scenario) for _ in range(60)]
-        for record in stepped:
-            fill_rates(scenario, [record])
         assert any(rec.rates for rec in batched)
-        for a, b in zip(batched, stepped):
-            assert a.rates == b.rates
+        for rec in batched:
+            assert list(rec.rates) == (list(scenario.rated_methods)
+                                       if rec.traffic_state == "ON" else [])
+            for tag, link in rec.rates.items():
+                if tag == "perfect":
+                    alone = steered_link(cfg, rec.truth, rec.truth.position_x)
+                else:
+                    alone = steered_link(
+                        cfg, rec.truth, float(rec.arms[tag].estimate.mean[0]),
+                        0.5 if tag == "conventional" else 1.0,
+                        scenario.phase_mode, scenario.angle_mode)
+                assert link == alone
 
     def test_idle_epochs_share_one_empty_selection(self):
         scenario = make_scenario(num_epochs=60, seed=11)
         state = initial_sim_state(scenario)
-        records = [run_epoch(state, scenario) for _ in range(60)]
-        idle = [r for r in records if r.action is Action.NO_SENSING]
+        for _ in range(60):
+            run_epoch(state, scenario)
+        arm = state.log.arms["proposed"]
+        idle = [k for k, a in enumerate(arm.action) if a is Action.NO_SENSING]
         assert idle
-        assert all(r.arms["proposed"].selection is state.idle_selection
-                   for r in idle)
-        assert state.idle_selection.bitmask == 0
+        assert all(arm.bitmask[k] == 0 for k in idle)
+        assert all(state.log[k].arms["proposed"].selection
+                   == ApSelection.empty(CFG.num_aps) for k in idle)
 
     def test_conventional_epochs_share_one_full_selection(self):
         scenario = make_scenario(num_epochs=60, seed=11)
         state = initial_sim_state(scenario)
-        records = [run_epoch(state, scenario) for _ in range(60)]
-        sensing = [r.arms["conventional"] for r in records]
-        assert all(a.action is Action.SENSING for a in sensing)
-        assert all(a.selection is state.full_selection for a in sensing)
+        for _ in range(60):
+            run_epoch(state, scenario)
+        arm = state.log.arms["conventional"]
+        assert all(a is Action.SENSING for a in arm.action)
+        assert arm.bitmask == [state.full_selection.bitmask] * 60
+        assert all(r.arms["conventional"].selection == state.full_selection
+                   for r in state.log)
         assert state.full_selection == ApSelection.full(CFG.num_aps)
 
 
@@ -1121,17 +1161,23 @@ PER_EPOCH_VALUES = ("EpochRecord", "ArmEpoch", "StateEstimate",
 
 @pytest.fixture(scope="module")
 def per_epoch_values():
-    """One instance of each per-epoch value type, the filter's own
-    `_built` estimates included."""
+    """One instance of each per-epoch value type: the records as the run's
+    log builds them on access, and the filter's own `_built` estimates."""
     records = run_scenario(make_scenario(num_epochs=30, seed=3))
     record = next(r for r in records if r.rates)
     model = MotionModel.from_config(CFG)
+    predicted = predict(record.estimate, model)
+    meas = synthesize_measurement(
+        CFG, record.truth, ApSelection.full(CFG.num_aps),
+        np.full(CFG.num_aps, CFG.mean_rcs),
+        RngStream(3, "measurement").generator(0),
+        waveform=all_ones_waveform(CFG), filter_mean=predicted.mean)
     return {
         "EpochRecord": record,
         "ArmEpoch": record.arms["conventional"],
         "StateEstimate": StateEstimate([1.0, 2.0], np.eye(2)),
-        "StateEstimate._built by predict": predict(record.estimate, model),
-        "StateEstimate._built by update": record.arms["conventional"].estimate,
+        "StateEstimate._built by predict": predicted,
+        "StateEstimate._built by update": update(predicted, meas, CFG),
         "LinkResult": record.rates["proposed"],
         "TargetTruth": record.truth,
     }
@@ -1166,9 +1212,9 @@ class TestSlottedRecords:
             assert same_value(again, value)
 
 
-# The per-epoch types whose __init__ is written by hand to set the slots
-# directly, each with distinct field values.
-HAND_WRITTEN_INIT = {
+# The per-epoch types the run's log builds on access, each with distinct
+# field values.
+RECORD_FIELDS = {
     TargetTruth: (1.5, -2.25),
     simulate.ArmEpoch: (Action.SENSING, ApSelection.full(4), 0.125,
                         StateEstimate([1.0, 2.0], np.eye(2))),
@@ -1179,14 +1225,14 @@ HAND_WRITTEN_INIT = {
 
 
 class TestRecordConstruction:
-    """The records' hand-written __init__ and `StateEstimate._built` set
-    the slots directly, skipping the frozen `__setattr__`: each value must
-    land in its own field."""
+    """The record types check and convert nothing, and `StateEstimate._built`
+    skips the public constructor: each value must land in its own field,
+    and each record of a run's log is its epoch's entry of every column."""
 
-    @pytest.mark.parametrize("cls", HAND_WRITTEN_INIT,
+    @pytest.mark.parametrize("cls", RECORD_FIELDS,
                              ids=lambda cls: cls.__name__)
     def test_each_value_lands_in_its_own_field(self, cls):
-        values = HAND_WRITTEN_INIT[cls]
+        values = RECORD_FIELDS[cls]
         names = [f.name for f in dataclasses.fields(cls)]
         assert list(inspect.signature(cls).parameters) == names
         for value in (cls(*values), cls(**dict(zip(names, values)))):
@@ -1201,6 +1247,40 @@ class TestRecordConstruction:
         assert same_value(est, StateEstimate(*values))
         for f, value in zip(dataclasses.fields(est), values):
             assert getattr(est, f.name) is value
+
+    def test_each_record_reads_its_epoch_of_the_columns(self):
+        log = run_scenario(make_scenario(num_epochs=30, seed=3))
+        assert isinstance(log, simulate.RunLog) and len(log) == 30
+        assert any(r.rates for r in log)
+        on = 0
+        for k, rec in enumerate(log):
+            assert rec.epoch == k
+            assert rec.truth == TargetTruth(log.truth_x[k], log.velocity_x)
+            assert rec.traffic_state == ("ON" if log.traffic_on[k] else "OFF")
+            assert list(rec.arms) == list(log.arms)
+            for name, arm in rec.arms.items():
+                columns = log.arms[name]
+                p01 = columns.p01[k]
+                assert arm.action is columns.action[k]
+                assert arm.selection == ApSelection.from_bitmask(
+                    CFG.num_aps, columns.bitmask[k])
+                assert arm.predicted_angle_variance == columns.variance[k]
+                assert arm.estimate.mean.tolist() == [columns.mean_p[k],
+                                                      columns.mean_v[k]]
+                assert arm.estimate.covariance.tolist() == [
+                    [columns.p00[k], p01], [p01, columns.p11[k]]]
+            if log.traffic_on[k]:
+                assert log.rated_epochs[on] == k
+                assert rec.rates == {
+                    tag: comms.LinkResult(float(snr[on]), float(rate[on]))
+                    for tag, (snr, rate) in log.rates.items()}
+                on += 1
+        assert on == len(log.rated_epochs)
+        assert [r.epoch for r in log[-3:]] == [27, 28, 29]
+        assert same_value(log[-1], log[29]) and same_value(log[0], log[-30])
+        for k in (30, -31):
+            with pytest.raises(IndexError):
+                log[k]
 
     @pytest.mark.parametrize("name", ["StateEstimate._built by predict",
                                       "StateEstimate._built by update"])
@@ -1223,16 +1303,40 @@ class TestRecordConstruction:
                 assert type(link.snr) is float and type(link.rate) is float
 
 
+def test_run_log_holds_at_most_400_bytes_an_epoch():
+    # the heap a long run's log keeps: what deleting it frees. Per-epoch
+    # record objects held about 1010 bytes an epoch here; the columns hold
+    # a few floats, two pointers and the rates
+    workloads = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                            / "workloads.json").read_text())
+    scenario = scenario_from_dict(workloads["long_sparse"]["overrides"])
+    assert scenario.num_epochs == 5000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        log = run_scenario(scenario)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+        assert len(log) == scenario.num_epochs and log.rates
+        del log
+        gc.collect()
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (held - left) / scenario.num_epochs <= 400
+
+
 @pytest.mark.parametrize("p00", [math.nan, -1.0])
 def test_traffic_on_epoch_still_checks_the_predicted_variance(monkeypatch,
                                                               p00):
-    # traffic overrides the action only after decide_action has checked it
+    # traffic overrides the action only after decide_action has checked the
+    # variance of the float prediction an idle epoch makes
     scenario = make_scenario(traffic=TrafficModel(mode="intervals",
                                                   intervals=((0, 40),)))
     state = initial_sim_state(scenario)
     assert state.traffic_on[0]
-    monkeypatch.setattr(simulate, "predict", lambda est, model: StateEstimate(
-        [0.0, 25.0], [[p00, 0.0], [0.0, 1.0]]))
+    monkeypatch.setattr(simulate, "_predict_floats",
+                        lambda model, *prior: (0.0, 25.0, p00, 0.0, 1.0))
     with pytest.raises(ValueError,
                        match=r"^epoch 0, proposed arm: .*predicted variance"):
         run_epoch(state, scenario)

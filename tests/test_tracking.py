@@ -227,6 +227,23 @@ class TestUpdate:
         assert str(caught.value) == (
             "singular innovation covariance for APs (1,)")
 
+    @pytest.mark.parametrize("value, noise", [
+        (-np.inf, np.inf), (np.nan, 30.0), (np.inf, 30.0)],
+        ids=["infinite_noise_and_value", "nan_value", "infinite_value"])
+    def test_non_finite_posterior_names_the_selection(self, value, noise):
+        # a measurement at infinity, as a hop gain that underflows gives,
+        # once left a NaN mean behind a numpy RuntimeWarning; pytest turns
+        # that warning into an error here (pyproject.toml), so none may be
+        # raised
+        sel = ApSelection.from_indices(CFG.num_aps, [1, 2])
+        prior = estimate([40.75, 25.0], [[102.7, 1.63], [1.63, 1.0]])
+        vals = measurement_model(CFG, prior.mean, sel)
+        vals[3] = value
+        cov = np.diag([2.0, 30.0, 2.0, noise])
+        with pytest.raises(ValueError) as caught:
+            update(prior, MeasurementSet(vals, cov, sel), CFG)
+        assert str(caught.value) == "posterior for APs (1, 2) is not finite"
+
     def test_deterministic(self):
         sel = ApSelection.from_indices(CFG.num_aps, [0, 1])
         prior = estimate([100.0, 20.0], np.diag([50.0, 2.0]))
