@@ -10,7 +10,7 @@ import math
 import sys
 from array import array
 from datetime import datetime, timezone
-from itertools import chain, count, groupby, repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -452,10 +452,9 @@ def _rate_svg(log: RunLog) -> str:
     n = len(log)
     colors = {"proposed": "#1f77b4", "conventional": "#ff7f0e",
               "perfect": "#2ca02c"}
-    rates = {t: log.rates[t][_RATE].tolist() for t in colors
+    rates = {t: log.rates[t][_RATE] for t in colors
              if t in log.rates and len(log.rates[t][_RATE])}
-    tags = list(rates)
-    hi = max(map(max, rates.values())) * 1.1 if rates else 1.0
+    hi = max(float(r.max()) for r in rates.values()) * 1.1 if rates else 1.0
     to_x = _scaler(0, max(n - 1, 1), _MARGIN_L, _WIDTH - _MARGIN_R)
     to_y = _scaler(0.0, hi, _HEIGHT - _MARGIN_B, _MARGIN_T)
 
@@ -471,18 +470,22 @@ def _rate_svg(log: RunLog) -> str:
         elems.append(f'<text x="{_MARGIN_L - 8}" y="{y + 4:.2f}" '
                      f'text-anchor="end" font-size="11">{v:.1f}</text>')
 
-    for idx, tag in enumerate(tags):
-        # One polyline per run of rated epochs; a lone point gets a dot.
-        values = iter(rates[tag])
-        for rated, run in groupby(range(n), key=log.traffic_on.__getitem__):
-            if not rated:
-                continue
-            segment = [v for k in run for v in (to_x(k), to_y(next(values)))]
-            if len(segment) > 2:
-                elems.append(_polyline(segment, colors[tag]))
+    # One polyline per run of consecutive rated epochs; a lone point gets a
+    # dot. The pixels are mapped on arrays, as in _variance_svg.
+    epochs = log.rated_epochs
+    bounds = [0, *(np.flatnonzero(np.diff(epochs) != 1) + 1).tolist(),
+              len(epochs)]
+    xs = to_x(epochs).tolist()
+    for idx, (tag, values) in enumerate(rates.items()):
+        ys = to_y(values).tolist()
+        for start, end in zip(bounds, bounds[1:]):
+            if end - start > 1:
+                points = zip(xs[start:end], ys[start:end])
+                elems.append(_polyline([v for xy in points for v in xy],
+                                       colors[tag]))
             else:
-                x, y = segment
-                elems.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" '
+                elems.append(f'<circle cx="{xs[start]:.2f}" '
+                             f'cy="{ys[start]:.2f}" r="2" '
                              f'fill="{colors[tag]}"/>')
         elems.append(f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 14 + 14 * idx}" '
                      f'font-size="12" fill="{colors[tag]}">{tag}</text>')

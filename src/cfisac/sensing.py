@@ -16,8 +16,8 @@ from .crb import (CrbBlock, assemble_measurement_covariance,
                   range_velocity_blocks)
 from .geometry import angle_slope_from_position
 from .selection import ApSelection
-from .tracking import (MotionModel, StateEstimate, measurement_jacobian,
-                       posterior_covariance, predict)
+from .tracking import (MotionModel, StateEstimate, _linearize,
+                       measurement_jacobian, posterior_covariance, predict)
 
 __all__ = [
     "Action", "ApSelection", "SensingPolicy", "hpbw",
@@ -167,52 +167,38 @@ def score_subsets(cfg: SystemConfig, predicted: StateEstimate,
                                          available_rx_aps(cfg, policy))
     blocks = range_velocity_blocks(crbs, available.indices)
     return _score_blocks(cfg, predicted, available, policy.subset_cardinality,
-                         _hops_from_blocks(cfg, float(predicted.mean[0]),
-                                           available.indices, blocks))
-
-
-def _hops_from_blocks(cfg: SystemConfig, position_x: float,
-                      aps: Sequence[int], blocks: np.ndarray
-                      ) -> list[tuple[float, ...]]:
-    """Per AP of `aps`, the hop tuple (dx, distance, r00, r01, r10, r11)
-    of `simulate`'s bound pass at `position_x`, with the block entries read
-    from the caller's (len(aps), 2, 2) stack `blocks`."""
-    offset = cfg.corridor_offset
-    hops = []
-    for ap, entries in zip(aps, blocks.reshape(-1, 4).tolist()):
-        dx = position_x - cfg.ap_x(ap)
-        hops.append((dx, math.hypot(dx, offset), *entries))
-    return hops
+                         _linearize(cfg, *predicted.mean.tolist(),
+                                    available.indices),
+                         blocks.ravel().tolist())
 
 
 def _score_blocks(cfg: SystemConfig, predicted: StateEstimate,
                   available: ApSelection, k: int,
-                  hops: Sequence[tuple[float, ...]]
+                  rows: Sequence[tuple[float, ...]], entries: Sequence[float]
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """`score_subsets` over `hops`, one tuple (dx, distance, r00, r01, r10,
-    r11) per available AP in ascending AP order: its offset p_x - x_l and
-    distance at the predicted mean, and the entries of its bound block R_l.
+    """`score_subsets` over the available APs in ascending AP order: their
+    `_linearize` rows at the predicted mean, and the entries r00, r01, r10,
+    r11 of each AP's bound block R_l in turn.
 
     Scored in information form in closed-form 2x2 arithmetic: each AP's
-    Jacobian J_l is that of `measurement_jacobian`, built from its dx and
-    distance, and its I_l = J_l^T R_l^-1 J_l is three floats (s00, s01,
+    Jacobian J_l is that of `measurement_jacobian`, read from its row,
+    and its I_l = J_l^T R_l^-1 J_l is three floats (s00, s01,
     s11); a subset sums them to S, and leaves P00 of (I + P S)^-1 P,
     needing no P^-1. With M = I + P S that is (m11 p00 - m01 p10) / det M,
     evaluated with the terms that cancel taken out, which keeps a strongly
     correlated P within a few ulp: the numerator is p00 + S11 det P and
     det M = 1 + tr(P S) + det P det S.
     """
-    # over dist^3, the radial velocity's derivative along p_x
-    velocity_slope = float(predicted.mean[1]) * cfg.corridor_offset ** 2
     j01 = 0.0  # the range does not depend on the velocity
     info = []
-    for ap, (dx, dist, r00, r01, r10, r11) in zip(available.indices, hops):
+    for ap, (_, _, j00, j10), r00, r01, r10, r11 in zip(
+            available.indices, rows, entries[0::4], entries[1::4],
+            entries[2::4], entries[3::4]):
         det = r00 * r11 - r01 * r10
         if not (r00 > 0 and det > 0):  # also a NaN block
             raise ValueError(
                 f"bound block of AP {ap} is not positive definite")
-        j00 = j11 = dx / dist
-        j10 = velocity_slope / dist ** 3
+        j11 = j00
         # R^-1 = [[w00, w01], [w01, w11]], and a = J^T R^-1
         w00, w01, w11 = r11 / det, -r01 / det, r00 / det
         a00, a01 = j00 * w00 + j10 * w01, j00 * w01 + j10 * w11

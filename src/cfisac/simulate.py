@@ -33,11 +33,11 @@ from .crb import (CrbBlock, WaveformSpec, all_ones_waveform, block_diagonal,
                   range_velocity_blocks)
 from .geometry import TargetTruth
 from .selection import ApSelection
-from .sensing import (Action, SensingPolicy, _hops_from_blocks,
-                      _lowest_variance, _score_blocks, available_rx_aps,
-                      decide_action)
+from .sensing import (Action, SensingPolicy, _lowest_variance, _score_blocks,
+                      available_rx_aps, decide_action)
 from .tracking import (MeasurementSet, MotionModel, StateEstimate,
-                       _angle_variance, _predict_floats, predict, update)
+                       _angle_variance, _linearize, _predict_floats, predict,
+                       update)
 
 COMPARISON_ARMS = ("conventional", "random", "perfect")
 
@@ -302,6 +302,11 @@ class ArmColumns:
                         StateEstimate([self.mean_p[k], self.mean_v[k]],
                                       [[self.p00[k], p01], [p01, self.p11[k]]]))
 
+    def _truncate(self, n: int) -> None:
+        """Drop every column's entries past the first n."""
+        for column in vars(self).values():
+            del column[n:]
+
 
 class RunLog(Sequence):
     """A run as columns, and as a sequence of `EpochRecord`s built on access.
@@ -407,13 +412,12 @@ def draw_rcs(rng: np.random.Generator, cfg: SystemConfig,
 def _hops(cfg: SystemConfig, waveform: WaveformSpec, position_x: float,
           velocity_x: float, rcs: np.ndarray, power_fraction: float,
           aps: Sequence[int], state: str = "target truth"
-          ) -> list[tuple[float, ...]]:
-    """Per AP of `aps`, indices into `cfg`, the floats a sensing epoch reads
-    of its hop at the state (position_x, velocity_x): the tuple
-    (dx, distance, r00, r01, r10, r11) of dx = position_x - x_l, the
-    distance, and the entries of its bound block, the unit-gain `crb_block`
-    over the AP's hop gain. A state that is not finite raises ValueError
-    naming it as `state`."""
+          ) -> tuple[list[tuple[float, ...]], list[float]]:
+    """The floats a sensing epoch reads of the hops of `aps`, indices into
+    `cfg`, at the state (position_x, velocity_x): the `_linearize` rows,
+    and the entries r00, r01, r10, r11 of each AP's bound block in turn,
+    the unit-gain `crb_block` over the AP's hop gain. A state that is not
+    finite raises ValueError naming it as `state`."""
     if not 0.0 < power_fraction <= 1.0:
         raise ValueError("power_fraction must lie in (0, 1]")
     if not (math.isfinite(position_x) and math.isfinite(velocity_x)):
@@ -426,10 +430,8 @@ def _hops(cfg: SystemConfig, waveform: WaveformSpec, position_x: float,
     scale = ((wavelength / (four_pi * dist)) ** 2
              * 2.0 * math.pi / wavelength ** 2
              * power_fraction * cfg.tx_power * cfg.antennas_per_ap)
-    hops = []
-    for ap in aps:
-        dx = position_x - positions[ap][0]
-        dist = hypot(dx, offset)
+    rows, entries = _linearize(cfg, position_x, velocity_x, aps), []
+    for ap, (dist, _, _, _) in zip(aps, rows):
         cross_section = float(rcs[ap])
         if cross_section < 0:
             raise ValueError("rcs must be nonnegative")
@@ -437,17 +439,8 @@ def _hops(cfg: SystemConfig, waveform: WaveformSpec, position_x: float,
                 * cross_section * cross_section)
         if not gain > 0:  # also a NaN cross section
             raise ValueError("sensing gain must have positive power")
-        hops.append((dx, dist, u00 / gain, u01 / gain, u10 / gain,
-                     u11 / gain))
-    return hops
-
-
-def _entry_stack(hops: list[tuple[float, ...]]) -> np.ndarray:
-    """The (len(hops), 2, 2) stack of the hops' bound blocks."""
-    entries = []
-    for hop in hops:
-        entries += hop[2:]
-    return np.array(entries).reshape(-1, 2, 2)
+        entries += (u00 / gain, u01 / gain, u10 / gain, u11 / gain)
+    return rows, entries
 
 
 def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
@@ -471,8 +464,9 @@ def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
     result. The FFT-based crb_delay_doppler is the general-grid reference it
     is tested against.
     """
-    stack = _entry_stack(_hops(cfg, waveform, position_x, velocity_x, rcs,
-                               power_fraction, range(cfg.num_aps)))
+    stack = np.array(_hops(cfg, waveform, position_x, velocity_x, rcs,
+                           power_fraction, range(cfg.num_aps))[1]
+                     ).reshape(-1, 2, 2)
     return [CrbBlock(block, ap) for ap, block in enumerate(stack)]
 
 
@@ -521,14 +515,15 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
     aps = selection.indices
     v_x = truth.velocity_x
     if truth_blocks is None:
-        hops = _hops(cfg, waveform, truth.position_x, v_x, rcs,
-                     power_fraction, aps)
+        rows, entries = _hops(cfg, waveform, truth.position_x, v_x, rcs,
+                              power_fraction, aps)
     else:
-        hops = _hops_from_blocks(cfg, truth.position_x, aps,
-                                 range_velocity_blocks(truth_blocks, aps))
+        rows = _linearize(cfg, truth.position_x, v_x, aps)
+        entries = range_velocity_blocks(truth_blocks, aps).ravel().tolist()
     values, factors = [], []
-    for ap, (dx, dist, r00, _, r10, r11) in zip(aps, hops):
-        values += (dist, dx * v_x / dist)
+    for ap, (dist, radial, _, _), r00, r10, r11 in zip(
+            aps, rows, entries[0::4], entries[2::4], entries[3::4]):
+        values += (dist, radial)
         factors += _noise_factor(ap, r00, r10, r11)
     normals = rng.standard_normal((cfg.num_aps, 2, 1))
     values = np.array(values)
@@ -536,11 +531,12 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
                @ normals.take(aps, axis=0)).reshape(-1)
 
     if filter_mean is not None:
-        hops = _hops(cfg, waveform, float(filter_mean[0]),
-                     float(filter_mean[1]), rcs, power_fraction, aps,
-                     "filter mean")
-    return MeasurementSet._built(values, block_diagonal(_entry_stack(hops)),
-                                 selection)
+        entries = _hops(cfg, waveform, float(filter_mean[0]),
+                        float(filter_mean[1]), rcs, power_fraction, aps,
+                        "filter mean")[1]
+    return MeasurementSet._built(
+        values, block_diagonal(np.array(entries).reshape(-1, 2, 2)),
+        selection)
 
 
 def _random_selection(available: ApSelection, k: int,
@@ -598,7 +594,7 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
                              "filter mean")
             selection = _lowest_variance(cfg.num_aps, *_score_blocks(
                 cfg, predicted, state.available, policy.subset_cardinality,
-                planning))
+                *planning))
         rcs = draw_rcs(streams["rcs"].generator(k), cfg, cfg.num_aps)
         meas = synthesize_measurement(
             cfg, TargetTruth(truth_x, scenario.initial_truth.velocity_x),
@@ -631,7 +627,9 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochStep:
     skipped stream never shifts another. The epoch has no rates until
     `fill_rates` evaluates them over many epochs at once. Raises ValueError
     past the scenario's last epoch; a ValueError raised while an arm steps
-    is raised again, of its own type, naming the epoch and the arm.
+    is raised again, of its own type, naming the epoch and the arm. An
+    epoch that raises leaves `state.log` and `state.estimates` as they were
+    before it, so a retry steps that epoch again.
     """
     k = state.epoch
     if k >= scenario.num_epochs:
@@ -642,13 +640,19 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochStep:
                * scenario.system.epoch_duration)
     traffic_on = state.traffic_on[k]
 
-    actions = []
-    for name in state.estimates:
-        try:
+    estimates, actions = state.estimates.copy(), []
+    try:
+        for name in estimates:
             actions.append(_step_arm(scenario, state, name, truth_x,
                                      traffic_on))
-        except ValueError as exc:  # RankDeficientError stays one
+    except BaseException as exc:
+        # the arms that stepped before the failing one commit nothing either
+        state.estimates.update(estimates)
+        for columns in state.log.arms.values():
+            columns._truncate(len(state.log))
+        if isinstance(exc, ValueError):  # RankDeficientError stays one
             raise type(exc)(f"epoch {k}, {name} arm: {exc}") from exc
+        raise
 
     state.log.truth_x.append(truth_x)
     state.truth_x = truth_x

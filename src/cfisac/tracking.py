@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,40 +148,55 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return np.array([[(a + a) / 2.0, off], [off, (d + d) / 2.0]])
 
 
-def _model_and_jacobian(cfg: SystemConfig, state_mean: np.ndarray,
-                        selection: ApSelection
-                        ) -> tuple[list[float], list[float]]:
-    """`measurement_model` and `measurement_jacobian` of one state, as flat
-    lists, from one pass over the selected APs."""
-    if selection.cardinality == 0:
+def _linearize(cfg: SystemConfig, position_x: float, velocity_x: float,
+               aps: Sequence[int]) -> list[tuple[float, float, float, float]]:
+    """Per AP of `aps`, the row (range, radial velocity, cosine, slope) at
+    the state (position_x, velocity_x): with dx = position_x - x_l, the
+    range d = hypot(dx, p_y), the radial velocity dx v_x / d, and the
+    Jacobian [[cosine, 0], [slope, cosine]] of the pair with respect to
+    [p_x, v_x], where cosine = dx / d and slope = v_x p_y^2 / d^3. The
+    tracker, the AP scorer and the measurement synthesizer read their model
+    values and Jacobians from these rows."""
+    if not aps:
         raise ValueError("no sensing receivers selected")
-    p_x, v_x = float(state_mean[0]), float(state_mean[1])
-    p_y = cfg.corridor_offset
-    # over dist^3, the radial velocity's derivative along p_x
-    velocity_slope = v_x * p_y ** 2
-    values, jac = [], []
-    for ap in selection.indices:
-        dx = p_x - cfg.ap_x(ap)
-        dist = math.hypot(dx, p_y)
+    p_y, positions, hypot = cfg.corridor_offset, cfg.ap_positions, math.hypot
+    # A power past the float range is inf, as in IEEE arithmetic, not
+    # Python's OverflowError: a state that far out reaches the hop-gain
+    # check of `simulate._hops`, which names the fault
+    try:
+        # over dist^3, the radial velocity's derivative along p_x
+        velocity_slope = velocity_x * p_y ** 2
+    except OverflowError:
+        velocity_slope = velocity_x * math.inf
+    rows = []
+    for ap in aps:
+        dx = position_x - positions[ap][0]
+        dist = hypot(dx, p_y)
         if dist == 0.0:
             raise ValueError(f"zero range to AP {ap}: jacobian is singular")
-        cosine = dx / dist
-        values += (dist, dx * v_x / dist)
-        jac += (cosine, 0.0, velocity_slope / dist ** 3, cosine)
-    return values, jac
+        try:
+            cube = dist ** 3
+        except OverflowError:
+            cube = math.inf
+        rows.append((dist, dx * velocity_x / dist, dx / dist,
+                     velocity_slope / cube))
+    return rows
 
 
 def measurement_model(cfg: SystemConfig, state_mean: np.ndarray,
                       selection: ApSelection) -> np.ndarray:
     """Noiseless (range, radial velocity) per selected AP, ascending index."""
-    return np.array(_model_and_jacobian(cfg, state_mean, selection)[0])
+    rows = _linearize(cfg, float(state_mean[0]), float(state_mean[1]),
+                      selection.indices)
+    return np.array([value for row in rows for value in row[:2]])
 
 
 def measurement_jacobian(cfg: SystemConfig, state_mean: np.ndarray,
                          selection: ApSelection) -> np.ndarray:
     """Gradient of measurement_model with respect to [p_x, v_x]."""
-    jac = _model_and_jacobian(cfg, state_mean, selection)[1]
-    return np.array(jac).reshape(-1, 2)
+    rows = _linearize(cfg, float(state_mean[0]), float(state_mean[1]),
+                      selection.indices)
+    return np.array([(c, 0.0, s, c) for _, _, c, s in rows]).reshape(-1, 2)
 
 
 def _gain_and_posterior(prior_cov: np.ndarray, jacobian: np.ndarray,
@@ -211,7 +227,11 @@ def update(est: StateEstimate, meas: MeasurementSet,
     multiplies it, so a measurement at infinity raises that error rather
     than a numpy warning and a NaN mean.
     """
-    values, jac = _model_and_jacobian(cfg, est.mean, meas.selection)
+    values, jac = [], []
+    for dist, radial, cosine, slope in _linearize(cfg, *est.mean.tolist(),
+                                                  meas.selection.indices):
+        values += (dist, radial)
+        jac += (cosine, 0.0, slope, cosine)
     innovation = meas.values - np.array(values)
     try:
         gain, cov = _gain_and_posterior(est.covariance,

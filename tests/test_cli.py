@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import warnings
 from datetime import datetime, timezone
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,48 @@ def long_run():
     scenario = scenario_from_dict(WORKLOADS["long_sparse"]["overrides"])
     assert scenario.num_epochs == 5000
     return scenario, run_scenario(scenario)
+
+
+def rate_svg_per_point(log):
+    """`cli._rate_svg` mapping each rated point through the scalers on
+    Python floats, one run of traffic-ON epochs at a time."""
+    n = len(log)
+    colors = {"proposed": "#1f77b4", "conventional": "#ff7f0e",
+              "perfect": "#2ca02c"}
+    rates = {t: log.rates[t][1].tolist() for t in colors
+             if t in log.rates and len(log.rates[t][1])}
+    hi = max(map(max, rates.values())) * 1.1 if rates else 1.0
+    to_x = cli._scaler(0, max(n - 1, 1), cli._MARGIN_L,
+                       cli._WIDTH - cli._MARGIN_R)
+    to_y = cli._scaler(0.0, hi, cli._HEIGHT - cli._MARGIN_B, cli._MARGIN_T)
+    elems = cli._axes("epoch", "instantaneous rate [bit/symbol]")
+    for k in range(0, n, max(1, n // 8)):
+        elems.append(f'<text x="{to_x(k):.2f}" '
+                     f'y="{cli._HEIGHT - cli._MARGIN_B + 16}" '
+                     f'text-anchor="middle" font-size="11">{k}</text>')
+    for i in range(6):
+        v = hi * i / 5
+        elems.append(f'<text x="{cli._MARGIN_L - 8}" y="{to_y(v) + 4:.2f}" '
+                     f'text-anchor="end" font-size="11">{v:.1f}</text>')
+    for idx, tag in enumerate(rates):
+        values = iter(rates[tag])
+        for rated, run in groupby(range(n), key=log.traffic_on.__getitem__):
+            if not rated:
+                continue
+            segment = [v for k in run for v in (to_x(k), to_y(next(values)))]
+            if len(segment) > 2:
+                coords = " ".join(["%.2f,%.2f"] * (len(segment) // 2))
+                elems.append(f'<polyline fill="none" stroke="{colors[tag]}" '
+                             f'stroke-width="1.5" points="'
+                             f'{coords % tuple(segment)}"/>')
+            else:
+                x, y = segment
+                elems.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" '
+                             f'fill="{colors[tag]}"/>')
+        elems.append(f'<text x="{cli._MARGIN_L + 8}" '
+                     f'y="{cli._MARGIN_T + 14 + 14 * idx}" '
+                     f'font-size="12" fill="{colors[tag]}">{tag}</text>')
+    return cli._svg(elems)
 
 
 class TestLoadScenario:
@@ -366,6 +409,34 @@ class TestEmitPlots:
                                                for i in range(len(rated))]
         # one colour per method, on its legend entry and its traces alone
         assert len(set(re.findall(r'"(#[0-9a-f]{6})"', svg))) == len(rated)
+
+    @pytest.mark.parametrize("overrides", [
+        {"num_epochs": 40},
+        {"num_epochs": 12,
+         "traffic": {"mode": "intervals", "intervals": [[5, 6]]}},
+        {"num_epochs": 12,
+         "traffic": {"mode": "intervals", "intervals": [[0, 12]]}},
+        {"num_epochs": 12, "traffic": {"mode": "intervals", "intervals": []}},
+        {"num_epochs": 1,
+         "traffic": {"mode": "intervals", "intervals": [[0, 1]]}},
+    ], ids=["bernoulli", "one_epoch_interval", "all_on", "all_off",
+            "one_epoch_run"])
+    def test_rate_plot_matches_a_per_point_reference(self, overrides):
+        scenario = scenario_from_dict(overrides)
+        log = run_scenario(scenario)
+        on = (False, *log.traffic_on, False)
+        lone = [k for k in range(len(log))
+                if on[k + 1] and not (on[k] or on[k + 2])]
+        svg = cli._rate_svg(log)
+        # a lone ON epoch is a dot of each of the three rated methods
+        assert svg.count("<circle") == 3 * len(lone)
+        if overrides["num_epochs"] == 40:
+            assert lone and len(lone) < sum(on)
+        assert svg == rate_svg_per_point(log)
+
+    def test_long_rate_plot_matches_a_per_point_reference(self, long_run):
+        _, log = long_run
+        assert cli._rate_svg(log) == rate_svg_per_point(log)
 
     def test_all_off_traffic_still_emits_rate_plot(self, tmp_path):
         scenario = dataclasses.replace(

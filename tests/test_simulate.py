@@ -507,8 +507,9 @@ def test_planning_scores_equal_score_subsets_of_the_bound_list(monkeypatch,
     state = initial_sim_state(scenario)
     score_blocks, scored = simulate._score_blocks, []
 
-    def checking(cfg, predicted, available, k, hops):
-        subsets, variances = score_blocks(cfg, predicted, available, k, hops)
+    def checking(cfg, predicted, available, k, rows, entries):
+        subsets, variances = score_blocks(cfg, predicted, available, k, rows,
+                                          entries)
         planning = crb_blocks_for_state(
             cfg, state.waveform, float(predicted.mean[0]),
             float(predicted.mean[1]), state.planning_rcs)
@@ -535,6 +536,9 @@ FAULTS = {
                 "sensing gain must have positive power"),
     "non_finite_state": ({"position_x": math.nan}, ValueError,
                          "target truth must be finite"),
+    # d^3 overflows a float this far out; the hop gain underflows to zero
+    "far_state": ({"position_x": 1e110}, ValueError,
+                  "sensing gain must have positive power"),
     "zero_power_fraction": ({"power_fraction": 0.0}, ValueError,
                             "power_fraction must lie in (0, 1]"),
     "large_power_fraction": ({"power_fraction": 1.5}, ValueError,
@@ -1362,11 +1366,22 @@ def test_stepping_error_names_the_epoch_and_the_arm(monkeypatch, error):
     monkeypatch.setattr(simulate, "update", failing_update)
     scenario = make_scenario(policy=SensingPolicy(1e9),
                              comparison_arms=("conventional",))
-    with pytest.raises(error) as caught:
-        run_scenario(scenario)
-    assert type(caught.value) is error
-    assert calls == [(0, 1, 2, 3)] * 4
-    assert str(caught.value) == "epoch 3, conventional arm: " + (
-        "stand-in" if error is RankDeficientError
-        else "singular innovation covariance for APs (0, 1, 2, 3)")
-    assert type(caught.value.__cause__) is error
+    state = initial_sim_state(scenario)
+    for _ in range(3):
+        run_epoch(state, scenario)
+    estimates = dict(state.estimates)
+    # the proposed arm steps before the failing one, and a retry fails
+    # again: neither leaves an arm an epoch ahead
+    for _ in range(2):
+        with pytest.raises(error) as caught:
+            run_epoch(state, scenario)
+        assert type(caught.value) is error
+        assert str(caught.value) == "epoch 3, conventional arm: " + (
+            "stand-in" if error is RankDeficientError
+            else "singular innovation covariance for APs (0, 1, 2, 3)")
+        assert type(caught.value.__cause__) is error
+        assert state.epoch == len(state.log) == 3
+        assert state.estimates == estimates
+        for columns in state.log.arms.values():
+            assert [len(c) for c in vars(columns).values()] == [3] * 8
+    assert calls == [(0, 1, 2, 3)] * 5

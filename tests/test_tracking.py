@@ -167,6 +167,17 @@ class TestMeasurementJacobian:
         jac = measurement_jacobian(CFG, np.array([123.0, 0.0]), sel)
         assert_allclose(jac[1::2, 0], np.zeros(4), atol=0)
 
+    @pytest.mark.parametrize("velocity", [25.0, -25.0])
+    def test_a_range_cubed_past_the_float_range_gives_a_zero_slope(
+            self, velocity):
+        # d^3 overflows a float 1e110 m away: the slope entry is the IEEE
+        # quotient v p_y^2 / inf, a zero of the velocity's sign, where
+        # Python's float power would raise OverflowError
+        sel = ApSelection.from_indices(CFG.num_aps, [0, 2])
+        jac = measurement_jacobian(CFG, np.array([1e110, velocity]), sel)
+        assert jac.tolist() == [[1.0, 0.0], [0.0, 1.0]] * 2
+        assert np.signbit(jac[1::2, 0]).tolist() == [velocity < 0] * 2
+
 
 class TestUpdate:
     def make_measurement(self, state, sel, r_scale=1.0):
