@@ -19,9 +19,8 @@ from .crb import (CrbBlock, RankDeficientError, SensingLinkGain, WaveformSpec,
                   transform_to_range_velocity)
 from .selection import ApSelection
 from .tracking import (MeasurementSet, MotionModel, StateEstimate,
-                       angle_estimate_and_variance, angle_variance,
-                       measurement_jacobian, measurement_model, predict,
-                       update)
+                       angle_estimate_and_variance, measurement_jacobian,
+                       measurement_model, predict, update)
 from .sensing import (Action, SensingPolicy, decide_action, hpbw,
                       predict_variance_for_selection, select_rx_aps,
                       variance_threshold_from_hpbw)

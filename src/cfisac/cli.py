@@ -10,7 +10,7 @@ import math
 import sys
 from array import array
 from datetime import datetime, timezone
-from itertools import chain, count, repeat
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
@@ -263,21 +263,24 @@ _LINK_CELLS = (("proposed", _RATE), ("conventional", _RATE),
 
 def _csv_rows(log: RunLog):
     """The rows of epochs.csv, one per epoch, from the log's columns: the
-    proposed arm's state, then, in traffic-ON epochs, the rate cells. The
-    run's one velocity is formatted once, into the row templates."""
-    arm, rates = log.arms["proposed"], log.rates
+    proposed arm's state, then, in the traffic-ON epochs that have rates
+    (those below `log.num_rated`), the rate cells. The run's one velocity
+    is formatted once, into the row templates."""
+    arm, rates, rated = log.arms["proposed"], log.rates, log.num_rated
     head = "%d,%.17e," + ("%.17e" % log.velocity_x) + ",%.17e" * 5 + ",%s,"
-    off_row = head + "OFF,%d,,,,"
+    off_row, unrated_row = head + "OFF,%d,,,,", head + "ON,%d,,,,"
     on_row = head + "ON,%d" + "".join(",%.17e" if tag in rates else ","
                                       for tag, _ in _LINK_CELLS)
-    # before fill_rates, no epoch has a rate
     links = zip(*(rates[tag][index].tolist() for tag, index in _LINK_CELLS
-                  if tag in rates)) if rates else repeat(())
+                  if tag in rates))
     states = zip(count(), log.truth_x, arm.mean_p, arm.mean_v, arm.p00,
                  arm.p11, arm.variance, [a.value for a in arm.action],
                  arm.bitmask)
-    for on, state in zip(log.traffic_on, states):
+    for on, state in zip(log.traffic_on[:rated], states):
         yield on_row % (state + next(links)) if on else off_row % state
+    # epochs stepped after the last fill_rates, or all before the first
+    for on, state in zip(log.traffic_on[rated:], states):
+        yield unrated_row % state if on else off_row % state
 
 
 def _variance_series(log: RunLog) -> dict[str, array]:
@@ -294,6 +297,8 @@ def _threshold_crossing(variances: array, threshold: float) -> int | None:
 
 
 def summarize_records(log: RunLog, scenario: Scenario) -> dict:
+    """The run's summary.json; each of `mean_rates` averages the epochs that
+    have rates, those the last `fill_rates` rated."""
     mean_rates = {}
     for tag in scenario.rated_methods:
         rate = log.rates[tag][_RATE] if tag in log.rates else ()

@@ -14,10 +14,10 @@ import numpy as np
 from .config import SystemConfig
 from .crb import (CrbBlock, assemble_measurement_covariance,
                   range_velocity_blocks)
-from .geometry import angle_slope_from_position
 from .selection import ApSelection
-from .tracking import (MotionModel, StateEstimate, _linearize,
-                       measurement_jacobian, posterior_covariance, predict)
+from .tracking import (MotionModel, StateEstimate, _angle_variance,
+                       _linearize, measurement_jacobian, posterior_covariance,
+                       predict)
 
 __all__ = [
     "Action", "ApSelection", "SensingPolicy", "hpbw",
@@ -106,8 +106,7 @@ def predict_variance_for_selection(cfg: SystemConfig, est: StateEstimate,
         jac = measurement_jacobian(cfg, predicted.mean, selection)
         meas_cov = assemble_measurement_covariance(crbs, selection)
         cov = posterior_covariance(cov, jac, meas_cov)
-    slope = angle_slope_from_position(cfg, float(predicted.mean[0]))
-    return float(cov[0, 0]) * slope ** 2
+    return _angle_variance(cfg, float(predicted.mean[0]), float(cov[0, 0]))
 
 
 def available_rx_aps(cfg: SystemConfig, policy: SensingPolicy) -> list[int]:
@@ -218,8 +217,7 @@ def _score_blocks(cfg: SystemConfig, predicted: StateEstimate,
     variance = (p00 + t11 * det_p) / (
         1.0 + (p00 * t00 + (p01 + p10) * t01 + p11 * t11)
         + det_p * (t00 * t11 - t01 * t01))
-    slope = angle_slope_from_position(cfg, float(predicted.mean[0]))
-    return subsets, variance * slope ** 2
+    return subsets, _angle_variance(cfg, float(predicted.mean[0]), variance)
 
 
 def _lowest_variance(num_aps: int, subsets: np.ndarray,

@@ -315,7 +315,10 @@ class RunLog(Sequence):
     constant `velocity_x`), `traffic_on` each epoch's traffic flag and
     `arms` each filter arm's `ArmColumns`, in stepping order. `rates` maps
     each rated method to the (snr, rate) arrays of `steered_links`, whose
-    entry j is the link of epoch `rated_epochs[j]`; `fill_rates` sets both.
+    entry j is the link of epoch `rated_epochs[j]`; `fill_rates` sets both,
+    and `num_rated`, the number of epochs stepped when it ran. An epoch has
+    rates only if the last `fill_rates` rated it: it is traffic-ON and
+    below `num_rated`, so an epoch stepped after that call has none.
     Its length is the number of epochs stepped.
     """
 
@@ -328,6 +331,7 @@ class RunLog(Sequence):
         self.arms = {name: ArmColumns() for name in arms}
         self.rates: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.rated_epochs = np.zeros(0, dtype=np.intp)
+        self.num_rated = 0
 
     def __len__(self) -> int:
         return len(self.truth_x)
@@ -342,7 +346,7 @@ class RunLog(Sequence):
             raise IndexError("epoch index out of range")
         on = self.traffic_on[k]
         rates = {}
-        if on and self.rates:
+        if on and k < self.num_rated:
             j = int(np.searchsorted(self.rated_epochs, k))
             rates = {tag: LinkResult(float(snr[j]), float(rate[j]))
                      for tag, (snr, rate) in self.rates.items()}
@@ -417,7 +421,8 @@ def _hops(cfg: SystemConfig, waveform: WaveformSpec, position_x: float,
     `cfg`, at the state (position_x, velocity_x): the `_linearize` rows,
     and the entries r00, r01, r10, r11 of each AP's bound block in turn,
     the unit-gain `crb_block` over the AP's hop gain. A state that is not
-    finite raises ValueError naming it as `state`."""
+    finite raises ValueError naming it as `state`, and a transmit hop too
+    short for its gain to be a float one naming the transmitting AP."""
     if not 0.0 < power_fraction <= 1.0:
         raise ValueError("power_fraction must lie in (0, 1]")
     if not (math.isfinite(position_x) and math.isfinite(velocity_x)):
@@ -427,9 +432,13 @@ def _hops(cfg: SystemConfig, waveform: WaveformSpec, position_x: float,
     positions, hypot, four_pi = cfg.ap_positions, math.hypot, 4.0 * math.pi
     # Each hop's path gain is geometry_for_ap's (lambda / (4 pi d))^2.
     dist = hypot(position_x - positions[cfg.tx_ap][0], offset)
-    scale = ((wavelength / (four_pi * dist)) ** 2
-             * 2.0 * math.pi / wavelength ** 2
-             * power_fraction * cfg.tx_power * cfg.antennas_per_ap)
+    try:
+        scale = ((wavelength / (four_pi * dist)) ** 2
+                 * 2.0 * math.pi / wavelength ** 2
+                 * power_fraction * cfg.tx_power * cfg.antennas_per_ap)
+    except OverflowError as exc:
+        raise ValueError(f"path gain to transmitting AP {cfg.tx_ap} "
+                         f"overflows: the range is too short") from exc
     rows, entries = _linearize(cfg, position_x, velocity_x, aps), []
     for ap, (dist, _, _, _) in zip(aps, rows):
         cross_section = float(rcs[ap])
@@ -662,8 +671,8 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochStep:
 
 def fill_rates(scenario: Scenario, log: RunLog) -> None:
     """Set `log.rates`, one `steered_links` call per method of
-    `scenario.rated_methods` over every traffic-ON epoch, and
-    `log.rated_epochs`.
+    `scenario.rated_methods` over every traffic-ON epoch stepped so far,
+    `log.rated_epochs` and `log.num_rated`.
 
     The tracked arm steers full power at its estimate, the conventional arm
     half power at its own, and the perfect bound full power at the truth
@@ -681,7 +690,7 @@ def fill_rates(scenario: Scenario, log: RunLog) -> None:
         log.rates[tag] = steered_links(scenario.system, truth_x, position_x,
                                        power_fraction, scenario.phase_mode,
                                        angle_mode)
-    log.rated_epochs = on
+    log.rated_epochs, log.num_rated = on, len(log)
 
 
 def initial_sim_state(scenario: Scenario) -> SimState:

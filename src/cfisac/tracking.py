@@ -156,7 +156,8 @@ def _linearize(cfg: SystemConfig, position_x: float, velocity_x: float,
     Jacobian [[cosine, 0], [slope, cosine]] of the pair with respect to
     [p_x, v_x], where cosine = dx / d and slope = v_x p_y^2 / d^3. The
     tracker, the AP scorer and the measurement synthesizer read their model
-    values and Jacobians from these rows."""
+    values and Jacobians from these rows. A range too short for its cube to
+    be a nonzero float raises ValueError naming the AP."""
     if not aps:
         raise ValueError("no sensing receivers selected")
     p_y, positions, hypot = cfg.corridor_offset, cfg.ap_positions, math.hypot
@@ -172,12 +173,13 @@ def _linearize(cfg: SystemConfig, position_x: float, velocity_x: float,
     for ap in aps:
         dx = position_x - positions[ap][0]
         dist = hypot(dx, p_y)
-        if dist == 0.0:
-            raise ValueError(f"zero range to AP {ap}: jacobian is singular")
         try:
             cube = dist ** 3
         except OverflowError:
             cube = math.inf
+        if cube == 0.0:  # a range below about 1.7e-108 m
+            raise ValueError(f"range to AP {ap} is too short: its cube "
+                             f"underflows and the jacobian is singular")
         rows.append((dist, dx * velocity_x / dist, dx / dist,
                      velocity_slope / cube))
     return rows
@@ -252,15 +254,13 @@ def angle_estimate_and_variance(cfg: SystemConfig,
                                 est: StateEstimate) -> tuple[float, float]:
     """Angle of the estimated position and its first-order error variance."""
     return (angle_from_position(cfg, est.mean.item(0)),
-            angle_variance(cfg, est))
-
-
-def angle_variance(cfg: SystemConfig, est: StateEstimate) -> float:
-    """First-order error variance of the estimated position's angle."""
-    return _angle_variance(cfg, est.mean.item(0), est.covariance.item(0))
+            _angle_variance(cfg, est.mean.item(0), est.covariance.item(0)))
 
 
 def _angle_variance(cfg: SystemConfig, position_x: float,
-                    position_variance: float) -> float:
-    """`angle_variance` of a position estimate and its variance, as floats."""
+                    position_variance: float | np.ndarray
+                    ) -> float | np.ndarray:
+    """First-order error variance of the angle at position_x: the position
+    variance, a float or an array, times the squared angle slope. The
+    sensing trigger, the AP scorer and its oracle all map through here."""
     return position_variance * angle_slope_from_position(cfg, position_x) ** 2

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -11,6 +12,7 @@ from datetime import datetime, timezone
 from itertools import groupby
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -23,7 +25,8 @@ from cfisac.config import SystemConfig
 from cfisac.geometry import TargetTruth
 from cfisac.selection import ApSelection
 from cfisac.sensing import Action
-from cfisac.simulate import TrafficModel, run_scenario
+from cfisac.simulate import (TrafficModel, fill_rates, initial_sim_state,
+                             run_epoch, run_scenario)
 from cfisac.tracking import StateEstimate
 
 REPO = Path(__file__).resolve().parents[1]
@@ -348,6 +351,63 @@ class TestWriteRecords:
         assert peak < size
 
 
+class TestStepsAfterFillRates:
+    """A log stepped 20 epochs by hand, rated by `fill_rates`, then stepped
+    10 more: an epoch has rates only if that call rated it, and every
+    reader of the log agrees on which epochs those are."""
+
+    @pytest.fixture
+    def stepped(self):
+        scenario = default_scenario()
+        state = initial_sim_state(scenario)
+        for _ in range(20):
+            run_epoch(state, scenario)
+        fill_rates(scenario, state.log)
+        for _ in range(10):
+            run_epoch(state, scenario)
+        return scenario, state.log
+
+    @staticmethod
+    def rated(records):
+        return [r.epoch for r in records if r.rates]
+
+    def test_every_record_builds(self, stepped):
+        scenario, log = stepped
+        records = list(log)
+        assert len(records) == 30
+        assert records[23].traffic_state == "ON" and records[23].rates == {}
+        on = [r.epoch for r in records if r.traffic_state == "ON"]
+        assert self.rated(records) == [k for k in on if k < 20]
+        assert self.rated(records) == log.rated_epochs.tolist()
+        fill_rates(scenario, log)
+        assert self.rated(list(log)) == on
+
+    def test_epochs_csv_has_the_records_rates(self, stepped, tmp_path):
+        scenario, log = stepped
+        write_records(log, tmp_path, scenario, plots=True)
+        with open(tmp_path / "epochs.csv") as f:
+            rows = list(csv.DictReader(f))
+        records = list(log)
+        assert [int(r["epoch"]) for r in rows if r["rate_proposed"]] == (
+            self.rated(records))
+        for row, record in zip(rows, records):
+            assert row["traffic"] == record.traffic_state
+            for tag in ("proposed", "conventional", "perfect"):
+                cell = row[f"rate_{tag}"]
+                assert cell == ("%.17e" % record.rates[tag].rate
+                                if record.rates else "")
+
+    def test_summary_averages_the_rated_epochs(self, stepped):
+        scenario, log = stepped
+        summary = summarize_records(log, scenario)
+        records = list(log)
+        assert summary["on_epochs"] == sum(r.traffic_state == "ON"
+                                           for r in records)
+        for tag, mean in summary["mean_rates"].items():
+            assert mean == float(np.mean([r.rates[tag].rate for r in records
+                                          if r.rates]))
+
+
 class TestEmitPlots:
     def test_variance_plot_contents(self, short_run, tmp_path):
         scenario, records = short_run
@@ -570,6 +630,25 @@ class TestMainEntry:
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("position_x, message", [
+        (124.75, "path gain to transmitting AP 0 overflows: the range is "
+                 "too short"),
+        (249.75, "range to AP 1 is too short: its cube underflows and the "
+                 "jacobian is singular"),
+    ], ids=["on_the_transmitter", "on_a_receiver"])
+    def test_a_hop_too_short_names_the_ap(self, tmp_path, capsys,
+                                          position_x, message):
+        # epoch 0's truth lands on the AP, 1e-300 m off the corridor: the
+        # transmit hop's path gain overflows, or a range cubed underflows
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(f"target: {{position_x: {position_x}}}\n"
+                       "system: {corridor_offset: 1.0e-300}\n")
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"runtime error: epoch 0, conventional arm: {message}\n")
+
     def test_arms_flag(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "--out", str(out), "--seed", "4",
@@ -657,6 +736,15 @@ class TestMainEntry:
          "times the epoch_duration terms"),
         ("system: {carrier_frequency: 1.0e300}\n", "carrier_frequency"),
         ("system: {carrier_frequency: 1.0e-150}\n", "carrier_frequency"),
+        ("system: 5\n", "system"),
+        ("initial_estimate: {foo: 1}\n", "foo"),
+        ("initial_estimate: {mean: [1, 2, 3]}\n", "initial_estimate"),
+        ("system: {cp_length: -1}\n", "cp_length"),
+        ("system: {process_noise_std: -0.1}\n", "process_noise_std"),
+        ("system: {num_aps: 3, ap_positions: [[1, 0], [2, 0]]}\n",
+         "ap_positions"),
+        ("policy: {subset_cardinality: -1}\n", "subset_cardinality"),
+        ("traffic: {on_probability: 1.5}\n", "on_probability"),
     ], ids=["one_symbol", "one_antenna", "negative_variance", "asymmetric",
             "nan_mean", "nan_process_noise", "inf_tx_power", "inf_mean_rcs",
             "inf_epoch_duration", "nan_ap_position", "nan_target_position",
@@ -675,7 +763,11 @@ class TestMainEntry:
             "inf_policy_threshold", "intervals_on_probability",
             "epoch_duration_overflows_q", "process_noise_overflows_q",
             "product_overflows_q",
-            "wavelength_sq_underflows", "wavelength_sq_overflows"])
+            "wavelength_sq_underflows", "wavelength_sq_overflows",
+            "scalar_system", "unknown_estimate_key", "three_entry_mean",
+            "negative_cp_length", "negative_process_noise",
+            "ap_positions_short_of_num_aps", "negative_cardinality",
+            "on_probability_above_one"])
     def test_run_time_failures_rejected_by_validate(self, tmp_path, capsys,
                                                     text, field):
         # sensing with these would fail mid-run, run on a meaningless prior
@@ -815,6 +907,32 @@ class TestApBudget:
         err = capsys.readouterr().err
         assert ("the random arm draws an unconstrained receive set from at "
                 "most 63 available APs, not 64") in err
+
+    @pytest.mark.parametrize("text, num_epochs, first_pick", [
+        ("arms: [random]\npolicy: {subset_cardinality: 0}\n", 40, None),
+        ("arms: [random]\nsystem: {num_aps: 64}\n"
+         "policy: {subset_cardinality: 0, exclude_tx_ap: true}\n", 3, 38),
+    ], ids=["four_aps", "63_available"])
+    def test_random_arm_unconstrained_runs(self, text, num_epochs,
+                                           first_pick):
+        # at k = 0 the random arm draws its receive set as a bitmask over
+        # the available APs
+        raw = {"num_epochs": num_epochs, **yaml.safe_load(text)}
+        scenario = scenario_from_dict(raw)
+        available = sum(1 << l for l in range(scenario.system.num_aps)
+                        if not (scenario.policy.exclude_tx_ap
+                                and l == scenario.system.tx_ap))
+        arm = run_scenario(scenario).arms["random"]
+        picks = [mask for mask, action in zip(arm.bitmask, arm.action)
+                 if action is Action.SENSING]
+        assert picks and picks[0] == arm.bitmask[0]
+        assert all(mask and mask & ~available == 0 for mask in picks)
+        if first_pick is not None:
+            assert bin(picks[0]).count("1") == first_pick
+        again = run_scenario(scenario_from_dict(raw)).arms["random"]
+        assert again.bitmask == arm.bitmask
+        assert [again.mean_p.tobytes(), again.p00.tobytes()] == [
+            arm.mean_p.tobytes(), arm.p00.tobytes()]
 
     def test_thirty_two_aps_run_every_arm(self, tmp_path):
         cfg, out = tmp_path / "aps.yaml", tmp_path / "out"

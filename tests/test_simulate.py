@@ -1385,3 +1385,38 @@ def test_stepping_error_names_the_epoch_and_the_arm(monkeypatch, error):
         for columns in state.log.arms.values():
             assert [len(c) for c in vars(columns).values()] == [3] * 8
     assert calls == [(0, 1, 2, 3)] * 5
+
+
+def test_an_error_that_is_not_a_value_error_propagates_as_it_is(monkeypatch):
+    # a TypeError from the conventional arm's update at epoch 3 takes no
+    # epoch prefix, and the epoch leaves the log and the estimates as they
+    # were
+    error = TypeError("stand-in")
+    calls = []
+
+    def failing_update(est, meas, cfg):
+        calls.append(meas.selection.indices)
+        if len(calls) < 4:
+            return update(est, meas, cfg)
+        raise error
+
+    monkeypatch.setattr(simulate, "update", failing_update)
+    scenario = make_scenario(policy=SensingPolicy(1e9),
+                             comparison_arms=("conventional",))
+    state = initial_sim_state(scenario)
+    for _ in range(3):
+        run_epoch(state, scenario)
+    estimates = dict(state.estimates)
+
+    def columns():
+        return {name: [list(c) for c in vars(arm).values()]
+                for name, arm in state.log.arms.items()}
+
+    before = columns()
+    with pytest.raises(TypeError) as caught:
+        run_epoch(state, scenario)
+    assert caught.value is error
+    assert str(caught.value) == "stand-in"
+    assert state.epoch == len(state.log) == 3
+    assert state.estimates == estimates
+    assert columns() == before

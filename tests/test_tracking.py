@@ -178,6 +178,40 @@ class TestMeasurementJacobian:
         assert jac.tolist() == [[1.0, 0.0], [0.0, 1.0]] * 2
         assert np.signbit(jac[1::2, 0]).tolist() == [velocity < 0] * 2
 
+    @pytest.mark.parametrize("offset, singular", [(1e-108, True),
+                                                  (1e-107, False)])
+    def test_a_range_whose_cube_underflows_names_the_ap(self, offset,
+                                                        singular):
+        # on AP 2 the range is the corridor offset, whose cube is a
+        # nonzero float above about 1.7e-108 m and zero below
+        cfg = dataclasses.replace(CFG, corridor_offset=offset)
+        sel = ApSelection.from_indices(cfg.num_aps, [0, 2])
+        state = np.array([cfg.ap_x(2), 25.0])
+        if singular:
+            with pytest.raises(ValueError, match=r"^range to AP 2 is too "
+                               r"short: its cube underflows"):
+                measurement_jacobian(cfg, state, sel)
+        else:
+            # v / p_y, from a subnormal cube
+            assert measurement_jacobian(cfg, state, sel)[3, 0] > 1e108
+
+
+class TestMeasurementSet:
+    SEL = ApSelection.from_indices(CFG.num_aps, [0, 2])
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 3.0], [1.0] * 6])
+    def test_length_must_be_two_per_selected_ap(self, values):
+        with pytest.raises(ValueError, match=rf"^measurement length "
+                           rf"{len(values)} does not match 2 x 2 selected "
+                           rf"APs$"):
+            MeasurementSet(values, np.eye(4), self.SEL)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (16,)])
+    def test_covariance_must_be_square_over_the_values(self, shape):
+        with pytest.raises(ValueError, match="^measurement covariance has "
+                           "the wrong shape$"):
+            MeasurementSet(np.zeros(4), np.zeros(shape), self.SEL)
+
 
 class TestUpdate:
     def make_measurement(self, state, sel, r_scale=1.0):
