@@ -24,11 +24,10 @@ from .tracking import (MeasurementSet, MotionModel, StateEstimate,
 from .sensing import (Action, SensingPolicy, decide_action, hpbw,
                       predict_variance_for_selection, select_rx_aps,
                       variance_threshold_from_hpbw)
-from .comms import (LinkResult, build_channel, conventional_baseline,
-                    evaluate_link, perfect_angle_bound, predictive_precoder,
-                    steered_link, steered_links)
+from .comms import (LinkError, LinkResult, build_channel,
+                    conventional_baseline, evaluate_link, perfect_angle_bound,
+                    predictive_precoder, steered_link, steered_links)
 from .simulate import (ArmColumns, ArmEpoch, EpochRecord, EpochStep,
                        RngStream, RunLog, Scenario, SimState, TrafficModel,
-                       crb_blocks_for_state, draw_rcs, fill_rates,
-                       propagate_truth, run_epoch, run_scenario,
-                       synthesize_measurement)
+                       crb_blocks_for_state, draw_rcs, propagate_truth,
+                       run_epoch, run_scenario, synthesize_measurement)

@@ -263,12 +263,11 @@ _LINK_CELLS = (("proposed", _RATE), ("conventional", _RATE),
 
 def _csv_rows(log: RunLog):
     """The rows of epochs.csv, one per epoch, from the log's columns: the
-    proposed arm's state, then, in the traffic-ON epochs that have rates
-    (those below `log.num_rated`), the rate cells. The run's one velocity
-    is formatted once, into the row templates."""
-    arm, rates, rated = log.arms["proposed"], log.rates, log.num_rated
+    proposed arm's state, then, in traffic-ON epochs, the rate cells. The
+    run's one velocity is formatted once, into the row templates."""
+    arm, rates = log.arms["proposed"], log.rates
     head = "%d,%.17e," + ("%.17e" % log.velocity_x) + ",%.17e" * 5 + ",%s,"
-    off_row, unrated_row = head + "OFF,%d,,,,", head + "ON,%d,,,,"
+    off_row = head + "OFF,%d,,,,"
     on_row = head + "ON,%d" + "".join(",%.17e" if tag in rates else ","
                                       for tag, _ in _LINK_CELLS)
     links = zip(*(rates[tag][index].tolist() for tag, index in _LINK_CELLS
@@ -276,11 +275,8 @@ def _csv_rows(log: RunLog):
     states = zip(count(), log.truth_x, arm.mean_p, arm.mean_v, arm.p00,
                  arm.p11, arm.variance, [a.value for a in arm.action],
                  arm.bitmask)
-    for on, state in zip(log.traffic_on[:rated], states):
+    for on, state in zip(log.traffic_on, states):
         yield on_row % (state + next(links)) if on else off_row % state
-    # epochs stepped after the last fill_rates, or all before the first
-    for on, state in zip(log.traffic_on[rated:], states):
-        yield unrated_row % state if on else off_row % state
 
 
 def _variance_series(log: RunLog) -> dict[str, array]:
@@ -297,12 +293,10 @@ def _threshold_crossing(variances: array, threshold: float) -> int | None:
 
 
 def summarize_records(log: RunLog, scenario: Scenario) -> dict:
-    """The run's summary.json; each of `mean_rates` averages the epochs that
-    have rates, those the last `fill_rates` rated."""
-    mean_rates = {}
-    for tag in scenario.rated_methods:
-        rate = log.rates[tag][_RATE] if tag in log.rates else ()
-        mean_rates[tag] = float(np.mean(rate)) if len(rate) else None
+    """The run's summary.json; each of `mean_rates` averages a method's
+    rates over the traffic-ON epochs."""
+    mean_rates = {tag: float(np.mean(rate)) if len(rate) else None
+                  for tag, (_, rate) in log.rates.items()}
     crossings = {tag: _threshold_crossing(values,
                                           scenario.policy.variance_threshold)
                  for tag, values in _variance_series(log).items()}
@@ -324,7 +318,9 @@ def write_records(log: RunLog, out_dir: str | Path, scenario: Scenario,
     epochs.csv, summary.json, variance.svg and rate.svg if `plots`, then
     manifest.json last. Each reads the log's columns. The manifest's
     started_at-finished_at window spans every output it lists; it is
-    returned as written."""
+    returned as written. The summary reads the log's rates before any file
+    is created, so a run whose links fail writes nothing."""
+    summary = summarize_records(log, scenario)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
@@ -333,8 +329,7 @@ def write_records(log: RunLog, out_dir: str | Path, scenario: Scenario,
         csv_file.write(",".join(CSV_COLUMNS) + "\n")
         csv_file.writelines(row + "\n" for row in _csv_rows(log))
     (out_dir / "summary.json").write_text(
-        json.dumps(summarize_records(log, scenario), indent=2,
-                   sort_keys=True) + "\n")
+        json.dumps(summary, indent=2, sort_keys=True) + "\n")
     outputs = ["epochs.csv", "summary.json"]
     if plots:
         outputs.extend(path.name for path in emit_plots(

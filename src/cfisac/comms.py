@@ -33,6 +33,15 @@ class LinkResult:
     rate: float  # bits per symbol use, log2(1 + snr)
 
 
+class LinkError(ValueError):
+    """A link of a `steered_links` batch whose SNR is not finite; `link` is
+    its entry in the batch."""
+
+    def __init__(self, message: str, link: int) -> None:
+        super().__init__(message)
+        self.link = link
+
+
 def _check_phase_mode(phase_mode: str) -> None:
     if phase_mode not in PHASE_MODES:
         raise ValueError(f"phase_mode must be one of {PHASE_MODES}")
@@ -115,7 +124,8 @@ def steered_links(cfg: SystemConfig, truth_x: Sequence[float] | np.ndarray,
     = e^{j (N-1) x / 2} sin(N x / 2) / sin(x / 2), exactly N where
     sin(x / 2) = 0. Every (epoch, AP) entry is one array element, and the
     APs are summed in index order, so an epoch's result does not depend on
-    the batch it is evaluated in.
+    the batch it is evaluated in. An SNR that is not finite, as of a truth
+    within a tiny corridor offset of an AP, raises `LinkError`.
     """
     _check_phase_mode(phase_mode)
     _check_steering(power_fraction, angle_mode)
@@ -150,14 +160,19 @@ def steered_links(cfg: SystemConfig, truth_x: Sequence[float] | np.ndarray,
         los_range = _HYPOT(dx, offset).astype(float)
         phase = phase - np.remainder(
             -2.0 * math.pi * los_range / cfg.wavelength, 2.0 * math.pi)
-    weight = cfg.wavelength / (4.0 * math.pi * np.hypot(dx, offset)) * kernel
-    real, imag = weight * np.cos(phase), weight * np.sin(phase)
-    gain_re, gain_im = np.zeros(truth_x.size), np.zeros(truth_x.size)
-    for ap in range(cfg.num_aps):
-        gain_re += real[:, ap]
-        gain_im += imag[:, ap]
-    snr = (power_fraction * cfg.tx_power / n
-           * (gain_re * gain_re + gain_im * gain_im) / cfg.noise_power)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        weight = (cfg.wavelength / (4.0 * math.pi * np.hypot(dx, offset))
+                  * kernel)
+        real, imag = weight * np.cos(phase), weight * np.sin(phase)
+        gain_re, gain_im = np.zeros(truth_x.size), np.zeros(truth_x.size)
+        for ap in range(cfg.num_aps):
+            gain_re += real[:, ap]
+            gain_im += imag[:, ap]
+        snr = (power_fraction * cfg.tx_power / n
+               * (gain_re * gain_re + gain_im * gain_im) / cfg.noise_power)
+    bad = np.flatnonzero(~np.isfinite(snr))
+    if bad.size:
+        raise LinkError("downlink SNR is not finite", int(bad[0]))
     return snr, np.log2(1.0 + snr)
 
 

@@ -11,9 +11,9 @@ the columns of a `RunLog`: between sensing epochs an arm's filter is six
 Python floats, and arrays and estimates are built only where it senses.
 The open-loop part is the
 downlink: the rate of an epoch depends only on the true and the tracked
-positions and never feeds back into a filter, so `run_scenario` evaluates
-it after the loop, with one `steered_links` call per method (tracked,
-power-split and perfect knowledge) over all traffic epochs.
+positions and never feeds back into a filter, so the log evaluates it when
+it is read, with one `steered_links` call per method (tracked, power-split
+and perfect knowledge) over all traffic epochs stepped so far.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .comms import ANGLE_MODES, PHASE_MODES, LinkResult, steered_links
+from .comms import (ANGLE_MODES, PHASE_MODES, LinkError, LinkResult,
+                    steered_links)
 from .config import SystemConfig
 from .crb import (CrbBlock, WaveformSpec, all_ones_waveform, block_diagonal,
                   range_velocity_blocks)
@@ -314,27 +315,56 @@ class RunLog(Sequence):
     `truth_x` holds each epoch's true position (the velocity is the run's
     constant `velocity_x`), `traffic_on` each epoch's traffic flag and
     `arms` each filter arm's `ArmColumns`, in stepping order. `rates` maps
-    each rated method to the (snr, rate) arrays of `steered_links`, whose
-    entry j is the link of epoch `rated_epochs[j]`; `fill_rates` sets both,
-    and `num_rated`, the number of epochs stepped when it ran. An epoch has
-    rates only if the last `fill_rates` rated it: it is traffic-ON and
-    below `num_rated`, so an epoch stepped after that call has none.
-    Its length is the number of epochs stepped.
+    each method of `scenario.rated_methods` to the (snr, rate) arrays of
+    `steered_links`, whose entry j is the link of epoch `rated_epochs[j]`,
+    for every traffic-ON epoch stepped so far. Its length is the number of
+    epochs stepped.
     """
 
-    def __init__(self, num_aps: int, velocity_x: float,
-                 traffic_on: tuple[bool, ...], arms: Sequence[str]) -> None:
-        self.num_aps = num_aps
-        self.velocity_x = velocity_x
+    def __init__(self, scenario: Scenario,
+                 traffic_on: tuple[bool, ...]) -> None:
+        self.scenario = scenario
+        self.velocity_x = scenario.initial_truth.velocity_x
         self.traffic_on = traffic_on
         self.truth_x = _floats()
-        self.arms = {name: ArmColumns() for name in arms}
-        self.rates: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self.rated_epochs = np.zeros(0, dtype=np.intp)
-        self.num_rated = 0
+        self.arms = {name: ArmColumns() for name in _ARMS
+                     if name == "proposed" or name in scenario.comparison_arms}
+        self._links = (-1,)  # (length, rated_epochs, rates) once read
 
     def __len__(self) -> int:
         return len(self.truth_x)
+
+    @property
+    def rated_epochs(self) -> np.ndarray:
+        return self._rated()[1]
+
+    @property
+    def rates(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        return self._rated()[2]
+
+    def _rated(self) -> tuple[int, np.ndarray, dict]:
+        """(length, `rated_epochs`, `rates`), evaluated on the first read
+        after the log grows. The tracked arm steers full power at its
+        estimate, the conventional arm half power at its own, and the
+        perfect bound full power at the truth with per-AP angles."""
+        if self._links[0] != len(self):
+            scenario, rates = self.scenario, {}
+            on = np.flatnonzero(self.traffic_on[:len(self)])
+            truth_x = np.array(self.truth_x)[on]
+            for tag in scenario.rated_methods:
+                position_x, power_fraction, angle_mode = (
+                    (truth_x, 1.0, "per_ap") if tag == "perfect" else
+                    (np.array(self.arms[tag].mean_p)[on],
+                     _ARMS[tag].power_fraction, scenario.angle_mode))
+                try:
+                    rates[tag] = steered_links(
+                        scenario.system, truth_x, position_x, power_fraction,
+                        scenario.phase_mode, angle_mode)
+                except LinkError as exc:
+                    raise ValueError(f"epoch {on[exc.link]}, {tag} rates: "
+                                     f"{exc}") from exc
+            self._links = (len(self), on, rates)
+        return self._links
 
     def __getitem__(self, k) -> EpochRecord | list[EpochRecord]:
         if isinstance(k, slice):
@@ -346,14 +376,15 @@ class RunLog(Sequence):
             raise IndexError("epoch index out of range")
         on = self.traffic_on[k]
         rates = {}
-        if on and k < self.num_rated:
-            j = int(np.searchsorted(self.rated_epochs, k))
+        if on:
+            _, epochs, links = self._rated()
+            j = int(np.searchsorted(epochs, k))
             rates = {tag: LinkResult(float(snr[j]), float(rate[j]))
-                     for tag, (snr, rate) in self.rates.items()}
+                     for tag, (snr, rate) in links.items()}
         return EpochRecord(
             k, TargetTruth(self.truth_x[k], self.velocity_x),
             "ON" if on else "OFF", rates,
-            {name: columns.arm_epoch(k, self.num_aps)
+            {name: columns.arm_epoch(k, self.scenario.system.num_aps)
              for name, columns in self.arms.items()})
 
 
@@ -370,19 +401,21 @@ class SimState:
     """Mutable loop state threaded through run_epoch. `truth_x` is the true
     position after the last epoch stepped, `estimates` each filter arm's
     estimate as the floats (p, v, P00, P01, P10, P11) and `log` the run so
-    far. The fields below `log` are fixed for the run."""
+    far, traffic flags included. The fields below `log` are fixed."""
 
-    epoch: int
     truth_x: float
     estimates: dict[str, tuple[float, ...]]
     log: RunLog
     waveform: WaveformSpec         # keeps the run's unit-gain bound block
     model: MotionModel
     streams: dict[str, RngStream]  # one per stream name
-    traffic_on: tuple[bool, ...]   # each epoch's traffic flag
     full_selection: ApSelection    # every AP: the conventional receive set
     available: ApSelection         # the APs the gated arms pick receivers from
     planning_rcs: np.ndarray       # read-only mean cross sections, per AP
+
+    @property
+    def epoch(self) -> int:  # the next epoch to step
+        return len(self.log)
 
 
 @dataclass(frozen=True)
@@ -630,24 +663,24 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
 def run_epoch(state: SimState, scenario: Scenario) -> EpochStep:
     """Advance every filter arm one epoch and append it to `state.log`.
 
-    The traffic flag comes from `state.traffic_on`, drawn for the whole run
-    by `initial_sim_state`; the other streams build a generator only for an
-    arm that senses. Each draw is keyed by (seed, stream, epoch), so a
-    skipped stream never shifts another. The epoch has no rates until
-    `fill_rates` evaluates them over many epochs at once. Raises ValueError
+    The traffic flag comes from `state.log.traffic_on`, drawn for the whole
+    run by `initial_sim_state`; the other streams build a generator only for
+    an arm that senses. Each draw is keyed by (seed, stream, epoch), so a
+    skipped stream never shifts another. The log evaluates the epoch's rates
+    when they are read, with those of every other epoch. Raises ValueError
     past the scenario's last epoch; a ValueError raised while an arm steps
     is raised again, of its own type, naming the epoch and the arm. An
     epoch that raises leaves `state.log` and `state.estimates` as they were
     before it, so a retry steps that epoch again.
     """
-    k = state.epoch
+    k = len(state.log)
     if k >= scenario.num_epochs:
         raise ValueError(f"epoch {k} is past the scenario's last epoch "
                          f"(num_epochs = {scenario.num_epochs})")
     # propagate_truth's constant-velocity step, on the position alone
     truth_x = (state.truth_x + scenario.initial_truth.velocity_x
                * scenario.system.epoch_duration)
-    traffic_on = state.traffic_on[k]
+    traffic_on = state.log.traffic_on[k]
 
     estimates, actions = state.estimates.copy(), []
     try:
@@ -665,32 +698,7 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochStep:
 
     state.log.truth_x.append(truth_x)
     state.truth_x = truth_x
-    state.epoch = k + 1
     return EpochStep(k, actions[0])
-
-
-def fill_rates(scenario: Scenario, log: RunLog) -> None:
-    """Set `log.rates`, one `steered_links` call per method of
-    `scenario.rated_methods` over every traffic-ON epoch stepped so far,
-    `log.rated_epochs` and `log.num_rated`.
-
-    The tracked arm steers full power at its estimate, the conventional arm
-    half power at its own, and the perfect bound full power at the truth
-    with per-AP angles.
-    """
-    on = np.flatnonzero(log.traffic_on[:len(log)])
-    truth_x = np.array(log.truth_x)[on]
-    for tag in scenario.rated_methods:
-        if tag == "perfect":
-            position_x, power_fraction, angle_mode = truth_x, 1.0, "per_ap"
-        else:
-            position_x = np.array(log.arms[tag].mean_p)[on]
-            power_fraction = _ARMS[tag].power_fraction
-            angle_mode = scenario.angle_mode
-        log.rates[tag] = steered_links(scenario.system, truth_x, position_x,
-                                       power_fraction, scenario.phase_mode,
-                                       angle_mode)
-    log.rated_epochs, log.num_rated = on, len(log)
 
 
 def initial_sim_state(scenario: Scenario) -> SimState:
@@ -703,17 +711,14 @@ def initial_sim_state(scenario: Scenario) -> SimState:
         np.arange(scenario.num_epochs), streams["traffic"]).tolist())
     planning_rcs = np.full(cfg.num_aps, cfg.mean_rcs)
     planning_rcs.setflags(write=False)
-    arms = [name for name in _ARMS
-            if name == "proposed" or name in scenario.comparison_arms]
+    log = RunLog(scenario, traffic_on)
     initial = (*est.mean.tolist(), *est.covariance.ravel().tolist())
-    return SimState(epoch=0, truth_x=scenario.initial_truth.position_x,
-                    estimates={name: initial for name in arms},
-                    log=RunLog(cfg.num_aps, scenario.initial_truth.velocity_x,
-                               traffic_on, arms),
+    return SimState(truth_x=scenario.initial_truth.position_x,
+                    estimates={name: initial for name in log.arms},
+                    log=log,
                     waveform=all_ones_waveform(cfg),
                     model=MotionModel.from_config(cfg),
                     streams=streams,
-                    traffic_on=traffic_on,
                     full_selection=ApSelection.full(cfg.num_aps),
                     available=ApSelection.from_indices(
                         cfg.num_aps, available_rx_aps(cfg, scenario.policy)),
@@ -721,10 +726,9 @@ def initial_sim_state(scenario: Scenario) -> SimState:
 
 
 def run_scenario(scenario: Scenario) -> RunLog:
-    """Run the epoch loop, then every rate; deterministic given the seed.
-    The log's items are the epochs' `EpochRecord`s, built on access."""
+    """Run the epoch loop; deterministic given the seed. The log's records
+    and rates are built on access."""
     state = initial_sim_state(scenario)
     for _ in range(scenario.num_epochs):
         run_epoch(state, scenario)
-    fill_rates(scenario, state.log)
     return state.log

@@ -25,8 +25,8 @@ from cfisac.config import SystemConfig
 from cfisac.geometry import TargetTruth
 from cfisac.selection import ApSelection
 from cfisac.sensing import Action
-from cfisac.simulate import (TrafficModel, fill_rates, initial_sim_state,
-                             run_epoch, run_scenario)
+from cfisac.simulate import (TrafficModel, initial_sim_state, run_epoch,
+                             run_scenario)
 from cfisac.tracking import StateEstimate
 
 REPO = Path(__file__).resolve().parents[1]
@@ -351,58 +351,64 @@ class TestWriteRecords:
         assert peak < size
 
 
-class TestStepsAfterFillRates:
-    """A log stepped 20 epochs by hand, rated by `fill_rates`, then stepped
-    10 more: an epoch has rates only if that call rated it, and every
-    reader of the log agrees on which epochs those are."""
+class TestStepsAfterARead:
+    """A log stepped 20 epochs by hand, read whole, then stepped 10 more:
+    every traffic-ON epoch of the 30 has rates, those of a 30-epoch run,
+    and every reader of the log agrees on them."""
 
-    @pytest.fixture
+    @pytest.fixture(scope="class")
     def stepped(self):
         scenario = default_scenario()
         state = initial_sim_state(scenario)
         for _ in range(20):
             run_epoch(state, scenario)
-        fill_rates(scenario, state.log)
+        first = [r.rates for r in state.log]
         for _ in range(10):
             run_epoch(state, scenario)
-        return scenario, state.log
+        whole = dataclasses.replace(scenario, num_epochs=30)
+        return scenario, first, state.log, whole, run_scenario(whole)
 
-    @staticmethod
-    def rated(records):
-        return [r.epoch for r in records if r.rates]
-
-    def test_every_record_builds(self, stepped):
-        scenario, log = stepped
+    def test_every_on_epoch_has_rates(self, stepped):
+        _, first, log, _, _ = stepped
         records = list(log)
-        assert len(records) == 30
-        assert records[23].traffic_state == "ON" and records[23].rates == {}
         on = [r.epoch for r in records if r.traffic_state == "ON"]
-        assert self.rated(records) == [k for k in on if k < 20]
-        assert self.rated(records) == log.rated_epochs.tolist()
-        fill_rates(scenario, log)
-        assert self.rated(list(log)) == on
+        assert len(records) == 30 and max(on) >= 20
+        assert [r.epoch for r in records if r.rates] == on
+        assert log.rated_epochs.tolist() == on
+        assert all(list(r.rates) == ["proposed", "conventional", "perfect"]
+                   for r in records if r.rates)
+        assert first == [r.rates for r in records[:20]]
 
-    def test_epochs_csv_has_the_records_rates(self, stepped, tmp_path):
-        scenario, log = stepped
+    def test_rates_are_those_of_a_whole_run(self, stepped):
+        _, _, log, _, whole = stepped
+        assert [r.rates for r in log] == [r.rates for r in whole]
+        assert log.rated_epochs.tolist() == whole.rated_epochs.tolist()
+
+    def test_outputs_are_those_of_a_whole_run(self, stepped, tmp_path):
+        scenario, _, log, whole_scenario, whole = stepped
+        write_records(log, tmp_path / "stepped", scenario)
+        write_records(whole, tmp_path / "whole", whole_scenario)
+        for name in ("epochs.csv", "summary.json"):
+            assert ((tmp_path / "stepped" / name).read_bytes()
+                    == (tmp_path / "whole" / name).read_bytes())
+
+    def test_outputs_have_the_records_rates(self, stepped, tmp_path):
+        scenario, _, log, _, _ = stepped
         write_records(log, tmp_path, scenario, plots=True)
         with open(tmp_path / "epochs.csv") as f:
             rows = list(csv.DictReader(f))
         records = list(log)
-        assert [int(r["epoch"]) for r in rows if r["rate_proposed"]] == (
-            self.rated(records))
+        assert len(rows) == len(records)
         for row, record in zip(rows, records):
             assert row["traffic"] == record.traffic_state
             for tag in ("proposed", "conventional", "perfect"):
-                cell = row[f"rate_{tag}"]
-                assert cell == ("%.17e" % record.rates[tag].rate
-                                if record.rates else "")
-
-    def test_summary_averages_the_rated_epochs(self, stepped):
-        scenario, log = stepped
-        summary = summarize_records(log, scenario)
-        records = list(log)
+                assert row[f"rate_{tag}"] == ("%.17e" % record.rates[tag].rate
+                                              if record.rates else "")
+        summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["on_epochs"] == sum(r.traffic_state == "ON"
                                            for r in records)
+        assert list(summary["mean_rates"]) == ["conventional", "perfect",
+                                               "proposed"]
         for tag, mean in summary["mean_rates"].items():
             assert mean == float(np.mean([r.rates[tag].rate for r in records
                                           if r.rates]))
@@ -648,6 +654,27 @@ class TestMainEntry:
                      "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
             f"runtime error: epoch 0, conventional arm: {message}\n")
+
+    def test_a_non_finite_rate_names_the_method_and_the_epoch(self, tmp_path,
+                                                              capsys):
+        # epoch 0 carries traffic, so no arm senses, and its truth lands on
+        # AP 0, 1e-300 m off the corridor: the downlink SNR overflows
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text("num_epochs: 2\narms: [perfect]\n"
+                       "target: {position_x: 124.75}\n"
+                       "system: {corridor_offset: 1.0e-300}\n"
+                       "traffic: {mode: intervals, intervals: [[0, 1]]}\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "runtime error: epoch 0, proposed rates: downlink SNR is not "
+            "finite\n")
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
 
     def test_arms_flag(self, tmp_path):
         out = tmp_path / "out"

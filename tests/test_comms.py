@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cfisac.comms import (LinkResult, build_channel, conventional_baseline,
-                          evaluate_link, perfect_angle_bound,
-                          predictive_precoder, steered_link, steered_links)
+from cfisac.comms import (LinkError, LinkResult, build_channel,
+                          conventional_baseline, evaluate_link,
+                          perfect_angle_bound, predictive_precoder,
+                          steered_link, steered_links)
 from cfisac.config import SystemConfig
 from cfisac.geometry import (TargetTruth, angle_from_position, array_response,
                              geometry_for_ap)
@@ -396,6 +397,16 @@ class TestSteeredLinks:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             steered_links(CFG, [1.0, 2.0], [1.0])
+
+    def test_a_non_finite_snr_names_the_link(self):
+        # a truth on AP 0, 1e-300 m off the corridor, overflows the gain;
+        # the tests turn a numpy RuntimeWarning into an error
+        cfg = SystemConfig(corridor_offset=1e-300)
+        with pytest.raises(LinkError) as caught:
+            steered_links(cfg, [0.0, 125.0, 125.0], [0.0, 125.0, 0.0])
+        assert isinstance(caught.value, ValueError)
+        assert str(caught.value) == "downlink SNR is not finite"
+        assert caught.value.link == 1
 
     def test_run_without_traffic_has_no_rates(self):
         scenario = Scenario(

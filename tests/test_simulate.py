@@ -30,8 +30,8 @@ from cfisac.sensing import (Action, SensingPolicy, available_rx_aps,
 from cfisac import simulate
 from cfisac.simulate import (COMPARISON_ARMS, RngStream, Scenario,
                              TrafficModel, crb_blocks_for_state, draw_rcs,
-                             fill_rates, initial_sim_state, propagate_truth,
-                             run_epoch, run_scenario, synthesize_measurement)
+                             initial_sim_state, propagate_truth, run_epoch,
+                             run_scenario, synthesize_measurement)
 from cfisac.tracking import (MotionModel, StateEstimate,
                              angle_estimate_and_variance, measurement_model,
                              predict, update)
@@ -658,12 +658,14 @@ class TestRunEpoch:
             traffic=TrafficModel(mode="intervals", intervals=((0, 40),)))
         state = initial_sim_state(scenario)
         run_epoch(state, scenario)
-        assert state.log[0].rates == {}
-        fill_rates(scenario, state.log)
         record = state.log[0]
         assert record.traffic_state == "ON"
         assert record.action is Action.NO_SENSING
         assert set(record.rates) == {"proposed", "conventional", "perfect"}
+        # the first read after the log grows rates the new epoch too
+        run_epoch(state, scenario)
+        assert set(state.log[1].rates) == set(record.rates)
+        assert state.log[0].rates == record.rates
 
     def test_stepping_past_the_last_epoch_raises(self):
         scenario = make_scenario(num_epochs=3)
@@ -1338,7 +1340,7 @@ def test_traffic_on_epoch_still_checks_the_predicted_variance(monkeypatch,
     scenario = make_scenario(traffic=TrafficModel(mode="intervals",
                                                   intervals=((0, 40),)))
     state = initial_sim_state(scenario)
-    assert state.traffic_on[0]
+    assert state.log.traffic_on[0]
     monkeypatch.setattr(simulate, "_predict_floats",
                         lambda model, *prior: (0.0, 25.0, p00, 0.0, 1.0))
     with pytest.raises(ValueError,
