@@ -294,7 +294,10 @@ def _threshold_crossing(variances: array, threshold: float) -> int | None:
 
 def summarize_records(log: RunLog, scenario: Scenario) -> dict:
     """The run's summary.json; each of `mean_rates` averages a method's
-    rates over the traffic-ON epochs."""
+    rates over the traffic-ON epochs. A config other than the log's raises."""
+    if (scenario is not log.scenario
+            and config_digest(scenario) != config_digest(log.scenario)):
+        raise ValueError("scenario: not the config of the run in the log")
     mean_rates = {tag: float(np.mean(rate)) if len(rate) else None
                   for tag, (_, rate) in log.rates.items()}
     crossings = {tag: _threshold_crossing(values,
@@ -318,8 +321,9 @@ def write_records(log: RunLog, out_dir: str | Path, scenario: Scenario,
     epochs.csv, summary.json, variance.svg and rate.svg if `plots`, then
     manifest.json last. Each reads the log's columns. The manifest's
     started_at-finished_at window spans every output it lists; it is
-    returned as written. The summary reads the log's rates before any file
-    is created, so a run whose links fail writes nothing."""
+    returned as written. The summary checks `scenario` and reads the log's
+    rates before any file is created, so a run whose links fail, or a
+    scenario the log was not run from, writes nothing."""
     summary = summarize_records(log, scenario)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

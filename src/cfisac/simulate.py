@@ -13,7 +13,7 @@ The open-loop part is the
 downlink: the rate of an epoch depends only on the true and the tracked
 positions and never feeds back into a filter, so the log evaluates it when
 it is read, with one `steered_links` call per method (tracked, power-split
-and perfect knowledge) over all traffic epochs stepped so far.
+and perfect knowledge) over the traffic epochs stepped since the last read.
 """
 
 from __future__ import annotations
@@ -321,50 +321,59 @@ class RunLog(Sequence):
     epochs stepped.
     """
 
-    def __init__(self, scenario: Scenario,
-                 traffic_on: tuple[bool, ...]) -> None:
+    def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
         self.velocity_x = scenario.initial_truth.velocity_x
-        self.traffic_on = traffic_on
+        on = scenario.traffic.on_flags(np.arange(scenario.num_epochs),
+                                       RngStream(scenario.seed, "traffic"))
+        self.traffic_on = tuple(on.tolist())
         self.truth_x = _floats()
         self.arms = {name: ArmColumns() for name in _ARMS
                      if name == "proposed" or name in scenario.comparison_arms}
-        self._links = (-1,)  # (length, rated_epochs, rates) once read
+        # The run's traffic-ON epochs, and each method's (snr, rate) over
+        # them; reads fill them in order, the first `_num_rated` so far.
+        self._on = np.flatnonzero(on)
+        self._links = {tag: (np.empty(len(self._on)), np.empty(len(self._on)))
+                       for tag in scenario.rated_methods}
+        self._num_rated = 0
 
     def __len__(self) -> int:
         return len(self.truth_x)
 
     @property
     def rated_epochs(self) -> np.ndarray:
-        return self._rated()[1]
+        return self._on[:self._rate()]
 
     @property
     def rates(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        return self._rated()[2]
+        n = self._rate()
+        return {tag: (snr[:n], rate[:n])
+                for tag, (snr, rate) in self._links.items()}
 
-    def _rated(self) -> tuple[int, np.ndarray, dict]:
-        """(length, `rated_epochs`, `rates`), evaluated on the first read
-        after the log grows. The tracked arm steers full power at its
-        estimate, the conventional arm half power at its own, and the
-        perfect bound full power at the truth with per-AP angles."""
-        if self._links[0] != len(self):
-            scenario, rates = self.scenario, {}
-            on = np.flatnonzero(self.traffic_on[:len(self)])
-            truth_x = np.array(self.truth_x)[on]
-            for tag in scenario.rated_methods:
+    def _rate(self) -> int:
+        """Rate the traffic-ON epochs stepped since the last read, one
+        `steered_links` call per method, and return how many are rated: the
+        tracked arm steers full power at its estimate, the conventional arm
+        half power at its own, the perfect bound full power at the truth."""
+        done, end = self._num_rated, int(np.searchsorted(self._on, len(self)))
+        if done < end:
+            scenario, on = self.scenario, self._on[done:end]
+            first = int(on[0])  # so a read copies only the columns' new part
+            truth_x = np.array(self.truth_x[first:])[on - first]
+            for tag, (snr, rate) in self._links.items():
                 position_x, power_fraction, angle_mode = (
                     (truth_x, 1.0, "per_ap") if tag == "perfect" else
-                    (np.array(self.arms[tag].mean_p)[on],
+                    (np.array(self.arms[tag].mean_p[first:])[on - first],
                      _ARMS[tag].power_fraction, scenario.angle_mode))
                 try:
-                    rates[tag] = steered_links(
+                    snr[done:end], rate[done:end] = steered_links(
                         scenario.system, truth_x, position_x, power_fraction,
                         scenario.phase_mode, angle_mode)
                 except LinkError as exc:
                     raise ValueError(f"epoch {on[exc.link]}, {tag} rates: "
                                      f"{exc}") from exc
-            self._links = (len(self), on, rates)
-        return self._links
+            self._num_rated = end
+        return end
 
     def __getitem__(self, k) -> EpochRecord | list[EpochRecord]:
         if isinstance(k, slice):
@@ -377,10 +386,10 @@ class RunLog(Sequence):
         on = self.traffic_on[k]
         rates = {}
         if on:
-            _, epochs, links = self._rated()
-            j = int(np.searchsorted(epochs, k))
+            self._rate()
+            j = int(np.searchsorted(self._on, k))
             rates = {tag: LinkResult(float(snr[j]), float(rate[j]))
-                     for tag, (snr, rate) in links.items()}
+                     for tag, (snr, rate) in self._links.items()}
         return EpochRecord(
             k, TargetTruth(self.truth_x[k], self.velocity_x),
             "ON" if on else "OFF", rates,
@@ -396,22 +405,31 @@ class EpochStep(NamedTuple):
     action: Action
 
 
-@dataclass
 class SimState:
-    """Mutable loop state threaded through run_epoch. `truth_x` is the true
-    position after the last epoch stepped, `estimates` each filter arm's
-    estimate as the floats (p, v, P00, P01, P10, P11) and `log` the run so
-    far, traffic flags included. The fields below `log` are fixed."""
+    """Mutable loop state threaded through run_epoch, built from the one
+    scenario it steps. `log` is the run so far, `truth_x` the true position
+    after the last epoch stepped and `estimates` each filter arm's estimate
+    as the floats (p, v, P00, P01, P10, P11). The rest is fixed; the
+    waveform evaluates its unit-gain bound block, and checks its grid, at
+    the first sensing epoch."""
 
-    truth_x: float
-    estimates: dict[str, tuple[float, ...]]
-    log: RunLog
-    waveform: WaveformSpec         # keeps the run's unit-gain bound block
-    model: MotionModel
-    streams: dict[str, RngStream]  # one per stream name
-    full_selection: ApSelection    # every AP: the conventional receive set
-    available: ApSelection         # the APs the gated arms pick receivers from
-    planning_rcs: np.ndarray       # read-only mean cross sections, per AP
+    def __init__(self, scenario: Scenario) -> None:
+        cfg, est = scenario.system, scenario.initial_estimate
+        self.log = RunLog(scenario)
+        self.truth_x = scenario.initial_truth.position_x
+        initial = (*est.mean.tolist(), *est.covariance.ravel().tolist())
+        self.estimates = {name: initial for name in self.log.arms}
+        self.waveform = all_ones_waveform(cfg)
+        self.model = MotionModel.from_config(cfg)
+        self.streams = {name: RngStream(scenario.seed, name)
+                        for name in ("rcs", "measurement", "selection")}
+        # every AP (the conventional arm's), and those the gated arms pick
+        self.full_selection = ApSelection.full(cfg.num_aps)
+        self.available = ApSelection.from_indices(
+            cfg.num_aps, available_rx_aps(cfg, scenario.policy))
+        # the read-only mean cross sections the proposed arm plans with
+        self.planning_rcs = np.full(cfg.num_aps, cfg.mean_rcs)
+        self.planning_rcs.setflags(write=False)
 
     @property
     def epoch(self) -> int:  # the next epoch to step
@@ -660,12 +678,13 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
     return action
 
 
-def run_epoch(state: SimState, scenario: Scenario) -> EpochStep:
-    """Advance every filter arm one epoch and append it to `state.log`.
+def run_epoch(state: SimState) -> EpochStep:
+    """Advance every filter arm one epoch of `state.log.scenario` and append
+    it to `state.log`.
 
     The traffic flag comes from `state.log.traffic_on`, drawn for the whole
-    run by `initial_sim_state`; the other streams build a generator only for
-    an arm that senses. Each draw is keyed by (seed, stream, epoch), so a
+    run by the log; the other streams build a generator only for an arm
+    that senses. Each draw is keyed by (seed, stream, epoch), so a
     skipped stream never shifts another. The log evaluates the epoch's rates
     when they are read, with those of every other epoch. Raises ValueError
     past the scenario's last epoch; a ValueError raised while an arm steps
@@ -673,7 +692,7 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochStep:
     epoch that raises leaves `state.log` and `state.estimates` as they were
     before it, so a retry steps that epoch again.
     """
-    k = len(state.log)
+    k, scenario = len(state.log), state.log.scenario
     if k >= scenario.num_epochs:
         raise ValueError(f"epoch {k} is past the scenario's last epoch "
                          f"(num_epochs = {scenario.num_epochs})")
@@ -701,34 +720,10 @@ def run_epoch(state: SimState, scenario: Scenario) -> EpochStep:
     return EpochStep(k, actions[0])
 
 
-def initial_sim_state(scenario: Scenario) -> SimState:
-    """The state before epoch 0, with every epoch's traffic flag drawn. The
-    run's waveform evaluates its unit-gain bound block, and checks its grid,
-    at the first sensing epoch; every later bound reuses that block."""
-    cfg, est = scenario.system, scenario.initial_estimate
-    streams = {name: RngStream(scenario.seed, name) for name in _STREAM_CODES}
-    traffic_on = tuple(scenario.traffic.on_flags(
-        np.arange(scenario.num_epochs), streams["traffic"]).tolist())
-    planning_rcs = np.full(cfg.num_aps, cfg.mean_rcs)
-    planning_rcs.setflags(write=False)
-    log = RunLog(scenario, traffic_on)
-    initial = (*est.mean.tolist(), *est.covariance.ravel().tolist())
-    return SimState(truth_x=scenario.initial_truth.position_x,
-                    estimates={name: initial for name in log.arms},
-                    log=log,
-                    waveform=all_ones_waveform(cfg),
-                    model=MotionModel.from_config(cfg),
-                    streams=streams,
-                    full_selection=ApSelection.full(cfg.num_aps),
-                    available=ApSelection.from_indices(
-                        cfg.num_aps, available_rx_aps(cfg, scenario.policy)),
-                    planning_rcs=planning_rcs)
-
-
 def run_scenario(scenario: Scenario) -> RunLog:
     """Run the epoch loop; deterministic given the seed. The log's records
     and rates are built on access."""
-    state = initial_sim_state(scenario)
+    state = SimState(scenario)
     for _ in range(scenario.num_epochs):
-        run_epoch(state, scenario)
+        run_epoch(state)
     return state.log

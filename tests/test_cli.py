@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cfisac import cli
+from cfisac import cli, simulate
 from cfisac.cli import (CSV_COLUMNS, ConfigError, config_digest,
                         default_scenario, emit_plots, load_scenario, main,
                         scenario_from_dict, scenario_to_dict,
@@ -24,8 +24,8 @@ from cfisac.cli import (CSV_COLUMNS, ConfigError, config_digest,
 from cfisac.config import SystemConfig
 from cfisac.geometry import TargetTruth
 from cfisac.selection import ApSelection
-from cfisac.sensing import Action
-from cfisac.simulate import (TrafficModel, initial_sim_state, run_epoch,
+from cfisac.sensing import Action, SensingPolicy
+from cfisac.simulate import (RunLog, SimState, TrafficModel, run_epoch,
                              run_scenario)
 from cfisac.tracking import StateEstimate
 
@@ -359,12 +359,12 @@ class TestStepsAfterARead:
     @pytest.fixture(scope="class")
     def stepped(self):
         scenario = default_scenario()
-        state = initial_sim_state(scenario)
+        state = SimState(scenario)
         for _ in range(20):
-            run_epoch(state, scenario)
+            run_epoch(state)
         first = [r.rates for r in state.log]
         for _ in range(10):
-            run_epoch(state, scenario)
+            run_epoch(state)
         whole = dataclasses.replace(scenario, num_epochs=30)
         return scenario, first, state.log, whole, run_scenario(whole)
 
@@ -414,6 +414,37 @@ class TestStepsAfterARead:
                                           if r.rates]))
 
 
+def test_a_read_rates_only_the_epochs_stepped_since_the_last_read(
+        monkeypatch, tmp_path):
+    # a log read after every step passes each traffic-ON epoch to
+    # steered_links once per method, and writes the outputs of a whole run,
+    # whose one read after the loop makes one call per method
+    rows, steered_links = [], simulate.steered_links
+
+    def counting(cfg, truth_x, *args):
+        rows.append(len(truth_x))
+        return steered_links(cfg, truth_x, *args)
+
+    monkeypatch.setattr(simulate, "steered_links", counting)
+    scenario = dataclasses.replace(default_scenario(), num_epochs=120)
+    state = SimState(scenario)
+    for _ in range(scenario.num_epochs):
+        run_epoch(state)
+        state.log[-1]
+    on, methods = sum(state.log.traffic_on), len(scenario.rated_methods)
+    assert methods == 3 and on > 20
+    assert sum(rows) == on * methods
+    rows.clear()
+    whole = run_scenario(scenario)
+    write_records(whole, tmp_path / "whole", scenario, plots=True)
+    assert rows == [on] * methods
+    write_records(state.log, tmp_path / "stepped", scenario, plots=True)
+    assert rows == [on] * methods
+    for name in ("epochs.csv", "summary.json", "variance.svg", "rate.svg"):
+        assert ((tmp_path / "stepped" / name).read_bytes()
+                == (tmp_path / "whole" / name).read_bytes()), name
+
+
 class TestEmitPlots:
     def test_variance_plot_contents(self, short_run, tmp_path):
         scenario, records = short_run
@@ -446,6 +477,11 @@ class TestEmitPlots:
                          for k, v in enumerate(values)) for values in series]
         # the threshold line's dash attribute keeps it out of this match
         assert re.findall(r'stroke-width="1.5" points="([^"]*)"', svg) == want
+
+    def test_an_empty_log_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^no records to plot$"):
+            emit_plots(RunLog(default_scenario()), tmp_path / "plots", 1e-3)
+        assert not (tmp_path / "plots").exists()
 
     def test_rate_plot_with_gaps(self, short_run, tmp_path):
         scenario, records = short_run
@@ -654,6 +690,32 @@ class TestMainEntry:
                      "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
             f"runtime error: epoch 0, conventional arm: {message}\n")
+
+    @pytest.mark.parametrize("system, message", [
+        ("noise_power: 1.0e+300", "proposed arm: Fisher information for "
+                                  "(delay, doppler) is not positive definite"),
+        ("corridor_offset: 1.0e+200", "conventional arm: sensing gain must "
+                                      "have positive power"),
+    ], ids=["noise_power", "corridor_offset"])
+    def test_a_bound_past_the_float_range_names_the_arm(self, tmp_path,
+                                                        capsys, system,
+                                                        message):
+        # a noise power of 1e300 underflows the unit-gain block's Fisher
+        # information to a zero determinant; a corridor offset of 1e200
+        # overflows the squared offset of the range-rate slope, which
+        # _linearize takes as inf, and underflows every hop gain to zero
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(f"system: {{{system}}}\n")
+        assert main(["validate", "--config", str(cfg)]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"runtime error: epoch 0, {message}\n")
+        assert caught == []
+        assert not (tmp_path / "o").exists()
 
     def test_a_non_finite_rate_names_the_method_and_the_epoch(self, tmp_path,
                                                               capsys):
@@ -982,6 +1044,20 @@ class TestSummarize:
         assert all(r.predicted_angle_variance >= gamma for r in records[:k])
         assert crossing["random"] is not None
 
+
+    def test_another_scenarios_config_is_rejected(self, short_run, tmp_path):
+        # the threshold, the digest and the columns would come from two
+        # configs; a copy of the log's own scenario is accepted
+        scenario, records = short_run
+        other = dataclasses.replace(scenario, policy=SensingPolicy(1e9))
+        message = r"^scenario: not the config of the run in the log$"
+        with pytest.raises(ValueError, match=message):
+            summarize_records(records, other)
+        with pytest.raises(ValueError, match=message):
+            write_records(records, tmp_path / "out", other)
+        assert not (tmp_path / "out").exists()
+        assert (summarize_records(records, dataclasses.replace(scenario))
+                == summarize_records(records, scenario))
 
 # (phase_mode, angle_mode): every combination a scenario can set
 MODES = [("compensated", "per_ap"), ("compensated", "global"),

@@ -67,6 +67,17 @@ class TestBuildWaveformVector:
         with pytest.raises(ValueError, match="shape"):
             build_waveform_vector(bad, cfg, 0.0, 0.0)
 
+    def test_grid_that_is_not_2d_rejected(self):
+        with pytest.raises(ValueError, match=r"^waveform grid must be 2-D, "
+                           r"got shape \(16,\)$"):
+            WaveformSpec(np.ones(16))
+
+    @pytest.mark.parametrize("doppler", [math.nan, math.inf])
+    def test_non_finite_doppler_rejected(self, doppler):
+        cfg = small_cfg()
+        with pytest.raises(ValueError, match=r"^doppler must be finite$"):
+            build_waveform_vector(all_ones_waveform(cfg), cfg, 0.0, doppler)
+
     def test_non_unit_power_grid_rejected(self):
         cfg = small_cfg(n_c=16, n_s=4)
         bad = WaveformSpec(2.0 * np.ones((16, 4)))
@@ -218,6 +229,22 @@ class TestAngleBound:
         with pytest.raises(RankDeficientError):
             crb_angle(all_ones_waveform(cfg), cfg, GAIN, 0.0, 0.0, 0.0)
 
+    def test_zero_gain_rejected(self):
+        cfg = small_cfg()
+        with pytest.raises(ValueError,
+                           match=r"^sensing gain must have positive power$"):
+            crb_angle(all_ones_waveform(cfg), cfg, SensingLinkGain(0.0),
+                      0.0, 0.0, 0.0)
+
+    def test_underflowing_information_rejected(self):
+        # 2 |alpha|^2 ||s||^2 / sigma_n^2 of the smallest positive gain
+        # underflows to zero against a noise power of 1e10
+        cfg = small_cfg(noise_power=1e10)
+        with pytest.raises(RankDeficientError, match=r"^angle Fisher "
+                           r"information is not positive$"):
+            crb_angle(all_ones_waveform(cfg), cfg, SensingLinkGain(5e-324),
+                      0.0, 0.0, 0.0)
+
     def test_endfire_singularity_rejected(self):
         cfg = small_cfg()
         with pytest.raises(ValueError):
@@ -252,6 +279,11 @@ class TestRangeVelocityTransform:
         with pytest.raises(ValueError):
             transform_to_range_velocity(np.array([[1.0, 0.5], [0.0, 1.0]]),
                                         cfg)
+
+    def test_rejects_a_bound_that_is_not_2x2(self):
+        with pytest.raises(ValueError,
+                           match=r"^delay-Doppler bound must be 2x2$"):
+            transform_to_range_velocity(np.eye(3), small_cfg())
 
     def test_full_chain_block_structure(self):
         # blocks produced by the real bound chain stay symmetric positive definite
@@ -337,7 +369,9 @@ class TestClosedFormBlock:
         (all_ones_waveform, SensingLinkGain.from_amplitude(0.0)),
         (lambda cfg: WaveformSpec(np.ones((8, 4))), GAIN),
         (lambda cfg: WaveformSpec(2.0 * np.ones((16, 4))), GAIN),
-    ], ids=["zero_gain", "shape", "power"])
+        # the products of the information's entries underflow to zero
+        (all_ones_waveform, SensingLinkGain(1e-300)),
+    ], ids=["zero_gain", "shape", "power", "underflow"])
     def test_same_errors_as_oracle(self, spec_fn, gain):
         cfg = small_cfg()
         spec = spec_fn(cfg)

@@ -146,6 +146,11 @@ class TestArrayResponseDerivative:
             analytic = array_response_derivative(cfg, az)
             assert np.max(np.abs(numeric - analytic)) <= 1e-6
 
+    @pytest.mark.parametrize("azimuth", [math.nan, math.inf, -math.inf])
+    def test_non_finite_azimuth_rejected(self, azimuth):
+        with pytest.raises(ValueError, match=r"^azimuth must be finite$"):
+            array_response_derivative(make_cfg(), azimuth)
+
     def test_inner_product_with_response_is_imaginary(self):
         cfg = make_cfg(antennas_per_ap=6)
         for az in np.linspace(-1.4, 1.4, 9):

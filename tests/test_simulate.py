@@ -28,10 +28,10 @@ from cfisac.selection import ApSelection
 from cfisac.sensing import (Action, SensingPolicy, available_rx_aps,
                             decide_action, select_rx_aps)
 from cfisac import simulate
-from cfisac.simulate import (COMPARISON_ARMS, RngStream, Scenario,
+from cfisac.simulate import (COMPARISON_ARMS, RngStream, Scenario, SimState,
                              TrafficModel, crb_blocks_for_state, draw_rcs,
-                             initial_sim_state, propagate_truth, run_epoch,
-                             run_scenario, synthesize_measurement)
+                             propagate_truth, run_epoch, run_scenario,
+                             synthesize_measurement)
 from cfisac.tracking import (MotionModel, StateEstimate,
                              angle_estimate_and_variance, measurement_model,
                              predict, update)
@@ -504,7 +504,7 @@ def test_planning_scores_equal_score_subsets_of_the_bound_list(monkeypatch,
     workloads = json.loads((Path(__file__).resolve().parents[1] / "bench"
                             / "workloads.json").read_text())
     scenario = scenario_from_dict(workloads[workload]["overrides"])
-    state = initial_sim_state(scenario)
+    state = SimState(scenario)
     score_blocks, scored = simulate._score_blocks, []
 
     def checking(cfg, predicted, available, k, rows, entries):
@@ -522,7 +522,7 @@ def test_planning_scores_equal_score_subsets_of_the_bound_list(monkeypatch,
 
     monkeypatch.setattr(simulate, "_score_blocks", checking)
     for _ in range(scenario.num_epochs):
-        run_epoch(state, scenario)
+        run_epoch(state)
     assert scored and max(scored) > 1
 
 
@@ -633,8 +633,8 @@ class TestRunEpoch:
             initial_estimate=StateEstimate(np.array([0.0, 25.0]),
                                            np.diag([0.01, 0.01])),
             traffic=TrafficModel(mode="intervals", intervals=()))
-        state = initial_sim_state(scenario)
-        step = run_epoch(state, scenario)
+        state = SimState(scenario)
+        step = run_epoch(state)
         assert step == (0, Action.NO_SENSING)
         record = state.log[0]
         assert record.action is Action.NO_SENSING
@@ -645,8 +645,8 @@ class TestRunEpoch:
     def test_high_uncertainty_triggers_sensing_when_idle(self):
         scenario = make_scenario(
             traffic=TrafficModel(mode="intervals", intervals=()))
-        state = initial_sim_state(scenario)
-        step = run_epoch(state, scenario)
+        state = SimState(scenario)
+        step = run_epoch(state)
         assert step.action is Action.SENSING
         assert step.action.value == "Sensing"
         record = state.log[step.epoch]
@@ -656,25 +656,25 @@ class TestRunEpoch:
     def test_traffic_blocks_sensing_and_fills_rates(self):
         scenario = make_scenario(
             traffic=TrafficModel(mode="intervals", intervals=((0, 40),)))
-        state = initial_sim_state(scenario)
-        run_epoch(state, scenario)
+        state = SimState(scenario)
+        run_epoch(state)
         record = state.log[0]
         assert record.traffic_state == "ON"
         assert record.action is Action.NO_SENSING
         assert set(record.rates) == {"proposed", "conventional", "perfect"}
         # the first read after the log grows rates the new epoch too
-        run_epoch(state, scenario)
+        run_epoch(state)
         assert set(state.log[1].rates) == set(record.rates)
         assert state.log[0].rates == record.rates
 
     def test_stepping_past_the_last_epoch_raises(self):
         scenario = make_scenario(num_epochs=3)
-        state = initial_sim_state(scenario)
+        state = SimState(scenario)
         for _ in range(3):
-            run_epoch(state, scenario)
+            run_epoch(state)
         with pytest.raises(ValueError, match=r"^epoch 3 is past the "
                            r"scenario's last epoch \(num_epochs = 3\)$"):
-            run_epoch(state, scenario)
+            run_epoch(state)
         assert state.epoch == 3
         assert len(state.log) == 3
 
@@ -950,9 +950,9 @@ def test_each_arm_predicts_once_an_epoch(monkeypatch):
         monkeypatch.setattr(module, "predict", counting_predict)
     scenario = make_scenario(num_epochs=30, seed=0,
                              policy=SensingPolicy(1e-9))
-    state = initial_sim_state(scenario)
+    state = SimState(scenario)
     for _ in range(scenario.num_epochs):
-        run_epoch(state, scenario)
+        run_epoch(state)
     records = state.log
     arms = len(records[0].arms)
     assert arms == 3
@@ -1108,9 +1108,9 @@ class TestOpenLoopRates:
 
     def test_idle_epochs_share_one_empty_selection(self):
         scenario = make_scenario(num_epochs=60, seed=11)
-        state = initial_sim_state(scenario)
+        state = SimState(scenario)
         for _ in range(60):
-            run_epoch(state, scenario)
+            run_epoch(state)
         arm = state.log.arms["proposed"]
         idle = [k for k, a in enumerate(arm.action) if a is Action.NO_SENSING]
         assert idle
@@ -1120,9 +1120,9 @@ class TestOpenLoopRates:
 
     def test_conventional_epochs_share_one_full_selection(self):
         scenario = make_scenario(num_epochs=60, seed=11)
-        state = initial_sim_state(scenario)
+        state = SimState(scenario)
         for _ in range(60):
-            run_epoch(state, scenario)
+            run_epoch(state)
         arm = state.log.arms["conventional"]
         assert all(a is Action.SENSING for a in arm.action)
         assert arm.bitmask == [state.full_selection.bitmask] * 60
@@ -1339,13 +1339,13 @@ def test_traffic_on_epoch_still_checks_the_predicted_variance(monkeypatch,
     # variance of the float prediction an idle epoch makes
     scenario = make_scenario(traffic=TrafficModel(mode="intervals",
                                                   intervals=((0, 40),)))
-    state = initial_sim_state(scenario)
+    state = SimState(scenario)
     assert state.log.traffic_on[0]
     monkeypatch.setattr(simulate, "_predict_floats",
                         lambda model, *prior: (0.0, 25.0, p00, 0.0, 1.0))
     with pytest.raises(ValueError,
                        match=r"^epoch 0, proposed arm: .*predicted variance"):
-        run_epoch(state, scenario)
+        run_epoch(state)
 
 
 @pytest.mark.parametrize("error", [ValueError, RankDeficientError])
@@ -1368,15 +1368,15 @@ def test_stepping_error_names_the_epoch_and_the_arm(monkeypatch, error):
     monkeypatch.setattr(simulate, "update", failing_update)
     scenario = make_scenario(policy=SensingPolicy(1e9),
                              comparison_arms=("conventional",))
-    state = initial_sim_state(scenario)
+    state = SimState(scenario)
     for _ in range(3):
-        run_epoch(state, scenario)
+        run_epoch(state)
     estimates = dict(state.estimates)
     # the proposed arm steps before the failing one, and a retry fails
     # again: neither leaves an arm an epoch ahead
     for _ in range(2):
         with pytest.raises(error) as caught:
-            run_epoch(state, scenario)
+            run_epoch(state)
         assert type(caught.value) is error
         assert str(caught.value) == "epoch 3, conventional arm: " + (
             "stand-in" if error is RankDeficientError
@@ -1405,9 +1405,9 @@ def test_an_error_that_is_not_a_value_error_propagates_as_it_is(monkeypatch):
     monkeypatch.setattr(simulate, "update", failing_update)
     scenario = make_scenario(policy=SensingPolicy(1e9),
                              comparison_arms=("conventional",))
-    state = initial_sim_state(scenario)
+    state = SimState(scenario)
     for _ in range(3):
-        run_epoch(state, scenario)
+        run_epoch(state)
     estimates = dict(state.estimates)
 
     def columns():
@@ -1416,7 +1416,7 @@ def test_an_error_that_is_not_a_value_error_propagates_as_it_is(monkeypatch):
 
     before = columns()
     with pytest.raises(TypeError) as caught:
-        run_epoch(state, scenario)
+        run_epoch(state)
     assert caught.value is error
     assert str(caught.value) == "stand-in"
     assert state.epoch == len(state.log) == 3
