@@ -336,8 +336,7 @@ def write_records(log: RunLog, out_dir: str | Path, scenario: Scenario,
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
     outputs = ["epochs.csv", "summary.json"]
     if plots:
-        outputs.extend(path.name for path in emit_plots(
-            log, out_dir, scenario.policy.variance_threshold))
+        outputs.extend(path.name for path in emit_plots(log, out_dir))
 
     canonical = scenario_to_dict(scenario)
     manifest = {
@@ -496,16 +495,16 @@ def _rate_svg(log: RunLog) -> str:
     return _svg(elems)
 
 
-def emit_plots(log: RunLog, out_dir: str | Path,
-               variance_threshold: float) -> list[Path]:
-    """Write variance.svg and rate.svg of the run `log`; returns the created
-    paths."""
+def emit_plots(log: RunLog, out_dir: str | Path) -> list[Path]:
+    """Write variance.svg and rate.svg of the run `log`, with its scenario's
+    variance threshold; returns the created paths."""
     if not log:
         raise ValueError("no records to plot")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     variance_path = out_dir / "variance.svg"
-    variance_path.write_text(_variance_svg(log, variance_threshold))
+    variance_path.write_text(
+        _variance_svg(log, log.scenario.policy.variance_threshold))
     rate_path = out_dir / "rate.svg"
     rate_path.write_text(_rate_svg(log))
     return [variance_path, rate_path]

@@ -30,6 +30,14 @@ class RankDeficientError(ValueError):
     """The Fisher information is singular; some parameter is unidentifiable."""
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """sum(x * y), exactly rounded: the `math.fsum` of the elementwise
+    products, which unlike a BLAS dot is the same on every kernel. The
+    products' buffer hands fsum one float at a time; a list of them would
+    raise a run's peak memory by about 0.2 MB."""
+    return math.fsum((x * y).ravel().data)
+
+
 @dataclass(frozen=True)
 class WaveformSpec:
     """Frequency-domain symbol grid, shape (num_subcarriers, num_symbols).
@@ -40,8 +48,9 @@ class WaveformSpec:
     zero-delay, zero-Doppler bounds need: the energy sum(w), the raw second
     moments (sum w a^2, sum w b^2) and the centered sums
     (sum w da^2, sum w db^2, sum w da db), da and db taken about the
-    weighted means. `unit_block` keeps the bound of the last config it was
-    asked for.
+    weighted means. The index moments are exactly rounded sums (`_dot`),
+    so no BLAS kernel moves a bound built on them. `unit_block` keeps the
+    bound of the last config it was asked for.
     """
 
     symbols: np.ndarray
@@ -64,14 +73,14 @@ class WaveformSpec:
         w_a, w_b = w.sum(axis=1), w.sum(axis=0)
         a = np.arange(sym.shape[0], dtype=float)
         b = np.arange(sym.shape[1], dtype=float)
-        da = a - (w_a @ a / energy if energy > 0 else 0.0)
-        db = b - (w_b @ b / energy if energy > 0 else 0.0)
+        da = a - (_dot(w_a, a) / energy if energy > 0 else 0.0)
+        db = b - (_dot(w_b, b) / energy if energy > 0 else 0.0)
         object.__setattr__(self, "energy", energy)
         object.__setattr__(self, "index_raw",
-                           (float(w_a @ a ** 2), float(w_b @ b ** 2)))
+                           (_dot(w_a, a ** 2), _dot(w_b, b ** 2)))
         object.__setattr__(self, "index_cov",
-                           (float(w_a @ da ** 2), float(w_b @ db ** 2),
-                            float(da @ w @ db)))
+                           (_dot(w_a, da ** 2), _dot(w_b, db ** 2),
+                            _dot(w, np.outer(da, db))))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -245,10 +254,14 @@ def crb_angle(spec: WaveformSpec, cfg: SystemConfig, gain: SensingLinkGain,
     da = array_response_derivative(cfg, azimuth)
     projected = (np.vdot(da, da).real
                  - abs(np.vdot(a, da)) ** 2 / np.vdot(a, a).real)
-    info = (2.0 * gain.magnitude_sq * energy / cfg.noise_power) * projected
+    info = float((2.0 * gain.magnitude_sq * energy / cfg.noise_power)
+                 * projected)
     if info <= 0:
         raise RankDeficientError("angle Fisher information is not positive")
-    return 1.0 / info
+    bound = 1.0 / info  # a Python float: a subnormal info gives inf, silently
+    if not math.isfinite(bound):
+        raise RankDeficientError("angle bound is not finite")
+    return bound
 
 
 def crb_block(spec: WaveformSpec, cfg: SystemConfig, gain: SensingLinkGain,

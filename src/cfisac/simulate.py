@@ -563,9 +563,10 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
     covariance. Standard normals are drawn for every AP so the subset
     choice never shifts the stream. One pass over the selected APs at the
     truth gives each AP's model values and the closed-form factor of its
-    noise block (`_noise_factor`), and a second pass at filter_mean its
-    attached block. Both bounds divide the one unit-gain block of
-    `waveform.unit_block(cfg)`.
+    noise block (`_noise_factor`), all before the normals are drawn; the
+    noise is then two Python-float sums per AP, which no BLAS kernel
+    rounds. A second pass at filter_mean gives the attached blocks. Both
+    bounds divide the one unit-gain block of `waveform.unit_block(cfg)`.
     """
     if selection.num_aps != cfg.num_aps:
         raise ValueError(f"selection is over {selection.num_aps} APs, "
@@ -580,22 +581,19 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
     else:
         rows = _linearize(cfg, truth.position_x, v_x, aps)
         entries = range_velocity_blocks(truth_blocks, aps).ravel().tolist()
-    values, factors = [], []
-    for ap, (dist, radial, _, _), r00, r10, r11 in zip(
-            aps, rows, entries[0::4], entries[2::4], entries[3::4]):
-        values += (dist, radial)
-        factors += _noise_factor(ap, r00, r10, r11)
-    normals = rng.standard_normal((cfg.num_aps, 2, 1))
-    values = np.array(values)
-    values += (np.array(factors).reshape(-1, 2, 2)
-               @ normals.take(aps, axis=0)).reshape(-1)
+    factors = [_noise_factor(ap, r00, r10, r11) for ap, r00, r10, r11 in zip(
+        aps, entries[0::4], entries[2::4], entries[3::4])]
+    z, values = rng.standard_normal(2 * cfg.num_aps).tolist(), []
+    for ap, (dist, radial, _, _), (l00, _, l10, l11) in zip(aps, rows, factors):
+        values += (dist + l00 * z[2 * ap],
+                   radial + (l10 * z[2 * ap] + l11 * z[2 * ap + 1]))
 
     if filter_mean is not None:
         entries = _hops(cfg, waveform, float(filter_mean[0]),
                         float(filter_mean[1]), rcs, power_fraction, aps,
                         "filter mean")[1]
     return MeasurementSet._built(
-        values, block_diagonal(np.array(entries).reshape(-1, 2, 2)),
+        np.array(values), block_diagonal(np.array(entries).reshape(-1, 2, 2)),
         selection)
 
 

@@ -447,9 +447,8 @@ def test_a_read_rates_only_the_epochs_stepped_since_the_last_read(
 
 class TestEmitPlots:
     def test_variance_plot_contents(self, short_run, tmp_path):
-        scenario, records = short_run
-        paths = emit_plots(records, tmp_path,
-                           scenario.policy.variance_threshold)
+        _, records = short_run
+        paths = emit_plots(records, tmp_path)
         svg = paths[0].read_text()
         assert "threshold" in svg
         assert svg.count("<circle") >= sum(
@@ -463,7 +462,7 @@ class TestEmitPlots:
         # each point on Python floats must give the same text
         scenario, records = request.getfixturevalue(run)
         threshold = scenario.policy.variance_threshold
-        svg = emit_plots(records, tmp_path, threshold)[0].read_text()
+        svg = emit_plots(records, tmp_path)[0].read_text()
         series = [[math.log10(max(r.arms[tag].predicted_angle_variance, 1e-12))
                    for r in records]
                   for tag in ("proposed", "random") if tag in records[0].arms]
@@ -480,13 +479,12 @@ class TestEmitPlots:
 
     def test_an_empty_log_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=r"^no records to plot$"):
-            emit_plots(RunLog(default_scenario()), tmp_path / "plots", 1e-3)
+            emit_plots(RunLog(default_scenario()), tmp_path / "plots")
         assert not (tmp_path / "plots").exists()
 
     def test_rate_plot_with_gaps(self, short_run, tmp_path):
-        scenario, records = short_run
-        paths = emit_plots(records, tmp_path,
-                           scenario.policy.variance_threshold)
+        _, records = short_run
+        paths = emit_plots(records, tmp_path)
         svg = paths[1].read_text()
         for tag in ("proposed", "conventional", "perfect"):
             assert tag in svg
@@ -545,8 +543,7 @@ class TestEmitPlots:
             default_scenario(), num_epochs=10,
             traffic=TrafficModel(mode="intervals", intervals=()))
         records = run_scenario(scenario)
-        paths = emit_plots(records, tmp_path,
-                           scenario.policy.variance_threshold)
+        paths = emit_plots(records, tmp_path)
         assert paths[1].exists()
         assert "<svg" in paths[1].read_text()
 

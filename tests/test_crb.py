@@ -236,14 +236,19 @@ class TestAngleBound:
             crb_angle(all_ones_waveform(cfg), cfg, SensingLinkGain(0.0),
                       0.0, 0.0, 0.0)
 
-    def test_underflowing_information_rejected(self):
+    @pytest.mark.parametrize("cfg, azimuth, message", [
         # 2 |alpha|^2 ||s||^2 / sigma_n^2 of the smallest positive gain
         # underflows to zero against a noise power of 1e10
-        cfg = small_cfg(noise_power=1e10)
-        with pytest.raises(RankDeficientError, match=r"^angle Fisher "
-                           r"information is not positive$"):
+        (small_cfg(noise_power=1e10), 0.0,
+         "angle Fisher information is not positive"),
+        # with the default noise power it is subnormal near endfire, and
+        # its inverse overflows
+        (SystemConfig(), 1.5, "angle bound is not finite")],
+        ids=["zero", "subnormal"])
+    def test_underflowing_information_rejected(self, cfg, azimuth, message):
+        with pytest.raises(RankDeficientError, match=f"^{message}$"):
             crb_angle(all_ones_waveform(cfg), cfg, SensingLinkGain(5e-324),
-                      0.0, 0.0, 0.0)
+                      azimuth, 0.0, 0.0)
 
     def test_endfire_singularity_rejected(self):
         cfg = small_cfg()

@@ -4,7 +4,9 @@ import gc
 import inspect
 import json
 import math
+import os
 import pickle
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -356,9 +358,13 @@ class TestOneBoundPath:
             normals = RngStream(9, "measurement").generator(
                 epoch).standard_normal(2 * CFG.num_aps)
             values = measurement_model(CFG, (position_x, 25.0), selection)
+            # each AP's factor times its pair of normals, written out as the
+            # two float sums: a BLAS product rounds them by its kernel
             for pos, ap in enumerate(aps):
-                values[2 * pos:2 * pos + 2] += (np.linalg.cholesky(noise[pos])
-                                                @ normals[2 * ap:2 * ap + 2])
+                (l00, _), (l10, l11) = np.linalg.cholesky(noise[pos]).tolist()
+                z0, z1 = normals[2 * ap:2 * ap + 2].tolist()
+                values[2 * pos] += l00 * z0
+                values[2 * pos + 1] += l10 * z0 + l11 * z1
             filter_side = truth_side
             if with_filter_mean:
                 filter_side = crb_blocks_for_state(
@@ -494,6 +500,62 @@ class TestClosedFormFactor:
         assert type(caught.value) is ValueError
         assert str(caught.value) == (
             "noise block of AP 2 is not positive definite")
+
+
+# 200 draws over a random unit-power grid, whose bound blocks and noise
+# factors are not diagonal, hashed with the covariance attached to each.
+KERNEL_DRAWS = """
+import hashlib, math
+import numpy as np
+from cfisac.config import SystemConfig
+from cfisac.crb import WaveformSpec
+from cfisac.geometry import TargetTruth
+from cfisac.selection import ApSelection
+from cfisac.simulate import RngStream, synthesize_measurement
+cfg = SystemConfig()
+rng = np.random.default_rng(6)
+shape = (cfg.num_subcarriers, cfg.num_symbols)
+sym = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+waveform = WaveformSpec(sym * math.sqrt(sym.size / np.sum(np.abs(sym) ** 2)))
+selection = ApSelection.full(cfg.num_aps)
+rcs = np.array([3.0, 0.7, 9.0, 4.0])
+stream, digest = RngStream(9, "measurement"), hashlib.sha256()
+for epoch in range(200):
+    position_x = -300.0 + 6.0 * epoch
+    meas = synthesize_measurement(
+        cfg, TargetTruth(position_x, 25.0), selection, rcs,
+        stream.generator(epoch), waveform=waveform,
+        filter_mean=np.array([position_x + 7.5, 22.0]))
+    digest.update(meas.values.tobytes() + meas.covariance.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_draws_over_a_general_grid_are_the_same_on_every_blas_kernel(
+        tmp_path):
+    # The grid moments under every bound and the noise added to each draw
+    # are Python-float sums, so OpenBLAS's default kernel (with fused
+    # multiply-add on most hosts) and Nehalem's (without) give the same
+    # bits. The children run in tmp_path and write no bytecode.
+    path = os.environ.get("PYTHONPATH")
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("OPENBLAS_")}
+    env.update(PYTHONPATH=os.pathsep.join(
+        [str(Path(simulate.__file__).parents[1]), *([path] if path else [])]),
+        PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
+    digests = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Nehalem",
+                        "OPENBLAS_VERBOSE": "2"}):
+        proc = subprocess.run(
+            [sys.executable, "-c", KERNEL_DRAWS], env={**env, **kernel},
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            check=True)
+        digests.append(proc.stdout)
+    # OPENBLAS_VERBOSE makes the last child name the kernel it loaded
+    if "Core: Nehalem" not in proc.stderr:
+        pytest.skip("numpy's BLAS is not an OpenBLAS that honours "
+                    "OPENBLAS_CORETYPE")
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("workload", ["ref_all", "select_dense"])
