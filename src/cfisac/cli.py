@@ -19,7 +19,7 @@ import yaml
 from . import __version__
 from .config import SystemConfig
 from .geometry import TargetTruth
-from .sensing import Action, SensingPolicy
+from .sensing import _SENSING, Action, SensingPolicy
 from .simulate import (COMPARISON_ARMS, RunLog, Scenario, TrafficModel,
                        run_scenario)
 from .tracking import StateEstimate
@@ -259,22 +259,36 @@ def _digest(canonical: dict) -> str:
 _SNR, _RATE = 0, 1
 _LINK_CELLS = (("proposed", _RATE), ("conventional", _RATE),
                ("perfect", _RATE), ("proposed", _SNR))
+_ACTION_TEXT = {action: action.value for action in Action}
+
+
+def _repeat_texts(values):
+    """Each value as "%.17e", formatted once per run of equal nonzero values.
+    Equal nonzero floats have the same bits; 0.0 == -0.0 does not."""
+    last = text = None
+    for value in values:
+        if value != last or not value:
+            last, text = value, "%.17e" % value
+        yield text
 
 
 def _csv_rows(log: RunLog):
-    """The rows of epochs.csv, one per epoch, from the log's columns: the
+    """The lines of epochs.csv, one per epoch, from the log's columns: the
     proposed arm's state, then, in traffic-ON epochs, the rate cells. The
-    run's one velocity is formatted once, into the row templates."""
+    run's one velocity is formatted once, into the row templates, and the
+    estimated velocity, which the predict keeps between sensing epochs,
+    once per run of repeats."""
     arm, rates = log.arms["proposed"], log.rates
-    head = "%d,%.17e," + ("%.17e" % log.velocity_x) + ",%.17e" * 5 + ",%s,"
-    off_row = head + "OFF,%d,,,,"
+    head = ("%d,%.17e," + ("%.17e" % log.velocity_x) + ",%.17e,%s"
+            + ",%.17e" * 3 + ",%s,")
+    off_row = head + "OFF,%d,,,,\n"
     on_row = head + "ON,%d" + "".join(",%.17e" if tag in rates else ","
-                                      for tag, _ in _LINK_CELLS)
+                                      for tag, _ in _LINK_CELLS) + "\n"
     links = zip(*(rates[tag][index].tolist() for tag, index in _LINK_CELLS
                   if tag in rates))
-    states = zip(count(), log.truth_x, arm.mean_p, arm.mean_v, arm.p00,
-                 arm.p11, arm.variance, [a.value for a in arm.action],
-                 arm.bitmask)
+    states = zip(count(), log.truth_x, arm.mean_p, _repeat_texts(arm.mean_v),
+                 arm.p00, arm.p11, arm.variance,
+                 map(_ACTION_TEXT.__getitem__, arm.action), arm.bitmask)
     for on, state in zip(log.traffic_on, states):
         yield on_row % (state + next(links)) if on else off_row % state
 
@@ -304,7 +318,7 @@ def summarize_records(log: RunLog, scenario: Scenario) -> dict:
                                           scenario.policy.variance_threshold)
                  for tag, values in _variance_series(log).items()}
     sensing = [k for k, action in enumerate(log.arms["proposed"].action)
-               if action is Action.SENSING]
+               if action is _SENSING]
     return {
         "num_epochs": len(log),
         "on_epochs": sum(log.traffic_on[:len(log)]),
@@ -331,7 +345,7 @@ def write_records(log: RunLog, out_dir: str | Path, scenario: Scenario,
 
     with open(out_dir / "epochs.csv", "w", newline="") as csv_file:
         csv_file.write(",".join(CSV_COLUMNS) + "\n")
-        csv_file.writelines(row + "\n" for row in _csv_rows(log))
+        csv_file.writelines(_csv_rows(log))
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
     outputs = ["epochs.csv", "summary.json"]
@@ -439,7 +453,7 @@ def _variance_svg(log: RunLog, threshold: float) -> str:
                      f'font-size="12" fill="{colors[tag]}">{tag} selection</text>')
     arm = log.arms["proposed"]
     for k, (action, variance) in enumerate(zip(arm.action, arm.variance)):
-        if action is Action.SENSING:
+        if action is _SENSING:
             x = to_x(k)
             y = to_y(math.log10(max(variance, floor)))
             elems.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" '

@@ -36,6 +36,10 @@ class Action(enum.Enum):
     NO_SENSING = "NoSensing"
 
 
+# The members, read once: reading one through its class is a descriptor call.
+_SENSING, _NO_SENSING = Action.SENSING, Action.NO_SENSING
+
+
 @dataclass(frozen=True)
 class SensingPolicy:
     """Trigger threshold and receive-subset constraints."""
@@ -86,8 +90,8 @@ def decide_action(predicted_variance: float, policy: SensingPolicy) -> Action:
     if not predicted_variance >= 0:  # also NaN, which would never sense
         raise ValueError("predicted variance must be nonnegative")
     if predicted_variance > policy.variance_threshold:
-        return Action.SENSING
-    return Action.NO_SENSING
+        return _SENSING
+    return _NO_SENSING
 
 
 def predict_variance_for_selection(cfg: SystemConfig, est: StateEstimate,

@@ -34,8 +34,9 @@ from .crb import (CrbBlock, WaveformSpec, all_ones_waveform, block_diagonal,
                   range_velocity_blocks)
 from .geometry import TargetTruth
 from .selection import ApSelection
-from .sensing import (Action, SensingPolicy, _lowest_variance, _score_blocks,
-                      available_rx_aps, decide_action)
+from .sensing import (_NO_SENSING, _SENSING, Action, SensingPolicy,
+                      _lowest_variance, _score_blocks, available_rx_aps,
+                      decide_action)
 from .tracking import (MeasurementSet, MotionModel, StateEstimate,
                        _angle_variance, _linearize, _predict_floats, predict,
                        update)
@@ -449,7 +450,6 @@ class _Arm:
 _ARMS = {"proposed": _Arm(True, "optimal", 1.0),
          "random": _Arm(True, "random", 1.0),
          "conventional": _Arm(False, "all", 0.5)}
-_SENSING, _NO_SENSING = Action.SENSING, Action.NO_SENSING
 
 
 def propagate_truth(truth: TargetTruth, cfg: SystemConfig) -> TargetTruth:
@@ -690,7 +690,8 @@ def run_epoch(state: SimState) -> EpochStep:
     epoch that raises leaves `state.log` and `state.estimates` as they were
     before it, so a retry steps that epoch again.
     """
-    k, scenario = len(state.log), state.log.scenario
+    # len(state.log), without the Python-level call of RunLog.__len__
+    k, scenario = len(state.log.truth_x), state.log.scenario
     if k >= scenario.num_epochs:
         raise ValueError(f"epoch {k} is past the scenario's last epoch "
                          f"(num_epochs = {scenario.num_epochs})")
@@ -708,7 +709,7 @@ def run_epoch(state: SimState) -> EpochStep:
         # the arms that stepped before the failing one commit nothing either
         state.estimates.update(estimates)
         for columns in state.log.arms.values():
-            columns._truncate(len(state.log))
+            columns._truncate(k)
         if isinstance(exc, ValueError):  # RankDeficientError stays one
             raise type(exc)(f"epoch {k}, {name} arm: {exc}") from exc
         raise

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from array import array
 from datetime import datetime, timezone
 from itertools import groupby
 from pathlib import Path
@@ -221,13 +222,22 @@ def oracle_row(rec) -> str:
           if tag in rates))
 
 
+# Each workload's smoke run, and a still target whose filter starts at the
+# velocity -0.0 and, out of reach of the threshold, never senses, so that
+# every row's v_x_est keeps the sign of that zero.
+CSV_RUNS = {name: {**spec["overrides"], "num_epochs": spec["smoke_epochs"]}
+            for name, spec in WORKLOADS.items()}
+CSV_RUNS["signed_zero_velocity"] = {
+    "target": {"position_x": -100.0, "velocity_x": 0.0},
+    "initial_estimate": {"mean": [-100.0, -0.0]}, "num_epochs": 40}
+
+
 @pytest.mark.parametrize("seed", [0, 13])
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_epochs_csv_equals_the_per_record_oracle(tmp_path, workload, seed):
+@pytest.mark.parametrize("run", sorted(CSV_RUNS))
+def test_epochs_csv_equals_the_per_record_oracle(tmp_path, run, seed):
     # the CLI writes epochs.csv from the run's columns; the oracle renders
     # the records the same run builds on access
-    spec = WORKLOADS[workload]
-    overrides = {**spec["overrides"], "num_epochs": spec["smoke_epochs"]}
+    overrides = CSV_RUNS[run]
     config = tmp_path / "s.yaml"
     config.write_text(json.dumps(overrides))
     assert main(["run", "--config", str(config), "--seed", str(seed),
@@ -235,13 +245,33 @@ def test_epochs_csv_equals_the_per_record_oracle(tmp_path, workload, seed):
     scenario = dataclasses.replace(scenario_from_dict(overrides), seed=seed)
     records = list(run_scenario(scenario))
     assert {r.traffic_state for r in records} == {"ON", "OFF"}
-    assert any(r.action is Action.SENSING for r in records)
     want = [",".join(CSV_COLUMNS)] + [oracle_row(rec) for rec in records]
     got = (tmp_path / "out" / "epochs.csv").read_text()
     assert got.endswith("\n")
     # compared line by line, so that a failure reports the first row that
     # differs rather than a diff of the whole file
     assert got.splitlines() == want
+    if run == "signed_zero_velocity":
+        assert {row.split(",")[4] for row in got.splitlines()[1:]} == {
+            "-0.00000000000000000e+00"}
+    else:
+        assert any(r.action is Action.SENSING for r in records)
+
+
+def test_repeated_velocities_keep_their_own_text(tmp_path):
+    # the writer formats a run of equal estimated velocities once; 0.0 and
+    # -0.0 compare equal but are written apart
+    scenario = dataclasses.replace(default_scenario(), num_epochs=12)
+    log = run_scenario(scenario)
+    log.arms["proposed"].mean_v[3:9] = array(
+        "d", [0.0, -0.0, -0.0, 0.0, 7.25, 7.25])
+    write_records(log, tmp_path, scenario)
+    rows = (tmp_path / "epochs.csv").read_text().splitlines()
+    assert rows[1:] == [oracle_row(rec) for rec in log]
+    assert [row.split(",")[4] for row in rows[4:10]] == [
+        "0.00000000000000000e+00", "-0.00000000000000000e+00",
+        "-0.00000000000000000e+00", "0.00000000000000000e+00",
+        "7.25000000000000000e+00", "7.25000000000000000e+00"]
 
 
 class TestWriteRecords:
@@ -309,8 +339,10 @@ class TestWriteRecords:
         write_records(records, tmp_path, scenario)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["num_epochs"] == scenario.num_epochs
-        assert summary["sensing_epochs"] == sum(
-            r.action is Action.SENSING for r in records)
+        sensing = [r.epoch for r in records if r.action is Action.SENSING]
+        assert sensing
+        assert summary["sensing_epochs"] == len(sensing)
+        assert summary["sensing_epoch_indices"] == sensing
         assert set(summary["mean_rates"]) == {"proposed", "conventional",
                                               "perfect"}
         assert summary["threshold_crossing_epoch"]["proposed"] is not None
@@ -451,8 +483,10 @@ class TestEmitPlots:
         paths = emit_plots(records, tmp_path)
         svg = paths[0].read_text()
         assert "threshold" in svg
-        assert svg.count("<circle") >= sum(
-            r.action is Action.SENSING for r in records)
+        sensing = sum(r.action is Action.SENSING for r in records)
+        assert sensing
+        # one marker per sensing epoch, and no other circle of that radius
+        assert svg.count('r="3.5"') == sensing
         assert "stroke-dasharray" in svg  # the threshold line
 
     @pytest.mark.parametrize("run", ["short_run", "long_run"])
@@ -688,21 +722,30 @@ class TestMainEntry:
         assert capsys.readouterr().err == (
             f"runtime error: epoch 0, conventional arm: {message}\n")
 
-    @pytest.mark.parametrize("system, message", [
-        ("noise_power: 1.0e+300", "proposed arm: Fisher information for "
-                                  "(delay, doppler) is not positive definite"),
-        ("corridor_offset: 1.0e+200", "conventional arm: sensing gain must "
-                                      "have positive power"),
-    ], ids=["noise_power", "corridor_offset"])
+    @pytest.mark.parametrize("text, message", [
+        ("system: {noise_power: 1.0e+300}",
+         "proposed arm: Fisher information for (delay, doppler) is not "
+         "positive definite"),
+        ("system: {corridor_offset: 1.0e+200}",
+         "conventional arm: sensing gain must have positive power"),
+        ("system: {mean_rcs: 1.0e+200}",
+         "proposed arm: bound block of AP 0 is not positive definite"),
+        ("initial_estimate: {covariance_diag: [1.0e+300, 1.0e+300]}",
+         "proposed arm: subset variances must not be NaN"),
+    ], ids=["noise_power", "corridor_offset", "mean_rcs", "covariance_diag"])
     def test_a_bound_past_the_float_range_names_the_arm(self, tmp_path,
-                                                        capsys, system,
+                                                        capsys, text,
                                                         message):
         # a noise power of 1e300 underflows the unit-gain block's Fisher
         # information to a zero determinant; a corridor offset of 1e200
         # overflows the squared offset of the range-rate slope, which
-        # _linearize takes as inf, and underflows every hop gain to zero
+        # _linearize takes as inf, and underflows every hop gain to zero;
+        # a mean cross-section of 1e200 underflows every entry of the
+        # planning bound blocks to zero; a prior variance of 1e300
+        # overflows the scorer's det P, and its variances are NaN. These
+        # configs pass validate today, and fail only when run.
         cfg = tmp_path / "s.yaml"
-        cfg.write_text(f"system: {{{system}}}\n")
+        cfg.write_text(text + "\n")
         assert main(["validate", "--config", str(cfg)]) == 0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
