@@ -38,7 +38,11 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # scenario loading
 
-class _UniqueKeyLoader(yaml.SafeLoader):
+# libyaml's parser where PyYAML was built with it. Both bases share
+# SafeConstructor and Resolver, so a document loads to the same values; only
+# the wording of a parse error differs.
+class _UniqueKeyLoader(yaml.CSafeLoader if yaml.__with_libyaml__
+                       else yaml.SafeLoader):
     """SafeLoader that rejects a key repeated in one mapping, which PyYAML
     would otherwise resolve silently to its last value."""
 
@@ -53,7 +57,8 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                     "while constructing a mapping", node.start_mark,
                     f"found duplicate key {key!r}", key_node.start_mark)
             seen.append(key)
-        return super().construct_mapping(node, deep)
+        return yaml.constructor.SafeConstructor.construct_mapping(
+            self, node, deep)
 
 
 # Top-level keys read into Scenario's built fields, not its scalars.
@@ -194,7 +199,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path | None) -> Scenario:
-    """Load a YAML scenario file; None or an empty file yields the defaults."""
+    """Load a YAML scenario file; None, an empty file or a document that is
+    only `~` yields the defaults, and any other document must be a mapping."""
     if path is None:
         return scenario_from_dict({})
     path = Path(path)
@@ -208,7 +214,7 @@ def load_scenario(path: str | Path | None) -> Scenario:
         raise ConfigError(f"cannot read {path}: {reason}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return scenario_from_dict(raw or {})
+    return scenario_from_dict(raw)
 
 
 def default_scenario() -> Scenario:
@@ -217,7 +223,12 @@ def default_scenario() -> Scenario:
 
 def _plain(obj) -> dict:
     """A dataclass's fields as JSON types (tuples become lists)."""
-    return json.loads(json.dumps(dataclasses.asdict(obj)))
+    return {f.name: _listed(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)}
+
+
+def _listed(value):
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

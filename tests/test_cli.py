@@ -89,6 +89,39 @@ def rate_svg_per_point(log):
     return cli._svg(elems)
 
 
+def pure_unique_key_loader():
+    """cli's duplicate-key loader rebuilt on PyYAML's pure-Python
+    SafeLoader, the base it takes where PyYAML lacks libyaml."""
+    return type("PureUniqueKeyLoader", (yaml.SafeLoader,),
+                {"construct_mapping": cli._UniqueKeyLoader.construct_mapping})
+
+
+@pytest.fixture(params=["libyaml", "pure"])
+def loader_base(request, monkeypatch):
+    """Loads configs through cli's loader on each base PyYAML offers."""
+    if request.param == "pure":
+        monkeypatch.setattr(cli, "_UniqueKeyLoader", pure_unique_key_loader())
+    elif yaml.__with_libyaml__:
+        assert issubclass(cli._UniqueKeyLoader, yaml.CSafeLoader)
+    else:
+        pytest.skip("PyYAML was built without libyaml")
+
+
+def typed(value):
+    """A loaded or canonical value with each leaf as its type and repr, so
+    that 1 differs from 1.0 and True, and -0.0 from 0.0."""
+    if isinstance(value, dict):
+        return {key: typed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value), [typed(item) for item in value]
+    return type(value), repr(value)
+
+
+def plain_oracle(obj) -> dict:
+    """The canonical config's former build of a dataclass section."""
+    return json.loads(json.dumps(dataclasses.asdict(obj)))
+
+
 class TestLoadScenario:
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.yaml"
@@ -99,6 +132,12 @@ class TestLoadScenario:
         assert scenario.num_epochs == 200
         assert scenario.initial_truth.position_x == 0.0
         assert scenario.system.corridor_offset == 40.0
+
+    def test_null_document_gives_defaults(self, tmp_path):
+        path = tmp_path / "null.yaml"
+        path.write_text("~\n")
+        assert config_digest(load_scenario(path)) == config_digest(
+            default_scenario())
 
     def test_missing_file_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -140,7 +179,7 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="parse"):
             load_scenario(path)
 
-    def test_merge_key_is_not_a_repeated_key(self, tmp_path):
+    def test_merge_key_is_not_a_repeated_key(self, tmp_path, loader_base):
         # YAML merge keys still load; a key given next to them overrides
         path = tmp_path / "m.yaml"
         path.write_text("system:\n  <<: {num_aps: 6, tx_power: 2.0}\n"
@@ -169,6 +208,18 @@ class TestLoadScenario:
         # policy); a schema change must move it
         assert config_digest(default_scenario()) == (
             "9424424d5c04bbf6f8428c4054bf8ef4785a35c992c3906204bbd080996a3c85")
+
+    @pytest.mark.parametrize("workload", [None, *sorted(WORKLOADS)])
+    def test_canonical_config_matches_a_json_round_trip(self, monkeypatch,
+                                                        workload):
+        # the digest hashes this text, and an int must not become a float
+        overrides = WORKLOADS[workload]["overrides"] if workload else {}
+        canonical = scenario_to_dict(scenario_from_dict(overrides))
+        monkeypatch.setattr(cli, "_plain", plain_oracle)
+        want = scenario_to_dict(scenario_from_dict(overrides))
+        assert (json.dumps(canonical, sort_keys=True)
+                == json.dumps(want, sort_keys=True))
+        assert typed(canonical) == typed(want)
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_workload_round_trip_through_yaml(self, tmp_path, workload):
@@ -935,7 +986,8 @@ class TestMainEntry:
         ("policy:\n  subset_cardinality: 2\n  subset_cardinality: 3\n",
          "subset_cardinality"),
     ], ids=["top_level", "nested_flow", "nested_block"])
-    def test_repeated_keys_rejected(self, tmp_path, capsys, text, key):
+    def test_repeated_keys_rejected(self, tmp_path, capsys, loader_base,
+                                    text, key):
         # PyYAML would keep the last value and run with it
         cfg = tmp_path / "dup.yaml"
         cfg.write_text(text)
@@ -944,6 +996,22 @@ class TestMainEntry:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count(f"found duplicate key '{key}'") == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, kind", [
+        ("[]\n", "list"), ("0\n", "int"), ("false\n", "bool"),
+        ("''\n", "str"),
+    ], ids=["empty_list", "zero", "false", "empty_string"])
+    def test_falsy_document_is_not_the_defaults(self, tmp_path, capsys,
+                                                 text, kind):
+        # only an empty file or `~` stands for the defaults
+        cfg = tmp_path / "falsy.yaml"
+        cfg.write_text(text)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"config: expected a mapping, got {kind}") == 2
         assert not (tmp_path / "o").exists()
 
     def test_unreadable_config_is_config_error(self, tmp_path, capsys):

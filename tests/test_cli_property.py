@@ -1,15 +1,19 @@
 """The power-scaling and mirror symmetries of a whole run, over random seeds
-and scalings of the selection-heavy `select_dense` scenario."""
+and scalings of the selection-heavy `select_dense` scenario; and the config
+loader's agreement across PyYAML's parsers."""
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
 
+from cfisac import cli
 from cfisac.cli import CSV_COLUMNS, scenario_from_dict, write_records
 from cfisac.config import SystemConfig
 from cfisac.simulate import run_scenario
-from test_cli import mirrored
+from test_cli import mirrored, pure_unique_key_loader, typed
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -70,3 +74,32 @@ def test_mirroring_the_deployment_mirrors_the_run(seed, modes):
         for column in states:
             assert float(got[column]) == -float(want[column]), column
         assert {c: got[c] for c in rest} == {c: want[c] for c in rest}
+
+
+# strings that a YAML 1.1 resolver could read as another type, which the
+# dumper must quote
+AMBIGUOUS = st.sampled_from([
+    "yes", "No", "on", "OFF", "y", "~", "null", "", "1e-09", "1.0e-9", ".5",
+    "0x1F", "0o17", "017", "1_000", "190:20:30", ".inf", "-.Inf", ".NaN",
+    "2001-12-14", "2001-12-14t21:59:43.10-05:00", "<<", "=", "- a", "a: b",
+    "#c", " lead", "trail ", "@x", "'q'", '"q"'])
+SCALARS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1e-9, 5e-324]),
+    st.integers(), st.booleans(), st.none(), st.dates(), AMBIGUOUS,
+    st.text(max_size=12))
+KEYS = AMBIGUOUS | st.text(max_size=8)
+DOCUMENTS = st.dictionaries(KEYS, st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(KEYS, inner, max_size=4), max_leaves=12), max_size=6)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(document=DOCUMENTS)
+def test_both_loader_bases_load_the_same_values(document):
+    # libyaml's parser must hand SafeConstructor what PyYAML's own does
+    pure_loader = pure_unique_key_loader()
+    for flow in (False, True):
+        text = yaml.safe_dump(document, default_flow_style=flow)
+        assert (typed(yaml.load(text, Loader=cli._UniqueKeyLoader))
+                == typed(yaml.load(text, Loader=pure_loader))), text
