@@ -19,7 +19,7 @@ import yaml
 from . import __version__
 from .config import SystemConfig
 from .geometry import TargetTruth
-from .sensing import _SENSING, Action, SensingPolicy
+from .sensing import Action, SensingPolicy
 from .simulate import (COMPARISON_ARMS, RunLog, Scenario, TrafficModel,
                        run_scenario)
 from .tracking import StateEstimate
@@ -270,7 +270,7 @@ def _digest(canonical: dict) -> str:
 _SNR, _RATE = 0, 1
 _LINK_CELLS = (("proposed", _RATE), ("conventional", _RATE),
                ("perfect", _RATE), ("proposed", _SNR))
-_ACTION_TEXT = {action: action.value for action in Action}
+_ACTION_TEXT = (Action.NO_SENSING.value, Action.SENSING.value)
 
 
 def _repeat_texts(values):
@@ -299,7 +299,7 @@ def _csv_rows(log: RunLog):
                   if tag in rates))
     states = zip(count(), log.truth_x, arm.mean_p, _repeat_texts(arm.mean_v),
                  arm.p00, arm.p11, arm.variance,
-                 map(_ACTION_TEXT.__getitem__, arm.action), arm.bitmask)
+                 (_ACTION_TEXT[mask != 0] for mask in arm.bitmask), arm.bitmask)
     for on, state in zip(log.traffic_on, states):
         yield on_row % (state + next(links)) if on else off_row % state
 
@@ -328,8 +328,7 @@ def summarize_records(log: RunLog, scenario: Scenario) -> dict:
     crossings = {tag: _threshold_crossing(values,
                                           scenario.policy.variance_threshold)
                  for tag, values in _variance_series(log).items()}
-    sensing = [k for k, action in enumerate(log.arms["proposed"].action)
-               if action is _SENSING]
+    sensing = [k for k, mask in enumerate(log.arms["proposed"].bitmask) if mask]
     return {
         "num_epochs": len(log),
         "on_epochs": sum(log.traffic_on[:len(log)]),
@@ -463,8 +462,8 @@ def _variance_svg(log: RunLog, threshold: float) -> str:
         elems.append(f'<text x="{_MARGIN_L + 8}" y="{_MARGIN_T + 14 + 14 * idx}" '
                      f'font-size="12" fill="{colors[tag]}">{tag} selection</text>')
     arm = log.arms["proposed"]
-    for k, (action, variance) in enumerate(zip(arm.action, arm.variance)):
-        if action is _SENSING:
+    for k, (mask, variance) in enumerate(zip(arm.bitmask, arm.variance)):
+        if mask:
             x = to_x(k)
             y = to_y(math.log10(max(variance, floor)))
             elems.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" '

@@ -88,8 +88,8 @@ def predictive_precoder(cfg: SystemConfig, est: StateEstimate,
     if angle_mode == "global":
         angles = [angle_from_position(cfg, position_x)] * cfg.num_aps
     else:
-        angles = [math.atan2(position_x - cfg.ap_x(ap), cfg.corridor_offset)
-                  for ap in range(cfg.num_aps)]
+        angles = [math.atan2(position_x - ap_x, cfg.corridor_offset)
+                  for ap_x in cfg.ap_positions]
     return np.concatenate([amplitude * array_response(cfg, angle)
                            for angle in angles])
 
@@ -138,7 +138,7 @@ def steered_links(cfg: SystemConfig, truth_x: Sequence[float] | np.ndarray,
         raise ValueError("target truth must be finite")
     if not np.isfinite(position_x).all():
         raise ValueError("steering position must be finite")
-    ap_x = np.array([cfg.ap_x(ap) for ap in range(cfg.num_aps)])
+    ap_x = np.array(cfg.ap_positions)
     offset = cfg.corridor_offset
     dx = truth_x[:, None] - ap_x
     if angle_mode == "global":

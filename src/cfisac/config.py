@@ -9,10 +9,10 @@ from dataclasses import dataclass, fields
 SPEED_OF_LIGHT = 3e8  # m/s
 
 
-def default_ap_positions(num_aps: int) -> tuple[tuple[float, float], ...]:
-    """APs spaced equidistantly on the road line: x = (500/L)*l, l = 1..L, y = 0."""
+def default_ap_positions(num_aps: int) -> tuple[float, ...]:
+    """x of APs spaced equidistantly on the road line: (500/L)*l, l = 1..L."""
     step = 500.0 / num_aps
-    return tuple((step * (l + 1), 0.0) for l in range(num_aps))
+    return tuple(step * (l + 1) for l in range(num_aps))
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class SystemConfig:
     cp_length: int = 18                   # cyclic-prefix samples
     tx_power: float = 1.0                 # W, per-AP maximum
     noise_power: float = 10 ** (-7.5) / 1e3  # W (-75 dBm)
-    ap_positions: tuple[tuple[float, float], ...] | None = None
+    ap_positions: tuple[float, ...] | None = None  # m, x of each AP
     corridor_offset: float = 40.0         # m, fixed y-distance target <-> AP line
     mean_rcs: float = 5.0                 # m^2, Swerling-I mean cross section
     epoch_duration: float = 0.01          # s between filter epochs
@@ -45,9 +45,15 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         if self.ap_positions is not None:
-            object.__setattr__(self, "ap_positions",
-                               tuple((float(x), float(y))
-                                     for x, y in self.ap_positions))
+            # a string would iterate as its characters
+            positions = (None if isinstance(self.ap_positions, str)
+                         else self.ap_positions)
+            try:
+                object.__setattr__(self, "ap_positions",
+                                   tuple(map(float, positions)))
+            except (TypeError, ValueError) as exc:
+                raise ValueError("ap_positions: one x coordinate per AP, "
+                                 "on the road line y = 0") from exc
         # Validate before deriving defaults: both divide by validated fields.
         self._validate()
         if self.antenna_spacing is None:
@@ -106,11 +112,8 @@ class SystemConfig:
         if self.ap_positions is not None:
             if len(self.ap_positions) != self.num_aps:
                 raise ValueError("ap_positions: length must equal num_aps")
-            if not all(math.isfinite(c) for p in self.ap_positions for c in p):
+            if not all(map(math.isfinite, self.ap_positions)):
                 raise ValueError("ap_positions: coordinates must be finite")
-            if any(y != 0.0 for _, y in self.ap_positions):
-                raise ValueError("ap_positions: APs sit on the road line "
-                                 "y = 0 (corridor_offset places the target)")
         if not 0 <= self.tx_ap < self.num_aps:
             raise ValueError("tx_ap: index out of range")
 
@@ -128,6 +131,3 @@ class SystemConfig:
     def cp_delay_window(self) -> float:
         """Largest propagation delay the cyclic prefix absorbs, seconds."""
         return self.cp_length / (self.num_subcarriers * self.subcarrier_spacing)
-
-    def ap_x(self, ap_index: int) -> float:
-        return self.ap_positions[ap_index][0]

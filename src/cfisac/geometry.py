@@ -35,7 +35,7 @@ def geometry_for_ap(cfg: SystemConfig, truth: TargetTruth,
         raise ValueError("target truth must be finite")
     if not 0 <= ap_index < cfg.num_aps:
         raise ValueError(f"ap_index {ap_index} out of range [0, {cfg.num_aps})")
-    dx = truth.position_x - cfg.ap_x(ap_index)
+    dx = truth.position_x - cfg.ap_positions[ap_index]
     dist = math.hypot(dx, cfg.corridor_offset)
     azimuth = math.atan2(dx, cfg.corridor_offset)
     path_gain = (cfg.wavelength / (4.0 * math.pi * dist)) ** 2

@@ -284,7 +284,7 @@ class ArmColumns:
     """One filter arm's run, one entry per epoch in each column: the
     posterior mean (`mean_p`, `mean_v`) and covariance entries (`p00`,
     `p01`, `p11`; the filter keeps P10 = P01), the predicted angle
-    variance, the action and the bitmask of the receive set."""
+    variance and the receive set's bitmask, nonzero exactly where it sensed."""
 
     mean_p: array = field(default_factory=_floats)
     mean_v: array = field(default_factory=_floats)
@@ -292,14 +292,14 @@ class ArmColumns:
     p01: array = field(default_factory=_floats)
     p11: array = field(default_factory=_floats)
     variance: array = field(default_factory=_floats)
-    action: list[Action] = field(default_factory=list)
     bitmask: list[int] = field(default_factory=list)
 
     def arm_epoch(self, k: int, num_aps: int) -> ArmEpoch:
         """Epoch k of this arm as an `ArmEpoch`."""
         p01 = self.p01[k]
-        return ArmEpoch(self.action[k],
-                        ApSelection.from_bitmask(num_aps, self.bitmask[k]),
+        mask = self.bitmask[k]
+        return ArmEpoch(_SENSING if mask else _NO_SENSING,
+                        ApSelection.from_bitmask(num_aps, mask),
                         self.variance[k],
                         StateEstimate([self.mean_p[k], self.mean_v[k]],
                                       [[self.p00[k], p01], [p01, self.p11[k]]]))
@@ -464,6 +464,13 @@ def draw_rcs(rng: np.random.Generator, cfg: SystemConfig,
     return rng.exponential(cfg.mean_rcs, size=num_aps)
 
 
+def _check_rcs(cfg: SystemConfig, rcs: np.ndarray) -> None:
+    """Raise ValueError unless `rcs` holds one cross section per AP."""
+    if np.shape(rcs) != (cfg.num_aps,):
+        raise ValueError(f"rcs: need shape ({cfg.num_aps},), one cross "
+                         f"section per AP, got {np.shape(rcs)}")
+
+
 def _hops(cfg: SystemConfig, waveform: WaveformSpec, position_x: float,
           velocity_x: float, rcs: np.ndarray, power_fraction: float,
           aps: Sequence[int], state: str = "target truth"
@@ -482,7 +489,7 @@ def _hops(cfg: SystemConfig, waveform: WaveformSpec, position_x: float,
     wavelength, offset = cfg.wavelength, cfg.corridor_offset
     positions, hypot, four_pi = cfg.ap_positions, math.hypot, 4.0 * math.pi
     # Each hop's path gain is geometry_for_ap's (lambda / (4 pi d))^2.
-    dist = hypot(position_x - positions[cfg.tx_ap][0], offset)
+    dist = hypot(position_x - positions[cfg.tx_ap], offset)
     try:
         scale = ((wavelength / (four_pi * dist)) ** 2
                  * 2.0 * math.pi / wavelength ** 2
@@ -522,8 +529,9 @@ def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
     on the waveform grid only through its power-weighted index moments,
     cached on the WaveformSpec, so the evaluation point does not change the
     result. The FFT-based crb_delay_doppler is the general-grid reference it
-    is tested against.
+    is tested against. `rcs` must hold one cross section per AP.
     """
+    _check_rcs(cfg, rcs)
     stack = np.array(_hops(cfg, waveform, position_x, velocity_x, rcs,
                            power_fraction, range(cfg.num_aps))[1]
                      ).reshape(-1, 2, 2)
@@ -567,10 +575,12 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
     noise is then two Python-float sums per AP, which no BLAS kernel
     rounds. A second pass at filter_mean gives the attached blocks. Both
     bounds divide the one unit-gain block of `waveform.unit_block(cfg)`.
+    `rcs` must hold one cross section per AP, even where it is not read.
     """
     if selection.num_aps != cfg.num_aps:
         raise ValueError(f"selection is over {selection.num_aps} APs, "
                          f"the system has {cfg.num_aps}")
+    _check_rcs(cfg, rcs)
     if selection.cardinality == 0:
         raise ValueError("no sensing receivers selected")
     aps = selection.indices
@@ -671,7 +681,6 @@ def _step_arm(scenario: Scenario, state: SimState, name: str,
     columns.p01.append(p01)
     columns.p11.append(p11)
     columns.variance.append(variance)
-    columns.action.append(action)
     columns.bitmask.append(mask)
     return action
 

@@ -171,7 +171,7 @@ def _linearize(cfg: SystemConfig, position_x: float, velocity_x: float,
         velocity_slope = velocity_x * math.inf
     rows = []
     for ap in aps:
-        dx = position_x - positions[ap][0]
+        dx = position_x - positions[ap]
         dist = hypot(dx, p_y)
         try:
             cube = dist ** 3

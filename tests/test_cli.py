@@ -205,9 +205,10 @@ class TestLoadScenario:
 
     def test_default_digest_is_pinned(self):
         # the canonical form of the defaults (the threshold only under
-        # policy); a schema change must move it
+        # policy, one x per AP under ap_positions); a schema change must
+        # move it
         assert config_digest(default_scenario()) == (
-            "9424424d5c04bbf6f8428c4054bf8ef4785a35c992c3906204bbd080996a3c85")
+            "b5426abc6674c35e4b9a247b8b09d0e8a4f40f623fc80f26efd9d89bc10cf1f3")
 
     @pytest.mark.parametrize("workload", [None, *sorted(WORKLOADS)])
     def test_canonical_config_matches_a_json_round_trip(self, monkeypatch,
@@ -859,8 +860,7 @@ class TestMainEntry:
         ("system:\n  tx_power: .inf\n", "tx_power"),
         ("system:\n  mean_rcs: .inf\n", "mean_rcs"),
         ("system:\n  epoch_duration: .inf\n", "epoch_duration"),
-        ("system:\n  ap_positions: [[125, 0], [.nan, 0], [375, 0], [500, 0]]\n",
-         "ap_positions"),
+        ("system:\n  ap_positions: [125, .nan, 375, 500]\n", "ap_positions"),
         ("target:\n  position_x: .nan\n"
          "initial_estimate:\n  mean: [0, 25]\n", "target"),
         ("target:\n  velocity_x: .inf\n"
@@ -873,7 +873,8 @@ class TestMainEntry:
         ("target:\n  position_x: [1]\n", "position_x"),
         ("traffic:\n  on_probability: [1]\n", "on_probability"),
         ("traffic:\n  intervals: 5\n", "traffic"),
-        ("system:\n  ap_positions: 5\n", "system"),
+        ("system:\n  ap_positions: 5\n", "ap_positions"),
+        ("system:\n  ap_positions: \"1234\"\n", "ap_positions"),
         ("arms: 5\n", "arms"),
         ("system:\n  num_aps: 4.7\n", "num_aps"),
         ("num_epochs: 2.9\n", "num_epochs"),
@@ -896,12 +897,12 @@ class TestMainEntry:
         ("traffic:\n  on_probability: true\n", "on_probability"),
         ("traffic:\n  mode: intervals\n  intervals: [[true, 3]]\n",
          "intervals"),
-        ("system:\n  ap_positions: [[true, 0], [250, 0], [375, 0], [500, 0]]\n",
-         "ap_positions"),
+        ("system:\n  ap_positions: [true, 250, 375, 500]\n", "ap_positions"),
         ("initial_estimate:\n  covariance_diag: [true, 1]\n",
          "covariance_diag"),
-        ("system:\n  ap_positions: [[125, 35], [250, -80], [375, 1000], "
-         "[500, 7]]\n", "ap_positions"),
+        # the (x, y) pairs of an earlier schema, whose y had to be 0
+        ("system:\n  ap_positions: [[125, 0], [250, 0], [375, 0], [500, 0]]\n",
+         "ap_positions"),
         ("initial_estimate:\n  mean: [0, 25]\n  offset: [300, 0]\n",
          "offset"),
         ("initial_estimate:\n  covariance: [[100, 0], [0, 1]]\n"
@@ -921,8 +922,7 @@ class TestMainEntry:
         ("initial_estimate: {mean: [1, 2, 3]}\n", "initial_estimate"),
         ("system: {cp_length: -1}\n", "cp_length"),
         ("system: {process_noise_std: -0.1}\n", "process_noise_std"),
-        ("system: {num_aps: 3, ap_positions: [[1, 0], [2, 0]]}\n",
-         "ap_positions"),
+        ("system: {num_aps: 3, ap_positions: [1, 2]}\n", "ap_positions"),
         ("policy: {subset_cardinality: -1}\n", "subset_cardinality"),
         ("traffic: {on_probability: 1.5}\n", "on_probability"),
     ], ids=["one_symbol", "one_antenna", "negative_variance", "asymmetric",
@@ -931,14 +931,14 @@ class TestMainEntry:
             "inf_target_velocity", "inf_num_aps", "zero_num_aps",
             "zero_carrier", "list_num_epochs", "list_cardinality",
             "list_target_position", "list_on_probability", "scalar_intervals",
-            "scalar_ap_positions", "scalar_arms", "fractional_num_aps",
-            "fractional_num_epochs", "fractional_seed", "negative_seed",
-            "seed_past_64_bits", "epochs_past_32_bits", "string_bool",
-            "unknown_phase_mode", "unknown_angle_mode",
+            "scalar_ap_positions", "string_ap_positions", "scalar_arms",
+            "fractional_num_aps", "fractional_num_epochs", "fractional_seed",
+            "negative_seed", "seed_past_64_bits", "epochs_past_32_bits",
+            "string_bool", "unknown_phase_mode", "unknown_angle_mode",
             "infeasible_cardinality", "too_many_aps", "fractional_interval",
             "bool_tx_power", "bool_target_position", "bool_on_probability",
             "bool_interval", "bool_ap_position", "bool_covariance_diag",
-            "off_road_ap_position", "mean_and_offset",
+            "pair_ap_positions", "mean_and_offset",
             "covariance_and_diag", "bernoulli_intervals",
             "inf_policy_threshold", "intervals_on_probability",
             "epoch_duration_overflows_q", "process_noise_overflows_q",
@@ -1120,10 +1120,9 @@ class TestApBudget:
                         if not (scenario.policy.exclude_tx_ap
                                 and l == scenario.system.tx_ap))
         arm = run_scenario(scenario).arms["random"]
-        picks = [mask for mask, action in zip(arm.bitmask, arm.action)
-                 if action is Action.SENSING]
+        picks = [mask for mask in arm.bitmask if mask]
         assert picks and picks[0] == arm.bitmask[0]
-        assert all(mask and mask & ~available == 0 for mask in picks)
+        assert all(mask & ~available == 0 for mask in picks)
         if first_pick is not None:
             assert bin(picks[0]).count("1") == first_pick
         again = run_scenario(scenario_from_dict(raw)).arms["random"]
@@ -1206,7 +1205,7 @@ def mirrored(scenario):
     return dataclasses.replace(
         scenario,
         system=dataclasses.replace(system, ap_positions=tuple(
-            (-x, y) for x, y in system.ap_positions)),
+            -x for x in system.ap_positions)),
         initial_truth=TargetTruth(-truth.position_x, -truth.velocity_x),
         initial_estimate=StateEstimate(-prior.mean, prior.covariance))
 

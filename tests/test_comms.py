@@ -99,7 +99,7 @@ class TestPredictivePrecoder:
         w = predictive_precoder(CFG, est_at(px), 0.5, angle_mode)
         amplitude = math.sqrt(0.5 * CFG.tx_power / CFG.antennas_per_ap)
         for ap, vec in enumerate(w.reshape(CFG.num_aps, -1)):
-            angle = (math.atan2(px - CFG.ap_x(ap), CFG.corridor_offset)
+            angle = (math.atan2(px - CFG.ap_positions[ap], CFG.corridor_offset)
                      if angle_mode == "per_ap"
                      else angle_from_position(CFG, px))
             assert_allclose(vec, amplitude * array_response(CFG, angle),
@@ -132,7 +132,7 @@ class TestEvaluateLink:
 
     def test_single_ap_matched_snr_chain(self):
         # beta * rho * N / sigma^2 with beta at 100 m and -75 dBm noise
-        cfg = SystemConfig(num_aps=2, ap_positions=((0.0, 0.0), (1e6, 0.0)))
+        cfg = SystemConfig(num_aps=2, ap_positions=(0.0, 1e6))
         px = math.sqrt(100.0 ** 2 - 40.0 ** 2)
         truth = TargetTruth(px, 0.0)
         h = build_channel(cfg, truth)
@@ -287,7 +287,7 @@ class TestSteeredLink:
         # that its phase step is off by exactly 2 pi / N, the kernel's null
         n = 4
         cfg = SystemConfig(num_aps=2, antennas_per_ap=n,
-                           ap_positions=((0.0, 0.0), (1e7, 0.0)))
+                           ap_positions=(0.0, 1e7))
         truth = TargetTruth(0.0, 0.0)
         scale = 2.0 * math.pi / cfg.wavelength * cfg.antenna_spacing
         est_x = cfg.corridor_offset * math.tan(math.asin(2 * math.pi / n
@@ -340,8 +340,7 @@ class TestSteeredLinks:
                                                  power_fraction):
         n = 4
         cfg = SystemConfig(num_aps=3, antennas_per_ap=n,
-                           ap_positions=((0.0, 0.0), (60.0, 0.0),
-                                         (130.0, 0.0)))
+                           ap_positions=(0.0, 60.0, 130.0))
         pairs = [
             # exact estimates: sin(x / 2) is exactly 0 for AP 0 here in both
             # angle modes, and for every AP with per-AP angles

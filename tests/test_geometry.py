@@ -45,25 +45,24 @@ class TestSystemConfig:
 
     def test_default_ap_layout(self):
         cfg = make_cfg(num_aps=4)
-        assert cfg.ap_positions == ((125.0, 0.0), (250.0, 0.0),
-                                    (375.0, 0.0), (500.0, 0.0))
+        assert cfg.ap_positions == (125.0, 250.0, 375.0, 500.0)
 
 
 class TestGeometryForAp:
     def test_target_directly_abeam(self):
-        cfg = make_cfg(ap_positions=((250.0, 0.0), (500.0, 0.0)), num_aps=2)
+        cfg = make_cfg(ap_positions=(250.0, 500.0), num_aps=2)
         geo = geometry_for_ap(cfg, TargetTruth(250.0, 25.0), 0)
         assert geo.range == pytest.approx(40.0)
         assert geo.azimuth == pytest.approx(0.0)
 
     def test_diagonal_geometry_matches_calculator(self):
         # sqrt(40^2 + 40^2), worked out independently
-        cfg = make_cfg(ap_positions=((125.0, 0.0), (500.0, 0.0)), num_aps=2)
+        cfg = make_cfg(ap_positions=(125.0, 500.0), num_aps=2)
         geo = geometry_for_ap(cfg, TargetTruth(165.0, 25.0), 0)
         assert geo.range == pytest.approx(56.568542494923804, rel=1e-12)
 
     def test_path_gain_at_100m(self):
-        cfg = make_cfg(ap_positions=((0.0, 0.0), (500.0, 0.0)), num_aps=2)
+        cfg = make_cfg(ap_positions=(0.0, 500.0), num_aps=2)
         px = math.sqrt(100.0 ** 2 - 40.0 ** 2)
         geo = geometry_for_ap(cfg, TargetTruth(px, 0.0), 0)
         expected = (0.01 / (4 * math.pi * 100.0)) ** 2  # 6.3326e-11

@@ -34,7 +34,7 @@ def oracle_variance(cfg, est, model, indices, blocks):
         rows = []
         r_diag = []
         for ap in sorted(indices):
-            dx = mean[0] - cfg.ap_x(ap)
+            dx = mean[0] - cfg.ap_positions[ap]
             dist = math.hypot(dx, cfg.corridor_offset)
             rows.append([dx / dist, 0.0])
             rows.append([mean[1] * cfg.corridor_offset ** 2 / dist ** 3,
@@ -153,7 +153,7 @@ class TestPredictVariance:
                 assert got <= empty + 1e-15
 
     def test_superset_dominance_exhaustive_three_aps(self):
-        cfg = SystemConfig(num_aps=3, ap_positions=((100, 0), (200, 0), (300, 0)))
+        cfg = SystemConfig(num_aps=3, ap_positions=(100, 200, 300))
         model = MotionModel.from_config(cfg)
         est = StateEstimate(np.array([150.0, 25.0]), np.diag([50.0, 1.0]))
         blocks = [diag_block(ap, 3.0, 40.0) for ap in range(3)]
@@ -194,7 +194,7 @@ class TestSelectRxAps:
         # velocity to AP 1 moves with the state: it adds no information
         cfg = SystemConfig(process_noise_std=0.0)
         model = MotionModel.from_config(cfg)
-        est = StateEstimate(np.array([cfg.ap_x(1), 0.0]),
+        est = StateEstimate(np.array([cfg.ap_positions[1], 0.0]),
                             np.diag([100.0, 1.0]))
         policy = SensingPolicy(GAMMA_3DEG, subset_cardinality=0)
         sel = select_rx_aps(cfg, est, model, policy, self.blocks)
@@ -202,7 +202,7 @@ class TestSelectRxAps:
 
     def test_unconstrained_without_information_takes_one_ap(self):
         # every subset ties, so the fewest APs and then the lowest bitmask win
-        cfg = SystemConfig(num_aps=2, ap_positions=((200.0, 0.0), (200.0, 0.0)),
+        cfg = SystemConfig(num_aps=2, ap_positions=(200.0, 200.0),
                            process_noise_std=0.0)
         model = MotionModel.from_config(cfg)
         est = StateEstimate(np.array([200.0, 0.0]), np.diag([100.0, 1.0]))
@@ -216,7 +216,7 @@ class TestSelectRxAps:
         est = StateEstimate(np.array([330.0, 25.0]), np.diag([100.0, 1.0]))
         blocks = []
         for ap in range(4):
-            dist_sq = (330.0 - self.cfg.ap_x(ap)) ** 2 + 40.0 ** 2
+            dist_sq = (330.0 - self.cfg.ap_positions[ap]) ** 2 + 40.0 ** 2
             blocks.append(diag_block(ap, 1e-3 * dist_sq, 30.0))
         policy = SensingPolicy(GAMMA_3DEG, subset_cardinality=1)
         sel = select_rx_aps(self.cfg, est, self.model, policy, blocks)
@@ -227,7 +227,7 @@ class TestSelectRxAps:
         assert sel.indices == (best,) == (2,)
 
     def test_tie_breaks_to_lower_index(self):
-        cfg = SystemConfig(num_aps=2, ap_positions=((200.0, 0.0), (200.0, 0.0)))
+        cfg = SystemConfig(num_aps=2, ap_positions=(200.0, 200.0))
         model = MotionModel.from_config(cfg)
         est = StateEstimate(np.array([150.0, 25.0]), np.diag([100.0, 1.0]))
         blocks = [diag_block(0, 2.0, 30.0), diag_block(1, 2.0, 30.0)]

@@ -596,6 +596,14 @@ FAULTS = {
                  "sensing gain must have positive power"),
     "nan_rcs": ({"rcs": np.array([5.0, math.nan, 5.0, 5.0])}, ValueError,
                 "sensing gain must have positive power"),
+    # one cross section per AP of the 4-AP config, or a ValueError naming rcs
+    "short_rcs": ({"rcs": np.array([5.0])}, ValueError,
+                  "rcs: need shape (4,), one cross section per AP, got (1,)"),
+    "column_rcs": ({"rcs": np.full((4, 1), 5.0)}, ValueError,
+                   "rcs: need shape (4,), one cross section per AP, "
+                   "got (4, 1)"),
+    "long_rcs": ({"rcs": np.full(6, 5.0)}, ValueError,
+                 "rcs: need shape (4,), one cross section per AP, got (6,)"),
     "non_finite_state": ({"position_x": math.nan}, ValueError,
                          "target truth must be finite"),
     # d^3 overflows a float this far out; the hop gain underflows to zero
@@ -620,7 +628,8 @@ FAULTS = {
 
 class TestBoundErrors:
     """Each single fault raises what the per-AP `geometry_for_ap` and
-    `crb_block` path raised: same type, same message."""
+    `crb_block` path raised: same type, same message. A cross-section array
+    of the wrong shape raises one ValueError naming `rcs`."""
 
     VALID = {"rcs": np.full(CFG.num_aps, CFG.mean_rcs), "aps": (1, 3),
              "position_x": 60.0, "power_fraction": 1.0,
@@ -1174,9 +1183,9 @@ class TestOpenLoopRates:
         for _ in range(60):
             run_epoch(state)
         arm = state.log.arms["proposed"]
-        idle = [k for k, a in enumerate(arm.action) if a is Action.NO_SENSING]
+        idle = [k for k, mask in enumerate(arm.bitmask) if not mask]
         assert idle
-        assert all(arm.bitmask[k] == 0 for k in idle)
+        assert all(state.log[k].action is Action.NO_SENSING for k in idle)
         assert all(state.log[k].arms["proposed"].selection
                    == ApSelection.empty(CFG.num_aps) for k in idle)
 
@@ -1186,8 +1195,9 @@ class TestOpenLoopRates:
         for _ in range(60):
             run_epoch(state)
         arm = state.log.arms["conventional"]
-        assert all(a is Action.SENSING for a in arm.action)
         assert arm.bitmask == [state.full_selection.bitmask] * 60
+        assert all(r.arms["conventional"].action is Action.SENSING
+                   for r in state.log)
         assert all(r.arms["conventional"].selection == state.full_selection
                    for r in state.log)
         assert state.full_selection == ApSelection.full(CFG.num_aps)
@@ -1329,7 +1339,8 @@ class TestRecordConstruction:
             for name, arm in rec.arms.items():
                 columns = log.arms[name]
                 p01 = columns.p01[k]
-                assert arm.action is columns.action[k]
+                assert arm.action is (Action.SENSING if columns.bitmask[k]
+                                      else Action.NO_SENSING)
                 assert arm.selection == ApSelection.from_bitmask(
                     CFG.num_aps, columns.bitmask[k])
                 assert arm.predicted_angle_variance == columns.variance[k]
@@ -1447,7 +1458,7 @@ def test_stepping_error_names_the_epoch_and_the_arm(monkeypatch, error):
         assert state.epoch == len(state.log) == 3
         assert state.estimates == estimates
         for columns in state.log.arms.values():
-            assert [len(c) for c in vars(columns).values()] == [3] * 8
+            assert [len(c) for c in vars(columns).values()] == [3] * 7
     assert calls == [(0, 1, 2, 3)] * 5
 
 

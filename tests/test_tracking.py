@@ -106,12 +106,14 @@ class TestPredict:
 class TestMeasurementModel:
     def test_directly_over_ap(self):
         sel = ApSelection.from_indices(CFG.num_aps, [0])
-        vals = measurement_model(CFG, np.array([CFG.ap_x(0), 25.0]), sel)
+        vals = measurement_model(CFG, np.array([CFG.ap_positions[0], 25.0]),
+                                 sel)
         assert_allclose(vals, [CFG.corridor_offset, 0.0])
 
     def test_diagonal_values(self):
         sel = ApSelection.from_indices(CFG.num_aps, [0])
-        vals = measurement_model(CFG, np.array([CFG.ap_x(0) + 40.0, 25.0]), sel)
+        vals = measurement_model(
+            CFG, np.array([CFG.ap_positions[0] + 40.0, 25.0]), sel)
         assert vals[0] == pytest.approx(56.568542494923804)
         assert vals[1] == pytest.approx(17.67766952966369)
 
@@ -124,7 +126,7 @@ class TestMeasurementModel:
             for ap in range(CFG.num_aps):
                 dist, radial_velocity = vals[2 * ap:2 * ap + 2]
                 assert radial_velocity * dist == pytest.approx(
-                    (px - CFG.ap_x(ap)) * vx, rel=1e-12, abs=1e-12)
+                    (px - CFG.ap_positions[ap]) * vx, rel=1e-12, abs=1e-12)
 
     def test_two_aps_stack_in_index_order(self):
         sel = ApSelection.from_indices(CFG.num_aps, [2, 0])
@@ -144,7 +146,8 @@ class TestMeasurementModel:
 class TestMeasurementJacobian:
     def test_rows_at_zero_offset(self):
         sel = ApSelection.from_indices(CFG.num_aps, [0])
-        jac = measurement_jacobian(CFG, np.array([CFG.ap_x(0), 25.0]), sel)
+        jac = measurement_jacobian(
+            CFG, np.array([CFG.ap_positions[0], 25.0]), sel)
         assert_allclose(jac[0], [0.0, 0.0], atol=1e-15)
         assert_allclose(jac[1], [25.0 / CFG.corridor_offset, 0.0], rtol=1e-12)
 
@@ -186,7 +189,7 @@ class TestMeasurementJacobian:
         # nonzero float above about 1.7e-108 m and zero below
         cfg = dataclasses.replace(CFG, corridor_offset=offset)
         sel = ApSelection.from_indices(cfg.num_aps, [0, 2])
-        state = np.array([cfg.ap_x(2), 25.0])
+        state = np.array([cfg.ap_positions[2], 25.0])
         if singular:
             with pytest.raises(ValueError, match=r"^range to AP 2 is too "
                                r"short: its cube underflows"):
