@@ -100,6 +100,7 @@ def _no_booleans(value):
 # float() also takes strings: YAML reads e.g. 60.0e9 as one.
 _SCALARS = {
     "int": (_whole_number, "an integer"),
+    "int | None": (lambda v: None if v is None else _whole_number(v), "an integer"),
     "float": (_number, "a number"),
     "float | None": (lambda v: None if v is None else _number(v), "a number"),
     "bool": (_boolean, "a boolean"),

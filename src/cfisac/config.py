@@ -21,12 +21,13 @@ class SystemConfig:
 
     Defaults reproduce the reference evaluation scenario: four 4-antenna APs
     along a road at y = 0, a 30 GHz carrier, and a vehicle corridor 40 m away.
-    `antenna_spacing` derives from the carrier when left None. Every float
+    `antenna_spacing` derives from the carrier when left None, and
+    `num_aps` from `ap_positions`, or is 4 without them. Every float
     field and AP coordinate must be finite. The sensing trigger is not a
     deployment parameter: it is `SensingPolicy.variance_threshold`.
     """
 
-    num_aps: int = 4                      # L_T
+    num_aps: int | None = None            # L_T
     antennas_per_ap: int = 4              # N, ULA elements per AP
     carrier_frequency: float = 30e9       # Hz
     antenna_spacing: float | None = None  # m, defaults to wavelength / 2
@@ -54,6 +55,9 @@ class SystemConfig:
             except (TypeError, ValueError) as exc:
                 raise ValueError("ap_positions: one x coordinate per AP, "
                                  "on the road line y = 0") from exc
+        if self.num_aps is None:
+            object.__setattr__(self, "num_aps", 4 if self.ap_positions is None
+                               else len(self.ap_positions))
         # Validate before deriving defaults: both divide by validated fields.
         self._validate()
         if self.antenna_spacing is None:

@@ -304,11 +304,6 @@ class ArmColumns:
                         StateEstimate([self.mean_p[k], self.mean_v[k]],
                                       [[self.p00[k], p01], [p01, self.p11[k]]]))
 
-    def _truncate(self, n: int) -> None:
-        """Drop every column's entries past the first n."""
-        for column in vars(self).values():
-            del column[n:]
-
 
 class RunLog(Sequence):
     """A run as columns, and as a sequence of `EpochRecord`s built on access.
@@ -439,7 +434,7 @@ class SimState:
 
 @dataclass(frozen=True)
 class _Arm:
-    """What sets a filter arm apart; every arm runs the same `_step_arm`."""
+    """What sets a filter arm apart; every arm runs one `_plan` and `_act`."""
 
     gated: bool            # senses only when idle and above the threshold
     receivers: str         # "optimal", "random" or "all" APs listen
@@ -621,83 +616,74 @@ def _random_selection(available: ApSelection, k: int,
         available.num_aps, [aps[i] for i in range(len(aps)) if mask >> i & 1])
 
 
-def _step_arm(scenario: Scenario, state: SimState, name: str,
-              truth_x: float, traffic_on: bool) -> Action:
-    """One EKF cycle of a filter arm, appended to its columns: predict on
-    Python floats, then select, synthesize and update if the arm senses
-    this epoch. Only a sensing epoch builds arrays and estimates: there
-    `predict` repeats the float step on the prior estimate, with the same
-    helper and so the same bits.
-
-    Only an arm that senses reads the selection, cross-section and
-    measurement streams, each reset to (seed, stream, epoch) by its
-    `generator` call, so every arm that senses draws the same cross
-    sections and normals.
-    """
+def _plan(scenario: Scenario, state: SimState, name: str, traffic_on: bool
+          ) -> tuple[tuple[float, ...], float, tuple | None]:
+    """The deterministic half of an arm's EKF cycle at epoch `state.epoch`:
+    predict on Python floats, take the angle variance and decide. Returns
+    the predicted floats (p, v, P00, P01, P10, P11), the variance and, if
+    the arm senses, `predict`'s estimate (the same bits) and the receive
+    set, None for the random arm's draw. Reads no stream, changes no state."""
     cfg, policy, arm = scenario.system, scenario.policy, _ARMS[name]
     prior = state.estimates[name]
     mean_p, mean_v, p00, p01, p11 = _predict_floats(state.model, *prior)
-    p10 = p01
-    variance = _angle_variance(cfg, mean_p, p00)
-    action = _SENSING
-    if arm.gated:
-        action = decide_action(variance, policy)
-        if traffic_on:
-            action = _NO_SENSING  # data frames carry no sensing signal
-    mask = 0  # the empty receive set's, shared by every idle epoch
-    if action is _SENSING:
-        streams, k = state.streams, state.epoch
-        entries = np.array(prior)  # the mean, then the covariance
-        predicted = predict(StateEstimate._built(
-            entries[:2], entries[2:].reshape(2, 2)), state.model)
-        if arm.receivers == "all":
-            selection = state.full_selection
-        elif arm.receivers == "random":
-            selection = _random_selection(state.available,
-                                          policy.subset_cardinality,
-                                          streams["selection"].generator(k))
-        else:
-            planning = _hops(cfg, state.waveform, mean_p, mean_v,
-                             state.planning_rcs, 1.0, state.available.indices,
-                             "filter mean")
-            selection = _lowest_variance(cfg.num_aps, *_score_blocks(
-                cfg, predicted, state.available, policy.subset_cardinality,
-                *planning))
-        rcs = draw_rcs(streams["rcs"].generator(k), cfg, cfg.num_aps)
-        meas = synthesize_measurement(
-            cfg, TargetTruth(truth_x, scenario.initial_truth.velocity_x),
-            selection, rcs, streams["measurement"].generator(k),
-            waveform=state.waveform, power_fraction=arm.power_fraction,
-            filter_mean=predicted.mean)
-        estimate = update(predicted, meas, cfg)
-        mask = selection.bitmask
-        (mean_p, mean_v), ((p00, p01), (p10, p11)) = (
-            estimate.mean.tolist(), estimate.covariance.tolist())
-    state.estimates[name] = (mean_p, mean_v, p00, p01, p10, p11)
-    columns = state.log.arms[name]
-    columns.mean_p.append(mean_p)
-    columns.mean_v.append(mean_v)
-    columns.p00.append(p00)
-    columns.p01.append(p01)
-    columns.p11.append(p11)
-    columns.variance.append(variance)
-    columns.bitmask.append(mask)
-    return action
+    floats, variance = ((mean_p, mean_v, p00, p01, p01, p11),
+                        _angle_variance(cfg, mean_p, p00))
+    if arm.gated and (decide_action(variance, policy) is _NO_SENSING
+                      or traffic_on):  # data frames carry no sensing signal
+        return floats, variance, None
+    entries = np.array(prior)  # the mean, then the covariance
+    predicted = predict(StateEstimate._built(
+        entries[:2], entries[2:].reshape(2, 2)), state.model)
+    selection = None
+    if arm.receivers == "all":
+        selection = state.full_selection
+    elif arm.receivers == "optimal":
+        planning = _hops(cfg, state.waveform, mean_p, mean_v,
+                         state.planning_rcs, 1.0, state.available.indices,
+                         "filter mean")
+        selection = _lowest_variance(cfg.num_aps, *_score_blocks(
+            cfg, predicted, state.available, policy.subset_cardinality,
+            *planning))
+    return floats, variance, (predicted, selection)
+
+
+def _act(scenario: Scenario, state: SimState, name: str, truth_x: float,
+         predicted: StateEstimate, selection: ApSelection | None
+         ) -> tuple[tuple[float, ...], int]:
+    """The random half of a sensing arm's EKF cycle at epoch `state.epoch`:
+    draw the random arm's set, the cross sections and the measurement at
+    `truth_x` from streams reset to (seed, stream, epoch), the same for
+    every arm, and update. Returns the posterior floats and the set's
+    bitmask; changes nothing in `state`."""
+    cfg, streams, k = scenario.system, state.streams, state.epoch
+    if selection is None:
+        selection = _random_selection(state.available,
+                                      scenario.policy.subset_cardinality,
+                                      streams["selection"].generator(k))
+    rcs = draw_rcs(streams["rcs"].generator(k), cfg, cfg.num_aps)
+    meas = synthesize_measurement(
+        cfg, TargetTruth(truth_x, scenario.initial_truth.velocity_x),
+        selection, rcs, streams["measurement"].generator(k),
+        waveform=state.waveform, power_fraction=_ARMS[name].power_fraction,
+        filter_mean=predicted.mean)
+    estimate = update(predicted, meas, cfg)
+    return ((*estimate.mean.tolist(), *estimate.covariance.ravel().tolist()),
+            selection.bitmask)
 
 
 def run_epoch(state: SimState) -> EpochStep:
     """Advance every filter arm one epoch of `state.log.scenario` and append
-    it to `state.log`.
+    it to `state.log`: each arm plans and, if it senses, acts, and only then
+    does the epoch commit every arm's estimate and columns and the truth.
 
     The traffic flag comes from `state.log.traffic_on`, drawn for the whole
     run by the log; the other streams build a generator only for an arm
-    that senses. Each draw is keyed by (seed, stream, epoch), so a
-    skipped stream never shifts another. The log evaluates the epoch's rates
-    when they are read, with those of every other epoch. Raises ValueError
-    past the scenario's last epoch; a ValueError raised while an arm steps
-    is raised again, of its own type, naming the epoch and the arm. An
-    epoch that raises leaves `state.log` and `state.estimates` as they were
-    before it, so a retry steps that epoch again.
+    that senses. Each draw is keyed by (seed, stream, epoch), so a skipped
+    stream never shifts another. The log evaluates the epoch's rates when
+    they are read. Raises ValueError past the scenario's last epoch; a
+    ValueError raised while an arm plans or acts is raised again, of its
+    own type, naming the epoch and the arm. Any error raised while an arm
+    plans or acts leaves `state` as it was, so a retry steps that epoch.
     """
     # len(state.log), without the Python-level call of RunLog.__len__
     k, scenario = len(state.log.truth_x), state.log.scenario
@@ -709,23 +695,31 @@ def run_epoch(state: SimState) -> EpochStep:
                * scenario.system.epoch_duration)
     traffic_on = state.log.traffic_on[k]
 
-    estimates, actions = state.estimates.copy(), []
-    try:
-        for name in estimates:
-            actions.append(_step_arm(scenario, state, name, truth_x,
-                                     traffic_on))
-    except BaseException as exc:
-        # the arms that stepped before the failing one commit nothing either
-        state.estimates.update(estimates)
-        for columns in state.log.arms.values():
-            columns._truncate(k)
-        if isinstance(exc, ValueError):  # RankDeficientError stays one
+    steps = []
+    for name in state.estimates:
+        try:
+            floats, variance, sense = _plan(scenario, state, name, traffic_on)
+            mask = 0  # the empty receive set's, shared by every idle epoch
+            if sense is not None:
+                floats, mask = _act(scenario, state, name, truth_x, *sense)
+        except ValueError as exc:  # RankDeficientError stays one
             raise type(exc)(f"epoch {k}, {name} arm: {exc}") from exc
-        raise
+        steps.append((name, floats, variance, mask))
 
+    for name, floats, variance, mask in steps:
+        state.estimates[name] = floats
+        mean_p, mean_v, p00, p01, _, p11 = floats
+        columns = state.log.arms[name]
+        columns.mean_p.append(mean_p)
+        columns.mean_v.append(mean_v)
+        columns.p00.append(p00)
+        columns.p01.append(p01)
+        columns.p11.append(p11)
+        columns.variance.append(variance)
+        columns.bitmask.append(mask)
     state.log.truth_x.append(truth_x)
     state.truth_x = truth_x
-    return EpochStep(k, actions[0])
+    return EpochStep(k, _SENSING if steps[0][3] else _NO_SENSING)
 
 
 def run_scenario(scenario: Scenario) -> RunLog:

@@ -1064,6 +1064,28 @@ class TestMainEntry:
         assert main(["run", "--out", str(tmp_path / "o"),
                      "--arms", "proposed,telepathy"]) == 2
 
+    def test_num_aps_defaults_to_the_number_of_positions(self, tmp_path,
+                                                         capsys):
+        positions = "ap_positions: [100, 200, 300, 400, 500]"
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(f"num_epochs: 5\nsystem: {{{positions}}}\n")
+        assert main(["validate", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        system = json.loads(
+            (out / "manifest.json").read_text())["canonical_config"]["system"]
+        assert system["num_aps"] == 5 and type(system["num_aps"]) is int
+        # the canonical config states the count, as a scenario giving it does
+        stated = scenario_from_dict({"num_epochs": 5, "system": {
+            "num_aps": 5, "ap_positions": [100, 200, 300, 400, 500]}})
+        assert config_digest(load_scenario(cfg)) == config_digest(stated)
+        for num_aps in (4, 6):
+            cfg.write_text(
+                f"num_epochs: 5\nsystem: {{num_aps: {num_aps}, {positions}}}\n")
+            assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.count(
+            "ap_positions: length must equal num_aps") == 2
+
 
 class TestApBudget:
     """The AP count is bounded only where a search or a draw needs it: by

@@ -1495,3 +1495,37 @@ def test_an_error_that_is_not_a_value_error_propagates_as_it_is(monkeypatch):
     assert state.epoch == len(state.log) == 3
     assert state.estimates == estimates
     assert columns() == before
+
+
+def test_plan_and_act_leave_the_state_as_they_found_it():
+    # the deterministic half reads no stream, and neither half commits: an
+    # epoch's plan can be evaluated, and its act replayed, without stepping
+    scenario = scenario_from_dict({})
+    state = SimState(scenario)
+
+    def snapshot():
+        return (dict(state.estimates),
+                {name: [list(c) for c in vars(arm).values()]
+                 for name, arm in state.log.arms.items()},
+                (len(state.log), list(state.log.truth_x), state.truth_x))
+
+    before = snapshot()
+    plans = {name: simulate._plan(scenario, state, name,
+                                  state.log.traffic_on[0])
+             for name in state.estimates}
+    assert snapshot() == before
+    assert [stream._generator for stream in state.streams.values()] == [
+        None] * 3
+    truth_x = propagate_truth(scenario.initial_truth,
+                              scenario.system).position_x
+    # every arm senses at epoch 0 of the default scenario
+    assert all(sense is not None for _, _, sense in plans.values())
+    posteriors = {name: simulate._act(scenario, state, name, truth_x, *sense)
+                  for name, (_, _, sense) in plans.items()}
+    assert snapshot() == before
+    # and the two halves are what run_epoch steps and commits
+    run_epoch(state)
+    for name, (estimate, mask) in posteriors.items():
+        assert state.estimates[name] == estimate
+        assert state.log.arms[name].bitmask[0] == mask
+        assert state.log.arms[name].variance[0] == plans[name][1]
