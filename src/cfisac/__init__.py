@@ -4,30 +4,54 @@ Deterministic epoch-level simulation of pilot-free predictive beamforming:
 estimation-bound-accurate sensing synthesis, EKF target tracking, adaptive
 sensing scheduling with receive-AP selection, and downlink rate evaluation
 against power-split and perfect-knowledge baselines.
+
+The reference oracles and record types that no run executes live in
+`_oracles`, which loads on the first use of one of their names.
 """
 
 __version__ = "0.1.0"
 
+
+def _from_oracles(namespace: dict, names: tuple[str, ...]):
+    """A module `__getattr__` and `__dir__` (PEP 562) for the module of
+    globals `namespace` that resolve each of `names` from `_oracles`,
+    importing it on first use; any other missing name raises AttributeError,
+    so `hasattr` stays correct. It is defined before the imports below,
+    since the modules they load call it."""
+    def __getattr__(name: str):
+        if name in names:
+            from . import _oracles
+            return getattr(_oracles, name)
+        raise AttributeError(
+            f"module {namespace['__name__']!r} has no attribute {name!r}")
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *names})
+
+    return __getattr__, __dir__
+
+
 from .config import SPEED_OF_LIGHT, SystemConfig
-from .geometry import (ApGeometry, TargetTruth, angle_from_position,
-                       angle_slope_from_position, array_response,
-                       array_response_derivative, geometry_for_ap)
+from .geometry import (TargetTruth, angle_slope_from_position, array_response,
+                       geometry_for_ap)
 from .crb import (CrbBlock, RankDeficientError, SensingLinkGain, WaveformSpec,
-                  all_ones_waveform, assemble_measurement_covariance,
-                  build_waveform_vector, crb_angle, crb_block,
-                  crb_delay_doppler, qpsk_waveform, sensing_gain,
-                  transform_to_range_velocity)
+                  all_ones_waveform, crb_angle, crb_block, crb_delay_doppler,
+                  sensing_gain, transform_to_range_velocity)
 from .selection import ApSelection
 from .tracking import (MeasurementSet, MotionModel, StateEstimate,
-                       angle_estimate_and_variance, measurement_jacobian,
-                       measurement_model, predict, update)
-from .sensing import (Action, SensingPolicy, decide_action, hpbw,
-                      predict_variance_for_selection, select_rx_aps,
-                      variance_threshold_from_hpbw)
-from .comms import (LinkError, LinkResult, build_channel,
-                    conventional_baseline, evaluate_link, perfect_angle_bound,
-                    predictive_precoder, steered_link, steered_links)
-from .simulate import (ArmColumns, ArmEpoch, EpochRecord, EpochStep,
-                       RngStream, RunLog, Scenario, SimState, TrafficModel,
-                       crb_blocks_for_state, draw_rcs, propagate_truth,
+                       measurement_jacobian, predict, update)
+from .sensing import Action, SensingPolicy, decide_action, select_rx_aps
+from .comms import (LinkError, build_channel, conventional_baseline,
+                    evaluate_link, perfect_angle_bound, predictive_precoder,
+                    steered_links)
+from .simulate import (ArmColumns, EpochStep, RngStream, RunLog, Scenario,
+                       SimState, TrafficModel, crb_blocks_for_state, draw_rcs,
                        run_epoch, run_scenario, synthesize_measurement)
+
+__getattr__, __dir__ = _from_oracles(globals(), (
+    "ApGeometry", "angle_from_position", "array_response_derivative",
+    "assemble_measurement_covariance", "build_waveform_vector",
+    "qpsk_waveform", "angle_estimate_and_variance", "measurement_model",
+    "hpbw", "predict_variance_for_selection", "variance_threshold_from_hpbw",
+    "LinkResult", "steered_link", "ArmEpoch", "EpochRecord",
+    "propagate_truth"))

@@ -13,24 +13,18 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import _from_oracles
 from .config import SystemConfig
-from .geometry import TargetTruth, angle_from_position, array_response, geometry_for_ap
+from .geometry import TargetTruth, array_response, geometry_for_ap
 from .tracking import StateEstimate
 
 PHASE_MODES = ("compensated", "geometric")
 ANGLE_MODES = ("per_ap", "global")
 
 _HYPOT = np.frompyfunc(math.hypot, 2, 1)
-
-
-@dataclass(frozen=True, slots=True)
-class LinkResult:
-    snr: float
-    rate: float  # bits per symbol use, log2(1 + snr)
 
 
 class LinkError(ValueError):
@@ -82,6 +76,8 @@ def predictive_precoder(cfg: SystemConfig, est: StateEstimate,
     angle taken per AP toward the estimated position (default) or as the
     single origin-referenced angle (angle_mode="global").
     """
+    from ._oracles import angle_from_position
+
     _check_steering(power_fraction, angle_mode)
     position_x = float(est.mean[0])
     amplitude = math.sqrt(power_fraction * cfg.tx_power / cfg.antennas_per_ap)
@@ -98,6 +94,8 @@ def evaluate_link(cfg: SystemConfig, channel: np.ndarray,
                   precoder: np.ndarray) -> LinkResult:
     """Coherent downlink SNR |h^H w|^2 / sigma_n^2 and its rate, for the
     stacked channel and precoder vectors."""
+    from ._oracles import LinkResult
+
     if channel.shape != precoder.shape:
         raise ValueError(
             f"channel length {channel.shape} does not match precoder "
@@ -176,21 +174,12 @@ def steered_links(cfg: SystemConfig, truth_x: Sequence[float] | np.ndarray,
     return snr, np.log2(1.0 + snr)
 
 
-def steered_link(cfg: SystemConfig, truth: TargetTruth, position_x: float,
-                 power_fraction: float = 1.0, phase_mode: str = "compensated",
-                 angle_mode: str = "per_ap") -> LinkResult:
-    """`steered_links` for one epoch; the whole truth must be finite."""
-    if not math.isfinite(truth.velocity_x):
-        raise ValueError("target truth must be finite")
-    snr, rate = steered_links(cfg, [truth.position_x], [position_x],
-                              power_fraction, phase_mode, angle_mode)
-    return LinkResult(float(snr[0]), float(rate[0]))
-
-
 def conventional_baseline(cfg: SystemConfig, est: StateEstimate,
                           truth: TargetTruth, phase_mode: str = "compensated",
                           angle_mode: str = "per_ap") -> LinkResult:
     """Power-split baseline: half the AP power is reserved for sensing."""
+    from ._oracles import steered_link
+
     return steered_link(cfg, truth, float(est.mean[0]), 0.5, phase_mode,
                         angle_mode)
 
@@ -198,4 +187,10 @@ def conventional_baseline(cfg: SystemConfig, est: StateEstimate,
 def perfect_angle_bound(cfg: SystemConfig, truth: TargetTruth,
                         phase_mode: str = "compensated") -> LinkResult:
     """Full-power precoding from the true per-AP angles."""
+    from ._oracles import steered_link
+
     return steered_link(cfg, truth, truth.position_x, 1.0, phase_mode)
+
+
+__getattr__, __dir__ = _from_oracles(globals(), (
+    "LinkResult", "angle_from_position", "steered_link"))

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _from_oracles
 from .config import SPEED_OF_LIGHT, SystemConfig
-from .geometry import ApGeometry, array_response, array_response_derivative
-from .selection import ApSelection
+from .geometry import array_response
 
 
 class RankDeficientError(ValueError):
@@ -98,12 +98,6 @@ class WaveformSpec:
         return self._unit[1]
 
 
-def qpsk_waveform(cfg: SystemConfig, rng: np.random.Generator) -> WaveformSpec:
-    """Unit-modulus QPSK grid drawn from the given generator."""
-    quadrants = rng.integers(0, 4, size=(cfg.num_subcarriers, cfg.num_symbols))
-    return WaveformSpec(np.exp(1j * (math.pi / 2) * quadrants))
-
-
 def all_ones_waveform(cfg: SystemConfig) -> WaveformSpec:
     return WaveformSpec(np.ones((cfg.num_subcarriers, cfg.num_symbols)))
 
@@ -138,58 +132,6 @@ def _check_waveform(spec: WaveformSpec, cfg: SystemConfig) -> None:
         raise ValueError(f"waveform average power {mean_power!r} is not 1")
 
 
-def _samples_from_grid(coeff: np.ndarray, cfg: SystemConfig,
-                       doppler_factors: np.ndarray) -> np.ndarray:
-    # Per symbol b: (1/sqrt(Nc)) sum_a coeff[a,b] e^{j 2 pi a m / Nc}, then the
-    # per-symbol Doppler phase; flattened index is b*Nc + m.
-    samples = math.sqrt(cfg.num_subcarriers) * np.fft.ifft(coeff, axis=0)
-    samples = samples * doppler_factors[None, :]
-    return samples.T.reshape(-1)
-
-
-def _waveform_terms(spec: WaveformSpec, cfg: SystemConfig, delay: float,
-                    doppler: float, with_derivatives: bool):
-    """Sample-domain waveform and, optionally, its analytic derivatives.
-
-    Derivatives are applied as per-subcarrier (-j 2 pi a df) and per-symbol
-    (j 2 pi b T_sym) factors in the index domain, never numerically.
-    """
-    _check_waveform(spec, cfg)
-    if not (0.0 <= delay < cfg.cp_delay_window):
-        raise ValueError(
-            f"delay {delay!r} outside the cyclic-prefix window "
-            f"[0, {cfg.cp_delay_window!r})")
-    if not math.isfinite(doppler):
-        raise ValueError("doppler must be finite")
-    a = np.arange(cfg.num_subcarriers)
-    b = np.arange(cfg.num_symbols)
-    delay_ramp = np.exp(-2j * math.pi * a * cfg.subcarrier_spacing * delay)
-    doppler_ramp = np.exp(2j * math.pi * b * cfg.symbol_duration * doppler)
-    coeff = spec.symbols * delay_ramp[:, None]
-    s = _samples_from_grid(coeff, cfg, doppler_ramp)
-    if not with_derivatives:
-        return s, None, None
-    tau_factor = -2j * math.pi * a * cfg.subcarrier_spacing
-    d_tau = _samples_from_grid(coeff * tau_factor[:, None], cfg, doppler_ramp)
-    nu_factor = 2j * math.pi * b * cfg.symbol_duration
-    d_nu = (s.reshape(cfg.num_symbols, cfg.num_subcarriers)
-            * nu_factor[:, None]).reshape(-1)
-    return s, d_tau, d_nu
-
-
-def build_waveform_vector(spec: WaveformSpec, cfg: SystemConfig,
-                          delay: float, doppler: float) -> np.ndarray:
-    """Delayed, Doppler-shifted time-domain waveform of length N_c * N_s.
-
-    Entry b*N_c + m is
-    e^{j 2 pi b T_sym doppler} (1/sqrt(N_c)) sum_a gamma_{a,b}
-    e^{j 2 pi a m / N_c} e^{-j 2 pi a df delay}.
-    The delay must stay inside the cyclic-prefix window.
-    """
-    s, _, _ = _waveform_terms(spec, cfg, delay, doppler, with_derivatives=False)
-    return s
-
-
 def crb_delay_doppler(spec: WaveformSpec, cfg: SystemConfig,
                       gain: SensingLinkGain, azimuth: float,
                       delay: float, doppler: float) -> np.ndarray:
@@ -204,6 +146,8 @@ def crb_delay_doppler(spec: WaveformSpec, cfg: SystemConfig,
     where s is the sampled waveform and D stacks its delay and Doppler
     derivatives.
     """
+    from ._oracles import _waveform_terms
+
     if not gain.magnitude_sq > 0:
         raise ValueError("sensing gain must have positive power")
     s, d_tau, d_nu = _waveform_terms(spec, cfg, delay, doppler,
@@ -241,6 +185,8 @@ def crb_angle(spec: WaveformSpec, cfg: SystemConfig, gain: SensingLinkGain,
     (2 |alpha|^2 ||s||^2 / sigma_n^2) Re{ da^H (I - a a^H / ||a||^2) da }.
     Requires at least two antennas and |azimuth| < pi/2.
     """
+    from ._oracles import array_response_derivative, build_waveform_vector
+
     if not gain.magnitude_sq > 0:
         raise ValueError("sensing gain must have positive power")
     if cfg.antennas_per_ap < 2:
@@ -380,12 +326,7 @@ def block_diagonal(stack: np.ndarray) -> np.ndarray:
     return out.reshape(2 * k, 2 * k)
 
 
-def assemble_measurement_covariance(blocks: list[CrbBlock],
-                                    selection: ApSelection) -> np.ndarray:
-    """Block-diagonal covariance over the selected APs, ascending AP index.
-
-    Each AP contributes its 2x2 (range, radial velocity) block.
-    """
-    if selection.cardinality == 0:
-        raise ValueError("no sensing receivers selected")
-    return block_diagonal(range_velocity_blocks(blocks, selection.indices))
+__getattr__, __dir__ = _from_oracles(globals(), (
+    "ApGeometry", "ApSelection", "array_response_derivative",
+    "assemble_measurement_covariance", "build_waveform_vector",
+    "qpsk_waveform"))

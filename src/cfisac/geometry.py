@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _from_oracles
 from .config import SystemConfig
 
 
@@ -18,19 +19,11 @@ class TargetTruth:
     velocity_x: float  # m/s
 
 
-@dataclass(frozen=True)
-class ApGeometry:
-    """Line-of-sight geometry between one AP and the target."""
-
-    range: float            # m
-    azimuth: float          # rad, measured from broadside (the +y axis)
-    path_gain: float        # (wavelength / (4 pi range))^2
-    phase: float            # rad in [0, 2pi), LOS phase at the first antenna
-
-
 def geometry_for_ap(cfg: SystemConfig, truth: TargetTruth,
                     ap_index: int) -> ApGeometry:
     """Range, azimuth, path gain and LOS phase for one AP."""
+    from ._oracles import ApGeometry
+
     if not (math.isfinite(truth.position_x) and math.isfinite(truth.velocity_x)):
         raise ValueError("target truth must be finite")
     if not 0 <= ap_index < cfg.num_aps:
@@ -52,21 +45,11 @@ def array_response(cfg: SystemConfig, azimuth: float) -> np.ndarray:
     return np.exp(1j * phase_step * n)
 
 
-def array_response_derivative(cfg: SystemConfig, azimuth: float) -> np.ndarray:
-    """Derivative of the steering vector with respect to the azimuth."""
-    if not math.isfinite(azimuth):
-        raise ValueError("azimuth must be finite")
-    n = np.arange(cfg.antennas_per_ap)
-    scale = (2.0 * math.pi / cfg.wavelength) * cfg.antenna_spacing
-    return (1j * scale * math.cos(azimuth) * n) * array_response(cfg, azimuth)
-
-
-def angle_from_position(cfg: SystemConfig, position_x: float) -> float:
-    """Angle of the target seen from the origin: arctan(p_x / p_y)."""
-    return math.atan(position_x / cfg.corridor_offset)
-
-
 def angle_slope_from_position(cfg: SystemConfig, position_x: float) -> float:
     """d/dp_x of angle_from_position: p_y / (p_x^2 + p_y^2), rad per meter."""
     p_y = cfg.corridor_offset
     return p_y / (position_x * position_x + p_y * p_y)
+
+
+__getattr__, __dir__ = _from_oracles(globals(), (
+    "ApGeometry", "angle_from_position", "array_response_derivative"))

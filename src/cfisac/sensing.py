@@ -11,13 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _from_oracles
 from .config import SystemConfig
-from .crb import (CrbBlock, assemble_measurement_covariance,
-                  range_velocity_blocks)
+from .crb import CrbBlock
 from .selection import ApSelection
-from .tracking import (MotionModel, StateEstimate, _angle_variance,
-                       _linearize, measurement_jacobian, posterior_covariance,
-                       predict)
+from .tracking import MotionModel, StateEstimate, _angle_variance, predict
 
 __all__ = [
     "Action", "ApSelection", "SensingPolicy", "hpbw",
@@ -64,27 +62,6 @@ class SensingPolicy:
                    exclude_tx_ap=exclude_tx_ap)
 
 
-def hpbw(cfg: SystemConfig) -> float:
-    """Broadside half-power beamwidth of the AP array: 0.886 lambda / (N d)."""
-    if cfg.antennas_per_ap < 2:
-        raise ValueError("beamwidth undefined for a single-antenna array")
-    return 0.886 * cfg.wavelength / (cfg.antennas_per_ap * cfg.antenna_spacing)
-
-
-def variance_threshold_from_hpbw(beamwidth: float, epsilon: float) -> float:
-    """Angle variance keeping the estimate inside the beamwidth w.p. 1-epsilon.
-
-    Returns (beamwidth / q)^2 with q the standard normal quantile at
-    1 - epsilon/2.
-    """
-    from statistics import NormalDist  # about 2 ms to import; no run needs it
-
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    quantile = NormalDist().inv_cdf(1.0 - epsilon / 2.0)
-    return (beamwidth / quantile) ** 2
-
-
 def decide_action(predicted_variance: float, policy: SensingPolicy) -> Action:
     """Sense only when the predicted angle variance exceeds the threshold."""
     if not predicted_variance >= 0:  # also NaN, which would never sense
@@ -92,25 +69,6 @@ def decide_action(predicted_variance: float, policy: SensingPolicy) -> Action:
     if predicted_variance > policy.variance_threshold:
         return _SENSING
     return _NO_SENSING
-
-
-def predict_variance_for_selection(cfg: SystemConfig, est: StateEstimate,
-                                   model: MotionModel, selection: ApSelection,
-                                   crbs: list[CrbBlock]) -> float:
-    """Predicted angle error variance after a hypothetical sensing epoch.
-
-    Propagates the estimate one epoch, applies the covariance part of a
-    measurement update with the selected APs (no measurement value is
-    needed), and maps the position variance through the angle slope. The
-    empty selection gives the no-sensing hypothesis.
-    """
-    predicted = predict(est, model)
-    cov = predicted.covariance
-    if selection.cardinality > 0:
-        jac = measurement_jacobian(cfg, predicted.mean, selection)
-        meas_cov = assemble_measurement_covariance(crbs, selection)
-        cov = posterior_covariance(cov, jac, meas_cov)
-    return _angle_variance(cfg, float(predicted.mean[0]), float(cov[0, 0]))
 
 
 def available_rx_aps(cfg: SystemConfig, policy: SensingPolicy) -> list[int]:
@@ -149,30 +107,6 @@ def _subset_table(available: tuple[int, ...],
     columns.setflags(write=False)
     subsets.setflags(write=False)
     return columns, subsets
-
-
-def score_subsets(cfg: SystemConfig, predicted: StateEstimate,
-                  policy: SensingPolicy, crbs: list[CrbBlock]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate receive subsets and their predicted angle variances.
-
-    `predicted` is the estimate already propagated to the sensing epoch.
-    Returns an (m, k) array of AP indices, one subset per row in ascending
-    bitmask order, and the (m,) angle variances those subsets leave after
-    the update: the C(n, k) subsets of the n available APs, from a
-    read-only table built once per (available APs, k). At k = 0 the one
-    row is every AP that adds information (information never raises the
-    variance), or the first AP when none does, since then all subsets tie.
-    ValueError names the first available AP whose block is not positive
-    definite.
-    """
-    available = ApSelection.from_indices(cfg.num_aps,
-                                         available_rx_aps(cfg, policy))
-    blocks = range_velocity_blocks(crbs, available.indices)
-    return _score_blocks(cfg, predicted, available, policy.subset_cardinality,
-                         _linearize(cfg, *predicted.mean.tolist(),
-                                    available.indices),
-                         blocks.ravel().tolist())
 
 
 def _score_blocks(cfg: SystemConfig, predicted: StateEstimate,
@@ -241,5 +175,13 @@ def select_rx_aps(cfg: SystemConfig, est: StateEstimate, model: MotionModel,
     after `est`: the lowest-scoring row of `score_subsets`, ties to the
     lowest bitmask. Unconstrained, it selects every AP that adds
     information, or the first AP when none does."""
+    from ._oracles import score_subsets
+
     return _lowest_variance(
         cfg.num_aps, *score_subsets(cfg, predict(est, model), policy, crbs))
+
+
+__getattr__, __dir__ = _from_oracles(globals(), (
+    "assemble_measurement_covariance", "hpbw", "measurement_jacobian",
+    "posterior_covariance", "predict_variance_for_selection",
+    "range_velocity_blocks", "score_subsets", "variance_threshold_from_hpbw"))

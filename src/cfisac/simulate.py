@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .comms import (ANGLE_MODES, PHASE_MODES, LinkError, LinkResult,
-                    steered_links)
+from . import _from_oracles
+from .comms import ANGLE_MODES, PHASE_MODES, LinkError, steered_links
 from .config import SystemConfig
 from .crb import (CrbBlock, WaveformSpec, all_ones_waveform, block_diagonal,
                   range_velocity_blocks)
@@ -241,40 +241,6 @@ class Scenario:
                               if a in ("conventional", "perfect")))
 
 
-@dataclass(frozen=True, slots=True)
-class ArmEpoch:
-    """Per-epoch snapshot of one filter arm's tracker."""
-
-    action: Action
-    selection: ApSelection
-    predicted_angle_variance: float
-    estimate: StateEstimate
-
-
-@dataclass(frozen=True, slots=True)
-class EpochRecord:
-    """One epoch: each filter arm's snapshot by name, in stepping order, and
-    each downlink method's rate. The three properties read the proposed arm."""
-
-    epoch: int
-    truth: TargetTruth
-    traffic_state: str               # "ON" or "OFF"
-    rates: dict[str, LinkResult]
-    arms: dict[str, ArmEpoch]
-
-    @property
-    def action(self) -> Action:
-        return self.arms["proposed"].action
-
-    @property
-    def estimate(self) -> StateEstimate:
-        return self.arms["proposed"].estimate
-
-    @property
-    def predicted_angle_variance(self) -> float:
-        return self.arms["proposed"].predicted_angle_variance
-
-
 def _floats() -> array:
     return array("d")
 
@@ -296,6 +262,8 @@ class ArmColumns:
 
     def arm_epoch(self, k: int, num_aps: int) -> ArmEpoch:
         """Epoch k of this arm as an `ArmEpoch`."""
+        from ._oracles import ArmEpoch
+
         p01 = self.p01[k]
         mask = self.bitmask[k]
         return ArmEpoch(_SENSING if mask else _NO_SENSING,
@@ -372,6 +340,8 @@ class RunLog(Sequence):
         return end
 
     def __getitem__(self, k) -> EpochRecord | list[EpochRecord]:
+        from ._oracles import EpochRecord, LinkResult
+
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
         k = operator.index(k)
@@ -432,8 +402,7 @@ class SimState:
         return len(self.log)
 
 
-@dataclass(frozen=True)
-class _Arm:
+class _Arm(NamedTuple):
     """What sets a filter arm apart; every arm runs one `_plan` and `_act`."""
 
     gated: bool            # senses only when idle and above the threshold
@@ -445,12 +414,6 @@ class _Arm:
 _ARMS = {"proposed": _Arm(True, "optimal", 1.0),
          "random": _Arm(True, "random", 1.0),
          "conventional": _Arm(False, "all", 0.5)}
-
-
-def propagate_truth(truth: TargetTruth, cfg: SystemConfig) -> TargetTruth:
-    """Noiseless constant-velocity step over one epoch."""
-    return TargetTruth(truth.position_x + truth.velocity_x * cfg.epoch_duration,
-                       truth.velocity_x)
 
 
 def draw_rcs(rng: np.random.Generator, cfg: SystemConfig,
@@ -729,3 +692,7 @@ def run_scenario(scenario: Scenario) -> RunLog:
     for _ in range(scenario.num_epochs):
         run_epoch(state)
     return state.log
+
+
+__getattr__, __dir__ = _from_oracles(globals(), (
+    "ArmEpoch", "EpochRecord", "LinkResult", "propagate_truth"))

@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _from_oracles
 from .config import SystemConfig
-from .geometry import angle_from_position, angle_slope_from_position
+from .geometry import angle_slope_from_position
 from .selection import ApSelection
 
 _IDENTITY = np.eye(2)
@@ -185,14 +186,6 @@ def _linearize(cfg: SystemConfig, position_x: float, velocity_x: float,
     return rows
 
 
-def measurement_model(cfg: SystemConfig, state_mean: np.ndarray,
-                      selection: ApSelection) -> np.ndarray:
-    """Noiseless (range, radial velocity) per selected AP, ascending index."""
-    rows = _linearize(cfg, float(state_mean[0]), float(state_mean[1]),
-                      selection.indices)
-    return np.array([value for row in rows for value in row[:2]])
-
-
 def measurement_jacobian(cfg: SystemConfig, state_mean: np.ndarray,
                          selection: ApSelection) -> np.ndarray:
     """Gradient of measurement_model with respect to [p_x, v_x]."""
@@ -250,13 +243,6 @@ def update(est: StateEstimate, meas: MeasurementSet,
                      f"finite")
 
 
-def angle_estimate_and_variance(cfg: SystemConfig,
-                                est: StateEstimate) -> tuple[float, float]:
-    """Angle of the estimated position and its first-order error variance."""
-    return (angle_from_position(cfg, est.mean.item(0)),
-            _angle_variance(cfg, est.mean.item(0), est.covariance.item(0)))
-
-
 def _angle_variance(cfg: SystemConfig, position_x: float,
                     position_variance: float | np.ndarray
                     ) -> float | np.ndarray:
@@ -264,3 +250,7 @@ def _angle_variance(cfg: SystemConfig, position_x: float,
     variance, a float or an array, times the squared angle slope. The
     sensing trigger, the AP scorer and its oracle all map through here."""
     return position_variance * angle_slope_from_position(cfg, position_x) ** 2
+
+
+__getattr__, __dir__ = _from_oracles(globals(), (
+    "angle_estimate_and_variance", "angle_from_position", "measurement_model"))

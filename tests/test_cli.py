@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cfisac import cli, simulate
+from cfisac import cli, plots, simulate
 from cfisac.cli import (CSV_COLUMNS, ConfigError, config_digest,
                         default_scenario, emit_plots, load_scenario, main,
                         scenario_from_dict, scenario_to_dict,
@@ -48,7 +48,7 @@ def long_run():
 
 
 def rate_svg_per_point(log):
-    """`cli._rate_svg` mapping each rated point through the scalers on
+    """`plots._rate_svg` mapping each rated point through the scalers on
     Python floats, one run of traffic-ON epochs at a time."""
     n = len(log)
     colors = {"proposed": "#1f77b4", "conventional": "#ff7f0e",
@@ -56,17 +56,18 @@ def rate_svg_per_point(log):
     rates = {t: log.rates[t][1].tolist() for t in colors
              if t in log.rates and len(log.rates[t][1])}
     hi = max(map(max, rates.values())) * 1.1 if rates else 1.0
-    to_x = cli._scaler(0, max(n - 1, 1), cli._MARGIN_L,
-                       cli._WIDTH - cli._MARGIN_R)
-    to_y = cli._scaler(0.0, hi, cli._HEIGHT - cli._MARGIN_B, cli._MARGIN_T)
-    elems = cli._axes("epoch", "instantaneous rate [bit/symbol]")
+    to_x = plots._scaler(0, max(n - 1, 1), plots._MARGIN_L,
+                         plots._WIDTH - plots._MARGIN_R)
+    to_y = plots._scaler(0.0, hi, plots._HEIGHT - plots._MARGIN_B,
+                         plots._MARGIN_T)
+    elems = plots._axes("epoch", "instantaneous rate [bit/symbol]")
     for k in range(0, n, max(1, n // 8)):
         elems.append(f'<text x="{to_x(k):.2f}" '
-                     f'y="{cli._HEIGHT - cli._MARGIN_B + 16}" '
+                     f'y="{plots._HEIGHT - plots._MARGIN_B + 16}" '
                      f'text-anchor="middle" font-size="11">{k}</text>')
     for i in range(6):
         v = hi * i / 5
-        elems.append(f'<text x="{cli._MARGIN_L - 8}" y="{to_y(v) + 4:.2f}" '
+        elems.append(f'<text x="{plots._MARGIN_L - 8}" y="{to_y(v) + 4:.2f}" '
                      f'text-anchor="end" font-size="11">{v:.1f}</text>')
     for idx, tag in enumerate(rates):
         values = iter(rates[tag])
@@ -83,10 +84,10 @@ def rate_svg_per_point(log):
                 x, y = segment
                 elems.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" '
                              f'fill="{colors[tag]}"/>')
-        elems.append(f'<text x="{cli._MARGIN_L + 8}" '
-                     f'y="{cli._MARGIN_T + 14 + 14 * idx}" '
+        elems.append(f'<text x="{plots._MARGIN_L + 8}" '
+                     f'y="{plots._MARGIN_T + 14 + 14 * idx}" '
                      f'font-size="12" fill="{colors[tag]}">{tag}</text>')
-    return cli._svg(elems)
+    return plots._svg(elems)
 
 
 def pure_unique_key_loader():
@@ -554,10 +555,10 @@ class TestEmitPlots:
                   for tag in ("proposed", "random") if tag in records[0].arms]
         logs = [v for values in series for v in values]
         logs.append(math.log10(threshold))
-        to_x = cli._scaler(0, max(len(records) - 1, 1), cli._MARGIN_L,
-                           cli._WIDTH - cli._MARGIN_R)
-        to_y = cli._scaler(min(logs) - 0.2, max(logs) + 0.2,
-                           cli._HEIGHT - cli._MARGIN_B, cli._MARGIN_T)
+        to_x = plots._scaler(0, max(len(records) - 1, 1), plots._MARGIN_L,
+                             plots._WIDTH - plots._MARGIN_R)
+        to_y = plots._scaler(min(logs) - 0.2, max(logs) + 0.2,
+                             plots._HEIGHT - plots._MARGIN_B, plots._MARGIN_T)
         want = [" ".join(f"{to_x(k):.2f},{to_y(v):.2f}"
                          for k, v in enumerate(values)) for values in series]
         # the threshold line's dash attribute keeps it out of this match
@@ -613,7 +614,7 @@ class TestEmitPlots:
         on = (False, *log.traffic_on, False)
         lone = [k for k in range(len(log))
                 if on[k + 1] and not (on[k] or on[k + 2])]
-        svg = cli._rate_svg(log)
+        svg = plots._rate_svg(log)
         # a lone ON epoch is a dot of each of the three rated methods
         assert svg.count("<circle") == 3 * len(lone)
         if overrides["num_epochs"] == 40:
@@ -622,7 +623,7 @@ class TestEmitPlots:
 
     def test_long_rate_plot_matches_a_per_point_reference(self, long_run):
         _, log = long_run
-        assert cli._rate_svg(log) == rate_svg_per_point(log)
+        assert plots._rate_svg(log) == rate_svg_per_point(log)
 
     def test_all_off_traffic_still_emits_rate_plot(self, tmp_path):
         scenario = dataclasses.replace(
@@ -1265,14 +1266,63 @@ def test_mirroring_the_deployment_mirrors_the_run(tmp_path, workload, seed,
         assert {c: got[c] for c in rest} == {c: want[c] for c in rest}
 
 
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(REPO / "src"), *([path] if path else [])])}
+
+
 def test_importing_the_cli_leaves_statistics_unloaded():
     # statistics, with the fractions and decimal it imports, costs about
     # 2 ms at every start; only variance_threshold_from_hpbw needs it
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(REPO / "src"), *([path] if path else [])])}
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, cfisac.cli; print('statistics' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
+        env=src_env(), capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "False"
+
+
+# Loads and runs each scenario file given, then one with plots, in a fresh
+# interpreter; prints what the runs without plots left loaded, and which
+# modules the run with plots loaded anew.
+_RUN_AND_REPORT = """
+import json, sys
+import cfisac.cli as cli
+import cfisac.crb as crb
+
+out, configs = sys.argv[1], sys.argv[2:]
+for i, config in enumerate(configs):
+    cli.load_scenario(config)
+    assert cli.main(["validate", "--config", config]) == 0
+    assert cli.main(["run", "--config", config, "--out", f"{out}/{i}"]) == 0
+report = {"oracles": "cfisac._oracles" in sys.modules,
+          "plots": "cfisac.plots" in sys.modules,
+          "crb_holds_oracle": "build_waveform_vector" in vars(crb)}
+loaded = set(sys.modules)
+assert cli.main(["run", "--config", configs[0], "--out", f"{out}/plots",
+                 "--emit-plots"]) == 0
+report["loaded_by_plots"] = sorted(set(sys.modules) - loaded)
+print(json.dumps(report))
+"""
+
+
+def test_a_run_loads_neither_the_oracles_nor_the_plots(tmp_path):
+    # the code no run executes stays off the import path: the oracles and
+    # record types of `_oracles` on every run, the SVG writers of `plots`
+    # until a run emits plots, and then nothing else
+    scenarios = [*(w["overrides"] for w in WORKLOADS.values()),
+                 {"num_epochs": 30, "phase_mode": "geometric",
+                  "angle_mode": "global", "policy": {"subset_cardinality": 0}}]
+    configs = []
+    for i, overrides in enumerate(scenarios):
+        configs.append(tmp_path / f"scenario{i}.yaml")
+        configs[-1].write_text(json.dumps(overrides))  # JSON is YAML
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_REPORT, str(tmp_path / "out"),
+         *map(str, configs)],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+        check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "oracles": False, "plots": False, "crb_holds_oracle": False,
+        "loaded_by_plots": ["cfisac.plots"]}
