@@ -6,7 +6,9 @@ sensing scheduling with receive-AP selection, and downlink rate evaluation
 against power-split and perfect-knowledge baselines.
 
 The reference oracles and record types that no run executes live in
-`_oracles`, which loads on the first use of one of their names.
+`_oracles`, which loads on the first use of one of their names. Each such
+lazy name is declared once, in the `_LAZY` of the module it belongs to; the
+package exposes their union.
 """
 
 __version__ = "0.1.0"
@@ -14,10 +16,10 @@ __version__ = "0.1.0"
 
 def _from_oracles(namespace: dict, names: tuple[str, ...]):
     """A module `__getattr__` and `__dir__` (PEP 562) for the module of
-    globals `namespace` that resolve each of `names` from `_oracles`,
-    importing it on first use; any other missing name raises AttributeError,
-    so `hasattr` stays correct. It is defined before the imports below,
-    since the modules they load call it."""
+    globals `namespace` that resolve each of `names`, its `_LAZY`, from
+    `_oracles`, importing it on first use; any other missing name raises
+    AttributeError, so `hasattr` stays correct. It is defined before the
+    imports below, since the modules they load call it."""
     def __getattr__(name: str):
         if name in names:
             from . import _oracles
@@ -48,10 +50,8 @@ from .simulate import (ArmColumns, EpochStep, RngStream, RunLog, Scenario,
                        SimState, TrafficModel, crb_blocks_for_state, draw_rcs,
                        run_epoch, run_scenario, synthesize_measurement)
 
-__getattr__, __dir__ = _from_oracles(globals(), (
-    "ApGeometry", "angle_from_position", "array_response_derivative",
-    "assemble_measurement_covariance", "build_waveform_vector",
-    "qpsk_waveform", "angle_estimate_and_variance", "measurement_model",
-    "hpbw", "predict_variance_for_selection", "variance_threshold_from_hpbw",
-    "LinkResult", "steered_link", "ArmEpoch", "EpochRecord",
-    "propagate_truth"))
+from . import comms, crb, geometry, sensing, simulate, tracking
+
+_LAZY = (*geometry._LAZY, *crb._LAZY, *tracking._LAZY, *sensing._LAZY,
+         *comms._LAZY, *simulate._LAZY)
+__getattr__, __dir__ = _from_oracles(globals(), _LAZY)

@@ -3,10 +3,11 @@
 The tests check the simulator's closed forms against these general paths,
 and a library user may call them or build the records; a `cfisac run` calls
 and builds none of them. They live here, off the import path of
-`cfisac.cli`, and this module loads on the first use of one of their names:
-the package and each module they were defined in (`geometry`, `crb`,
-`tracking`, `sensing`, `comms`, `simulate`) resolve them through a module
-`__getattr__` (PEP 562), and the functions that stay in those modules
+`cfisac.cli`, and this module loads on the first use of one of their names.
+Each name belongs to one module (`geometry`, `crb`, `tracking`, `sensing`,
+`comms` or `simulate`), the section it sits in below, which declares it in
+its `_LAZY` and resolves it through a module `__getattr__` (PEP 562); the
+package resolves the union. The functions that stay in those modules
 import what they need from here inside their own bodies.
 """
 
@@ -112,12 +113,6 @@ def build_waveform_vector(spec: WaveformSpec, cfg: SystemConfig,
     return s
 
 
-def qpsk_waveform(cfg: SystemConfig, rng: np.random.Generator) -> WaveformSpec:
-    """Unit-modulus QPSK grid drawn from the given generator."""
-    quadrants = rng.integers(0, 4, size=(cfg.num_subcarriers, cfg.num_symbols))
-    return WaveformSpec(np.exp(1j * (math.pi / 2) * quadrants))
-
-
 def assemble_measurement_covariance(blocks: list[CrbBlock],
                                     selection: ApSelection) -> np.ndarray:
     """Block-diagonal covariance over the selected APs, ascending AP index.
@@ -138,13 +133,6 @@ def measurement_model(cfg: SystemConfig, state_mean: np.ndarray,
     rows = _linearize(cfg, float(state_mean[0]), float(state_mean[1]),
                       selection.indices)
     return np.array([value for row in rows for value in row[:2]])
-
-
-def angle_estimate_and_variance(cfg: SystemConfig,
-                                est: StateEstimate) -> tuple[float, float]:
-    """Angle of the estimated position and its first-order error variance."""
-    return (angle_from_position(cfg, est.mean.item(0)),
-            _angle_variance(cfg, est.mean.item(0), est.covariance.item(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +222,6 @@ def steered_link(cfg: SystemConfig, truth: TargetTruth, position_x: float,
 
 # ---------------------------------------------------------------------------
 # simulate
-
-def propagate_truth(truth: TargetTruth, cfg: SystemConfig) -> TargetTruth:
-    """Noiseless constant-velocity step over one epoch."""
-    return TargetTruth(truth.position_x + truth.velocity_x * cfg.epoch_duration,
-                       truth.velocity_x)
-
 
 @dataclass(frozen=True, slots=True)
 class ArmEpoch:

@@ -192,5 +192,5 @@ def perfect_angle_bound(cfg: SystemConfig, truth: TargetTruth,
     return steered_link(cfg, truth, truth.position_x, 1.0, phase_mode)
 
 
-__getattr__, __dir__ = _from_oracles(globals(), (
-    "LinkResult", "angle_from_position", "steered_link"))
+_LAZY = ("LinkResult", "steered_link")
+__getattr__, __dir__ = _from_oracles(globals(), _LAZY)

@@ -326,7 +326,5 @@ def block_diagonal(stack: np.ndarray) -> np.ndarray:
     return out.reshape(2 * k, 2 * k)
 
 
-__getattr__, __dir__ = _from_oracles(globals(), (
-    "ApGeometry", "ApSelection", "array_response_derivative",
-    "assemble_measurement_covariance", "build_waveform_vector",
-    "qpsk_waveform"))
+_LAZY = ("build_waveform_vector", "assemble_measurement_covariance")
+__getattr__, __dir__ = _from_oracles(globals(), _LAZY)

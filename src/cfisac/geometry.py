@@ -51,5 +51,5 @@ def angle_slope_from_position(cfg: SystemConfig, position_x: float) -> float:
     return p_y / (position_x * position_x + p_y * p_y)
 
 
-__getattr__, __dir__ = _from_oracles(globals(), (
-    "ApGeometry", "angle_from_position", "array_response_derivative"))
+_LAZY = ("ApGeometry", "angle_from_position", "array_response_derivative")
+__getattr__, __dir__ = _from_oracles(globals(), _LAZY)

@@ -27,12 +27,12 @@ class ApSelection:
 
     @classmethod
     def from_bitmask(cls, num_aps: int, mask: int) -> "ApSelection":
-        """The APs whose bits are set in `mask`: the inverse of `bitmask`."""
+        """The APs whose bits are set in `mask`: the inverse of `bitmask`.
+        A mask outside [0, 2**num_aps) sets a bit of no AP and raises
+        ValueError."""
+        if not 0 <= mask < 1 << num_aps:
+            raise ValueError(f"bitmask {mask!r} outside [0, 2**{num_aps})")
         return cls(num_aps, tuple(i for i in range(num_aps) if mask >> i & 1))
-
-    @classmethod
-    def empty(cls, num_aps: int) -> "ApSelection":
-        return cls(num_aps, ())
 
     @classmethod
     def full(cls, num_aps: int) -> "ApSelection":

@@ -181,7 +181,6 @@ def select_rx_aps(cfg: SystemConfig, est: StateEstimate, model: MotionModel,
         cfg.num_aps, *score_subsets(cfg, predict(est, model), policy, crbs))
 
 
-__getattr__, __dir__ = _from_oracles(globals(), (
-    "assemble_measurement_covariance", "hpbw", "measurement_jacobian",
-    "posterior_covariance", "predict_variance_for_selection",
-    "range_velocity_blocks", "score_subsets", "variance_threshold_from_hpbw"))
+_LAZY = ("hpbw", "variance_threshold_from_hpbw",
+         "predict_variance_for_selection", "score_subsets")
+__getattr__, __dir__ = _from_oracles(globals(), _LAZY)

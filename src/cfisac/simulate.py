@@ -79,6 +79,10 @@ class RngStream:
     same generator, so it draws exactly what a new
     `Generator(Philox(key=...))` would. A generator from this stream is
     therefore reset by the next call on the same stream.
+
+    The key is (seed, (code << 32) + epoch), so a seed outside [0, 2**64),
+    an epoch outside [0, 2**32) (which would draw another stream's numbers)
+    and an unknown `stream_id` raise ValueError naming the value.
     """
 
     seed: int
@@ -86,9 +90,18 @@ class RngStream:
     _generator: np.random.Generator | None = field(
         default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        if self.stream_id not in _STREAM_CODES:
+            raise ValueError(f"unknown stream_id {self.stream_id!r}, not one "
+                             f"of {sorted(_STREAM_CODES)}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed {self.seed!r} outside [0, 2**64)")
+
     def generator(self, epoch: int = 0) -> np.random.Generator:
+        if not 0 <= epoch < 2 ** 32:
+            raise ValueError(f"epoch {epoch!r} outside [0, 2**32)")
         code = _STREAM_CODES[self.stream_id]
-        key = (self.seed & 0xFFFFFFFFFFFFFFFF, (code << 32) + epoch)
+        key = (self.seed, (code << 32) + epoch)
         if self._generator is None:
             object.__setattr__(self, "_generator", np.random.Generator(
                 np.random.Philox(key=np.array(key, dtype=np.uint64))))
@@ -109,8 +122,12 @@ class RngStream:
         (seed, (code << 32) + e), and `random()` is the top 53 bits of its
         first word over 2**53.
         """
+        epochs = np.asarray(epochs)
+        for epoch in (epochs.min(initial=0), epochs.max(initial=0)):
+            if not 0 <= epoch < 2 ** 32:
+                raise ValueError(f"epoch {int(epoch)} outside [0, 2**32)")
         code = _STREAM_CODES[self.stream_id]
-        key_hi = np.uint64(code << 32) + np.asarray(epochs, dtype=np.uint64)
+        key_hi = np.uint64(code << 32) + epochs.astype(np.uint64)
         c0 = np.ones_like(key_hi)
         c1, c2, c3 = (np.zeros_like(key_hi) for _ in range(3))
         for bumps in range(10):
@@ -187,12 +204,10 @@ class Scenario:
     angle_mode: str = "per_ap"
 
     def __post_init__(self) -> None:
-        # RngStream keys each draw on (stream code << 32) + epoch, so an
-        # epoch past 32 bits would draw another stream's numbers.
+        # RngStream takes epochs in [0, 2**32) and seeds in [0, 2**64), and
+        # raises past them; checked here, a config error names the field.
         if not 1 <= self.num_epochs <= 2 ** 32:
             raise ValueError("num_epochs: must lie in [1, 2**32]")
-        # RngStream keys on the seed's low 64 bits; a seed outside them
-        # would alias one inside under another config digest.
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed: must lie in [0, 2**64)")
         unknown = set(self.comparison_arms) - set(COMPARISON_ARMS)
@@ -653,7 +668,7 @@ def run_epoch(state: SimState) -> EpochStep:
     if k >= scenario.num_epochs:
         raise ValueError(f"epoch {k} is past the scenario's last epoch "
                          f"(num_epochs = {scenario.num_epochs})")
-    # propagate_truth's constant-velocity step, on the position alone
+    # the truth's constant-velocity step, on the position alone
     truth_x = (state.truth_x + scenario.initial_truth.velocity_x
                * scenario.system.epoch_duration)
     traffic_on = state.log.traffic_on[k]
@@ -694,5 +709,5 @@ def run_scenario(scenario: Scenario) -> RunLog:
     return state.log
 
 
-__getattr__, __dir__ = _from_oracles(globals(), (
-    "ArmEpoch", "EpochRecord", "LinkResult", "propagate_truth"))
+_LAZY = ("ArmEpoch", "EpochRecord")
+__getattr__, __dir__ = _from_oracles(globals(), _LAZY)

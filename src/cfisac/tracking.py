@@ -252,5 +252,5 @@ def _angle_variance(cfg: SystemConfig, position_x: float,
     return position_variance * angle_slope_from_position(cfg, position_x) ** 2
 
 
-__getattr__, __dir__ = _from_oracles(globals(), (
-    "angle_estimate_and_variance", "angle_from_position", "measurement_model"))
+_LAZY = ("measurement_model",)
+__getattr__, __dir__ = _from_oracles(globals(), _LAZY)

@@ -9,10 +9,11 @@ from cfisac.crb import (CrbBlock, RankDeficientError, SensingLinkGain,
                         WaveformSpec, all_ones_waveform,
                         assemble_measurement_covariance, block_diagonal,
                         build_waveform_vector, crb_angle, crb_block,
-                        crb_delay_doppler, qpsk_waveform, sensing_gain,
+                        crb_delay_doppler, sensing_gain,
                         transform_to_range_velocity)
 from cfisac.geometry import ApGeometry, array_response
 from cfisac.selection import ApSelection
+from oracles import qpsk_waveform
 
 GAIN = SensingLinkGain.from_amplitude(math.sqrt(2.52e-14))
 
@@ -511,7 +512,7 @@ class TestAssembleCovariance:
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError, match="no sensing receivers"):
-            assemble_measurement_covariance([], ApSelection.empty(4))
+            assemble_measurement_covariance([], ApSelection(4, ()))
 
     def test_missing_block_rejected(self):
         blocks = [block_with(0, (1, 2))]

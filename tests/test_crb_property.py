@@ -7,8 +7,9 @@ from numpy.testing import assert_allclose
 
 from cfisac.config import SPEED_OF_LIGHT, SystemConfig
 from cfisac.crb import (SensingLinkGain, WaveformSpec, all_ones_waveform,
-                        crb_angle, crb_block, crb_delay_doppler, qpsk_waveform,
+                        crb_angle, crb_block, crb_delay_doppler,
                         transform_to_range_velocity)
+from oracles import qpsk_waveform
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

@@ -30,9 +30,10 @@ from cfisac.selection import ApSelection
 from cfisac.sensing import (Action, available_rx_aps, decide_action,
                             predict_variance_for_selection)
 from cfisac.simulate import (RngStream, _random_selection, draw_rcs,
-                             propagate_truth, run_scenario)
+                             run_scenario)
 from cfisac.tracking import (MeasurementSet, MotionModel, StateEstimate,
                              posterior_covariance)
+from oracles import propagate_truth
 
 RTOL = 1e-12
 # arm: (gated, receivers, power fraction), in stepping order

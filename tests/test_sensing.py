@@ -138,13 +138,13 @@ class TestPredictVariance:
 
     def test_empty_selection_is_pure_prediction(self):
         got = predict_variance_for_selection(
-            self.cfg, self.est, self.model, ApSelection.empty(4), self.blocks)
+            self.cfg, self.est, self.model, ApSelection(4, ()), self.blocks)
         assert got == pytest.approx(
             oracle_variance(self.cfg, self.est, self.model, [], []), rel=1e-12)
 
     def test_any_selection_beats_no_selection(self):
         empty = predict_variance_for_selection(
-            self.cfg, self.est, self.model, ApSelection.empty(4), self.blocks)
+            self.cfg, self.est, self.model, ApSelection(4, ()), self.blocks)
         for r in range(1, 5):
             for subset in combinations(range(4), r):
                 got = predict_variance_for_selection(
@@ -422,8 +422,15 @@ class TestScoreSubsets:
 class TestApSelection:
     def test_bitmask_encoding(self):
         assert ApSelection.from_indices(4, [0, 2]).bitmask == 5
-        assert ApSelection.empty(4).bitmask == 0
+        assert ApSelection(4, ()).bitmask == 0
         assert ApSelection.full(4).bitmask == 15
+
+    def test_from_bitmask_takes_only_the_bits_of_its_aps(self):
+        for mask in range(16):
+            assert ApSelection.from_bitmask(4, mask).bitmask == mask
+        for mask in (16, -1, 2 ** 70):  # a bit of no AP
+            with pytest.raises(ValueError, match=f"^bitmask {mask} outside "):
+                ApSelection.from_bitmask(4, mask)
 
     def test_cardinality_and_indices(self):
         sel = ApSelection.from_indices(6, [4, 1])
@@ -461,7 +468,7 @@ class TestApSelection:
         assert len({a, b, ApSelection.from_indices(6, [1, 2])}) == 2
 
     def test_bitmask_is_a_python_int(self):
-        for sel in (ApSelection.empty(4), ApSelection.full(4),
+        for sel in (ApSelection(4, ()), ApSelection.full(4),
                     ApSelection.from_indices(4, np.array([1, 3]))):
             assert type(sel.bitmask) is int
         assert ApSelection.from_indices(4, np.array([1, 3])).bitmask == 10

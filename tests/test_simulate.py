@@ -23,8 +23,7 @@ from cfisac.config import SystemConfig
 from cfisac import comms, crb, geometry, sensing, tracking
 from cfisac.crb import (RankDeficientError, SensingLinkGain, WaveformSpec,
                         all_ones_waveform, assemble_measurement_covariance,
-                        crb_block, qpsk_waveform, range_velocity_blocks,
-                        sensing_gain)
+                        crb_block, range_velocity_blocks, sensing_gain)
 from cfisac.geometry import TargetTruth, array_response, geometry_for_ap
 from cfisac.selection import ApSelection
 from cfisac.sensing import (Action, SensingPolicy, available_rx_aps,
@@ -32,11 +31,10 @@ from cfisac.sensing import (Action, SensingPolicy, available_rx_aps,
 from cfisac import simulate
 from cfisac.simulate import (COMPARISON_ARMS, RngStream, Scenario, SimState,
                              TrafficModel, crb_blocks_for_state, draw_rcs,
-                             propagate_truth, run_epoch, run_scenario,
-                             synthesize_measurement)
-from cfisac.tracking import (MotionModel, StateEstimate,
-                             angle_estimate_and_variance, measurement_model,
-                             predict, update)
+                             run_epoch, run_scenario, synthesize_measurement)
+from cfisac.tracking import (MotionModel, StateEstimate, _angle_variance,
+                             measurement_model, predict, update)
+from oracles import propagate_truth, qpsk_waveform
 
 CFG = SystemConfig()
 
@@ -210,7 +208,7 @@ class TestSynthesizeMeasurement:
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
             synthesize_measurement(
-                CFG, self.truth, ApSelection.empty(CFG.num_aps), self.rcs,
+                CFG, self.truth, ApSelection(CFG.num_aps, ()), self.rcs,
                 RngStream(3, "measurement").generator(0),
                 waveform=self.waveform)
 
@@ -824,8 +822,10 @@ class TestRunScenario:
         model = MotionModel.from_config(scenario.system)
         prev = scenario.initial_estimate
         for rec in records:
-            _, variance = angle_estimate_and_variance(scenario.system,
-                                                      predict(prev, model))
+            predicted = predict(prev, model)
+            variance = _angle_variance(scenario.system,
+                                       predicted.mean.item(0),
+                                       predicted.covariance.item(0))
             assert variance == rec.predicted_angle_variance
             prev = rec.estimate
 
@@ -973,12 +973,13 @@ class TestArmReplay:
                           < scenario.traffic.on_probability)
             assert rec.traffic_state == ("ON" if traffic_on else "OFF")
             predicted = predict(est, model)
-            _, variance = angle_estimate_and_variance(cfg, predicted)
+            variance = _angle_variance(cfg, predicted.mean.item(0),
+                                       predicted.covariance.item(0))
             action = Action.SENSING
             if gated and (traffic_on or decide_action(variance, policy)
                           is Action.NO_SENSING):
                 action = Action.NO_SENSING
-            selection, posterior = ApSelection.empty(cfg.num_aps), predicted
+            selection, posterior = ApSelection(cfg.num_aps, ()), predicted
             if action is Action.SENSING:
                 sensed += 1
                 selection = self.receivers(arm, scenario, est, predicted, k)
@@ -1118,6 +1119,24 @@ class TestStreamReuse:
             assert got[name] == want[name]
         assert np.array_equal(again.standard_normal(8), head)
 
+    @pytest.mark.parametrize("epoch", [-1, 2 ** 32, 2 ** 33 + 5])
+    def test_an_epoch_outside_32_bits_is_rejected(self, epoch):
+        # its key (code << 32) + epoch would be another stream's
+        stream = RngStream(7, "rcs")
+        with pytest.raises(ValueError, match=f"^epoch {epoch} outside "):
+            stream.generator(epoch)
+        with pytest.raises(ValueError, match=f"^epoch {epoch} outside "):
+            stream.first_uniforms(np.array([0, epoch, 1]))
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 + 7])
+    def test_a_seed_outside_64_bits_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"^seed {seed} outside "):
+            RngStream(seed, "traffic")
+
+    def test_an_unknown_stream_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="^unknown stream_id 'noise'"):
+            RngStream(7, "noise")
+
     def test_a_run_builds_one_stream_per_name(self, monkeypatch):
         used = set()
         generator = RngStream.generator
@@ -1187,7 +1206,7 @@ class TestOpenLoopRates:
         assert idle
         assert all(state.log[k].action is Action.NO_SENSING for k in idle)
         assert all(state.log[k].arms["proposed"].selection
-                   == ApSelection.empty(CFG.num_aps) for k in idle)
+                   == ApSelection(CFG.num_aps, ()) for k in idle)
 
     def test_conventional_epochs_share_one_full_selection(self):
         scenario = make_scenario(num_epochs=60, seed=11)

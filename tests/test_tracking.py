@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cfisac.config import SystemConfig
+from cfisac.geometry import angle_from_position
 from cfisac.selection import ApSelection
 from cfisac.tracking import (MeasurementSet, MotionModel, StateEstimate,
-                             angle_estimate_and_variance, measurement_jacobian,
+                             _angle_variance, measurement_jacobian,
                              measurement_model, predict, update)
 
 CFG = SystemConfig()
@@ -140,7 +141,7 @@ class TestMeasurementModel:
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
-            measurement_model(CFG, np.zeros(2), ApSelection.empty(CFG.num_aps))
+            measurement_model(CFG, np.zeros(2), ApSelection(CFG.num_aps, ()))
 
 
 class TestMeasurementJacobian:
@@ -300,6 +301,13 @@ class TestUpdate:
         b = update(prior, meas, CFG)
         assert_allclose(a.mean, b.mean, rtol=0, atol=0)
         assert_allclose(a.covariance, b.covariance, rtol=0, atol=0)
+
+
+def angle_estimate_and_variance(cfg, est):
+    """Angle of the estimated position and its first-order error variance."""
+    position_x = est.mean.item(0)
+    return (angle_from_position(cfg, position_x),
+            _angle_variance(cfg, position_x, est.covariance.item(0)))
 
 
 class TestAngleEstimate:
