@@ -70,6 +70,11 @@ _ESTIMATE_KEYS = {"mean", "covariance", "offset", "covariance_diag"}
 
 
 def _whole_number(value) -> int:
+    if isinstance(value, str):
+        try:  # exactly: float() would round past 2**53
+            return int(value)
+        except ValueError:
+            pass  # "1e3" or "4.0"
     if isinstance(value, bool) or not float(value).is_integer():
         raise ValueError("not a whole number")
     return value if isinstance(value, int) else int(float(value))
@@ -349,9 +354,12 @@ def write_records(log: RunLog, out_dir: str | Path, scenario: Scenario,
     manifest.json last. Each reads the log's columns. The manifest's
     started_at-finished_at window spans every output it lists; it is
     returned as written. The summary checks `scenario` and reads the log's
-    rates before any file is created, so a run whose links fail, or a
-    scenario the log was not run from, writes nothing."""
+    rates before any file is created, so a run whose links fail, a
+    scenario the log was not run from, or plots of a log with no epochs,
+    write nothing."""
     summary = summarize_records(log, scenario)
+    if plots and not log:
+        raise ValueError("no records to plot")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()

@@ -91,7 +91,7 @@ def available_rx_aps(cfg: SystemConfig, policy: SensingPolicy) -> list[int]:
     return available
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)  # a run reads one table
 def _subset_table(available: tuple[int, ...],
                   k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every k-subset of `available`, as read-only arrays: the (k, m)

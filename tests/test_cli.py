@@ -170,6 +170,18 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="unknown key"):
             scenario_from_dict(raw)
 
+    @pytest.mark.parametrize("text, seed", [
+        ('"9007199254740993"', 2 ** 53 + 1),
+        ('"18446744073709551615"', 2 ** 64 - 1),
+        ('"1e3"', 1000), ('"4.0"', 4),
+    ], ids=["past_2_53", "largest_seed", "exponent", "point_zero"])
+    def test_quoted_seed_is_read_exactly(self, tmp_path, text, seed):
+        # through float, 2**53 + 1 would load as 2**53 and run another
+        # seed, and 2**64 - 1 would round to 2**64 and be rejected
+        path = tmp_path / "s.yaml"
+        path.write_text(f"seed: {text}\n")
+        assert load_scenario(path).seed == seed
+
     def test_arms_normalized_like_the_flag(self):
         scenario = scenario_from_dict({"arms": "proposed, perfect"})
         assert scenario.comparison_arms == ("perfect",)
@@ -420,6 +432,13 @@ class TestWriteRecords:
                                separators=(",", ":"))
         assert (hashlib.sha256(canonical.encode()).hexdigest()
                 == payload["config_digest"])
+
+    def test_plots_of_an_empty_log_write_nothing(self, tmp_path):
+        scenario = default_scenario()
+        with pytest.raises(ValueError, match=r"^no records to plot$"):
+            write_records(RunLog(scenario), tmp_path / "out", scenario,
+                          plots=True)
+        assert not (tmp_path / "out").exists()
 
     def test_epochs_csv_is_streamed(self, long_run, tmp_path):
         # writing holds less than the file it writes, so the text of
@@ -830,6 +849,20 @@ class TestMainEntry:
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text("num_epochs: 60\n")
+        for hash_seed in ("1", "2"):
+            subprocess.run(
+                [sys.executable, "-m", "cfisac.cli", "run", "--config",
+                 str(cfg), "--out", str(tmp_path / hash_seed), "--emit-plots"],
+                env={**src_env(), "PYTHONHASHSEED": hash_seed},
+                capture_output=True, timeout=60, check=True)
+        for name in ("epochs.csv", "summary.json", "variance.svg",
+                     "rate.svg"):
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes()), name
 
     def test_arms_flag(self, tmp_path):
         out = tmp_path / "out"
