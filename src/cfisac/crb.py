@@ -59,7 +59,7 @@ class WaveformSpec:
                                            compare=False)
     index_cov: tuple[float, float, float] = field(init=False, repr=False,
                                                   compare=False)
-    _unit: tuple[SystemConfig, np.ndarray] | None = field(
+    _unit: tuple[SystemConfig, np.ndarray, tuple[float, ...]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -91,11 +91,16 @@ class WaveformSpec:
         read-only. It is evaluated, and the grid checked, on the first call
         for `cfg` and kept for later calls with that same config object;
         the grid is immutable, so a kept block stays exact."""
+        return self._unit_for(cfg)[1]
+
+    def _unit_for(self, cfg: SystemConfig) -> tuple:
+        """(cfg, `unit_block`, its entries r00, r01, r10, r11 as floats)."""
         if self._unit is None or self._unit[0] is not cfg:
             block = crb_block(self, cfg, SensingLinkGain(1.0)).range_velocity
             block.setflags(write=False)
-            object.__setattr__(self, "_unit", (cfg, block))
-        return self._unit[1]
+            object.__setattr__(self, "_unit",
+                               (cfg, block, tuple(block.ravel().tolist())))
+        return self._unit
 
 
 def all_ones_waveform(cfg: SystemConfig) -> WaveformSpec:

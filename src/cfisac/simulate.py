@@ -7,13 +7,14 @@ outputs as Gaussian draws with the estimation-bound covariance. Every
 filter arm runs this one cycle; its row of `_ARMS` says when it senses,
 which APs listen and at what power. The arms run on the same per-epoch
 random streams so they stay comparable. The loop appends each epoch to
-the columns of a `RunLog`: between sensing epochs an arm's filter is six
-Python floats, and arrays and estimates are built only where it senses.
-The open-loop part is the
-downlink: the rate of an epoch depends only on the true and the tracked
-positions and never feeds back into a filter, so the log evaluates it when
-it is read, with one `steered_links` call per method (tracked, power-split
-and perfect knowledge) over the traffic epochs stepped since the last read.
+the columns of a `RunLog`. An arm's filter is six Python floats, which a
+sensing epoch keeps through the float cores of the synthesis and update;
+only the update's dense products and solve are numpy's. The open-loop part
+is the downlink: the rate of an epoch depends only on the true and the
+tracked positions and never feeds back into a filter, so the log evaluates
+it when it is read, with one `steered_links` call per method (tracked,
+power-split and perfect knowledge) over the traffic epochs stepped since
+the last read.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .sensing import (_NO_SENSING, _SENSING, Action, SensingPolicy,
                       _lowest_variance, _score_blocks, available_rx_aps,
                       decide_action)
 from .tracking import (MeasurementSet, MotionModel, StateEstimate,
-                       _angle_variance, _linearize, _predict_floats, predict,
-                       update)
+                       _angle_variance, _check_selection, _linearize,
+                       _predict_floats, _update_floats, predict)
 
 COMPARISON_ARMS = ("conventional", "random", "perfect")
 
@@ -391,8 +392,8 @@ class SimState:
     scenario it steps. `log` is the run so far, `truth_x` the true position
     after the last epoch stepped and `estimates` each filter arm's estimate
     as the floats (p, v, P00, P01, P10, P11). The rest is fixed; the
-    waveform evaluates its unit-gain bound block, and checks its grid, at
-    the first sensing epoch."""
+    waveform evaluates its unit-gain bound block, kept beside it as floats,
+    and checks its grid, at the first sensing epoch."""
 
     def __init__(self, scenario: Scenario) -> None:
         cfg, est = scenario.system, scenario.initial_estimate
@@ -458,7 +459,7 @@ def _hops(cfg: SystemConfig, waveform: WaveformSpec, position_x: float,
         raise ValueError("power_fraction must lie in (0, 1]")
     if not (math.isfinite(position_x) and math.isfinite(velocity_x)):
         raise ValueError(f"{state} must be finite")
-    u00, u01, u10, u11 = waveform.unit_block(cfg).ravel().tolist()
+    u00, u01, u10, u11 = waveform._unit_for(cfg)[2]
     wavelength, offset = cfg.wavelength, cfg.corridor_offset
     positions, hypot, four_pi = cfg.ap_positions, math.hypot, 4.0 * math.pi
     # Each hop's path gain is geometry_for_ap's (lambda / (4 pi d))^2.
@@ -527,6 +528,31 @@ def _noise_factor(ap: int, r00: float, r10: float,
     raise ValueError(f"noise block of AP {ap} is not positive definite")
 
 
+def _measure(cfg: SystemConfig, waveform: WaveformSpec, truth_x: float,
+             velocity_x: float, aps: tuple[int, ...], rcs: np.ndarray,
+             rng: np.random.Generator, power_fraction: float,
+             filter_mean: tuple | None, truth_blocks: list | None = None
+             ) -> tuple[list[float], list[tuple[float, ...]], np.ndarray]:
+    """`synthesize_measurement` on floats: the measured pairs of `aps`, and
+    the `_hops` rows and block covariance at filter_mean (else the truth)."""
+    if truth_blocks is None:
+        rows, entries = _hops(cfg, waveform, truth_x, velocity_x, rcs,
+                              power_fraction, aps)
+    else:
+        rows = _linearize(cfg, truth_x, velocity_x, aps)
+        entries = range_velocity_blocks(truth_blocks, aps).ravel().tolist()
+    factors = [_noise_factor(ap, r00, r10, r11) for ap, r00, r10, r11 in zip(
+        aps, entries[0::4], entries[2::4], entries[3::4])]
+    z, values = rng.standard_normal(2 * cfg.num_aps).tolist(), []
+    for ap, (dist, radial, _, _), (l00, _, l10, l11) in zip(aps, rows, factors):
+        values += (dist + l00 * z[2 * ap],
+                   radial + (l10 * z[2 * ap] + l11 * z[2 * ap + 1]))
+    if filter_mean is not None:
+        rows, entries = _hops(cfg, waveform, *filter_mean, rcs,
+                              power_fraction, aps, "filter mean")
+    return values, rows, block_diagonal(np.array(entries).reshape(-1, 2, 2))
+
+
 def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
                            selection: ApSelection, rcs: np.ndarray,
                            rng: np.random.Generator, *,
@@ -535,49 +561,27 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
                            filter_mean: np.ndarray | None = None,
                            truth_blocks: list[CrbBlock] | None = None
                            ) -> MeasurementSet:
-    """Estimator outputs as Gaussian draws around the true geometry.
+    """Estimator outputs as Gaussian draws around the true geometry, made
+    by `_measure`.
 
     Noise covariance per AP is the (range, velocity) bound at the TRUE
     state with the epoch's cross-section draws, or the caller's
     `truth_blocks`. The attached covariance is evaluated at filter_mean
     when given (the tracker linearization point), otherwise it is the noise
-    covariance. Standard normals are drawn for every AP so the subset
-    choice never shifts the stream. One pass over the selected APs at the
-    truth gives each AP's model values and the closed-form factor of its
-    noise block (`_noise_factor`), all before the normals are drawn; the
-    noise is then two Python-float sums per AP, which no BLAS kernel
-    rounds. A second pass at filter_mean gives the attached blocks. Both
-    bounds divide the one unit-gain block of `waveform.unit_block(cfg)`.
-    `rcs` must hold one cross section per AP, even where it is not read.
+    covariance. Normals are drawn for every AP, so the subset choice never
+    shifts the stream, once every noise block has its closed-form factor
+    (`_noise_factor`); each AP's noise is then two Python-float sums, which
+    no BLAS kernel rounds. `rcs` must hold one cross section per AP.
     """
-    if selection.num_aps != cfg.num_aps:
-        raise ValueError(f"selection is over {selection.num_aps} APs, "
-                         f"the system has {cfg.num_aps}")
+    _check_selection(cfg, selection)
     _check_rcs(cfg, rcs)
     if selection.cardinality == 0:
         raise ValueError("no sensing receivers selected")
-    aps = selection.indices
-    v_x = truth.velocity_x
-    if truth_blocks is None:
-        rows, entries = _hops(cfg, waveform, truth.position_x, v_x, rcs,
-                              power_fraction, aps)
-    else:
-        rows = _linearize(cfg, truth.position_x, v_x, aps)
-        entries = range_velocity_blocks(truth_blocks, aps).ravel().tolist()
-    factors = [_noise_factor(ap, r00, r10, r11) for ap, r00, r10, r11 in zip(
-        aps, entries[0::4], entries[2::4], entries[3::4])]
-    z, values = rng.standard_normal(2 * cfg.num_aps).tolist(), []
-    for ap, (dist, radial, _, _), (l00, _, l10, l11) in zip(aps, rows, factors):
-        values += (dist + l00 * z[2 * ap],
-                   radial + (l10 * z[2 * ap] + l11 * z[2 * ap + 1]))
-
-    if filter_mean is not None:
-        entries = _hops(cfg, waveform, float(filter_mean[0]),
-                        float(filter_mean[1]), rcs, power_fraction, aps,
-                        "filter mean")[1]
-    return MeasurementSet._built(
-        np.array(values), block_diagonal(np.array(entries).reshape(-1, 2, 2)),
-        selection)
+    values, _, cov = _measure(
+        cfg, waveform, truth.position_x, truth.velocity_x, selection.indices,
+        rcs, rng, power_fraction, None if filter_mean is None else
+        (float(filter_mean[0]), float(filter_mean[1])), truth_blocks)
+    return MeasurementSet(np.array(values), cov, selection)
 
 
 def _random_selection(available: ApSelection, k: int,
@@ -599,8 +603,9 @@ def _plan(scenario: Scenario, state: SimState, name: str, traffic_on: bool
     """The deterministic half of an arm's EKF cycle at epoch `state.epoch`:
     predict on Python floats, take the angle variance and decide. Returns
     the predicted floats (p, v, P00, P01, P10, P11), the variance and, if
-    the arm senses, `predict`'s estimate (the same bits) and the receive
-    set, None for the random arm's draw. Reads no stream, changes no state."""
+    the arm senses, `_act`'s inputs: the floats, the covariance of
+    `predict`'s estimate (the same bits) and the receive set, None for the
+    random arm's draw. Reads no stream, changes no state."""
     cfg, policy, arm = scenario.system, scenario.policy, _ARMS[name]
     prior = state.estimates[name]
     mean_p, mean_v, p00, p01, p11 = _predict_floats(state.model, *prior)
@@ -609,9 +614,8 @@ def _plan(scenario: Scenario, state: SimState, name: str, traffic_on: bool
     if arm.gated and (decide_action(variance, policy) is _NO_SENSING
                       or traffic_on):  # data frames carry no sensing signal
         return floats, variance, None
-    entries = np.array(prior)  # the mean, then the covariance
     predicted = predict(StateEstimate._built(
-        entries[:2], entries[2:].reshape(2, 2)), state.model)
+        np.array(prior[:2]), np.array(prior[2:]).reshape(2, 2)), state.model)
     selection = None
     if arm.receivers == "all":
         selection = state.full_selection
@@ -622,30 +626,30 @@ def _plan(scenario: Scenario, state: SimState, name: str, traffic_on: bool
         selection = _lowest_variance(cfg.num_aps, *_score_blocks(
             cfg, predicted, state.available, policy.subset_cardinality,
             *planning))
-    return floats, variance, (predicted, selection)
+    return floats, variance, (floats, predicted.covariance, selection)
 
 
 def _act(scenario: Scenario, state: SimState, name: str, truth_x: float,
-         predicted: StateEstimate, selection: ApSelection | None
-         ) -> tuple[tuple[float, ...], int]:
+         predicted: tuple[float, ...], prior_cov: np.ndarray,
+         selection: ApSelection | None) -> tuple[tuple[float, ...], int]:
     """The random half of a sensing arm's EKF cycle at epoch `state.epoch`:
     draw the random arm's set, the cross sections and the measurement at
     `truth_x` from streams reset to (seed, stream, epoch), the same for
-    every arm, and update. Returns the posterior floats and the set's
-    bitmask; changes nothing in `state`."""
+    every arm, and update the predicted floats (covariance `prior_cov`) at
+    the rows of the measurement's pass at their mean. Returns the posterior
+    floats and the set's bitmask; changes nothing in `state`."""
     cfg, streams, k = scenario.system, state.streams, state.epoch
     if selection is None:
         selection = _random_selection(state.available,
                                       scenario.policy.subset_cardinality,
                                       streams["selection"].generator(k))
     rcs = draw_rcs(streams["rcs"].generator(k), cfg, cfg.num_aps)
-    meas = synthesize_measurement(
-        cfg, TargetTruth(truth_x, scenario.initial_truth.velocity_x),
-        selection, rcs, streams["measurement"].generator(k),
-        waveform=state.waveform, power_fraction=_ARMS[name].power_fraction,
-        filter_mean=predicted.mean)
-    estimate = update(predicted, meas, cfg)
-    return ((*estimate.mean.tolist(), *estimate.covariance.ravel().tolist()),
+    mean, aps = predicted[:2], selection.indices
+    values, rows, cov = _measure(
+        cfg, state.waveform, truth_x, scenario.initial_truth.velocity_x, aps,
+        rcs, streams["measurement"].generator(k), _ARMS[name].power_fraction,
+        mean)
+    return (_update_floats(*mean, prior_cov, values, rows, cov, aps),
             selection.bitmask)
 
 

@@ -95,18 +95,6 @@ class MeasurementSet:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "covariance", cov)
 
-    @classmethod
-    def _built(cls, values: np.ndarray, covariance: np.ndarray,
-               selection: ApSelection) -> "MeasurementSet":
-        """A measurement set from float arrays the simulator just built to
-        the selection's shapes, taken as they are: skips __post_init__,
-        whose conversions and checks are for caller input."""
-        meas = object.__new__(cls)
-        object.__setattr__(meas, "values", values)
-        object.__setattr__(meas, "covariance", covariance)
-        object.__setattr__(meas, "selection", selection)
-        return meas
-
 
 def _predict_floats(model: MotionModel, m0: float, m1: float, p00: float,
                     p01: float, p10: float, p11: float
@@ -140,13 +128,12 @@ def predict(est: StateEstimate, model: MotionModel) -> StateEstimate:
                                 np.array([[c00, off], [off, c11]]))
 
 
-def _symmetrized(m: np.ndarray) -> np.ndarray:
-    """(m + m.T) / 2.0 of a 2x2, bit for bit, in one `tolist` and one
-    `np.array`: Python and numpy round the same IEEE add and halving, so
-    each entry keeps its rounding, overflow and signed zero."""
+def _symmetrized(m: np.ndarray) -> tuple[float, float, float]:
+    """The entries P00, P01 = P10 and P11 of (m + m.T) / 2.0 of a 2x2, bit
+    for bit, from one `tolist`: Python and numpy round the same IEEE add and
+    halving, so each entry keeps its rounding, overflow and signed zero."""
     (a, b), (c, d) = m.tolist()
-    off = (b + c) / 2.0
-    return np.array([[(a + a) / 2.0, off], [off, (d + d) / 2.0]])
+    return (a + a) / 2.0, (b + c) / 2.0, (d + d) / 2.0
 
 
 def _linearize(cfg: SystemConfig, position_x: float, velocity_x: float,
@@ -195,8 +182,8 @@ def measurement_jacobian(cfg: SystemConfig, state_mean: np.ndarray,
 
 
 def _gain_and_posterior(prior_cov: np.ndarray, jacobian: np.ndarray,
-                        meas_cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kalman gain and symmetrized posterior covariance of an update."""
+                        meas_cov: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Kalman gain and `_symmetrized` posterior covariance of an update."""
     innovation_cov = jacobian @ prior_cov @ jacobian.T + meas_cov
     gain = np.linalg.solve(innovation_cov.T, (prior_cov @ jacobian.T).T).T
     post = (_IDENTITY - gain @ jacobian) @ prior_cov
@@ -206,41 +193,55 @@ def _gain_and_posterior(prior_cov: np.ndarray, jacobian: np.ndarray,
 def posterior_covariance(prior_cov: np.ndarray, jacobian: np.ndarray,
                          meas_cov: np.ndarray) -> np.ndarray:
     """Covariance part of the measurement update; independent of the values."""
-    return _gain_and_posterior(prior_cov, jacobian, meas_cov)[1]
+    c00, off, c11 = _gain_and_posterior(prior_cov, jacobian, meas_cov)[1]
+    return np.array([[c00, off], [off, c11]])
 
 
-def _finite(values: list[float]) -> bool:
-    return all(map(math.isfinite, values))
+def _check_selection(cfg: SystemConfig, selection: ApSelection) -> None:
+    if selection.num_aps != cfg.num_aps:
+        raise ValueError(f"selection is over {selection.num_aps} APs, "
+                         f"the system has {cfg.num_aps}")
+
+
+def _update_floats(m0: float, m1: float, prior_cov: np.ndarray,
+                   values: Sequence[float], rows: Sequence[tuple],
+                   meas_cov: np.ndarray, aps: tuple) -> tuple[float, ...]:
+    """`update` of the mean (m0, m1) and covariance `prior_cov` by the pairs
+    `values` of the APs `aps` (covariance `meas_cov`, `_linearize` rows at
+    (m0, m1)), to the floats (p, v, P00, P01, P10 = P01, P11). Only
+    `_gain_and_posterior` and the gain times the innovation are numpy's."""
+    innovation, jac = [], []
+    for (dist, radial, cosine, slope), value_r, value_v in zip(
+            rows, values[0::2], values[1::2]):
+        innovation += (value_r - dist, value_v - radial)
+        jac += (cosine, 0.0, slope, cosine)
+    try:
+        gain, (c00, off, c11) = _gain_and_posterior(
+            prior_cov, np.array(jac).reshape(-1, 2), meas_cov)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"singular innovation covariance for APs "
+                         f"{aps}") from exc
+    if all(map(math.isfinite, innovation)):
+        d0, d1 = (gain @ np.array(innovation)).tolist()
+        posterior = (m0 + d0, m1 + d1, c00, off, off, c11)
+        if all(map(math.isfinite, posterior)):
+            return posterior
+    raise ValueError(f"posterior for APs {aps} is not finite")
 
 
 def update(est: StateEstimate, meas: MeasurementSet,
            cfg: SystemConfig) -> StateEstimate:
-    """Measurement update of a predicted estimate.
-
-    A posterior mean or covariance that is not finite raises ValueError
-    naming the selection. The innovation is checked before the gain
-    multiplies it, so a measurement at infinity raises that error rather
-    than a numpy warning and a NaN mean.
-    """
-    values, jac = [], []
-    for dist, radial, cosine, slope in _linearize(cfg, *est.mean.tolist(),
-                                                  meas.selection.indices):
-        values += (dist, radial)
-        jac += (cosine, 0.0, slope, cosine)
-    innovation = meas.values - np.array(values)
-    try:
-        gain, cov = _gain_and_posterior(est.covariance,
-                                        np.array(jac).reshape(-1, 2),
-                                        meas.covariance)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular innovation covariance for APs "
-                         f"{meas.selection.indices}") from exc
-    if _finite(innovation.tolist()):
-        mean = est.mean + gain @ innovation
-        if _finite(mean.tolist() + cov.ravel().tolist()):
-            return StateEstimate._built(mean, cov)
-    raise ValueError(f"posterior for APs {meas.selection.indices} is not "
-                     f"finite")
+    """Measurement update of a predicted estimate, by `_update_floats`. A
+    selection over another AP count, or a posterior that is not finite,
+    raises ValueError; the innovation is checked before the gain multiplies
+    it, so a measurement at infinity raises that, not a numpy warning."""
+    _check_selection(cfg, meas.selection)
+    (m0, m1), aps = est.mean.tolist(), meas.selection.indices
+    m0, m1, c00, off, _, c11 = _update_floats(
+        m0, m1, est.covariance, meas.values.tolist(),
+        _linearize(cfg, m0, m1, aps), meas.covariance, aps)
+    return StateEstimate._built(np.array([m0, m1]),
+                                np.array([[c00, off], [off, c11]]))
 
 
 def _angle_variance(cfg: SystemConfig, position_x: float,

@@ -33,7 +33,8 @@ from cfisac.simulate import (COMPARISON_ARMS, RngStream, Scenario, SimState,
                              TrafficModel, crb_blocks_for_state, draw_rcs,
                              run_epoch, run_scenario, synthesize_measurement)
 from cfisac.tracking import (MotionModel, StateEstimate, _angle_variance,
-                             measurement_model, predict, update)
+                             _update_floats, measurement_model, predict,
+                             update)
 from oracles import propagate_truth, qpsk_waveform
 
 CFG = SystemConfig()
@@ -1035,6 +1036,77 @@ def test_each_arm_predicts_once_an_epoch(monkeypatch):
         if a.action is Action.SENSING)
 
 
+def test_a_sensing_arm_linearizes_once_per_state(monkeypatch):
+    # a sensing arm linearizes once at the truth and once at its predicted
+    # mean, whose rows the update reads from the synthesizer's pass; the
+    # proposed arm adds its planning pass over the available APs
+    passes, arm = Counter(), []
+    linearize, plan = tracking._linearize, simulate._plan
+
+    def planning(scenario, state, name, traffic_on):
+        arm[:] = [name]
+        return plan(scenario, state, name, traffic_on)
+
+    def counting(*args):
+        passes[state.epoch, arm[0]] += 1
+        return linearize(*args)
+
+    monkeypatch.setattr(simulate, "_plan", planning)
+    for module in (tracking, simulate):
+        monkeypatch.setattr(module, "_linearize", counting)
+    scenario = make_scenario(num_epochs=30, seed=0,
+                             policy=SensingPolicy(1e-9))
+    state = SimState(scenario)
+    for _ in range(scenario.num_epochs):
+        run_epoch(state)
+    sensing = [(r.epoch, name) for r in state.log
+               for name, a in r.arms.items() if a.action is Action.SENSING]
+    assert {name for _, name in sensing} == {"proposed", "random",
+                                             "conventional"}
+    assert passes == {(k, name): 3 if name == "proposed" else 2
+                      for k, name in sensing}
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("workload, num_epochs", [("ref_all", 30),
+                                                  ("select_dense", 12)])
+def test_a_sensing_epoch_posts_what_the_public_chain_posts(
+        monkeypatch, workload, num_epochs, seed):
+    # the run's float cores and the public functions are one formula: each
+    # sensing arm-epoch's posterior floats equal, bit for bit, those of
+    # predict -> synthesize_measurement -> update from the same prior, with
+    # the run's receive set and the epoch's streams
+    acts, act = [], simulate._act
+
+    def recording(scenario, state, name, truth_x, *sense):
+        result = act(scenario, state, name, truth_x, *sense)
+        acts.append((state.epoch, name, state.estimates[name], truth_x,
+                     result))
+        return result
+
+    monkeypatch.setattr(simulate, "_act", recording)
+    workloads = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                            / "workloads.json").read_text())
+    scenario = scenario_from_dict({**workloads[workload]["overrides"],
+                                   "num_epochs": num_epochs, "seed": seed})
+    log = run_scenario(scenario)
+    cfg, model = scenario.system, MotionModel.from_config(scenario.system)
+    assert {name for _, name, *_ in acts} == set(log.arms)  # each senses
+    for k, name, prior, truth_x, (posterior, mask) in acts:
+        predicted = predict(StateEstimate(prior[:2], prior[2:]), model)
+        meas = synthesize_measurement(
+            cfg, TargetTruth(truth_x, scenario.initial_truth.velocity_x),
+            ApSelection.from_bitmask(cfg.num_aps, mask),
+            draw_rcs(RngStream(seed, "rcs").generator(k), cfg, cfg.num_aps),
+            RngStream(seed, "measurement").generator(k),
+            waveform=all_ones_waveform(cfg),
+            power_fraction=simulate._ARMS[name].power_fraction,
+            filter_mean=predicted.mean)
+        want = update(predicted, meas, cfg)
+        assert np.array(posterior).tobytes() == np.array(
+            [*want.mean, *want.covariance.ravel()]).tobytes()
+
+
 def test_selection_scores_the_bound_stack_without_a_solve(monkeypatch):
     # the proposed arm scores its planning bound stack in closed form: no
     # solve under sensing, and no per-AP CrbBlock list to restack
@@ -1152,17 +1224,18 @@ class TestStreamReuse:
     def test_arms_that_sense_together_draw_the_same_normals(self,
                                                             monkeypatch):
         seen = {}
-        original = simulate.synthesize_measurement
+        original = simulate._measure
 
-        def peeking(cfg, truth, selection, rcs, rng, **kwargs):
+        def peeking(cfg, waveform, truth_x, velocity_x, aps, rcs, rng, *rest):
             saved = rng.bit_generator.state
             epoch = int(saved["state"]["key"][1]) - (2 << 32)
             seen.setdefault(epoch, []).append(
                 rng.standard_normal(2 * cfg.num_aps))
             rng.bit_generator.state = saved
-            return original(cfg, truth, selection, rcs, rng, **kwargs)
+            return original(cfg, waveform, truth_x, velocity_x, aps, rcs, rng,
+                            *rest)
 
-        monkeypatch.setattr(simulate, "synthesize_measurement", peeking)
+        monkeypatch.setattr(simulate, "_measure", peeking)
         # at seed 4 all three sensing arms sense at epoch 0
         records = run_scenario(make_scenario(
             num_epochs=5, seed=4,
@@ -1446,18 +1519,18 @@ def test_stepping_error_names_the_epoch_and_the_arm(monkeypatch, error):
     # never senses, so every update is the conventional arm's
     calls = []
 
-    def failing_update(est, meas, cfg):
-        calls.append(meas.selection.indices)
+    def failing_update(m0, m1, prior_cov, values, rows, meas_cov, aps):
+        calls.append(aps)
         if len(calls) < 4:
-            return update(est, meas, cfg)
+            return _update_floats(m0, m1, prior_cov, values, rows, meas_cov,
+                                  aps)
         if error is RankDeficientError:
             raise RankDeficientError("stand-in")
         # a zero prior and zero noise make the innovation covariance zero
-        return update(StateEstimate(est.mean, np.zeros((2, 2))),
-                      dataclasses.replace(meas, covariance=0 * meas.covariance),
-                      cfg)
+        return _update_floats(m0, m1, np.zeros((2, 2)), values, rows,
+                              0 * meas_cov, aps)
 
-    monkeypatch.setattr(simulate, "update", failing_update)
+    monkeypatch.setattr(simulate, "_update_floats", failing_update)
     scenario = make_scenario(policy=SensingPolicy(1e9),
                              comparison_arms=("conventional",))
     state = SimState(scenario)
@@ -1488,13 +1561,13 @@ def test_an_error_that_is_not_a_value_error_propagates_as_it_is(monkeypatch):
     error = TypeError("stand-in")
     calls = []
 
-    def failing_update(est, meas, cfg):
-        calls.append(meas.selection.indices)
+    def failing_update(*args):
+        calls.append(args[-1])
         if len(calls) < 4:
-            return update(est, meas, cfg)
+            return _update_floats(*args)
         raise error
 
-    monkeypatch.setattr(simulate, "update", failing_update)
+    monkeypatch.setattr(simulate, "_update_floats", failing_update)
     scenario = make_scenario(policy=SensingPolicy(1e9),
                              comparison_arms=("conventional",))
     state = SimState(scenario)

@@ -293,6 +293,17 @@ class TestUpdate:
             update(prior, MeasurementSet(vals, cov, sel), CFG)
         assert str(caught.value) == "posterior for APs (1, 2) is not finite"
 
+    @pytest.mark.parametrize("indices", [[4, 5], [0, 1]])
+    def test_a_selection_over_another_ap_count_is_rejected(self, indices):
+        # APs 4 and 5 lie past the 4-AP layout; APs 0 and 1 of a 6-AP
+        # layout would be linearized at this layout's positions
+        sel = ApSelection.from_indices(6, indices)
+        prior = estimate([100.0, 20.0], np.diag([50.0, 2.0]))
+        meas = MeasurementSet([140.0, 0.0, 160.0, 0.0], np.eye(4), sel)
+        with pytest.raises(ValueError) as caught:
+            update(prior, meas, CFG)
+        assert str(caught.value) == "selection is over 6 APs, the system has 4"
+
     def test_deterministic(self):
         sel = ApSelection.from_indices(CFG.num_aps, [0, 1])
         prior = estimate([100.0, 20.0], np.diag([50.0, 2.0]))
