@@ -122,21 +122,21 @@ def _require_mapping(value, name: str) -> dict:
     return value
 
 
-def _build(cls, raw, name: str, **defaults):
+def _build(cls, raw, name: str, **sections):
     """Build dataclass `cls` from config section `raw`.
 
-    Keys must name fields of `cls`; `defaults` fill absent ones, and a
-    default that is not a number or a boolean (a section the caller built)
-    cannot be set. Numeric and boolean values are converted by the field's
-    declared type; the rest go to `cls`, which normalizes and validates them.
+    Keys must name fields of `cls`, except the fields that the caller's
+    built `sections` fill. Numeric and boolean values are converted by the
+    field's declared type; the rest go to `cls`, which normalizes and
+    validates them.
     """
     raw = _require_mapping(raw, name)
     types = {f.name: f.type for f in dataclasses.fields(cls)
-             if f.type in _SCALARS or f.name not in defaults}
+             if f.name not in sections}
     unknown = set(raw) - set(types)
     if unknown:
         raise ConfigError(f"{name}: unknown key(s) {sorted(unknown)}")
-    values = dict(defaults)
+    values = dict(sections)
     for key, value in raw.items():
         convert, kind = _SCALARS.get(types[key],
                                      (_no_booleans, "a list of numbers"))
@@ -195,8 +195,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     """Build a Scenario from a plain nested dict; unset fields take defaults."""
     raw = _require_mapping(raw, "config")
     system = _build(SystemConfig, raw.get("system"), "system")
-    truth = _build(TargetTruth, raw.get("target"), "target",
-                   position_x=0.0, velocity_x=25.0)
+    truth = _build(TargetTruth, raw.get("target"), "target")
     return _build(
         Scenario, {k: v for k, v in raw.items() if k not in _SECTIONS},
         "config", system=system, initial_truth=truth,

@@ -7,8 +7,8 @@ Fisher-information bounds on (delay, Doppler) and, separately, on angle
 measurement covariance blocks. `crb_block` is the closed form of that
 (range, radial velocity) chain at zero delay and Doppler; the FFT-based
 functions are the general reference it is tested against. The simulator's
-bound stack (`simulate.crb_blocks_for_state`) divides the unit-gain
-`crb_block`, kept on the waveform (`WaveformSpec.unit_block`), by each AP's
+bound stack (`simulate.crb_blocks_for_state`) divides the entries of the
+unit-gain `crb_block`, kept on the waveform as four floats, by each AP's
 hop gain.
 """
 
@@ -49,8 +49,8 @@ class WaveformSpec:
     moments (sum w a^2, sum w b^2) and the centered sums
     (sum w da^2, sum w db^2, sum w da db), da and db taken about the
     weighted means. The index moments are exactly rounded sums (`_dot`),
-    so no BLAS kernel moves a bound built on them. `unit_block` keeps the
-    bound of the last config it was asked for.
+    so no BLAS kernel moves a bound built on them. `_unit_for` keeps the
+    entries of the unit-gain bound of the last config it was asked for.
     """
 
     symbols: np.ndarray
@@ -59,7 +59,7 @@ class WaveformSpec:
                                            compare=False)
     index_cov: tuple[float, float, float] = field(init=False, repr=False,
                                                   compare=False)
-    _unit: tuple[SystemConfig, np.ndarray, tuple[float, ...]] | None = field(
+    _unit: tuple[SystemConfig, tuple[float, ...]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -86,21 +86,17 @@ class WaveformSpec:
     def shape(self) -> tuple[int, int]:
         return self.symbols.shape
 
-    def unit_block(self, cfg: SystemConfig) -> np.ndarray:
-        """`crb_block(self, cfg, SensingLinkGain(1.0)).range_velocity`,
-        read-only. It is evaluated, and the grid checked, on the first call
-        for `cfg` and kept for later calls with that same config object;
-        the grid is immutable, so a kept block stays exact."""
-        return self._unit_for(cfg)[1]
-
-    def _unit_for(self, cfg: SystemConfig) -> tuple:
-        """(cfg, `unit_block`, its entries r00, r01, r10, r11 as floats)."""
+    def _unit_for(self, cfg: SystemConfig) -> tuple[float, ...]:
+        """The entries r00, r01, r10, r11 of
+        `crb_block(self, cfg, SensingLinkGain(1.0)).range_velocity`. They
+        are evaluated, and the grid checked, on the first call for `cfg`
+        and kept for later calls with that same config object; the grid is
+        immutable, so kept entries stay exact."""
         if self._unit is None or self._unit[0] is not cfg:
             block = crb_block(self, cfg, SensingLinkGain(1.0)).range_velocity
-            block.setflags(write=False)
             object.__setattr__(self, "_unit",
-                               (cfg, block, tuple(block.ravel().tolist())))
-        return self._unit
+                               (cfg, tuple(block.ravel().tolist())))
+        return self._unit[1]
 
 
 def all_ones_waveform(cfg: SystemConfig) -> WaveformSpec:
@@ -227,8 +223,9 @@ def crb_block(spec: WaveformSpec, cfg: SystemConfig, gain: SensingLinkGain,
     ULA array gain ||a(az)||^2 is N at every azimuth, so the bound needs no
     azimuth. The checks and their messages are those of the FFT path. The
     Fisher information is linear in |alpha|^2, so the block of any gain g
-    is the unit-gain block divided by g up to rounding; the simulator
-    evaluates it that way, from `WaveformSpec.unit_block`, once per run.
+    is the unit-gain block divided by g up to rounding. The simulator
+    evaluates it that way: its waveform keeps the unit-gain block's
+    entries, so a run calls this once.
     """
     _check_waveform(spec, cfg)
     (raw_aa, raw_bb), (cov_aa, cov_bb, cov_ab) = spec.index_raw, spec.index_cov

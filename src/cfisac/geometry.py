@@ -15,8 +15,8 @@ from .config import SystemConfig
 class TargetTruth:
     """True kinematic state on the corridor line y = corridor_offset."""
 
-    position_x: float  # m
-    velocity_x: float  # m/s
+    position_x: float = 0.0   # m
+    velocity_x: float = 25.0  # m/s
 
 
 def geometry_for_ap(cfg: SystemConfig, truth: TargetTruth,

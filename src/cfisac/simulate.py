@@ -392,8 +392,8 @@ class SimState:
     scenario it steps. `log` is the run so far, `truth_x` the true position
     after the last epoch stepped and `estimates` each filter arm's estimate
     as the floats (p, v, P00, P01, P10, P11). The rest is fixed; the
-    waveform evaluates its unit-gain bound block, kept beside it as floats,
-    and checks its grid, at the first sensing epoch."""
+    waveform evaluates the entries of its unit-gain bound block, which it
+    keeps as floats, and checks its grid, at the first sensing epoch."""
 
     def __init__(self, scenario: Scenario) -> None:
         cfg, est = scenario.system, scenario.initial_estimate
@@ -459,7 +459,7 @@ def _hops(cfg: SystemConfig, waveform: WaveformSpec, position_x: float,
         raise ValueError("power_fraction must lie in (0, 1]")
     if not (math.isfinite(position_x) and math.isfinite(velocity_x)):
         raise ValueError(f"{state} must be finite")
-    u00, u01, u10, u11 = waveform._unit_for(cfg)[2]
+    u00, u01, u10, u11 = waveform._unit_for(cfg)
     wavelength, offset = cfg.wavelength, cfg.corridor_offset
     positions, hypot, four_pi = cfg.ap_positions, math.hypot, 4.0 * math.pi
     # Each hop's path gain is geometry_for_ap's (lambda / (4 pi d))^2.
@@ -496,8 +496,8 @@ def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
     power_fraction tx_power N. Each block is the unit-gain `crb_block` over
     that gain, a few ulp from `crb_block` of the gain, from the same
     per-AP pass the simulator's sensing epoch makes. The errors are those
-    of `geometry_for_ap` and `crb_block`. The unit-gain block, and with it
-    the grid check, comes from `waveform.unit_block(cfg)`, so it is
+    of `geometry_for_ap` and `crb_block`. The waveform keeps the unit-gain
+    block's entries, so that block, and with it the grid check, is
     evaluated once per waveform and config.
     The bound is taken at zero delay/Doppler: the Fisher information depends
     on the waveform grid only through its power-weighted index moments,
@@ -528,29 +528,21 @@ def _noise_factor(ap: int, r00: float, r10: float,
     raise ValueError(f"noise block of AP {ap} is not positive definite")
 
 
-def _measure(cfg: SystemConfig, waveform: WaveformSpec, truth_x: float,
-             velocity_x: float, aps: tuple[int, ...], rcs: np.ndarray,
-             rng: np.random.Generator, power_fraction: float,
-             filter_mean: tuple | None, truth_blocks: list | None = None
-             ) -> tuple[list[float], list[tuple[float, ...]], np.ndarray]:
-    """`synthesize_measurement` on floats: the measured pairs of `aps`, and
-    the `_hops` rows and block covariance at filter_mean (else the truth)."""
-    if truth_blocks is None:
-        rows, entries = _hops(cfg, waveform, truth_x, velocity_x, rcs,
-                              power_fraction, aps)
-    else:
-        rows = _linearize(cfg, truth_x, velocity_x, aps)
-        entries = range_velocity_blocks(truth_blocks, aps).ravel().tolist()
+def _measure(cfg: SystemConfig, aps: tuple[int, ...],
+             rows: Sequence[tuple[float, ...]], entries: Sequence[float],
+             rng: np.random.Generator) -> list[float]:
+    """The measured pairs of `aps`: each AP's `_linearize` row's range and
+    radial velocity plus its noise, the closed-form factor (`_noise_factor`)
+    of its bound block, entries r00, r01, r10, r11 in turn in `entries`,
+    times its two of the normals drawn for every AP of `cfg`, so the subset
+    never shifts the stream. No BLAS kernel rounds these Python floats."""
     factors = [_noise_factor(ap, r00, r10, r11) for ap, r00, r10, r11 in zip(
         aps, entries[0::4], entries[2::4], entries[3::4])]
     z, values = rng.standard_normal(2 * cfg.num_aps).tolist(), []
     for ap, (dist, radial, _, _), (l00, _, l10, l11) in zip(aps, rows, factors):
         values += (dist + l00 * z[2 * ap],
                    radial + (l10 * z[2 * ap] + l11 * z[2 * ap + 1]))
-    if filter_mean is not None:
-        rows, entries = _hops(cfg, waveform, *filter_mean, rcs,
-                              power_fraction, aps, "filter mean")
-    return values, rows, block_diagonal(np.array(entries).reshape(-1, 2, 2))
+    return values
 
 
 def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
@@ -561,27 +553,33 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
                            filter_mean: np.ndarray | None = None,
                            truth_blocks: list[CrbBlock] | None = None
                            ) -> MeasurementSet:
-    """Estimator outputs as Gaussian draws around the true geometry, made
+    """Estimator outputs as Gaussian draws around the true geometry, drawn
     by `_measure`.
 
-    Noise covariance per AP is the (range, velocity) bound at the TRUE
-    state with the epoch's cross-section draws, or the caller's
-    `truth_blocks`. The attached covariance is evaluated at filter_mean
-    when given (the tracker linearization point), otherwise it is the noise
-    covariance. Normals are drawn for every AP, so the subset choice never
-    shifts the stream, once every noise block has its closed-form factor
-    (`_noise_factor`); each AP's noise is then two Python-float sums, which
-    no BLAS kernel rounds. `rcs` must hold one cross section per AP.
+    Noise covariance per AP is the (range, velocity) bound of `_hops` at
+    the TRUE state with the epoch's cross-section draws, or the caller's
+    `truth_blocks`. The attached covariance is that of `_hops` at
+    filter_mean when given (the tracker linearization point), otherwise it
+    is the noise covariance. `rcs` must hold one cross section per AP.
     """
     _check_selection(cfg, selection)
     _check_rcs(cfg, rcs)
     if selection.cardinality == 0:
         raise ValueError("no sensing receivers selected")
-    values, _, cov = _measure(
-        cfg, waveform, truth.position_x, truth.velocity_x, selection.indices,
-        rcs, rng, power_fraction, None if filter_mean is None else
-        (float(filter_mean[0]), float(filter_mean[1])), truth_blocks)
-    return MeasurementSet(np.array(values), cov, selection)
+    aps, x, v = selection.indices, truth.position_x, truth.velocity_x
+    mean = (None if filter_mean is None else
+            (float(filter_mean[0]), float(filter_mean[1])))
+    if truth_blocks is None:
+        rows, entries = _hops(cfg, waveform, x, v, rcs, power_fraction, aps)
+    else:
+        rows = _linearize(cfg, x, v, aps)
+        entries = range_velocity_blocks(truth_blocks, aps).ravel().tolist()
+    values = _measure(cfg, aps, rows, entries, rng)
+    if mean is not None:
+        entries = _hops(cfg, waveform, *mean, rcs, power_fraction, aps,
+                        "filter mean")[1]
+    return MeasurementSet(np.array(values), block_diagonal(
+        np.array(entries).reshape(-1, 2, 2)), selection)
 
 
 def _random_selection(available: ApSelection, k: int,
@@ -635,9 +633,10 @@ def _act(scenario: Scenario, state: SimState, name: str, truth_x: float,
     """The random half of a sensing arm's EKF cycle at epoch `state.epoch`:
     draw the random arm's set, the cross sections and the measurement at
     `truth_x` from streams reset to (seed, stream, epoch), the same for
-    every arm, and update the predicted floats (covariance `prior_cov`) at
-    the rows of the measurement's pass at their mean. Returns the posterior
-    floats and the set's bitmask; changes nothing in `state`."""
+    every arm. The measurement is drawn at the `_hops` blocks of the truth;
+    the update of the predicted floats (covariance `prior_cov`) reads the
+    rows and blocks of a second `_hops` pass at their mean. Returns the
+    posterior floats and the set's bitmask; changes nothing in `state`."""
     cfg, streams, k = scenario.system, state.streams, state.epoch
     if selection is None:
         selection = _random_selection(state.available,
@@ -645,10 +644,13 @@ def _act(scenario: Scenario, state: SimState, name: str, truth_x: float,
                                       streams["selection"].generator(k))
     rcs = draw_rcs(streams["rcs"].generator(k), cfg, cfg.num_aps)
     mean, aps = predicted[:2], selection.indices
-    values, rows, cov = _measure(
-        cfg, state.waveform, truth_x, scenario.initial_truth.velocity_x, aps,
-        rcs, streams["measurement"].generator(k), _ARMS[name].power_fraction,
-        mean)
+    power = _ARMS[name].power_fraction
+    values = _measure(cfg, aps, *_hops(
+        cfg, state.waveform, truth_x, scenario.initial_truth.velocity_x, rcs,
+        power, aps), streams["measurement"].generator(k))
+    rows, entries = _hops(cfg, state.waveform, *mean, rcs, power, aps,
+                          "filter mean")
+    cov = block_diagonal(np.array(entries).reshape(-1, 2, 2))
     return (_update_floats(*mean, prior_cov, values, rows, cov, aps),
             selection.bitmask)
 

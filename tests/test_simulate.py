@@ -1226,14 +1226,13 @@ class TestStreamReuse:
         seen = {}
         original = simulate._measure
 
-        def peeking(cfg, waveform, truth_x, velocity_x, aps, rcs, rng, *rest):
+        def peeking(cfg, aps, rows, entries, rng):
             saved = rng.bit_generator.state
             epoch = int(saved["state"]["key"][1]) - (2 << 32)
             seen.setdefault(epoch, []).append(
                 rng.standard_normal(2 * cfg.num_aps))
             rng.bit_generator.state = saved
-            return original(cfg, waveform, truth_x, velocity_x, aps, rcs, rng,
-                            *rest)
+            return original(cfg, aps, rows, entries, rng)
 
         monkeypatch.setattr(simulate, "_measure", peeking)
         # at seed 4 all three sensing arms sense at epoch 0
