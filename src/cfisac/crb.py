@@ -320,12 +320,17 @@ def _block_slots(k: int) -> np.ndarray:
     return slots
 
 
+def _block_diagonal(k: int, entries: Sequence[float]) -> np.ndarray:
+    """`block_diagonal` of k blocks given as their 4k entries, block by
+    block and each row by row."""
+    out = np.zeros(4 * k * k)
+    out[_block_slots(k)] = entries
+    return out.reshape(2 * k, 2 * k)
+
+
 def block_diagonal(stack: np.ndarray) -> np.ndarray:
     """The dense (2k, 2k) block-diagonal matrix of a (k, 2, 2) stack."""
-    k = len(stack)
-    out = np.zeros(4 * k * k)
-    out[_block_slots(k)] = np.asarray(stack).reshape(-1)
-    return out.reshape(2 * k, 2 * k)
+    return _block_diagonal(len(stack), np.asarray(stack).reshape(-1))
 
 
 _LAZY = ("build_waveform_vector", "assemble_measurement_covariance")

@@ -122,9 +122,13 @@ def _score_blocks(cfg: SystemConfig, predicted: StateEstimate,
     and its I_l = J_l^T R_l^-1 J_l is three floats (s00, s01,
     s11); a subset sums them to S, and leaves P00 of (I + P S)^-1 P,
     needing no P^-1. With M = I + P S that is (m11 p00 - m01 p10) / det M,
-    evaluated with the terms that cancel taken out, which keeps a strongly
-    correlated P within a few ulp: the numerator is p00 + S11 det P and
-    det M = 1 + tr(P S) + det P det S.
+    evaluated with the terms that cancel taken out: the numerator is
+    p00 + S11 det P and det M = 1 + tr(P S) + det P det S. det P itself
+    cancels for a strongly correlated P, so a score is not within a few
+    ulp but within about 2.8 u (u = 2^-53) of exact times the condition of
+    these two sums (`scorer_condition`, which tests/test_exact_property.py
+    bounds at 8 u). Runs stay clear of that: over ref_all and select_dense
+    at seeds 0-19 the worst score is 6.3 ulp from exact.
     """
     j01 = 0.0  # the range does not depend on the velocity
     info = []

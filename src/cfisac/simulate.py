@@ -31,7 +31,7 @@ import numpy as np
 from . import _from_oracles
 from .comms import ANGLE_MODES, PHASE_MODES, LinkError, steered_links
 from .config import SystemConfig
-from .crb import (CrbBlock, WaveformSpec, all_ones_waveform, block_diagonal,
+from .crb import (CrbBlock, WaveformSpec, _block_diagonal, all_ones_waveform,
                   range_velocity_blocks)
 from .geometry import TargetTruth
 from .selection import ApSelection
@@ -438,11 +438,15 @@ def draw_rcs(rng: np.random.Generator, cfg: SystemConfig,
     return rng.exponential(cfg.mean_rcs, size=num_aps)
 
 
-def _check_rcs(cfg: SystemConfig, rcs: np.ndarray) -> None:
-    """Raise ValueError unless `rcs` holds one cross section per AP."""
+def _check_hop_inputs(cfg: SystemConfig, rcs: np.ndarray,
+                      power_fraction: float) -> None:
+    """Raise ValueError unless `rcs` holds one cross section per AP and
+    `power_fraction` lies in (0, 1]: `_hops` takes them unchecked."""
     if np.shape(rcs) != (cfg.num_aps,):
         raise ValueError(f"rcs: need shape ({cfg.num_aps},), one cross "
                          f"section per AP, got {np.shape(rcs)}")
+    if not 0.0 < power_fraction <= 1.0:
+        raise ValueError("power_fraction must lie in (0, 1]")
 
 
 def _hops(cfg: SystemConfig, waveform: WaveformSpec, position_x: float,
@@ -455,8 +459,6 @@ def _hops(cfg: SystemConfig, waveform: WaveformSpec, position_x: float,
     the unit-gain `crb_block` over the AP's hop gain. A state that is not
     finite raises ValueError naming it as `state`, and a transmit hop too
     short for its gain to be a float one naming the transmitting AP."""
-    if not 0.0 < power_fraction <= 1.0:
-        raise ValueError("power_fraction must lie in (0, 1]")
     if not (math.isfinite(position_x) and math.isfinite(velocity_x)):
         raise ValueError(f"{state} must be finite")
     u00, u01, u10, u11 = waveform._unit_for(cfg)
@@ -472,8 +474,9 @@ def _hops(cfg: SystemConfig, waveform: WaveformSpec, position_x: float,
         raise ValueError(f"path gain to transmitting AP {cfg.tx_ap} "
                          f"overflows: the range is too short") from exc
     rows, entries = _linearize(cfg, position_x, velocity_x, aps), []
+    cross_sections = np.asarray(rcs).tolist()
     for ap, (dist, _, _, _) in zip(aps, rows):
-        cross_section = float(rcs[ap])
+        cross_section = cross_sections[ap]
         if cross_section < 0:
             raise ValueError("rcs must be nonnegative")
         gain = (scale * (wavelength / (four_pi * dist)) ** 2
@@ -505,7 +508,7 @@ def crb_blocks_for_state(cfg: SystemConfig, waveform: WaveformSpec,
     result. The FFT-based crb_delay_doppler is the general-grid reference it
     is tested against. `rcs` must hold one cross section per AP.
     """
-    _check_rcs(cfg, rcs)
+    _check_hop_inputs(cfg, rcs, power_fraction)
     stack = np.array(_hops(cfg, waveform, position_x, velocity_x, rcs,
                            power_fraction, range(cfg.num_aps))[1]
                      ).reshape(-1, 2, 2)
@@ -563,7 +566,7 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
     is the noise covariance. `rcs` must hold one cross section per AP.
     """
     _check_selection(cfg, selection)
-    _check_rcs(cfg, rcs)
+    _check_hop_inputs(cfg, rcs, power_fraction)
     if selection.cardinality == 0:
         raise ValueError("no sensing receivers selected")
     aps, x, v = selection.indices, truth.position_x, truth.velocity_x
@@ -578,8 +581,8 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
     if mean is not None:
         entries = _hops(cfg, waveform, *mean, rcs, power_fraction, aps,
                         "filter mean")[1]
-    return MeasurementSet(np.array(values), block_diagonal(
-        np.array(entries).reshape(-1, 2, 2)), selection)
+    return MeasurementSet(np.array(values), _block_diagonal(len(aps), entries),
+                          selection)
 
 
 def _random_selection(available: ApSelection, k: int,
@@ -601,9 +604,10 @@ def _plan(scenario: Scenario, state: SimState, name: str, traffic_on: bool
     """The deterministic half of an arm's EKF cycle at epoch `state.epoch`:
     predict on Python floats, take the angle variance and decide. Returns
     the predicted floats (p, v, P00, P01, P10, P11), the variance and, if
-    the arm senses, `_act`'s inputs: the floats, the covariance of
-    `predict`'s estimate (the same bits) and the receive set, None for the
-    random arm's draw. Reads no stream, changes no state."""
+    the arm senses, `_act`'s inputs: the floats, their covariance as an
+    array (`predict`'s bits) and the receive set, None for the random arm's
+    draw. Only the subset scorer builds `predict`'s estimate, which
+    `_score_blocks` reads. Reads no stream, changes no state."""
     cfg, policy, arm = scenario.system, scenario.policy, _ARMS[name]
     prior = state.estimates[name]
     mean_p, mean_v, p00, p01, p11 = _predict_floats(state.model, *prior)
@@ -612,19 +616,16 @@ def _plan(scenario: Scenario, state: SimState, name: str, traffic_on: bool
     if arm.gated and (decide_action(variance, policy) is _NO_SENSING
                       or traffic_on):  # data frames carry no sensing signal
         return floats, variance, None
-    predicted = predict(StateEstimate._built(
-        np.array(prior[:2]), np.array(prior[2:]).reshape(2, 2)), state.model)
-    selection = None
-    if arm.receivers == "all":
-        selection = state.full_selection
-    elif arm.receivers == "optimal":
+    selection = state.full_selection if arm.receivers == "all" else None
+    if arm.receivers == "optimal":
         planning = _hops(cfg, state.waveform, mean_p, mean_v,
                          state.planning_rcs, 1.0, state.available.indices,
                          "filter mean")
         selection = _lowest_variance(cfg.num_aps, *_score_blocks(
-            cfg, predicted, state.available, policy.subset_cardinality,
-            *planning))
-    return floats, variance, (floats, predicted.covariance, selection)
+            cfg, predict(StateEstimate(prior[:2], prior[2:]), state.model),
+            state.available, policy.subset_cardinality, *planning))
+    return floats, variance, (floats, np.array(((p00, p01), (p01, p11))),
+                              selection)
 
 
 def _act(scenario: Scenario, state: SimState, name: str, truth_x: float,
@@ -650,7 +651,7 @@ def _act(scenario: Scenario, state: SimState, name: str, truth_x: float,
         power, aps), streams["measurement"].generator(k))
     rows, entries = _hops(cfg, state.waveform, *mean, rcs, power, aps,
                           "filter mean")
-    cov = block_diagonal(np.array(entries).reshape(-1, 2, 2))
+    cov = _block_diagonal(len(aps), entries)
     return (_update_floats(*mean, prior_cov, values, rows, cov, aps),
             selection.bitmask)
 

@@ -121,9 +121,8 @@ def _predict_floats(model: MotionModel, m0: float, m1: float, p00: float,
 def predict(est: StateEstimate, model: MotionModel) -> StateEstimate:
     """Time update: propagate mean and covariance one epoch forward, as
     `_predict_floats` does."""
-    (p00, p01), (p10, p11) = est.covariance.tolist()
-    m0, m1, c00, off, c11 = _predict_floats(model, *est.mean.tolist(), p00,
-                                            p01, p10, p11)
+    m0, m1, c00, off, c11 = _predict_floats(
+        model, *est.mean.tolist(), *est.covariance.ravel().tolist())
     return StateEstimate._built(np.array([m0, m1]),
                                 np.array([[c00, off], [off, c11]]))
 

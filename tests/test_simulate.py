@@ -675,6 +675,22 @@ class TestBoundErrors:
                    if (fault, via) == ("non_finite_state", "filter_mean")
                    else None)
 
+    @pytest.mark.parametrize("power_fraction", [7.0, 0.0])
+    def test_caller_truth_blocks_alone_check_the_power_fraction(
+            self, power_fraction):
+        # with the caller's truth blocks and no filter mean no bound is
+        # evaluated, so only the up-front check sees the power fraction
+        good = crb_blocks_for_state(CFG, self.VALID["waveform"], 60.0, 25.0,
+                                    self.VALID["rcs"])
+        with pytest.raises(Exception) as caught:
+            synthesize_measurement(
+                CFG, TargetTruth(60.0, 25.0), ApSelection(CFG.num_aps, (1, 3)),
+                self.VALID["rcs"], RngStream(3, "measurement").generator(0),
+                waveform=self.VALID["waveform"], power_fraction=power_fraction,
+                truth_blocks=good)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "power_fraction must lie in (0, 1]"
+
     @pytest.mark.parametrize("aps, via", [((1, 3), "truth"),
                                           ((1, 4), "truth_blocks")],
                              ids=["bound_path", "truth_blocks"])
@@ -1003,10 +1019,10 @@ class TestArmReplay:
 
 
 def test_each_arm_predicts_once_an_epoch(monkeypatch):
-    # every arm steps its prediction once an epoch, on floats; an arm that
-    # senses builds its predicted estimate with one `predict`, and selection
-    # scores that estimate without predicting again. Each call is counted
-    # against the run's epoch
+    # every arm steps its prediction once an epoch, on floats; only an arm
+    # that scores subsets builds a predicted estimate, with one `predict`
+    # per sensing epoch, and selection scores that estimate without
+    # predicting again. Each call is counted against the run's epoch
     float_steps, estimates = [], []
     predict_floats = simulate._predict_floats
 
@@ -1030,10 +1046,54 @@ def test_each_arm_predicts_once_an_epoch(monkeypatch):
     arms = len(records[0].arms)
     assert arms == 3
     assert sum(r.action is Action.SENSING for r in records) > 10
+    # the conventional arm senses in every epoch without predicting again
+    assert all(r.arms["conventional"].action is Action.SENSING
+               for r in records)
     assert Counter(float_steps) == {k: arms for k in range(scenario.num_epochs)}
     assert Counter(estimates) == Counter(
-        r.epoch for r in records for a in r.arms.values()
-        if a.action is Action.SENSING)
+        r.epoch for r in records
+        if r.arms["proposed"].action is Action.SENSING)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_the_update_reads_the_arrays_the_public_functions_build(monkeypatch,
+                                                                seed):
+    # the prior covariance `_plan` hands on is `predict`'s, and the dense
+    # measurement covariance `_act` fills is `block_diagonal` of the stacked
+    # filter-mean blocks, bit for bit and signed zeros included
+    plan, hops, update_floats = simulate._plan, simulate._hops, _update_floats
+    sensed, updates, last_hops = Counter(), [], []
+
+    def planning(scenario, state, name, traffic_on):
+        result = plan(scenario, state, name, traffic_on)
+        if result[2] is not None:
+            prior = state.estimates[name]
+            want = predict(StateEstimate(prior[:2], prior[2:]), state.model)
+            got = result[2][1]
+            assert (got.dtype, got.shape) == (np.float64, (2, 2))
+            assert got.tobytes() == want.covariance.tobytes()
+            sensed[name] += 1
+        return result
+
+    def recording_hops(*args):
+        last_hops[:] = [hops(*args)]
+        return last_hops[0]
+
+    def updating(m0, m1, prior_cov, values, rows, meas_cov, aps):
+        entries = last_hops[0][1]
+        assert rows is last_hops[0][0]
+        assert meas_cov.tobytes() == crb.block_diagonal(
+            np.array(entries).reshape(-1, 2, 2)).tobytes()
+        updates.append(aps)
+        return update_floats(m0, m1, prior_cov, values, rows, meas_cov, aps)
+
+    monkeypatch.setattr(simulate, "_plan", planning)
+    monkeypatch.setattr(simulate, "_hops", recording_hops)
+    monkeypatch.setattr(simulate, "_update_floats", updating)
+    run_scenario(make_scenario(num_epochs=30, seed=seed))
+    assert sensed["conventional"] == 30
+    assert sensed["random"] > 0 and sensed["proposed"] > 0
+    assert len(updates) == sum(sensed.values())
 
 
 def test_a_sensing_arm_linearizes_once_per_state(monkeypatch):
