@@ -22,8 +22,8 @@ from . import __version__
 from .config import SystemConfig
 from .geometry import TargetTruth
 from .sensing import Action, SensingPolicy
-from .simulate import (COMPARISON_ARMS, RunLog, Scenario, TrafficModel,
-                       run_scenario)
+from .simulate import (_ARMS, COMPARISON_ARMS, RunLog, Scenario,
+                       TrafficModel, run_scenario)
 from .tracking import StateEstimate
 
 CSV_COLUMNS = (
@@ -312,9 +312,10 @@ def _csv_rows(log: RunLog):
 
 
 def _variance_series(log: RunLog) -> dict[str, array]:
-    """Predicted angle variance per epoch of each threshold-gated arm run."""
-    return {tag: log.arms[tag].variance for tag in ("proposed", "random")
-            if tag in log.arms}
+    """Predicted angle variance per epoch of each threshold-gated arm run,
+    in the log's order."""
+    return {tag: columns.variance for tag, columns in log.arms.items()
+            if _ARMS[tag].gated}
 
 
 def _threshold_crossing(variances: array, threshold: float) -> int | None:

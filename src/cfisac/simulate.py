@@ -71,6 +71,17 @@ def _mulhilo(a: np.ndarray, multiplier: int
     return high, ((middle & mask) << half) | (lo_lo & mask)
 
 
+def _whole(value, what: str) -> int:
+    """`value` as an int if it is a whole number other than a bool: an int,
+    a numpy integer or an integral float. Anything else raises ValueError
+    naming `what` and the value."""
+    if type(value) is int or isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{what}: {value!r} is not a whole number")
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Counter-style stream: (seed, stream, epoch) pins the draws exactly.
@@ -82,8 +93,9 @@ class RngStream:
     therefore reset by the next call on the same stream.
 
     The key is (seed, (code << 32) + epoch), so a seed outside [0, 2**64),
-    an epoch outside [0, 2**32) (which would draw another stream's numbers)
-    and an unknown `stream_id` raise ValueError naming the value.
+    an epoch outside [0, 2**32) (which would draw another stream's numbers),
+    a seed or epoch that is not a whole number (which would alias a whole
+    one) and an unknown `stream_id` raise ValueError naming the value.
     """
 
     seed: int
@@ -95,10 +107,13 @@ class RngStream:
         if self.stream_id not in _STREAM_CODES:
             raise ValueError(f"unknown stream_id {self.stream_id!r}, not one "
                              f"of {sorted(_STREAM_CODES)}")
+        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed {self.seed!r} outside [0, 2**64)")
 
     def generator(self, epoch: int = 0) -> np.random.Generator:
+        if type(epoch) is not int:  # the run's epochs skip the call
+            epoch = _whole(epoch, "epoch")
         if not 0 <= epoch < 2 ** 32:
             raise ValueError(f"epoch {epoch!r} outside [0, 2**32)")
         code = _STREAM_CODES[self.stream_id]
@@ -124,6 +139,9 @@ class RngStream:
         first word over 2**53.
         """
         epochs = np.asarray(epochs)
+        if epochs.dtype.kind not in "iu":
+            for epoch in epochs.ravel().tolist():
+                _whole(epoch, "epoch")
         for epoch in (epochs.min(initial=0), epochs.max(initial=0)):
             if not 0 <= epoch < 2 ** 32:
                 raise ValueError(f"epoch {int(epoch)} outside [0, 2**32)")
@@ -179,7 +197,7 @@ class TrafficModel:
 
 def _check_initial_estimate(est: StateEstimate) -> None:
     """Finite mean, finite symmetric PSD covariance; checked once per scenario
-    rather than in StateEstimate, which the filter rebuilds every epoch."""
+    rather than in StateEstimate, which `predict` and `update` also build."""
     cov = est.covariance
     if not (np.isfinite(est.mean).all() and np.isfinite(cov).all()):
         raise ValueError("initial_estimate: mean and covariance must be finite")
@@ -205,8 +223,11 @@ class Scenario:
     angle_mode: str = "per_ap"
 
     def __post_init__(self) -> None:
-        # RngStream takes epochs in [0, 2**32) and seeds in [0, 2**64), and
-        # raises past them; checked here, a config error names the field.
+        # RngStream takes whole epochs in [0, 2**32) and whole seeds in
+        # [0, 2**64), and raises past them; checked here, a config error
+        # names the field.
+        for name in ("num_epochs", "seed"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if not 1 <= self.num_epochs <= 2 ** 32:
             raise ValueError("num_epochs: must lie in [1, 2**32]")
         if not 0 <= self.seed < 2 ** 64:
@@ -391,7 +412,8 @@ class SimState:
     """Mutable loop state threaded through run_epoch, built from the one
     scenario it steps. `log` is the run so far, `truth_x` the true position
     after the last epoch stepped and `estimates` each filter arm's estimate
-    as the floats (p, v, P00, P01, P10, P11). The rest is fixed; the
+    as the floats (p, v, P00, P01, P10, P11), which `_plan` predicts from
+    and `_act` updates with no array in between. The rest is fixed; the
     waveform evaluates the entries of its unit-gain bound block, which it
     keeps as floats, and checks its grid, at the first sensing epoch."""
 
@@ -570,6 +592,9 @@ def synthesize_measurement(cfg: SystemConfig, truth: TargetTruth,
     if selection.cardinality == 0:
         raise ValueError("no sensing receivers selected")
     aps, x, v = selection.indices, truth.position_x, truth.velocity_x
+    if filter_mean is not None and np.shape(filter_mean) != (2,):
+        raise ValueError(f"filter_mean: need shape (2,), the filter's "
+                         f"[p_x, v_x], got {np.shape(filter_mean)}")
     mean = (None if filter_mean is None else
             (float(filter_mean[0]), float(filter_mean[1])))
     if truth_blocks is None:
@@ -600,14 +625,15 @@ def _random_selection(available: ApSelection, k: int,
 
 
 def _plan(scenario: Scenario, state: SimState, name: str, traffic_on: bool
-          ) -> tuple[tuple[float, ...], float, tuple | None]:
+          ) -> tuple[tuple[float, ...], float, ApSelection | None]:
     """The deterministic half of an arm's EKF cycle at epoch `state.epoch`:
     predict on Python floats, take the angle variance and decide. Returns
-    the predicted floats (p, v, P00, P01, P10, P11), the variance and, if
-    the arm senses, `_act`'s inputs: the floats, their covariance as an
-    array (`predict`'s bits) and the receive set, None for the random arm's
-    draw. Only the subset scorer builds `predict`'s estimate, which
-    `_score_blocks` reads. Reads no stream, changes no state."""
+    the predicted floats (p, v, P00, P01, P10, P11), the variance and the
+    receive set `_act` senses with, or None if the arm idles: every AP for
+    the conventional arm, the available APs the random arm draws from, and
+    the scored winner for the proposed arm. Only the subset scorer builds
+    `predict`'s estimate, which `_score_blocks` reads. Reads no stream,
+    changes no state."""
     cfg, policy, arm = scenario.system, scenario.policy, _ARMS[name]
     prior = state.estimates[name]
     mean_p, mean_v, p00, p01, p11 = _predict_floats(state.model, *prior)
@@ -616,43 +642,41 @@ def _plan(scenario: Scenario, state: SimState, name: str, traffic_on: bool
     if arm.gated and (decide_action(variance, policy) is _NO_SENSING
                       or traffic_on):  # data frames carry no sensing signal
         return floats, variance, None
-    selection = state.full_selection if arm.receivers == "all" else None
-    if arm.receivers == "optimal":
-        planning = _hops(cfg, state.waveform, mean_p, mean_v,
-                         state.planning_rcs, 1.0, state.available.indices,
-                         "filter mean")
-        selection = _lowest_variance(cfg.num_aps, *_score_blocks(
-            cfg, predict(StateEstimate(prior[:2], prior[2:]), state.model),
-            state.available, policy.subset_cardinality, *planning))
-    return floats, variance, (floats, np.array(((p00, p01), (p01, p11))),
-                              selection)
+    if arm.receivers == "all":
+        return floats, variance, state.full_selection
+    if arm.receivers == "random":
+        return floats, variance, state.available
+    planning = _hops(cfg, state.waveform, mean_p, mean_v, state.planning_rcs,
+                     1.0, state.available.indices, "filter mean")
+    return floats, variance, _lowest_variance(cfg.num_aps, *_score_blocks(
+        cfg, predict(StateEstimate(prior[:2], prior[2:]), state.model),
+        state.available, policy.subset_cardinality, *planning))
 
 
 def _act(scenario: Scenario, state: SimState, name: str, truth_x: float,
-         predicted: tuple[float, ...], prior_cov: np.ndarray,
-         selection: ApSelection | None) -> tuple[tuple[float, ...], int]:
+         predicted: tuple[float, ...], selection: ApSelection
+         ) -> tuple[tuple[float, ...], int]:
     """The random half of a sensing arm's EKF cycle at epoch `state.epoch`:
-    draw the random arm's set, the cross sections and the measurement at
-    `truth_x` from streams reset to (seed, stream, epoch), the same for
-    every arm. The measurement is drawn at the `_hops` blocks of the truth;
-    the update of the predicted floats (covariance `prior_cov`) reads the
-    rows and blocks of a second `_hops` pass at their mean. Returns the
-    posterior floats and the set's bitmask; changes nothing in `state`."""
+    draw the random arm's set from `selection`, the cross sections and the
+    measurement at `truth_x` from streams reset to (seed, stream, epoch),
+    the same for every arm. The measurement is drawn at the `_hops` blocks
+    of the truth; the update of the predicted floats reads the rows and
+    blocks of a second `_hops` pass at their mean. Returns the posterior
+    floats and the set's bitmask; changes nothing in `state`."""
     cfg, streams, k = scenario.system, state.streams, state.epoch
-    if selection is None:
-        selection = _random_selection(state.available,
+    if _ARMS[name].receivers == "random":
+        selection = _random_selection(selection,
                                       scenario.policy.subset_cardinality,
                                       streams["selection"].generator(k))
     rcs = draw_rcs(streams["rcs"].generator(k), cfg, cfg.num_aps)
-    mean, aps = predicted[:2], selection.indices
-    power = _ARMS[name].power_fraction
+    aps, power = selection.indices, _ARMS[name].power_fraction
     values = _measure(cfg, aps, *_hops(
         cfg, state.waveform, truth_x, scenario.initial_truth.velocity_x, rcs,
         power, aps), streams["measurement"].generator(k))
-    rows, entries = _hops(cfg, state.waveform, *mean, rcs, power, aps,
-                          "filter mean")
+    rows, entries = _hops(cfg, state.waveform, *predicted[:2], rcs, power,
+                          aps, "filter mean")
     cov = _block_diagonal(len(aps), entries)
-    return (_update_floats(*mean, prior_cov, values, rows, cov, aps),
+    return (_update_floats(*predicted, values, rows, cov, aps),
             selection.bitmask)
 
 
@@ -683,10 +707,10 @@ def run_epoch(state: SimState) -> EpochStep:
     steps = []
     for name in state.estimates:
         try:
-            floats, variance, sense = _plan(scenario, state, name, traffic_on)
+            floats, variance, rx = _plan(scenario, state, name, traffic_on)
             mask = 0  # the empty receive set's, shared by every idle epoch
-            if sense is not None:
-                floats, mask = _act(scenario, state, name, truth_x, *sense)
+            if rx is not None:
+                floats, mask = _act(scenario, state, name, truth_x, floats, rx)
         except ValueError as exc:  # RankDeficientError stays one
             raise type(exc)(f"epoch {k}, {name} arm: {exc}") from exc
         steps.append((name, floats, variance, mask))

@@ -30,17 +30,6 @@ class StateEstimate:
         object.__setattr__(self, "covariance",
                            np.array(self.covariance, dtype=float).reshape(2, 2))
 
-    @classmethod
-    def _built(cls, mean: np.ndarray,
-               covariance: np.ndarray) -> "StateEstimate":
-        """An estimate from float arrays of shapes (2,) and (2, 2) that the
-        filter has just built, taken as they are: skips __post_init__,
-        whose copies are for caller input."""
-        est = object.__new__(cls)
-        object.__setattr__(est, "mean", mean)
-        object.__setattr__(est, "covariance", covariance)
-        return est
-
 
 @dataclass(frozen=True)
 class MotionModel:
@@ -119,12 +108,11 @@ def _predict_floats(model: MotionModel, m0: float, m1: float, p00: float,
 
 
 def predict(est: StateEstimate, model: MotionModel) -> StateEstimate:
-    """Time update: propagate mean and covariance one epoch forward, as
-    `_predict_floats` does."""
+    """Time update: propagate mean and covariance one epoch forward, by
+    `_predict_floats` on the estimate's six floats."""
     m0, m1, c00, off, c11 = _predict_floats(
         model, *est.mean.tolist(), *est.covariance.ravel().tolist())
-    return StateEstimate._built(np.array([m0, m1]),
-                                np.array([[c00, off], [off, c11]]))
+    return StateEstimate([m0, m1], [[c00, off], [off, c11]])
 
 
 def _symmetrized(m: np.ndarray) -> tuple[float, float, float]:
@@ -202,13 +190,14 @@ def _check_selection(cfg: SystemConfig, selection: ApSelection) -> None:
                          f"the system has {cfg.num_aps}")
 
 
-def _update_floats(m0: float, m1: float, prior_cov: np.ndarray,
-                   values: Sequence[float], rows: Sequence[tuple],
+def _update_floats(m0: float, m1: float, p00: float, p01: float, p10: float,
+                   p11: float, values: Sequence[float], rows: Sequence[tuple],
                    meas_cov: np.ndarray, aps: tuple) -> tuple[float, ...]:
-    """`update` of the mean (m0, m1) and covariance `prior_cov` by the pairs
-    `values` of the APs `aps` (covariance `meas_cov`, `_linearize` rows at
-    (m0, m1)), to the floats (p, v, P00, P01, P10 = P01, P11). Only
-    `_gain_and_posterior` and the gain times the innovation are numpy's."""
+    """`update` of the mean (m0, m1) and covariance [[p00, p01], [p10, p11]],
+    the float state `_predict_floats` takes, by the pairs `values` of the
+    APs `aps` (covariance `meas_cov`, `_linearize` rows at (m0, m1)), to the
+    floats (p, v, P00, P01, P10 = P01, P11). Only `_gain_and_posterior` and
+    the gain times the innovation are numpy's."""
     innovation, jac = [], []
     for (dist, radial, cosine, slope), value_r, value_v in zip(
             rows, values[0::2], values[1::2]):
@@ -216,7 +205,8 @@ def _update_floats(m0: float, m1: float, prior_cov: np.ndarray,
         jac += (cosine, 0.0, slope, cosine)
     try:
         gain, (c00, off, c11) = _gain_and_posterior(
-            prior_cov, np.array(jac).reshape(-1, 2), meas_cov)
+            np.array(((p00, p01), (p10, p11))), np.array(jac).reshape(-1, 2),
+            meas_cov)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular innovation covariance for APs "
                          f"{aps}") from exc
@@ -230,17 +220,17 @@ def _update_floats(m0: float, m1: float, prior_cov: np.ndarray,
 
 def update(est: StateEstimate, meas: MeasurementSet,
            cfg: SystemConfig) -> StateEstimate:
-    """Measurement update of a predicted estimate, by `_update_floats`. A
-    selection over another AP count, or a posterior that is not finite,
-    raises ValueError; the innovation is checked before the gain multiplies
-    it, so a measurement at infinity raises that, not a numpy warning."""
+    """Measurement update of a predicted estimate, by `_update_floats` on
+    its six floats. A selection over another AP count, or a posterior that
+    is not finite, raises ValueError; the innovation is checked before the
+    gain multiplies it, so a measurement at infinity raises that, not a
+    numpy warning."""
     _check_selection(cfg, meas.selection)
     (m0, m1), aps = est.mean.tolist(), meas.selection.indices
     m0, m1, c00, off, _, c11 = _update_floats(
-        m0, m1, est.covariance, meas.values.tolist(),
+        m0, m1, *est.covariance.ravel().tolist(), meas.values.tolist(),
         _linearize(cfg, m0, m1, aps), meas.covariance, aps)
-    return StateEstimate._built(np.array([m0, m1]),
-                                np.array([[c00, off], [off, c11]]))
+    return StateEstimate([m0, m1], [[c00, off], [off, c11]])
 
 
 def _angle_variance(cfg: SystemConfig, position_x: float,

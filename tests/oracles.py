@@ -114,8 +114,8 @@ def exact_score_blocks(cfg: SystemConfig, predicted: StateEstimate,
     return [tuple(aps[i] for i in pick) for pick in picks], variances
 
 
-def exact_update(m0: float, m1: float, prior_cov, values, rows,
-                 meas_cov) -> tuple[Fraction, ...]:
+def exact_update(m0: float, m1: float, p00: float, p01: float, p10: float,
+                 p11: float, values, rows, meas_cov) -> tuple[Fraction, ...]:
     """What `tracking._update_floats` returns for the same inputs, in exact
     arithmetic, in information form: the posterior covariance
     (P^-1 + sum_l J_l^T R_l^-1 J_l)^-1 and the mean
@@ -124,8 +124,8 @@ def exact_update(m0: float, m1: float, prior_cov, values, rows,
     cov = np.asarray(meas_cov)
     blocks = [cov[2 * l:2 * l + 2, 2 * l:2 * l + 2] for l in range(len(rows))]
     assert np.array_equal(block_diagonal(np.array(blocks)), cov)
-    info = _inverse([[Fraction(x) for x in row]
-                     for row in np.asarray(prior_cov).tolist()])
+    info = _inverse([[Fraction(p00), Fraction(p01)],
+                     [Fraction(p10), Fraction(p11)]])
     score = [Fraction(0), Fraction(0)]
     for (s, weight), (dist, radial, _, _), y_r, y_v in zip(
             exact_information(rows, np.array(blocks).ravel().tolist()), rows,

@@ -595,6 +595,21 @@ class TestEmitPlots:
         for tag in ("proposed", "conventional", "perfect"):
             assert tag in svg
 
+    @pytest.mark.parametrize("arms, gated", [
+        (simulate.COMPARISON_ARMS, ["proposed", "random"]),
+        (("perfect", "random"), ["proposed", "random"]),
+        (("conventional",), ["proposed"]),
+    ])
+    def test_variance_series_are_the_gated_arms_in_log_order(self, arms,
+                                                             gated):
+        # the arm table says which arms are gated; the summary's crossing
+        # epochs and the variance plot read them in the log's order
+        log = RunLog(dataclasses.replace(default_scenario(),
+                                         comparison_arms=arms))
+        assert list(cli._variance_series(log)) == gated
+        for tag, values in cli._variance_series(log).items():
+            assert values is log.arms[tag].variance
+
     @pytest.mark.parametrize("arms, rated", [
         (None, ["proposed", "conventional", "perfect"]),
         ("random", ["proposed"]),

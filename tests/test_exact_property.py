@@ -142,8 +142,7 @@ def test_scorer_is_within_few_ulp_times_its_condition(epoch):
     `scorer_condition` of its sums."""
     cfg, waveform, prior, available, k, rcs, power = epoch
     _, floats = predicted_epoch(cfg, prior)
-    predicted = StateEstimate._built(np.array(floats[:2]),
-                                     np.array(floats[2:]).reshape(2, 2))
+    predicted = StateEstimate(floats[:2], floats[2:])
     rows, entries = _hops(cfg, waveform, *floats[:2], rcs, power, available,
                           "filter mean")
     selection = ApSelection.from_indices(cfg.num_aps, available)
@@ -173,7 +172,8 @@ def test_update_is_within_the_cancellation_ratio_of_exact(epoch, offset,
     `offset` prior standard deviations from the predicted position, with
     `normals` scaling each AP's range and velocity bound."""
     cfg, waveform, prior, aps, _, rcs, power = epoch
-    p, v, p00, p01, _, p11 = predicted_epoch(cfg, prior)[1]
+    floats = predicted_epoch(cfg, prior)[1]
+    p, v, p00, _, _, p11 = floats
     truth_rows, truth_entries = _hops(
         cfg, waveform, p + offset * math.sqrt(p00), v, rcs, power, aps)
     values = []
@@ -183,10 +183,9 @@ def test_update_is_within_the_cancellation_ratio_of_exact(epoch, offset,
                    * math.sqrt(truth_entries[4 * i + 3]))
     rows, entries = _hops(cfg, waveform, p, v, rcs, power, aps,
                           "filter mean")
-    prior_cov = np.array([[p00, p01], [p01, p11]])
     meas_cov = block_diagonal(np.array(entries).reshape(-1, 2, 2))
-    got = _update_floats(p, v, prior_cov, values, rows, meas_cov, aps)
-    want = exact_update(p, v, prior_cov, values, rows, meas_cov)
+    got = _update_floats(*floats, values, rows, meas_cov, aps)
+    want = exact_update(*floats, values, rows, meas_cov)
     ratio = Fraction(p00) / want[2]
     z = math.sqrt(sum(
         nu @ np.linalg.solve(np.reshape(entries[4 * i:4 * i + 4], (2, 2)), nu)

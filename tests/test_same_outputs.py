@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "same_outputs.py"
 
@@ -47,3 +49,28 @@ def test_a_difference_names_its_first_cell_and_worst_columns(tmp_path):
 
 def test_seed_ranges():
     assert load_tool().parse_seeds("0-3,7,9-10") == [0, 1, 2, 3, 7, 9, 10]
+
+
+def test_a_directory_side_resolves_to_itself(tmp_path):
+    assert load_tool().resolve(str(ROOT), tmp_path) == ROOT
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(),
+                    reason="revisions need a git checkout")
+def test_a_revision_side_is_exported_from_git(tmp_path):
+    tree = load_tool().resolve("HEAD", tmp_path)
+    assert tree.parent == tmp_path
+    want = subprocess.run(
+        ["git", "-C", str(ROOT), "show", "HEAD:src/cfisac/simulate.py"],
+        capture_output=True, check=True).stdout
+    assert (tree / "src" / "cfisac" / "simulate.py").read_bytes() == want
+    assert not list(tree.rglob("__pycache__"))
+
+
+def test_an_unknown_side_exits_2():
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), "no-such-revision", "--seeds",
+         "0", "--smoke"], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "no-such-revision: neither a directory" in done.stderr
+    assert done.stdout == ""

@@ -691,6 +691,22 @@ class TestBoundErrors:
         assert type(caught.value) is ValueError
         assert str(caught.value) == "power_fraction must lie in (0, 1]"
 
+    @pytest.mark.parametrize("mean", [[60.0], [60.0, 25.0, 99.0],
+                                      [[60.0, 25.0]]],
+                             ids=["short", "long", "row"])
+    def test_a_filter_mean_of_another_shape(self, mean):
+        # it raised a bare IndexError, was cut to its first two entries, or
+        # raised a TypeError
+        with pytest.raises(Exception) as caught:
+            synthesize_measurement(
+                CFG, TargetTruth(60.0, 25.0), ApSelection(CFG.num_aps, (1, 3)),
+                self.VALID["rcs"], RngStream(3, "measurement").generator(0),
+                waveform=self.VALID["waveform"], filter_mean=np.array(mean))
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == (
+            f"filter_mean: need shape (2,), the filter's [p_x, v_x], got "
+            f"{np.shape(mean)}")
+
     @pytest.mark.parametrize("aps, via", [((1, 3), "truth"),
                                           ((1, 4), "truth_blocks")],
                              ids=["bound_path", "truth_blocks"])
@@ -776,6 +792,25 @@ class TestRunScenario:
             assert ra.action is rb.action
         assert (epochs_csv(a, scenario, tmp_path / "a")
                 == epochs_csv(b, scenario, tmp_path / "b"))
+
+    @pytest.mark.parametrize("field", ["seed", "num_epochs"])
+    @pytest.mark.parametrize("value", [1.5, True, "3"])
+    def test_a_seed_or_length_that_is_not_a_whole_number_is_rejected(
+            self, field, value):
+        # seed 1.5 ran seed 1's draws with interval traffic
+        with pytest.raises(ValueError,
+                           match=rf"^{field}: .* is not a whole number$"):
+            make_scenario(**{field: value})
+
+    def test_whole_floats_are_taken_as_ints(self):
+        scenario = make_scenario(num_epochs=3.0, seed=5.0)
+        assert (scenario.num_epochs, scenario.seed) == (3, 5)
+        assert type(scenario.num_epochs) is type(scenario.seed) is int
+        log = run_scenario(scenario)
+        assert len(log) == 3
+        again = run_scenario(make_scenario(num_epochs=3, seed=5))
+        for name, columns in log.arms.items():
+            assert vars(columns) == vars(again.arms[name])
 
     def test_no_sensing_during_traffic(self):
         records = run_scenario(make_scenario(num_epochs=60, seed=11))
@@ -1058,20 +1093,25 @@ def test_each_arm_predicts_once_an_epoch(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 5])
 def test_the_update_reads_the_arrays_the_public_functions_build(monkeypatch,
                                                                 seed):
-    # the prior covariance `_plan` hands on is `predict`'s, and the dense
+    # the predicted floats `_plan` hands on are `predict`'s, the prior
+    # covariance the update multiplies is `predict`'s array, and the dense
     # measurement covariance `_act` fills is `block_diagonal` of the stacked
     # filter-mean blocks, bit for bit and signed zeros included
     plan, hops, update_floats = simulate._plan, simulate._hops, _update_floats
-    sensed, updates, last_hops = Counter(), [], []
+    gain_and_posterior = tracking._gain_and_posterior
+    sensed, updates, last_hops, predicted = Counter(), [], [], []
 
     def planning(scenario, state, name, traffic_on):
         result = plan(scenario, state, name, traffic_on)
         if result[2] is not None:
             prior = state.estimates[name]
             want = predict(StateEstimate(prior[:2], prior[2:]), state.model)
-            got = result[2][1]
-            assert (got.dtype, got.shape) == (np.float64, (2, 2))
-            assert got.tobytes() == want.covariance.tobytes()
+            floats = result[0]
+            assert all(type(x) is float for x in floats)
+            assert np.array(floats[:2]).tobytes() == want.mean.tobytes()
+            assert (np.array(floats[2:]).tobytes()
+                    == want.covariance.tobytes())
+            predicted[:] = [want]
             sensed[name] += 1
         return result
 
@@ -1079,21 +1119,65 @@ def test_the_update_reads_the_arrays_the_public_functions_build(monkeypatch,
         last_hops[:] = [hops(*args)]
         return last_hops[0]
 
-    def updating(m0, m1, prior_cov, values, rows, meas_cov, aps):
+    def updating(m0, m1, p00, p01, p10, p11, values, rows, meas_cov, aps):
         entries = last_hops[0][1]
         assert rows is last_hops[0][0]
         assert meas_cov.tobytes() == crb.block_diagonal(
             np.array(entries).reshape(-1, 2, 2)).tobytes()
         updates.append(aps)
-        return update_floats(m0, m1, prior_cov, values, rows, meas_cov, aps)
+        return update_floats(m0, m1, p00, p01, p10, p11, values, rows,
+                             meas_cov, aps)
+
+    def multiplying(prior_cov, jacobian, meas_cov):
+        got, want = prior_cov, predicted[0].covariance
+        assert (got.dtype, got.shape) == (np.float64, (2, 2))
+        assert got.tobytes() == want.tobytes()
+        return gain_and_posterior(prior_cov, jacobian, meas_cov)
 
     monkeypatch.setattr(simulate, "_plan", planning)
     monkeypatch.setattr(simulate, "_hops", recording_hops)
     monkeypatch.setattr(simulate, "_update_floats", updating)
+    monkeypatch.setattr(tracking, "_gain_and_posterior", multiplying)
     run_scenario(make_scenario(num_epochs=30, seed=seed))
     assert sensed["conventional"] == 30
     assert sensed["random"] > 0 and sensed["proposed"] > 0
     assert len(updates) == sum(sensed.values())
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_plan_returns_the_receive_set_the_arm_senses_with(monkeypatch, seed):
+    # `_plan`'s set is None exactly where the arm idles: every AP for the
+    # conventional arm, the available APs the random arm draws from, and a
+    # scored subset of `subset_cardinality` APs for the proposed arm
+    plan, plans = simulate._plan, []
+
+    def planning(scenario, state, name, traffic_on):
+        result = plan(scenario, state, name, traffic_on)
+        plans.append((state.epoch, name, state, traffic_on, result[2]))
+        return result
+
+    monkeypatch.setattr(simulate, "_plan", planning)
+    policy = SensingPolicy(1e-9, subset_cardinality=2, exclude_tx_ap=True)
+    log = run_scenario(make_scenario(num_epochs=30, seed=seed, policy=policy))
+    assert len(plans) == 30 * len(log.arms) == 90
+    sensed = Counter()
+    for k, name, state, traffic_on, rx in plans:
+        mask = log.arms[name].bitmask[k]
+        assert (rx is None) == (mask == 0)
+        if rx is None:
+            continue
+        sensed[name] += 1
+        if name == "conventional":
+            assert rx is state.full_selection
+        elif name == "random":
+            assert rx is state.available and mask & ~rx.bitmask == 0
+        else:
+            assert not traffic_on
+            assert rx.cardinality == 2 and rx.bitmask == mask
+            assert mask & ~state.available.bitmask == 0
+    assert state.available != state.full_selection
+    assert sensed["conventional"] == 30
+    assert sensed["random"] > 0 and sensed["proposed"] > 0
 
 
 def test_a_sensing_arm_linearizes_once_per_state(monkeypatch):
@@ -1265,6 +1349,39 @@ class TestStreamReuse:
         with pytest.raises(ValueError, match=f"^seed {seed} outside "):
             RngStream(seed, "traffic")
 
+    @pytest.mark.parametrize("value", [2.5, True, np.bool_(False), math.nan,
+                                       "3", None])
+    def test_a_seed_or_epoch_that_is_not_a_whole_number_is_rejected(
+            self, value):
+        # 2.5 drew epoch 2's numbers, and True was seed 1
+        message = "is not a whole number$"
+        with pytest.raises(ValueError, match=f"^seed: .* {message}"):
+            RngStream(value, "traffic")
+        stream = RngStream(7, "rcs")
+        with pytest.raises(ValueError, match=f"^epoch: .* {message}"):
+            stream.generator(value)
+        with pytest.raises(ValueError, match=f"^epoch: .* {message}"):
+            stream.first_uniforms(np.array([2, value, 3], dtype=object))
+
+    @pytest.mark.parametrize("epochs, bad", [([2.5, 2.0], 2.5),
+                                             ([True, False], True),
+                                             ([1.0, math.inf], math.inf)])
+    def test_first_uniforms_names_the_first_epoch_that_is_not_whole(
+            self, epochs, bad):
+        with pytest.raises(ValueError,
+                           match=rf"^epoch: {bad!r} is not a whole number$"):
+            RngStream(7, "traffic").first_uniforms(np.array(epochs))
+
+    @pytest.mark.parametrize("whole", [np.int64(7), np.uint64(7), 7.0,
+                                       np.float32(7.0)])
+    def test_whole_numbers_of_other_types_draw_as_their_int(self, whole):
+        want = RngStream(7, "traffic")
+        stream = RngStream(whole, "traffic")
+        assert type(stream.seed) is int and stream == want
+        assert (stream.first_uniforms(np.array([2.0, 3.0])).tobytes()
+                == want.first_uniforms(np.array([2, 3])).tobytes())
+        assert draws(stream.generator(whole)) == draws(want.generator(7))
+
     def test_an_unknown_stream_is_rejected_at_construction(self):
         with pytest.raises(ValueError, match="^unknown stream_id 'noise'"):
             RngStream(7, "noise")
@@ -1383,15 +1500,15 @@ def same_value(a, b):
 
 
 PER_EPOCH_VALUES = ("EpochRecord", "ArmEpoch", "StateEstimate",
-                    "StateEstimate._built by predict",
-                    "StateEstimate._built by update", "LinkResult",
-                    "TargetTruth")
+                    "StateEstimate by predict", "StateEstimate by update",
+                    "LinkResult", "TargetTruth")
 
 
 @pytest.fixture(scope="module")
 def per_epoch_values():
     """One instance of each per-epoch value type: the records as the run's
-    log builds them on access, and the filter's own `_built` estimates."""
+    log builds them on access, and the estimates `predict` and `update`
+    return."""
     records = run_scenario(make_scenario(num_epochs=30, seed=3))
     record = next(r for r in records if r.rates)
     model = MotionModel.from_config(CFG)
@@ -1405,8 +1522,8 @@ def per_epoch_values():
         "EpochRecord": record,
         "ArmEpoch": record.arms["conventional"],
         "StateEstimate": StateEstimate([1.0, 2.0], np.eye(2)),
-        "StateEstimate._built by predict": predicted,
-        "StateEstimate._built by update": update(predicted, meas, CFG),
+        "StateEstimate by predict": predicted,
+        "StateEstimate by update": update(predicted, meas, CFG),
         "LinkResult": record.rates["proposed"],
         "TargetTruth": record.truth,
     }
@@ -1454,9 +1571,9 @@ RECORD_FIELDS = {
 
 
 class TestRecordConstruction:
-    """The record types check and convert nothing, and `StateEstimate._built`
-    skips the public constructor: each value must land in its own field,
-    and each record of a run's log is its epoch's entry of every column."""
+    """The record types check and convert nothing: each value must land in
+    its own field, and each record of a run's log is its epoch's entry of
+    every column."""
 
     @pytest.mark.parametrize("cls", RECORD_FIELDS,
                              ids=lambda cls: cls.__name__)
@@ -1468,14 +1585,6 @@ class TestRecordConstruction:
             assert type(value) is cls
             for name, expected in zip(names, values):
                 assert getattr(value, name) is expected
-
-    def test_built_estimate_lands_in_its_own_fields(self):
-        values = (np.array([1.0, 2.0]), np.array([[3.0, 0.5], [0.5, 4.0]]))
-        est = StateEstimate._built(*values)
-        assert type(est) is StateEstimate
-        assert same_value(est, StateEstimate(*values))
-        for f, value in zip(dataclasses.fields(est), values):
-            assert getattr(est, f.name) is value
 
     def test_each_record_reads_its_epoch_of_the_columns(self):
         log = run_scenario(make_scenario(num_epochs=30, seed=3))
@@ -1512,8 +1621,8 @@ class TestRecordConstruction:
             with pytest.raises(IndexError):
                 log[k]
 
-    @pytest.mark.parametrize("name", ["StateEstimate._built by predict",
-                                      "StateEstimate._built by update"])
+    @pytest.mark.parametrize("name", ["StateEstimate by predict",
+                                      "StateEstimate by update"])
     def test_filter_estimates_survive_the_public_constructor(
             self, per_epoch_values, name):
         # __post_init__'s conversions (float arrays of shape (2,) and
@@ -1578,15 +1687,16 @@ def test_stepping_error_names_the_epoch_and_the_arm(monkeypatch, error):
     # never senses, so every update is the conventional arm's
     calls = []
 
-    def failing_update(m0, m1, prior_cov, values, rows, meas_cov, aps):
+    def failing_update(m0, m1, p00, p01, p10, p11, values, rows, meas_cov,
+                       aps):
         calls.append(aps)
         if len(calls) < 4:
-            return _update_floats(m0, m1, prior_cov, values, rows, meas_cov,
-                                  aps)
+            return _update_floats(m0, m1, p00, p01, p10, p11, values, rows,
+                                  meas_cov, aps)
         if error is RankDeficientError:
             raise RankDeficientError("stand-in")
         # a zero prior and zero noise make the innovation covariance zero
-        return _update_floats(m0, m1, np.zeros((2, 2)), values, rows,
+        return _update_floats(m0, m1, 0.0, 0.0, 0.0, 0.0, values, rows,
                               0 * meas_cov, aps)
 
     monkeypatch.setattr(simulate, "_update_floats", failing_update)
@@ -1670,9 +1780,10 @@ def test_plan_and_act_leave_the_state_as_they_found_it():
     truth_x = propagate_truth(scenario.initial_truth,
                               scenario.system).position_x
     # every arm senses at epoch 0 of the default scenario
-    assert all(sense is not None for _, _, sense in plans.values())
-    posteriors = {name: simulate._act(scenario, state, name, truth_x, *sense)
-                  for name, (_, _, sense) in plans.items()}
+    assert all(rx is not None for _, _, rx in plans.values())
+    posteriors = {name: simulate._act(scenario, state, name, truth_x, floats,
+                                      rx)
+                  for name, (floats, _, rx) in plans.items()}
     assert snapshot() == before
     # and the two halves are what run_epoch steps and commits
     run_epoch(state)

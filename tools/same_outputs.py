@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
 """Check that two cfisac source trees write the same run outputs.
 
-Run from anywhere, with two repository roots (each holding `src/cfisac`):
+Run from anywhere, with two sides, each a repository root (a directory
+holding `src/cfisac`) or a git revision of this tool's repository:
 
     python3 tools/same_outputs.py SRC_A SRC_B --seeds 0-19
+    python3 tools/same_outputs.py HEAD~1 . --seeds 0-19
     python3 tools/same_outputs.py . . --seeds 0 --smoke
+
+A revision is exported with `git archive` into the tool's temporary
+directory, so it runs from committed files alone, with no bytecode cache.
 
 For every workload of `bench/workloads.json` (next to this tool; only its
 overrides and smoke lengths are read) and every seed, each tree runs
@@ -30,10 +35,12 @@ import os
 import re
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.json"
+REPO = Path(__file__).resolve().parents[1]
+WORKLOADS = REPO / "bench" / "workloads.json"
 OUTPUTS = ("epochs.csv", "summary.json", "variance.svg", "rate.svg")
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -117,6 +124,26 @@ def compare(dir_a: Path, dir_b: Path) -> list[str]:
     return lines
 
 
+def resolve(side: str, work: Path) -> Path:
+    """The tree of `side`: a directory holding `src/cfisac` as it is, or
+    else the `git archive` export of revision `side` of this tool's
+    repository, in a new directory under `work`. Raises ValueError if
+    `side` is neither."""
+    if (Path(side) / "src" / "cfisac").is_dir():
+        return Path(side).resolve()
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", side],
+                             capture_output=True)
+    if archive.returncode != 0:
+        raise ValueError(f"{side}: neither a directory holding src/cfisac "
+                         f"nor a revision: {archive.stderr.decode().strip()}")
+    tree = Path(tempfile.mkdtemp(prefix="revision-", dir=work))
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(tree, filter="data")
+    if not (tree / "src" / "cfisac").is_dir():
+        raise ValueError(f"{side}: revision holds no src/cfisac")
+    return tree
+
+
 def run(tree: Path, config: Path, seed: int, out: Path) -> None:
     """`cfisac run --emit-plots` of `config` at `seed`, from `tree`'s src."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
@@ -131,21 +158,21 @@ def run(tree: Path, config: Path, seed: int, out: Path) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src_a", type=Path)
-    parser.add_argument("src_b", type=Path)
+    parser.add_argument("src_a", help="repository root or git revision")
+    parser.add_argument("src_b", help="repository root or git revision")
     parser.add_argument("--seeds", default="0-19", type=parse_seeds)
     parser.add_argument("--smoke", action="store_true",
                         help="run each workload for its smoke_epochs")
     args = parser.parse_args(argv)
-    trees = [args.src_a.resolve(), args.src_b.resolve()]
-    for tree in trees:
-        if not (tree / "src" / "cfisac").is_dir():
-            parser.error(f"{tree} holds no src/cfisac")
 
     differ = False
     workloads = json.loads(WORKLOADS.read_text())
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
+        try:
+            trees = [resolve(side, work) for side in (args.src_a, args.src_b)]
+        except ValueError as exc:
+            parser.error(str(exc))
         for workload, spec in workloads.items():
             overrides = dict(spec["overrides"])
             if args.smoke:
